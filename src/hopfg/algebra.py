@@ -5,6 +5,14 @@ group grade, sparsely valued maps for product, unit, coproduct, counit,
 antipode, crossing, and the grade-1 universal R-matrix.  Everything here
 is exact; axiom verification is exhaustive over basis tuples, which is
 fine at desk scale (grade dimensions up to ~16).
+
+Every structure map is a sparse linear map, and one kernel applies them
+all: ``add_into`` is the only place where a sum is accumulated into a
+sparse dict (an entry whose sum is zero is dropped), ``apply_rows``
+applies sparse rows to a vector, and ``apply_rows_at`` applies them to
+one factor of a tensor.  Inside the package vectors and tensors are raw
+dicts ({basis index: Cyclo} and {index tuple: Cyclo}); GradedVector and
+GradedTensor are built only where a public function returns.
 """
 
 from __future__ import annotations
@@ -23,6 +31,49 @@ class IntegralError(RuntimeError):
 
 class DrinfeldError(RuntimeError):
     """Raised when ribbon certification of the Drinfeld element fails."""
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernel
+
+
+def add_into(out: dict, key, v) -> None:
+    """out[key] += v, dropping the entry when the sum is zero."""
+    acc = out.get(key)
+    w = v if acc is None else acc + v
+    if w:
+        out[key] = w
+    elif acc is not None:
+        del out[key]
+
+
+def apply_rows(rows, x: dict) -> dict:
+    """The linear map with sparse rows (rows[i] is the image of basis
+    vector i) applied to the sparse vector x."""
+    out: dict = {}
+    for i, xi in x.items():
+        for t, tv in rows[i].items():
+            add_into(out, t, xi * tv)
+    return out
+
+
+def apply_rows_at(entries: dict, pos: int, rows) -> dict:
+    """Sparse rows applied to factor pos of a sparse tensor.
+
+    Row keys are index tuples spliced in place of the factor: 1-tuples
+    for a map of one factor (see ``slot_rows``), pairs for a coproduct.
+    """
+    out: dict = {}
+    for idxs, v in entries.items():
+        head, tail = idxs[:pos], idxs[pos + 1:]
+        for u, uv in rows[idxs[pos]].items():
+            add_into(out, head + u + tail, v * uv)
+    return out
+
+
+def slot_rows(rows) -> list:
+    """Int-keyed sparse rows re-keyed by 1-tuples, for apply_rows_at."""
+    return [{(t,): v for t, v in row.items()} for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -53,12 +104,7 @@ class GradedVector:
             raise AlgebraStructureError("adding vectors of different grades")
         out = dict(self.entries)
         for i, v in other.entries.items():
-            w = out.get(i)
-            w = v if w is None else w + v
-            if w:
-                out[i] = w
-            elif i in out:
-                del out[i]
+            add_into(out, i, v)
         return GradedVector(self.grade, out)
 
     def __sub__(self, other: "GradedVector") -> "GradedVector":
@@ -263,47 +309,8 @@ class HopfGAlgebra:
 
     def mul_raw(self, a: int, b: int, x: dict, y: dict) -> dict:
         tab = self.product[(a, b)]
-        out: dict = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                target = tab[(i, j)]
-                if not target:
-                    continue
-                c = xi * yj
-                for t, tv in target.items():
-                    acc = out.get(t)
-                    v = c * tv if acc is None else acc + c * tv
-                    if v:
-                        out[t] = v
-                    elif acc is not None:
-                        del out[t]
-        return out
-
-    def antipode_raw(self, a: int, x: dict) -> dict:
-        rows = self.antipode[a]
-        out: dict = {}
-        for i, xi in x.items():
-            for t, tv in rows[i].items():
-                acc = out.get(t)
-                v = xi * tv if acc is None else acc + xi * tv
-                if v:
-                    out[t] = v
-                elif acc is not None:
-                    del out[t]
-        return out
-
-    def crossing_raw(self, b: int, a: int, x: dict) -> dict:
-        rows = self.crossing[(b, a)]
-        out: dict = {}
-        for i, xi in x.items():
-            for t, tv in rows[i].items():
-                acc = out.get(t)
-                v = xi * tv if acc is None else acc + xi * tv
-                if v:
-                    out[t] = v
-                elif acc is not None:
-                    del out[t]
-        return out
+        return apply_rows(tab, {(i, j): xi * yj for i, xi in x.items()
+                                for j, yj in y.items() if tab[(i, j)]})
 
     def counit_raw(self, a: int, x: dict) -> Cyclo:
         eps = self.counit[a]
@@ -311,6 +318,11 @@ class HopfGAlgebra:
         for i, xi in x.items():
             total = total + xi * eps[i]
         return total
+
+    def r_inverse_raw(self) -> dict:
+        """(S_1 (x) id)(R), the two-sided inverse of R for a valid algebra."""
+        e = self.group.identity_index
+        return apply_rows_at(self.rmatrix, 0, slot_rows(self.antipode[e]))
 
     # -- public vector operations ---------------------------------------------
 
@@ -320,13 +332,12 @@ class HopfGAlgebra:
         return GradedVector(target, self.mul_raw(a, b, x.entries, y.entries))
 
     def apply_antipode(self, x: GradedVector) -> GradedVector:
-        a = x.grade.index
-        return GradedVector(x.grade.inv, self.antipode_raw(a, x.entries))
+        return GradedVector(x.grade.inv, apply_rows(self.antipode[x.grade.index], x.entries))
 
     def apply_crossing(self, beta: GroupElement, x: GradedVector) -> GradedVector:
         a = x.grade.index
         target = self.group.element(self.group.conj(beta.index, a))
-        return GradedVector(target, self.crossing_raw(beta.index, a, x.entries))
+        return GradedVector(target, apply_rows(self.crossing[(beta.index, a)], x.entries))
 
     def eval_counit(self, x: GradedVector) -> Cyclo:
         return self.counit_raw(x.grade.index, x.entries)
@@ -335,22 +346,11 @@ class HopfGAlgebra:
         """Delta^{(nfactors-1)}(x) as an nfactors-fold tensor; nfactors=1 is x."""
         if nfactors < 1:
             raise ValueError("nfactors must be >= 1")
-        a = x.grade.index
         entries = {(i,): v for i, v in x.entries.items()}
-        delta = self.coproduct[a]
-        for _ in range(nfactors - 1):
+        delta = self.coproduct[x.grade.index]
+        for last in range(nfactors - 1):
             # split the last slot; coassociativity makes the choice irrelevant
-            nxt: dict = {}
-            for idxs, v in entries.items():
-                for (p, q), dv in delta[idxs[-1]].items():
-                    key = idxs[:-1] + (p, q)
-                    acc = nxt.get(key)
-                    w = v * dv if acc is None else acc + v * dv
-                    if w:
-                        nxt[key] = w
-                    elif acc is not None:
-                        del nxt[key]
-            entries = nxt
+            entries = apply_rows_at(entries, last, delta)
         return GradedTensor((x.grade,) * nfactors, entries)
 
     def r_tensor(self) -> GradedTensor:
@@ -358,20 +358,8 @@ class HopfGAlgebra:
         return GradedTensor((e, e), dict(self.rmatrix))
 
     def r_inverse_tensor(self) -> GradedTensor:
-        """(S_1 (x) id)(R), the two-sided inverse of R for a valid algebra."""
-        e = self.group.identity_index
-        out: dict = {}
-        for (i, j), v in self.rmatrix.items():
-            for t, tv in self.antipode[e][i].items():
-                key = (t, j)
-                acc = out.get(key)
-                w = v * tv if acc is None else acc + v * tv
-                if w:
-                    out[key] = w
-                elif acc is not None:
-                    del out[key]
-        g = self.group.identity
-        return GradedTensor((g, g), out)
+        e = self.group.identity
+        return GradedTensor((e, e), self.r_inverse_raw())
 
     # -- equality (used by serialization round-trip tests) --------------------
 
@@ -430,29 +418,14 @@ def _tensor_mul_raw(H: HopfGAlgebra, ga, sa: dict, gb, sb: dict):
                         nxt.append((idxs + (u,), c * uv))
                 partial = nxt
             for idxs, c in partial:
-                acc = out.get(idxs)
-                v = c if acc is None else acc + c
-                if v:
-                    out[idxs] = v
-                elif acc is not None:
-                    del out[idxs]
+                add_into(out, idxs, c)
     return gout, out
 
 
 def tensor_apply(H: HopfGAlgebra, t: GradedTensor, pos: int, rows, target_grade: GroupElement) -> GradedTensor:
     """Apply the linear map given by sparse rows to factor pos."""
-    out: dict = {}
-    for idxs, v in t.entries.items():
-        for u, uv in rows[idxs[pos]].items():
-            key = idxs[:pos] + (u,) + idxs[pos + 1:]
-            acc = out.get(key)
-            w = v * uv if acc is None else acc + v * uv
-            if w:
-                out[key] = w
-            elif acc is not None:
-                del out[key]
     grades = t.grades[:pos] + (target_grade,) + t.grades[pos + 1:]
-    return GradedTensor(grades, out)
+    return GradedTensor(grades, apply_rows_at(t.entries, pos, slot_rows(rows)))
 
 
 def tensor_antipode_at(H: HopfGAlgebra, t: GradedTensor, pos: int) -> GradedTensor:
@@ -467,29 +440,27 @@ def tensor_swap(t: GradedTensor) -> GradedTensor:
     )
 
 
-def embed_two_tensor(H: HopfGAlgebra, t: GradedTensor, pos1: int, pos2: int, arity: int) -> GradedTensor:
+def embed_two_raw(H: HopfGAlgebra, raw: dict, pos1: int, pos2: int, arity: int) -> dict:
     """Place a grade-(1,1) 2-tensor at slots pos1 < pos2 with units elsewhere."""
-    e = H.group.identity
-    unit_items = list(H.unit.items())
     out: dict = {}
     rest = [p for p in range(arity) if p not in (pos1, pos2)]
-    for (i, j), v in t.entries.items():
+    for (i, j), v in raw.items():
         stack = [({pos1: i, pos2: j}, v)]
         for p in rest:
             stack = [
                 ({**placed, p: u}, c * uv)
                 for placed, c in stack
-                for u, uv in unit_items
+                for u, uv in H.unit.items()
             ]
         for placed, c in stack:
-            key = tuple(placed[p] for p in range(arity))
-            acc = out.get(key)
-            w = c if acc is None else acc + c
-            if w:
-                out[key] = w
-            elif acc is not None:
-                del out[key]
-    return GradedTensor((e,) * arity, out)
+            add_into(out, tuple(placed[p] for p in range(arity)), c)
+    return out
+
+
+def embed_two_tensor(H: HopfGAlgebra, t: GradedTensor, pos1: int, pos2: int, arity: int) -> GradedTensor:
+    """Place a grade-(1,1) 2-tensor at slots pos1 < pos2 with units elsewhere."""
+    return GradedTensor((H.group.identity,) * arity,
+                        embed_two_raw(H, t.entries, pos1, pos2, arity))
 
 
 def format_scalar(v: Cyclo) -> str:
@@ -498,11 +469,11 @@ def format_scalar(v: Cyclo) -> str:
     return render_scalar(v)
 
 
+def format_raw_vector(H: HopfGAlgebra, a: int, raw: dict) -> str:
+    """A sparse vector of grade index a, term by term in basis order."""
+    parts = [f"({format_scalar(v)})*{H.basis_name(a, i)}" for i, v in sorted(raw.items())]
+    return " + ".join(parts) or "0"
+
+
 def format_vector(H: HopfGAlgebra, x: GradedVector) -> str:
-    if x.is_zero():
-        return "0"
-    a = x.grade.index
-    parts = []
-    for i, v in sorted(x.entries.items()):
-        parts.append(f"({format_scalar(v)})*{H.basis_name(a, i)}")
-    return " + ".join(parts)
+    return format_raw_vector(H, x.grade.index, x.entries)

@@ -202,39 +202,13 @@ def cmd_invariant(cfg: RunConfig) -> int:
 
     if cfg.connection == "all":
         summed = evaluate_summed(H, data, d)
-        if cfg.format == "json":
-            _emit(dumps_canonical({
-                "command": "invariant",
-                "algebra": cfg.algebra,
-                "diagram": cfg.diagram,
-                "conductor": cond,
-                "connections": [
-                    {
-                        "images": [img.name for img in hom.images],
-                        "value": _scalar_json(iv.value, cond),
-                    }
-                    for hom, iv in zip(summed.homs, summed.values)
-                ],
-                "hom_count": summed.hom_count,
-                "sum": _scalar_json(summed.total, cond),
-            }))
-            return 0
-        _emit(f"algebra: {cfg.algebra}")
-        _emit(f"diagram: {cfg.diagram}")
-        for idx, (hom, iv) in enumerate(zip(summed.homs, summed.values)):
-            label = _connection_label(d, hom)
-            _emit(f"connection {idx} {label}: "
-                  + _exact_line(iv.value, cond))
-        _emit(f"sum over {summed.hom_count} connection(s): "
-              + _exact_line(summed.total, cond, label="I"))
-        _emit(_decimal_line(summed.total))
-        return 0
+        pairs = list(zip(summed.homs, summed.values))
+    else:
+        hom = _parse_connection(cfg.connection, H, d)
+        pairs = [(hom, evaluate(H, data, color(d, hom)))]
 
-    hom = _parse_connection(cfg.connection, H, d)
-    cd = color(d, hom)
-    iv = evaluate(H, data, cd)
     if cfg.format == "json":
-        _emit(dumps_canonical({
+        payload = {
             "command": "invariant",
             "algebra": cfg.algebra,
             "diagram": cfg.diagram,
@@ -244,14 +218,28 @@ def cmd_invariant(cfg: RunConfig) -> int:
                     "images": [img.name for img in hom.images],
                     "value": _scalar_json(iv.value, cond),
                 }
+                for hom, iv in pairs
             ],
-        }))
+        }
+        if cfg.connection == "all":
+            payload["hom_count"] = summed.hom_count
+            payload["sum"] = _scalar_json(summed.total, cond)
+        _emit(dumps_canonical(payload))
         return 0
     _emit(f"algebra: {cfg.algebra}")
     _emit(f"diagram: {cfg.diagram}")
-    _emit(f"connection: {cfg.connection} {_connection_label(d, hom)}")
-    _emit(_exact_line(iv.value, cond))
-    _emit(_decimal_line(iv.value))
+    if cfg.connection != "all":
+        hom, iv = pairs[0]
+        _emit(f"connection: {cfg.connection} {_connection_label(d, hom)}")
+        _emit(_exact_line(iv.value, cond))
+        _emit(_decimal_line(iv.value))
+        return 0
+    for idx, (hom, iv) in enumerate(pairs):
+        _emit(f"connection {idx} {_connection_label(d, hom)}: "
+              + _exact_line(iv.value, cond))
+    _emit(f"sum over {summed.hom_count} connection(s): "
+          + _exact_line(summed.total, cond))
+    _emit(_decimal_line(summed.total))
     return 0
 
 
@@ -430,10 +418,7 @@ def main(argv=None) -> int:
             return cmd_export(
                 RunConfig(args.algebra, args.diagram), args.output)
         parser.error(f"unknown command {args.command!r}")
-    except IntegralError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return 1
-    except DrinfeldError as exc:
+    except (IntegralError, DrinfeldError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except EvaluationError as exc:

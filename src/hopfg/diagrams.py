@@ -275,64 +275,40 @@ def rotate_component(d: KirbyDiagram, uid: int, r: int) -> KirbyDiagram:
     return KirbyDiagram(dotted, undotted, d.crossings, d.h3, d.h4)
 
 
-def renumber(d: KirbyDiagram) -> KirbyDiagram:
-    """Relabel all ids densely (0, 1, ...) in list order."""
-    umap = {u.id: i for i, u in enumerate(d.undotted)}
-    dmap = {x.id: i for i, x in enumerate(d.dotted)}
-    cmap = {c.id: i for i, c in enumerate(d.crossings)}
+def relabel(d: KirbyDiagram, doff: int = 0, uoff: int = 0, coff: int = 0):
+    """d's dotted, undotted and crossing tuples with every id relabeled
+    densely in list order, counting from the given offsets."""
+    dmap = {x.id: doff + i for i, x in enumerate(d.dotted)}
+    umap = {u.id: uoff + i for i, u in enumerate(d.undotted)}
+    cmap = {c.id: coff + i for i, c in enumerate(d.crossings)}
 
-    def remap_event(ev):
+    def event(ev):
         if isinstance(ev, CrossingEnd):
             return CrossingEnd(cmap[ev.crossing], ev.over)
         return DotPassage(dmap[ev.dot], ev.down)
 
-    undotted = tuple(
-        UndottedComponent(umap[u.id], tuple(remap_event(ev) for ev in u.events))
-        for u in d.undotted
-    )
     dotted = tuple(
-        DottedComponent(
-            dmap[x.id], tuple((umap[ru], rp) for ru, rp in x.passages)
-        )
+        DottedComponent(dmap[x.id], tuple((umap[ru], rp) for ru, rp in x.passages))
         for x in d.dotted
     )
+    undotted = tuple(
+        UndottedComponent(umap[u.id], tuple(event(ev) for ev in u.events))
+        for u in d.undotted
+    )
     crossings = tuple(Crossing(cmap[c.id], c.positive) for c in d.crossings)
-    return KirbyDiagram(dotted, undotted, crossings, d.h3, d.h4)
+    return dotted, undotted, crossings
+
+
+def renumber(d: KirbyDiagram) -> KirbyDiagram:
+    """Relabel all ids densely (0, 1, ...) in list order."""
+    return KirbyDiagram(*relabel(d), d.h3, d.h4)
 
 
 def connected_sum(a: KirbyDiagram, b: KirbyDiagram) -> KirbyDiagram:
     """Disjoint union of two diagrams; handle counts add (one 4-handle)."""
-    du, dd, dc = len(a.undotted), len(a.dotted), len(a.crossings)
-    amap_u = {u.id: i for i, u in enumerate(a.undotted)}
-    amap_d = {x.id: i for i, x in enumerate(a.dotted)}
-    amap_c = {c.id: i for i, c in enumerate(a.crossings)}
-    bmap_u = {u.id: du + i for i, u in enumerate(b.undotted)}
-    bmap_d = {x.id: dd + i for i, x in enumerate(b.dotted)}
-    bmap_c = {c.id: dc + i for i, c in enumerate(b.crossings)}
-
-    def remap(d, umap, dmap, cmap):
-        def remap_event(ev):
-            if isinstance(ev, CrossingEnd):
-                return CrossingEnd(cmap[ev.crossing], ev.over)
-            return DotPassage(dmap[ev.dot], ev.down)
-
-        und = [
-            UndottedComponent(umap[u.id], tuple(remap_event(e) for e in u.events))
-            for u in d.undotted
-        ]
-        dot = [
-            DottedComponent(dmap[x.id], tuple((umap[ru], rp) for ru, rp in x.passages))
-            for x in d.dotted
-        ]
-        cro = [Crossing(cmap[c.id], c.positive) for c in d.crossings]
-        return dot, und, cro
-
-    da, ua, ca = remap(a, amap_u, amap_d, amap_c)
-    db, ub, cb = remap(b, bmap_u, bmap_d, bmap_c)
-    return KirbyDiagram(
-        tuple(da + db), tuple(ua + ub), tuple(ca + cb),
-        a.h3 + b.h3, a.h4 + b.h4 - 1,
-    )
+    da, ua, ca = relabel(a)
+    db, ub, cb = relabel(b, len(a.dotted), len(a.undotted), len(a.crossings))
+    return KirbyDiagram(da + db, ua + ub, ca + cb, a.h3 + b.h3, a.h4 + b.h4 - 1)
 
 
 # -- builtin diagrams ----------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import HopfGAlgebra
+from .algebra import HopfGAlgebra, add_into, apply_rows_at, slot_rows
 from .cyclo import Cyclo
 from .diagrams import (
     ColoredDiagram,
@@ -100,8 +100,7 @@ def _site_tensors(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
             continue
         a = cd.color_of(x.id).index
         k = len(x.passages)
-        tensor = H.coproduct_power(integrals.integral(a), k)
-        entries = tensor.entries
+        entries = H.coproduct_power(integrals.integral(a), k).entries
         grades = [a] * k
         for factor, (ru, rp) in enumerate(x.passages):
             ev = d.undotted_by_id(ru).events[rp]
@@ -109,18 +108,7 @@ def _site_tensors(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
                 raise DiagramError(
                     f"dot {x.id} passage list points at a non-matching event")
             if not ev.down:
-                rows = H.antipode[a]
-                nxt = {}
-                for key, v in entries.items():
-                    for t, tv in rows[key[factor]].items():
-                        nk = key[:factor] + (t,) + key[factor + 1:]
-                        acc = nxt.get(nk)
-                        w = v * tv if acc is None else acc + v * tv
-                        if w:
-                            nxt[nk] = w
-                        elif acc is not None:
-                            del nxt[nk]
-                entries = nxt
+                entries = apply_rows_at(entries, factor, slot_rows(H.antipode[a]))
                 grades[factor] = G.inverses[a]
         site = len(site_entries)
         site_entries.append(sorted(entries.items()))
@@ -129,9 +117,9 @@ def _site_tensors(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
 
     crossing_slot = {}
     for c in d.crossings:
-        tensor = H.r_tensor() if c.positive else H.r_inverse_tensor()
+        entries = H.rmatrix if c.positive else H.r_inverse_raw()
         site = len(site_entries)
-        site_entries.append(sorted(tensor.entries.items()))
+        site_entries.append(sorted(entries.items()))
         crossing_slot[c.id] = site
 
     comp_slots = []
@@ -196,13 +184,7 @@ def evaluate(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram) -> In
                     a = axes[p]
                     naxes = axes[:p] + axes[p + 1:]
                     for y, c in tab[(x, a)].items():
-                        key = (y, naxes)
-                        acc = nxt.get(key)
-                        w = v * c if acc is None else acc + v * c
-                        if w:
-                            nxt[key] = w
-                        elif acc is not None:
-                            del nxt[key]
+                        add_into(nxt, (y, naxes), v * c)
                 registry.pop(p)
             else:
                 remaining = [f for f in range(arity) if f != factor]
@@ -212,13 +194,7 @@ def evaluate(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram) -> In
                         ext = axes + tuple(t[f] for f in remaining)
                         vw = v * w0
                         for y, c in tab[(x, t[factor])].items():
-                            key = (y, ext)
-                            acc = nxt.get(key)
-                            w = vw * c if acc is None else acc + vw * c
-                            if w:
-                                nxt[key] = w
-                            elif acc is not None:
-                                del nxt[key]
+                            add_into(nxt, (y, ext), vw * c)
                 registry.extend((site, f) for f in remaining)
             within = nxt
             if not within:
@@ -227,14 +203,8 @@ def evaluate(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram) -> In
         state = {}
         for (x, axes), v in within.items():
             lv = lam[x]
-            if not lv:
-                continue
-            acc = state.get(axes)
-            w = v * lv if acc is None else acc + v * lv
-            if w:
-                state[axes] = w
-            elif acc is not None:
-                del state[axes]
+            if lv:
+                add_into(state, axes, v * lv)
         if not state:
             break
     if registry and state:

@@ -79,29 +79,8 @@ def solve_integrals(H: HopfGAlgebra) -> IntegralData:
     d1 = H.dims[e]
     cond = H.conductor
     zero = Cyclo.zero(cond)
-    one = Cyclo.one(cond)
-    tab1 = H.product[(e, e)]
 
-    # two-sided integral in H_1: for every basis x, x*L = eps(x)L = L*x
-    rows = []
-    for i in range(d1):
-        eps_i = H.counit[e][i]
-        left = [[zero] * d1 for _ in range(d1)]
-        right = [[zero] * d1 for _ in range(d1)]
-        for j in range(d1):
-            for t, v in tab1[(i, j)].items():
-                left[t][j] = left[t][j] + v
-            for t, v in tab1[(j, i)].items():
-                right[t][j] = right[t][j] + v
-            left[j][j] = left[j][j] - eps_i
-            right[j][j] = right[j][j] - eps_i
-        rows.extend(left)
-        rows.extend(right)
-    space = _nullspace(rows, d1, cond)
-    if len(space) != 1:
-        raise IntegralError(
-            f"two-sided integral space in grade 1 has dimension {len(space)}, not 1")
-    int1_raw = {i: v for i, v in enumerate(space[0]) if v}
+    int1_raw = _grade_integral(H, e, "two-sided integral space in grade 1")
 
     eps_val = H.counit_raw(e, int1_raw)
     if not eps_val:
@@ -166,8 +145,8 @@ def solve_integrals(H: HopfGAlgebra) -> IntegralData:
         if integrals[a] is None:
             # scale genuinely undetermined by translation; pin the leading
             # coordinate and let the re-verification below judge the result
-            vec = _solve_grade_integral(H, a)
-            integrals[a] = vec
+            integrals[a] = _grade_integral(
+                H, a, f"integral space in grade {G.names[a]}")
 
     _verify_family(H, integrals)
 
@@ -177,15 +156,15 @@ def solve_integrals(H: HopfGAlgebra) -> IntegralData:
     return IntegralData(H, out, lam_vals)
 
 
-def _solve_grade_integral(H: HopfGAlgebra, a: int) -> dict:
-    G = H.group
-    e = G.identity_index
-    d1 = H.dims[e]
+def _grade_integral(H: HopfGAlgebra, a: int, what: str) -> dict:
+    """The L in H_a, up to scale, with x*L = eps(x)L = L*x for every
+    grade-1 basis vector x; `what` names the space in the error raised
+    when it is not one dimensional."""
+    e = H.group.identity_index
     da = H.dims[a]
-    cond = H.conductor
-    zero = Cyclo.zero(cond)
+    zero = Cyclo.zero(H.conductor)
     rows = []
-    for i in range(d1):
+    for i in range(H.dims[e]):
         eps_i = H.counit[e][i]
         left = [[zero] * da for _ in range(da)]
         right = [[zero] * da for _ in range(da)]
@@ -198,10 +177,9 @@ def _solve_grade_integral(H: HopfGAlgebra, a: int) -> dict:
             right[j][j] = right[j][j] - eps_i
         rows.extend(left)
         rows.extend(right)
-    space = _nullspace(rows, da, cond)
+    space = _nullspace(rows, da, H.conductor)
     if len(space) != 1:
-        raise IntegralError(
-            f"integral space in grade {G.names[a]} has dimension {len(space)}, not 1")
+        raise IntegralError(f"{what} has dimension {len(space)}, not 1")
     return {i: v for i, v in enumerate(space[0]) if v}
 
 

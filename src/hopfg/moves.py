@@ -30,6 +30,7 @@ from .diagrams import (
     DottedComponent,
     KirbyDiagram,
     UndottedComponent,
+    renumber,
     require_valid,
 )
 from .groups import GroupElement
@@ -134,31 +135,19 @@ class _Editor:
     # -- freezing ----------------------------------------------------------
 
     def freeze(self) -> ColoredDiagram:
-        cross_ids = sorted(self.signs)
-        cmap = {old: new for new, old in enumerate(cross_ids)}
-        dmap = {old: new for new, old in enumerate(self.dot_order)}
-        umap = {old: new for new, old in enumerate(self.comp_order)}
-        node_ref = {}
-        undotted = []
-        for uid in self.comp_order:
-            events = []
-            for i, node in enumerate(self.comp_nodes[uid]):
-                ev = node.ev
-                if isinstance(ev, CrossingEnd):
-                    events.append(CrossingEnd(cmap[ev.crossing], ev.over))
-                else:
-                    events.append(DotPassage(dmap[ev.dot], ev.down))
-                node_ref[id(node)] = (umap[uid], i)
-            undotted.append(UndottedComponent(umap[uid], tuple(events)))
-        dotted = []
-        for did in self.dot_order:
-            refs = tuple(node_ref[id(node)] for node in self.dot_passages[did])
-            dotted.append(DottedComponent(dmap[did], refs))
-        crossings = [Crossing(cmap[c], self.signs[c]) for c in cross_ids]
-        d = KirbyDiagram(tuple(dotted), tuple(undotted), tuple(crossings),
-                         self.h3, self.h4)
+        pos = self.positions()
+        undotted = tuple(
+            UndottedComponent(uid, tuple(node.ev for node in self.comp_nodes[uid]))
+            for uid in self.comp_order
+        )
+        dotted = tuple(
+            DottedComponent(did, tuple(pos[id(node)] for node in self.dot_passages[did]))
+            for did in self.dot_order
+        )
+        crossings = tuple(Crossing(c, self.signs[c]) for c in sorted(self.signs))
+        d = renumber(KirbyDiagram(dotted, undotted, crossings, self.h3, self.h4))
         require_valid(d)
-        colors = {dmap[did]: self.colors[did] for did in self.dot_order}
+        colors = {new: self.colors[did] for new, did in enumerate(self.dot_order)}
         cd = ColoredDiagram(d, colors)
         _check_coloring(cd)
         return cd
@@ -543,6 +532,27 @@ _PARAM_KEYS = {
 }
 
 
+# ids and positions; the remaining parameters are checked by their moves
+_INT_PARAMS = {"over", "over_pos", "under", "under_pos", "c1", "c2", "crossing",
+               "dot", "disk_pos", "component", "event_pos", "through"}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_param_types(name: str, spec: dict) -> None:
+    for key in _PARAM_KEYS[name]:
+        if key not in spec:
+            continue
+        v = spec[key]
+        if key in _INT_PARAMS and not _is_int(v):
+            raise MoveError(f"{name}: {key} must be an integer, got {v!r}")
+        if key == "crossings" and not (
+                isinstance(v, list) and len(v) == 3 and all(map(_is_int, v))):
+            raise MoveError(f"{name}: crossings must be a list of 3 integers, got {v!r}")
+
+
 def move_names() -> tuple:
     return tuple(sorted(_PARAM_KEYS))
 
@@ -562,6 +572,7 @@ def apply_move(cd: ColoredDiagram, spec: dict, group=None) -> ColoredDiagram:
                if k not in spec and k not in ("sign", "first_down")]
     if missing:
         raise MoveError(f"{name}: missing parameters {missing}")
+    _check_param_types(name, spec)
     ed = _Editor(cd)
     if group is None and cd.colors:
         group = next(iter(cd.colors.values())).group
@@ -612,10 +623,17 @@ def move_candidates(cd: ColoredDiagram, inserts: bool = True, group=None) -> lis
     """All applicable move specs, deterministic order.
 
     Insert-type specs are enumerated over every legal position, so the
-    list grows with diagram size; pattern moves are verified by a dry
-    apply_move run before being reported.
+    list grows with diagram size; they apply to every valid diagram by
+    construction.  Pattern moves are verified by a dry apply_move run
+    before being reported.  A diagram that is not valid, or whose
+    coloring breaks a relation, has no candidates.
     """
     d = cd.diagram
+    try:
+        require_valid(d)
+        _check_coloring(cd)
+    except (DiagramError, MoveError):
+        return []
     out = []
     cross_ids = [c.id for c in d.crossings]
     for i, c1 in enumerate(cross_ids):
@@ -648,6 +666,13 @@ def move_candidates(cd: ColoredDiagram, inserts: bool = True, group=None) -> lis
     if group is not None:
         for beta in range(group.order):
             out.append({"move": "global-conjugate", "element": beta})
+    applicable = []
+    for spec in out:
+        try:
+            apply_move(cd, spec, group=group)
+        except MoveError:
+            continue
+        applicable.append(spec)
     if inserts:
         for ua in d.undotted:
             for ub in d.undotted:
@@ -656,27 +681,20 @@ def move_candidates(cd: ColoredDiagram, inserts: bool = True, group=None) -> lis
                         if ua.id == ub.id and i == j:
                             continue
                         for sign in ("+", "-"):
-                            out.append({"move": "I-2-insert",
-                                        "over": ua.id, "over_pos": i,
-                                        "under": ub.id, "under_pos": j,
-                                        "sign": sign})
+                            applicable.append({"move": "I-2-insert",
+                                               "over": ua.id, "over_pos": i,
+                                               "under": ub.id, "under_pos": j,
+                                               "sign": sign})
         for x in d.dotted:
             for u in d.undotted:
                 for i in range(len(x.passages) + 1):
                     for p in range(len(u.events) + 1):
                         for first_down in (True, False):
-                            out.append({"move": "II-1-insert", "dot": x.id,
-                                        "disk_pos": i, "component": u.id,
-                                        "event_pos": p,
-                                        "first_down": first_down})
+                            applicable.append({"move": "II-1-insert", "dot": x.id,
+                                               "disk_pos": i, "component": u.id,
+                                               "event_pos": p,
+                                               "first_down": first_down})
         if group is not None:
-            out.append({"move": "III-4-insert"})
-        out.append({"move": "III-5-insert"})
-    applicable = []
-    for spec in out:
-        try:
-            apply_move(cd, spec, group=group)
-        except MoveError:
-            continue
-        applicable.append(spec)
+            applicable.append({"move": "III-4-insert"})
+        applicable.append({"move": "III-5-insert"})
     return applicable

@@ -13,9 +13,14 @@ from .algebra import (
     GradedVector,
     HopfGAlgebra,
     _tensor_mul_raw,
-    format_vector,
+    add_into,
+    apply_rows,
+    apply_rows_at,
+    embed_two_raw,
+    format_raw_vector,
+    slot_rows,
 )
-from .cyclo import Cyclo, render_scalar
+from .cyclo import render_scalar
 
 
 class AxiomReport:
@@ -45,10 +50,6 @@ class AxiomReport:
         return "\n".join(self.lines())
 
 
-def _fmt_raw_vec(H, grade_idx, raw):
-    return format_vector(H, GradedVector(H.group.element(grade_idx), raw))
-
-
 def _fmt_raw_tensor(H, grade_idxs, raw):
     if not raw:
         return "0"
@@ -61,6 +62,21 @@ def _fmt_raw_tensor(H, grade_idxs, raw):
 
 def _grade_names(H, idxs):
     return "(" + ",".join(H.group.names[a] for a in idxs) + ")"
+
+
+def _add_all(out, raw):
+    for key, v in raw.items():
+        add_into(out, key, v)
+
+
+def _both_slots(two_tensor, rows):
+    """(f (x) f) of a 2-tensor, f given by int-keyed sparse rows."""
+    rows = slot_rows(rows)
+    return apply_rows_at(apply_rows_at(two_tensor, 0, rows), 1, rows)
+
+
+def _unit_unit(H):
+    return {(p, q): vp * vq for p, vp in H.unit.items() for q, vq in H.unit.items()}
 
 
 def verify_axioms(H: HopfGAlgebra) -> AxiomReport:
@@ -114,8 +130,8 @@ def _check_associative(H):
                                 abc = H.group.table[ab][c]
                                 return (
                                     f"grades {_grade_names(H, (a, b, c))} basis ({i},{j},{k}): "
-                                    f"(xy)z = {_fmt_raw_vec(H, abc, lhs)} but "
-                                    f"x(yz) = {_fmt_raw_vec(H, abc, rhs)}"
+                                    f"(xy)z = {format_raw_vector(H, abc, lhs)} but "
+                                    f"x(yz) = {format_raw_vector(H, abc, rhs)}"
                                 )
     return None
 
@@ -130,11 +146,11 @@ def _check_unit(H):
             want = {i: one}
             if left != want:
                 return (
-                    f"grade {H.group.names[a]} basis {i}: 1*x = {_fmt_raw_vec(H, a, left)}"
+                    f"grade {H.group.names[a]} basis {i}: 1*x = {format_raw_vector(H, a, left)}"
                 )
             if right != want:
                 return (
-                    f"grade {H.group.names[a]} basis {i}: x*1 = {_fmt_raw_vec(H, a, right)}"
+                    f"grade {H.group.names[a]} basis {i}: x*1 = {format_raw_vector(H, a, right)}"
                 )
     return None
 
@@ -143,17 +159,8 @@ def _check_coassociative(H):
     for a in H.support:
         delta = H.coproduct[a]
         for i in range(H.dims[a]):
-            lhs = {}
-            rhs = {}
-            for (p, q), v in delta[i].items():
-                for (r, s), w in delta[p].items():
-                    key = (r, s, q)
-                    lhs[key] = lhs.get(key, H.zero()) + v * w
-                for (r, s), w in delta[q].items():
-                    key = (p, r, s)
-                    rhs[key] = rhs.get(key, H.zero()) + v * w
-            lhs = {k: v for k, v in lhs.items() if v}
-            rhs = {k: v for k, v in rhs.items() if v}
+            lhs = apply_rows_at(delta[i], 0, delta)
+            rhs = apply_rows_at(delta[i], 1, delta)
             if lhs != rhs:
                 return (
                     f"grade {H.group.names[a]} basis {i}: "
@@ -172,21 +179,19 @@ def _check_counit(H):
             right = {}
             for (p, q), v in delta[i].items():
                 if eps[p]:
-                    right[q] = right.get(q, H.zero()) + v * eps[p]
+                    add_into(right, q, v * eps[p])
                 if eps[q]:
-                    left[p] = left.get(p, H.zero()) + v * eps[q]
-            left = {k: v for k, v in left.items() if v}
-            right = {k: v for k, v in right.items() if v}
+                    add_into(left, p, v * eps[q])
             want = {i: H.one()}
             if left != want:
                 return (
                     f"grade {H.group.names[a]} basis {i}: "
-                    f"(id(x)eps)D = {_fmt_raw_vec(H, a, left)}"
+                    f"(id(x)eps)D = {format_raw_vector(H, a, left)}"
                 )
             if right != want:
                 return (
                     f"grade {H.group.names[a]} basis {i}: "
-                    f"(eps(x)id)D = {_fmt_raw_vec(H, a, right)}"
+                    f"(eps(x)id)D = {format_raw_vector(H, a, right)}"
                 )
     return None
 
@@ -197,25 +202,10 @@ def _check_coproduct_mult(H):
             ab = H.group.table[a][b]
             delta_ab = H.coproduct[ab]
             for i in range(H.dims[a]):
-                di = H.coproduct[a][i]
                 for j in range(H.dims[b]):
-                    dj = H.coproduct[b][j]
-                    lhs = {}
-                    for t, tv in H.product[(a, b)][(i, j)].items():
-                        for key, w in delta_ab[t].items():
-                            lhs[key] = lhs.get(key, H.zero()) + tv * w
-                    rhs = {}
-                    for (p, q), v in di.items():
-                        for (r, s), w in dj.items():
-                            c = v * w
-                            pr = H.product[(a, b)][(p, r)]
-                            qs = H.product[(a, b)][(q, s)]
-                            for t1, w1 in pr.items():
-                                for t2, w2 in qs.items():
-                                    key = (t1, t2)
-                                    rhs[key] = rhs.get(key, H.zero()) + c * w1 * w2
-                    lhs = {k: v for k, v in lhs.items() if v}
-                    rhs = {k: v for k, v in rhs.items() if v}
+                    lhs = apply_rows(delta_ab, H.product[(a, b)][(i, j)])
+                    _, rhs = _tensor_mul_raw(H, (a, a), H.coproduct[a][i],
+                                             (b, b), H.coproduct[b][j])
                     if lhs != rhs:
                         return (
                             f"grades {_grade_names(H, (a, b))} basis ({i},{j}): "
@@ -246,16 +236,8 @@ def _check_counit_mult(H):
 
 def _check_coproduct_unit(H):
     e = H.group.identity_index
-    lhs = {}
-    for i, v in H.unit.items():
-        for key, w in H.coproduct[e][i].items():
-            lhs[key] = lhs.get(key, H.zero()) + v * w
-    rhs = {}
-    for p, vp in H.unit.items():
-        for q, vq in H.unit.items():
-            rhs[(p, q)] = vp * vq
-    lhs = {k: v for k, v in lhs.items() if v}
-    rhs = {k: v for k, v in rhs.items() if v}
+    lhs = apply_rows(H.coproduct[e], H.unit)
+    rhs = _unit_unit(H)
     if lhs != rhs:
         return (
             f"D(1) = {_fmt_raw_tensor(H, (e, e), lhs)} but "
@@ -282,33 +264,19 @@ def _check_antipode(H):
             left = {}
             right = {}
             for (p, q), v in H.coproduct[a][i].items():
-                sp = H.antipode[a][p]
-                term = H.mul_raw(ainv, a, sp, {q: v})
-                for t, tv in term.items():
-                    acc = left.get(t, H.zero()) + tv
-                    if acc:
-                        left[t] = acc
-                    elif t in left:
-                        del left[t]
-                sq = H.antipode[a][q]
-                term = H.mul_raw(a, ainv, {p: v}, sq)
-                for t, tv in term.items():
-                    acc = right.get(t, H.zero()) + tv
-                    if acc:
-                        right[t] = acc
-                    elif t in right:
-                        del right[t]
+                _add_all(left, H.mul_raw(ainv, a, H.antipode[a][p], {q: v}))
+                _add_all(right, H.mul_raw(a, ainv, {p: v}, H.antipode[a][q]))
             if left != want:
                 return (
                     f"grade {H.group.names[a]} basis {i}: "
-                    f"m(S(x)id)D(x) = {_fmt_raw_vec(H, e, left)} but "
-                    f"eps(x)1 = {_fmt_raw_vec(H, e, want)}"
+                    f"m(S(x)id)D(x) = {format_raw_vector(H, e, left)} but "
+                    f"eps(x)1 = {format_raw_vector(H, e, want)}"
                 )
             if right != want:
                 return (
                     f"grade {H.group.names[a]} basis {i}: "
-                    f"m(id(x)S)D(x) = {_fmt_raw_vec(H, e, right)} but "
-                    f"eps(x)1 = {_fmt_raw_vec(H, e, want)}"
+                    f"m(id(x)S)D(x) = {format_raw_vector(H, e, right)} but "
+                    f"eps(x)1 = {format_raw_vector(H, e, want)}"
                 )
     return None
 
@@ -318,11 +286,11 @@ def _check_involutory(H):
     for a in H.support:
         ainv = H.group.inverses[a]
         for i in range(H.dims[a]):
-            twice = H.antipode_raw(ainv, H.antipode[a][i])
+            twice = apply_rows(H.antipode[ainv], H.antipode[a][i])
             if twice != {i: one}:
                 return (
                     f"grade {H.group.names[a]} basis {i}: "
-                    f"S(S(x)) = {_fmt_raw_vec(H, a, twice)}"
+                    f"S(S(x)) = {format_raw_vector(H, a, twice)}"
                 )
     return None
 
@@ -339,24 +307,14 @@ def _check_crossing_coalgebra(H):
             target = G.conj(b, a)
             phi = H.crossing[(b, a)]
             for i in range(H.dims[a]):
-                back = H.crossing_raw(binv, target, phi[i])
+                back = apply_rows(H.crossing[(binv, target)], phi[i])
                 if back != {i: one}:
                     return (
                         f"(beta,alpha)=({G.names[b]},{G.names[a]}) basis {i}: "
-                        f"inverse crossing gives {_fmt_raw_vec(H, a, back)}"
+                        f"inverse crossing gives {format_raw_vector(H, a, back)}"
                     )
-                lhs = {}
-                for t, tv in phi[i].items():
-                    for key, w in H.coproduct[target][t].items():
-                        lhs[key] = lhs.get(key, H.zero()) + tv * w
-                rhs = {}
-                for (p, q), v in H.coproduct[a][i].items():
-                    for t1, w1 in phi[p].items():
-                        for t2, w2 in phi[q].items():
-                            key = (t1, t2)
-                            rhs[key] = rhs.get(key, H.zero()) + v * w1 * w2
-                lhs = {k: v for k, v in lhs.items() if v}
-                rhs = {k: v for k, v in rhs.items() if v}
+                lhs = apply_rows(H.coproduct[target], phi[i])
+                rhs = _both_slots(H.coproduct[a][i], phi)
                 if lhs != rhs:
                     return (
                         f"(beta,alpha)=({G.names[b]},{G.names[a]}) basis {i}: "
@@ -388,13 +346,13 @@ def _check_crossing_mult(H):
                         pj = H.crossing[(b, c)][j]
                         lhs = H.mul_raw(ca, cc, pi, pj)
                         prod = H.mul_raw(a, c, {i: one}, {j: one})
-                        rhs = H.crossing_raw(b, ac, prod)
+                        rhs = apply_rows(H.crossing[(b, ac)], prod)
                         if lhs != rhs:
                             tgt = G.conj(b, ac)
                             return (
                                 f"(beta,alpha,gamma)=({G.names[b]},{G.names[a]},{G.names[c]}) "
-                                f"basis ({i},{j}): phi(x)phi(y) = {_fmt_raw_vec(H, tgt, lhs)} "
-                                f"but phi(xy) = {_fmt_raw_vec(H, tgt, rhs)}"
+                                f"basis ({i},{j}): phi(x)phi(y) = {format_raw_vector(H, tgt, lhs)} "
+                                f"but phi(xy) = {format_raw_vector(H, tgt, rhs)}"
                             )
     return None
 
@@ -403,10 +361,10 @@ def _check_crossing_unit(H):
     G = H.group
     e = G.identity_index
     for b in range(G.order):
-        img = H.crossing_raw(b, e, H.unit)
+        img = apply_rows(H.crossing[(b, e)], H.unit)
         if img != H.unit:
             return (
-                f"beta={G.names[b]}: phi(1) = {_fmt_raw_vec(H, e, img)}"
+                f"beta={G.names[b]}: phi(1) = {format_raw_vector(H, e, img)}"
             )
     return None
 
@@ -419,15 +377,15 @@ def _check_crossing_comp(H):
             for a in H.support:
                 mid = G.conj(b2, a)
                 for i in range(H.dims[a]):
-                    step = H.crossing_raw(b1, mid, H.crossing[(b2, a)][i])
+                    step = apply_rows(H.crossing[(b1, mid)], H.crossing[(b2, a)][i])
                     direct = H.crossing[(b12, a)][i]
                     if step != direct:
                         tgt = G.conj(b12, a)
                         return (
                             f"(beta,beta')=({G.names[b1]},{G.names[b2]}) grade "
                             f"{G.names[a]} basis {i}: composite = "
-                            f"{_fmt_raw_vec(H, tgt, step)} but direct = "
-                            f"{_fmt_raw_vec(H, tgt, direct)}"
+                            f"{format_raw_vector(H, tgt, step)} but direct = "
+                            f"{format_raw_vector(H, tgt, direct)}"
                         )
     return None
 
@@ -435,45 +393,15 @@ def _check_crossing_comp(H):
 # -- quasitriangular axioms --------------------------------------------------
 
 
-def _r13_r23_raw(H):
-    e = H.group.identity_index
-    r13 = _embed_r_raw(H, 0, 2)
-    r23 = _embed_r_raw(H, 1, 2)
-    _, out = _tensor_mul_raw(H, (e, e, e), r13, (e, e, e), r23)
-    return out
-
-
-def _embed_r_raw(H, p1, p2, arity=3):
-    out = {}
-    rest = [p for p in range(arity) if p not in (p1, p2)]
-    for (i, j), v in H.rmatrix.items():
-        stack = [({p1: i, p2: j}, v)]
-        for p in rest:
-            stack = [
-                ({**placed, p: u}, c * uv)
-                for placed, c in stack
-                for u, uv in H.unit.items()
-            ]
-        for placed, c in stack:
-            key = tuple(placed[p] for p in range(arity))
-            acc = out.get(key)
-            w = c if acc is None else acc + c
-            if w:
-                out[key] = w
-            elif acc is not None:
-                del out[key]
-    return out
+def _r3(H, p1, p2):
+    """R placed at slots p1 < p2 of a 3-tensor, the unit at the third."""
+    return embed_two_raw(H, H.rmatrix, p1, p2, 3)
 
 
 def _check_r_left(H):
     e = H.group.identity_index
-    lhs = {}
-    for (i, j), v in H.rmatrix.items():
-        for (p, q), w in H.coproduct[e][i].items():
-            key = (p, q, j)
-            lhs[key] = lhs.get(key, H.zero()) + v * w
-    lhs = {k: v for k, v in lhs.items() if v}
-    rhs = _r13_r23_raw(H)
+    lhs = apply_rows_at(H.rmatrix, 0, H.coproduct[e])
+    _, rhs = _tensor_mul_raw(H, (e,) * 3, _r3(H, 0, 2), (e,) * 3, _r3(H, 1, 2))
     if lhs != rhs:
         return (
             f"(D(x)id)R = {_fmt_raw_tensor(H, (e, e, e), lhs)} but "
@@ -484,15 +412,8 @@ def _check_r_left(H):
 
 def _check_r_right(H):
     e = H.group.identity_index
-    lhs = {}
-    for (i, j), v in H.rmatrix.items():
-        for (p, q), w in H.coproduct[e][j].items():
-            key = (i, p, q)
-            lhs[key] = lhs.get(key, H.zero()) + v * w
-    lhs = {k: v for k, v in lhs.items() if v}
-    r13 = _embed_r_raw(H, 0, 2)
-    r12 = _embed_r_raw(H, 0, 1)
-    _, rhs = _tensor_mul_raw(H, (e,) * 3, r13, (e,) * 3, r12)
+    lhs = apply_rows_at(H.rmatrix, 1, H.coproduct[e])
+    _, rhs = _tensor_mul_raw(H, (e,) * 3, _r3(H, 0, 2), (e,) * 3, _r3(H, 0, 1))
     if lhs != rhs:
         return (
             f"(id(x)D)R = {_fmt_raw_tensor(H, (e, e, e), lhs)} but "
@@ -522,14 +443,7 @@ def _check_r_crossing(H):
     G = H.group
     e = G.identity_index
     for b in range(G.order):
-        phi = H.crossing[(b, e)]
-        out = {}
-        for (i, j), v in H.rmatrix.items():
-            for t1, w1 in phi[i].items():
-                for t2, w2 in phi[j].items():
-                    key = (t1, t2)
-                    out[key] = out.get(key, H.zero()) + v * w1 * w2
-        out = {k: v for k, v in out.items() if v}
+        out = _both_slots(H.rmatrix, H.crossing[(b, e)])
         if out != H.rmatrix:
             return (
                 f"beta={G.names[b]}: (phi(x)phi)R = "
@@ -540,12 +454,8 @@ def _check_r_crossing(H):
 
 def _check_r_invertible(H):
     e = H.group.identity_index
-    rinv = H.r_inverse_tensor().entries
-    want = {}
-    for p, vp in H.unit.items():
-        for q, vq in H.unit.items():
-            want[(p, q)] = vp * vq
-    want = {k: v for k, v in want.items() if v}
+    rinv = H.r_inverse_raw()
+    want = _unit_unit(H)
     _, left = _tensor_mul_raw(H, (e, e), rinv, (e, e), H.rmatrix)
     if left != want:
         return f"(S(x)id)R * R = {_fmt_raw_tensor(H, (e, e), left)}"
@@ -558,9 +468,7 @@ def _check_r_invertible(H):
 def _check_yang_baxter(H):
     e = H.group.identity_index
     g3 = (e, e, e)
-    r12 = _embed_r_raw(H, 0, 1)
-    r13 = _embed_r_raw(H, 0, 2)
-    r23 = _embed_r_raw(H, 1, 2)
+    r12, r13, r23 = _r3(H, 0, 1), _r3(H, 0, 2), _r3(H, 1, 2)
     _, lhs = _tensor_mul_raw(H, g3, r12, g3, r13)
     _, lhs = _tensor_mul_raw(H, g3, lhs, g3, r23)
     _, rhs = _tensor_mul_raw(H, g3, r23, g3, r13)
@@ -588,21 +496,9 @@ def drinfeld_element(H: HopfGAlgebra) -> GradedVector:
     u: dict = {}
     uinv: dict = {}
     for (i, j), v in H.rmatrix.items():
-        term = H.mul_raw(e, e, H.antipode[e][j], {i: v})
-        for t, tv in term.items():
-            acc = u.get(t, H.zero()) + tv
-            if acc:
-                u[t] = acc
-            elif t in u:
-                del u[t]
-        s2 = H.antipode_raw(e, H.antipode[e][i])
-        term = H.mul_raw(e, e, {j: v}, s2)
-        for t, tv in term.items():
-            acc = uinv.get(t, H.zero()) + tv
-            if acc:
-                uinv[t] = acc
-            elif t in uinv:
-                del uinv[t]
+        _add_all(u, H.mul_raw(e, e, H.antipode[e][j], {i: v}))
+        s2 = apply_rows(H.antipode[e], H.antipode[e][i])
+        _add_all(uinv, H.mul_raw(e, e, {j: v}, s2))
 
     if H.mul_raw(e, e, u, uinv) != H.unit or H.mul_raw(e, e, uinv, u) != H.unit:
         raise DrinfeldError("drinfeld element is not inverted by sum b*S^2(a)")
@@ -610,7 +506,7 @@ def drinfeld_element(H: HopfGAlgebra) -> GradedVector:
         if H.mul_raw(e, e, u, {i: one}) != H.mul_raw(e, e, {i: one}, u):
             raise DrinfeldError(
                 f"drinfeld element is not central in H_1: fails at basis index {i}")
-    if H.antipode_raw(e, u) != u:
+    if apply_rows(H.antipode[e], u) != u:
         raise DrinfeldError("antipode does not fix the drinfeld element")
     if H.counit_raw(e, u) != one:
         raise DrinfeldError("counit of the drinfeld element is not 1")

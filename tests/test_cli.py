@@ -264,3 +264,19 @@ def test_connection_relation_violation_exit_2(capsys):
                        "--diagram", "s2xs2", "--connection", "mu",
                        "--script", "/dev/null")
     assert code == 2
+
+
+@pytest.mark.parametrize("diagram, step, message", [
+    ("cp2", {"move": "I-2-insert", "over": 0, "over_pos": "x", "under": 0,
+             "under_pos": 1}, "over_pos must be an integer, got 'x'"),
+    ("s1xs3", {"move": "II-5", "dot": [0]}, "dot must be an integer, got [0]"),
+    ("cp2", {"move": "I-3", "crossings": 5},
+     "crossings must be a list of 3 integers, got 5"),
+])
+def test_mistyped_move_parameters_exit_2(capsys, tmp_path, diagram, step, message):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([step]))
+    code, out, err = run(capsys, "moves", "--algebra", "cyclic:k=1,l=2,d=1",
+                         "--diagram", diagram, "--script", str(script))
+    assert code == 2
+    assert f"error: script step 0: {step['move']}: {message}" in err

@@ -18,6 +18,13 @@ from hopfg import (
     validate,
 )
 from hopfg.diagrams import DotPassage
+from hopfg.diagrams import (
+    ColoredDiagram,
+    Crossing,
+    CrossingEnd,
+    KirbyDiagram,
+    UndottedComponent,
+)
 
 ALGEBRAS = ["cyclic:k=1,l=2,d=1", "cyclic:k=2,l=3,d=1", "cyclic:k=1,l=4,d=3",
             "kac-paljutkin"]
@@ -359,3 +366,32 @@ def test_candidates_preserve_coloring_counts(bank):
         for spec in move_candidates(cd, inserts=False):
             moved = apply_move(cd, spec)
             assert len(colorings(moved.diagram, G)) == n, spec
+
+
+def test_candidates_of_an_invalid_diagram_are_empty():
+    # crossing 0 has an over end and no under end
+    d = KirbyDiagram(
+        dotted=(),
+        undotted=(UndottedComponent(0, (CrossingEnd(0, True),)),),
+        crossings=(Crossing(0, True),),
+    )
+    assert validate(d) != []
+    cd = ColoredDiagram(d, {})
+    assert move_candidates(cd, inserts=True, group=cyclic_group(2)) == []
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"move": "I-2-insert", "over": 0, "over_pos": "x", "under": 0,
+      "under_pos": 1}, "over_pos must be an integer"),
+    ({"move": "I-2-insert", "over": 0, "over_pos": True, "under": 0,
+      "under_pos": 1}, "over_pos must be an integer"),
+    ({"move": "I-5", "crossing": None}, "crossing must be an integer"),
+    ({"move": "I-3", "crossings": 5}, "crossings must be a list of 3 integers"),
+    ({"move": "I-3", "crossings": [0, 1, "2"]},
+     "crossings must be a list of 3 integers"),
+    ({"move": "II-5", "dot": [0]}, "dot must be an integer"),
+])
+def test_mistyped_parameters_raise_move_error(spec, message):
+    cd = _trivial(oracles.braid_closure())
+    with pytest.raises(MoveError, match=message):
+        apply_move(cd, spec)

@@ -2,8 +2,13 @@
 resolvers used by the command line."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import hopfg
 
 from hopfg import builtin_algebra, builtin_diagram, builtin_diagram_names
 from hopfg.groups import cyclic_group, product_group
@@ -176,3 +181,39 @@ def test_canonical_dumps_is_deterministic():
     b = dumps_canonical(json.loads(a))
     assert a == b
     assert a.endswith("\n") and a.count("\n") == 1
+
+
+# the command line in a child process whose address space is capped at
+# 1 GiB, so an input that makes the loader allocate without bound fails
+# there instead of taking memory from the machine
+_LIMITED_CLI = """
+import resource, sys
+soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+cap = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)
+resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+from hopfg.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("field, value", [
+    ("conductor", 1000000000),
+    ("conductor", 1000000),
+    ("dims", [1000000000]),
+    ("coproduct", 5),
+    ("unit", None),
+    ("basis_names", [5]),
+])
+def test_oversized_or_malformed_algebra_field_exits_2(tmp_path, field, value):
+    obj = algebra_to_json(builtin_algebra("cyclic:k=1,l=2,d=1"))
+    obj[field] = value
+    path = tmp_path / "algebra.json"
+    path.write_text(dumps_canonical(obj))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfg.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CLI, "check", "--algebra", str(path)],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and field in proc.stderr
+    assert "Traceback" not in proc.stderr
