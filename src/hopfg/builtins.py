@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import HopfGAlgebra
+from .algebra import MAX_CONDUCTOR, MAX_DIMENSION, MAX_GROUP_ORDER, HopfGAlgebra
 from .cyclo import Cyclo
 from .groups import cyclic_group, group_from_table
 
@@ -23,6 +23,13 @@ def build_cyclic(k: int, l: int, d: int) -> HopfGAlgebra:
         raise ValueError("k and l must be positive")
     if not 0 <= d < l:
         raise ValueError("d must satisfy 0 <= d < l")
+    # k is the group order, l the conductor and k*l the dimension
+    if k > MAX_GROUP_ORDER:
+        raise ValueError(f"k={k} exceeds the group order cap {MAX_GROUP_ORDER}")
+    if l > MAX_CONDUCTOR:
+        raise ValueError(f"l={l} exceeds the conductor cap {MAX_CONDUCTOR}")
+    if k * l > MAX_DIMENSION:
+        raise ValueError(f"k*l={k * l} exceeds the dimension cap {MAX_DIMENSION}")
     m = k * l
     G = cyclic_group(k)
     cond = l
@@ -125,9 +132,10 @@ def _kp_coproduct(i: int) -> dict:
     return {(i, i): h, (i, right): h, (left, i): h, (left, right): -h}
 
 
-def _lift(frak: dict) -> dict:
-    """Fraction-valued sparse map to Cyclo values, zeros dropped."""
-    return {key: Cyclo.rational(v) for key, v in frak.items() if v}
+def _lift(frak: dict, cond: int) -> dict:
+    """Fraction-valued sparse map to Cyclo values at conductor cond, zeros
+    dropped."""
+    return {key: Cyclo.rational(v, conductor=cond) for key, v in frak.items() if v}
 
 
 def build_kac_paljutkin() -> HopfGAlgebra:
@@ -142,11 +150,11 @@ def build_kac_paljutkin() -> HopfGAlgebra:
             for i in range(8):
                 for j in range(8):
                     jj = _kp_mu(j) if ga == 1 else j
-                    tab[(i, j)] = _lift(_kp_mul(i, jj))
+                    tab[(i, j)] = _lift(_kp_mul(i, jj), cond)
             product[(ga, gb)] = tab
 
     unit = {0: one}
-    coproduct = [[_lift(_kp_coproduct(i)) for i in range(8)] for _ in range(2)]
+    coproduct = [[_lift(_kp_coproduct(i), cond) for i in range(8)] for _ in range(2)]
     counit = [[one] * 8 for _ in range(2)]
 
     # S on monomials: identity for c = 0, swap the x and y exponents for
@@ -164,7 +172,7 @@ def build_kac_paljutkin() -> HopfGAlgebra:
         (1, 1): mu_rows,
     }
 
-    h = Cyclo.rational(1, 2)
+    h = Cyclo.rational(1, 2, conductor=cond)
     rmatrix = {(0, 0): h, (1, 0): h, (0, 2): h, (1, 2): -h}
 
     mono = ["1", "x", "y", "xy", "z", "xz", "yz", "xyz"]

@@ -1,10 +1,14 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-Every scalar in this package is a Cyclo: a sparse integer-exponent ->
-Fraction map representing sum c_e * zeta_n^e, kept reduced modulo the
-n-th cyclotomic polynomial Phi_n.  Reduction mod Phi_n (rather than mod
-x^n - 1) makes the representation canonical, so equality is plain map
-comparison and exact Gauss-sum identities can be tested with ==.
+Every scalar in this package is a Cyclo: the element
+sum_e (num[e] / den) * zeta_n^e of Q(zeta_n), where num holds exactly
+deg = phi(n) ints, one per exponent 0 <= e < deg, and den is a positive
+int with gcd(den, *num) = 1; zero is all zeros over den = 1.  Reducing
+mod the n-th cyclotomic polynomial Phi_n (rather than mod x^n - 1) and
+normalizing the denominator make the form canonical, so equality is a
+comparison of a tuple and an int and exact Gauss-sum identities can be
+tested with ==.  The read-only view ``c`` gives the same value as a
+sparse {exponent: Fraction} map of the nonzero terms.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import cmath
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 
 def _poly_divide_exact(num: list, den) -> list:
@@ -35,87 +39,125 @@ def _poly_divide_exact(num: list, den) -> list:
     return quot
 
 
+def _smallest_prime_factor(n: int) -> int:
+    if n % 2 == 0:
+        return 2
+    p = 3
+    while p * p <= n:
+        if n % p == 0:
+            return p
+        p += 2
+    return n
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_n, ascending order, monic."""
+    """Integer coefficients of Phi_n, ascending order, monic.
+
+    Peels the smallest prime p off n = p*m: Phi_n(x) = Phi_m(x^p) when p
+    divides m, and Phi_m(x^p) / Phi_m(x) when it does not.
+    """
     if n < 1:
         raise ValueError("conductor must be a positive integer")
     if n == 1:
         return (-1, 1)
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _poly_divide_exact(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+    p = _smallest_prime_factor(n)
+    m = n // p
+    inner = cyclotomic_polynomial(m)
+    stretched = [0] * (p * (len(inner) - 1) + 1)
+    stretched[::p] = inner
+    if m % p == 0:
+        return tuple(stretched)
+    return tuple(_poly_divide_exact(stretched, inner))
 
 
 @lru_cache(maxsize=None)
 def _reduction_rows(n: int):
-    """Dense rows expressing x^e mod Phi_n for deg(Phi_n) <= e < n."""
+    """(deg, rows): rows[e] holds the nonzero (j, coefficient) pairs of
+    x^e mod Phi_n, for 0 <= e < n."""
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    rows = {}
-    cur = [-c for c in phi[:deg]]
-    for e in range(deg, n):
-        rows[e] = tuple(cur)
-        lead = cur[deg - 1]
-        cur = [0] + cur[: deg - 1]
-        if lead:
-            for j in range(deg):
-                cur[j] -= lead * phi[j]
+    low = [(j, -c) for j, c in enumerate(phi[:deg]) if c]  # x^deg mod Phi_n
+    rows = [((e, 1),) for e in range(deg)]
+    cur = dict(low)
+    for _ in range(deg, n):
+        rows.append(tuple(cur.items()))
+        lead = cur.pop(deg - 1, 0)
+        cur = {j + 1: r for j, r in cur.items()}
+        for j, c in low:
+            v = cur.get(j, 0) + lead * c
+            if v:
+                cur[j] = v
+            else:
+                cur.pop(j, None)
     return deg, rows
 
 
-def _reduce(n: int, raw: dict) -> dict:
+def _fold(n: int, terms) -> list:
+    """The deg ints of sum v * x^e mod Phi_n over int pairs (e, v)."""
     deg, rows = _reduction_rows(n)
-    out: dict = {}
-    for e, v in raw.items():
-        if not v:
-            continue
-        e %= n
-        if e < deg:
-            out[e] = out.get(e, 0) + v
-        else:
-            for j, r in enumerate(rows[e]):
-                if r:
-                    out[j] = out.get(j, 0) + v * r
-    return {e: v for e, v in out.items() if v}
+    out = [0] * deg
+    for e, v in terms:
+        if v:
+            for j, r in rows[e % n]:
+                out[j] += v * r
+    return out
+
+
+def _make(n: int, num, den: int) -> "Cyclo":
+    """The Cyclo num / den at conductor n, for deg ints num and den > 0;
+    divides out gcd(den, *num)."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = [v // g for v in num]
+            den //= g
+    s = object.__new__(Cyclo)
+    s.n = n
+    s.num = tuple(num)
+    s.den = den
+    return s
 
 
 class Cyclo:
     """An element of Q(zeta_n) in canonical reduced form.
 
     Construct with a conductor and a sparse {exponent: rational} map;
-    exponents are taken mod n and reduced mod Phi_n, zero coefficients
-    dropped.  Mixed-conductor arithmetic embeds both operands into
-    Q(zeta_lcm) first.
+    exponents are taken mod n and reduced mod Phi_n, and the value is
+    stored as deg = phi(n) int numerators ``num`` over one positive
+    denominator ``den`` (see the module docstring).  Mixed-conductor
+    arithmetic embeds both operands into Q(zeta_lcm) first.
     """
 
-    __slots__ = ("n", "c")
+    __slots__ = ("n", "num", "den")
 
     def __init__(self, n: int, coeffs: dict | None = None):
         if n < 1:
             raise ValueError("conductor must be a positive integer")
-        raw = {}
+        terms = []
+        den = 1
         if coeffs:
             for e, v in coeffs.items():
                 if isinstance(v, float):
                     raise TypeError("floating point coefficients are not allowed")
-                raw[e] = v if isinstance(v, Fraction) else Fraction(v)
-        self.n = n
-        self.c = _reduce(n, raw)
+                q = v if isinstance(v, Fraction) else Fraction(v)
+                terms.append((e, q))
+                den = lcm(den, q.denominator)
+        s = _make(n, _fold(n, [(e, q.numerator * (den // q.denominator))
+                               for e, q in terms]), den)
+        self.n, self.num, self.den = n, s.num, s.den
 
-    @staticmethod
-    def _raw(n: int, c: dict) -> "Cyclo":
-        s = object.__new__(Cyclo)
-        s.n = n
-        s.c = c
-        return s
+    @property
+    def c(self) -> dict:
+        """The nonzero terms as a new {exponent: Fraction} map."""
+        den = self.den
+        return {e: Fraction(v, den) for e, v in enumerate(self.num) if v}
 
     @classmethod
     def rational(cls, num, den=1, conductor: int = 1) -> "Cyclo":
         q = Fraction(num, den)
-        return cls._raw(conductor, {0: q} if q else {})
+        deg = len(cyclotomic_polynomial(conductor)) - 1
+        return _make(conductor, (q.numerator,) + (0,) * (deg - 1), q.denominator)
 
     @classmethod
     def zeta(cls, n: int, e: int = 1) -> "Cyclo":
@@ -123,11 +165,11 @@ class Cyclo:
 
     @classmethod
     def zero(cls, conductor: int = 1) -> "Cyclo":
-        return cls._raw(conductor, {})
+        return cls.rational(0, conductor=conductor)
 
     @classmethod
     def one(cls, conductor: int = 1) -> "Cyclo":
-        return cls._raw(conductor, {0: Fraction(1)})
+        return cls.rational(1, conductor=conductor)
 
     # -- conductor handling -------------------------------------------------
 
@@ -138,14 +180,14 @@ class Cyclo:
         if n % self.n:
             raise ValueError(f"cannot embed conductor {self.n} into {n}")
         s = n // self.n
-        return Cyclo._raw(n, _reduce(n, {e * s: v for e, v in self.c.items()}))
+        return _make(n, _fold(n, [(e * s, v) for e, v in enumerate(self.num)]),
+                     self.den)
 
     def _coerce(self, other):
         if isinstance(other, Cyclo):
             return other
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return Cyclo._raw(self.n, {0: q} if q else {})
+            return Cyclo.rational(other, conductor=self.n)
         return None
 
     def _align(self, other):
@@ -160,26 +202,21 @@ class Cyclo:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other):
-        a, b = self._align(other)
-        if a is None:
-            return NotImplemented
-        c = dict(a.c)
-        for e, v in b.c.items():
-            w = c.get(e)
-            if w is None:
-                c[e] = v
-            else:
-                w = w + v
-                if w:
-                    c[e] = w
-                else:
-                    del c[e]
-        return Cyclo._raw(a.n, c)
+        if other.__class__ is Cyclo and other.n == self.n:
+            a, b = self, other
+        else:
+            a, b = self._align(other)
+            if a is None:
+                return NotImplemented
+        ad, bd = a.den, b.den
+        if ad == bd:
+            return _make(a.n, [x + y for x, y in zip(a.num, b.num)], ad)
+        return _make(a.n, [x * bd + y * ad for x, y in zip(a.num, b.num)], ad * bd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo._raw(self.n, {e: -v for e, v in self.c.items()})
+        return _make(self.n, [-v for v in self.num], self.den)
 
     def __sub__(self, other):
         a, b = self._align(other)
@@ -191,28 +228,47 @@ class Cyclo:
         return (-self) + other
 
     def __mul__(self, other):
-        a, b = self._align(other)
-        if a is None:
-            return NotImplemented
-        if not a.c or not b.c:
-            return Cyclo._raw(a.n, {})
-        raw: dict = {}
-        for e1, v1 in a.c.items():
-            for e2, v2 in b.c.items():
-                e = e1 + e2
-                raw[e] = raw.get(e, 0) + v1 * v2
-        return Cyclo._raw(a.n, _reduce(a.n, raw))
+        if other.__class__ is Cyclo and other.n == self.n:
+            a, b = self, other
+        else:
+            a, b = self._align(other)
+            if a is None:
+                return NotImplemented
+        an, bn = a.num, b.num
+        # a rational operand (every one when deg = 1) only scales the other
+        if not any(bn[1:]):
+            y, d = bn[0], b.den
+            if y == d:
+                return a
+            return _make(a.n, [x * y for x in an], a.den * d)
+        if not any(an[1:]):
+            x, d = an[0], a.den
+            if x == d:
+                return b
+            return _make(a.n, [x * y for y in bn], d * b.den)
+        deg = len(an)
+        raw = [0] * (2 * deg - 1)
+        for i, x in enumerate(an):
+            if x:
+                for k, y in enumerate(bn, i):
+                    raw[k] += x * y
+        out = raw[:deg]
+        n = a.n
+        rows = _reduction_rows(n)[1]
+        for e in range(deg, 2 * deg - 1):
+            v = raw[e]
+            if v:
+                for j, r in rows[e % n]:
+                    out[j] += v * r
+        return _make(n, out, a.den * b.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
-        if not self.c:
+        if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
         phi = [Fraction(x) for x in cyclotomic_polynomial(self.n)]
-        deg = len(phi) - 1
-        a = [Fraction(0)] * deg
-        for e, v in self.c.items():
-            a[e] = v
+        a = [Fraction(v, self.den) for v in self.num]
         # extended Euclid in Q[x]: find s with s*a == gcd (a nonzero unit) mod Phi
         r0, s0 = phi, [Fraction(0)]
         r1, s1 = _trim(a), [Fraction(1)]
@@ -255,16 +311,16 @@ class Cyclo:
 
     def conjugate(self) -> "Cyclo":
         """The image under zeta -> zeta^{-1} (complex conjugation)."""
-        return Cyclo(self.n, {-e % self.n: v for e, v in self.c.items()})
+        n = self.n
+        return _make(n, _fold(n, [(-e % n, v) for e, v in enumerate(self.num)]),
+                     self.den)
 
     def is_rational(self) -> bool:
-        return not self.c or (len(self.c) == 1 and 0 in self.c)
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
-        if not self.c:
-            return Fraction(0)
-        if len(self.c) == 1 and 0 in self.c:
-            return self.c[0]
+        if self.is_rational():
+            return Fraction(self.num[0], self.den)
         raise ValueError(f"{self} is not rational")
 
     def approx(self) -> complex:
@@ -275,13 +331,13 @@ class Cyclo:
         )
 
     def __bool__(self):
-        return bool(self.c)
+        return any(self.num)
 
     def __eq__(self, other):
         a, b = self._align(other)
         if a is None:
             return NotImplemented
-        return a.c == b.c
+        return a.num == b.num and a.den == b.den
 
     # equal values can live at different conductors, so there is no cheap
     # consistent hash; Cyclo values are not meant to be dict keys

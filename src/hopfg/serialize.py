@@ -20,8 +20,9 @@ to the same bytes.
 from __future__ import annotations
 
 import json
+from math import prod
 
-from .algebra import HopfGAlgebra
+from .algebra import MAX_CONDUCTOR, MAX_DIMENSION, MAX_GROUP_ORDER, HopfGAlgebra
 from .builtins import builtin_algebra
 from .cyclo import Cyclo, parse_scalar, render_scalar_terms
 from .diagrams import (
@@ -42,13 +43,6 @@ from .groups import FiniteGroup, GroupError, cyclic_group, product_group
 class SerializeError(ValueError):
     """Raised for malformed or inconsistent serialized data."""
 
-
-# Largest conductor an algebra JSON may declare.  Loading builds Phi_n and
-# its reduction rows before any check can run: at n = 2520, the n with the
-# most divisors up to the cap, cyclotomic_polynomial takes 0.45 s and the
-# rows 0.05 s in 28 MB (Python 3.11, Intel Xeon), while n = 10**6 runs for
-# minutes.
-MAX_CONDUCTOR = 2520
 
 _BLOCK_FIELDS = ("unit", "product", "coproduct", "counit", "antipode",
                  "crossing", "rmatrix")
@@ -97,8 +91,16 @@ def group_to_json(G: FiniteGroup) -> dict:
     }
 
 
+def _check_group_order(order: int, where: str) -> int:
+    if not 1 <= order <= MAX_GROUP_ORDER:
+        raise SerializeError(
+            f"{where}: order must be between 1 and {MAX_GROUP_ORDER}, got {order}")
+    return order
+
+
 def group_from_json(obj) -> FiniteGroup:
-    order = _as_int(_need(obj, "order", "group"), "group order")
+    order = _check_group_order(
+        _as_int(_need(obj, "order", "group"), "group order"), "group")
     table = _need(obj, "table", "group")
     if not isinstance(table, list) or len(table) != order:
         raise SerializeError("group table must be a list of `order` rows")
@@ -118,25 +120,31 @@ def group_from_json(obj) -> FiniteGroup:
         raise SerializeError(f"group JSON invalid: {exc}") from None
 
 
+def _cyclic_order(spec: str) -> int:
+    if not spec.startswith("cyclic:"):
+        raise SerializeError(
+            f"unknown group constructor {spec!r} (use cyclic:N or product:...)")
+    body = spec[len("cyclic:"):]
+    try:
+        n = int(body)
+    except ValueError:
+        raise SerializeError(f"bad cyclic group order {body!r}") from None
+    return _check_group_order(n, f"group {spec!r}")
+
+
 def _group_constructor(spec: str) -> FiniteGroup:
-    if spec.startswith("cyclic:"):
-        body = spec[len("cyclic:"):]
-        try:
-            n = int(body)
-        except ValueError:
-            raise SerializeError(f"bad cyclic group order {body!r}") from None
-        return cyclic_group(n)
-    if spec.startswith("product:"):
-        parts = spec[len("product:"):].split(",")
-        if len(parts) < 2:
-            raise SerializeError("product group needs at least two factors")
-        gs = [_group_constructor(p.strip()) for p in parts]
-        G = gs[0]
-        for h in gs[1:]:
-            G = product_group(G, h)
-        return G
-    raise SerializeError(
-        f"unknown group constructor {spec!r} (use cyclic:N or product:...)")
+    # every order is checked before any table is built
+    if not spec.startswith("product:"):
+        return cyclic_group(_cyclic_order(spec))
+    parts = spec[len("product:"):].split(",")
+    if len(parts) < 2:
+        raise SerializeError("product group needs at least two factors")
+    orders = [_cyclic_order(p.strip()) for p in parts]
+    _check_group_order(prod(orders), f"group {spec!r}")
+    G = cyclic_group(orders[0])
+    for n in orders[1:]:
+        G = product_group(G, cyclic_group(n))
+    return G
 
 
 def resolve_group(spec: str) -> FiniteGroup:
@@ -255,8 +263,11 @@ def algebra_from_json(obj) -> HopfGAlgebra:
         blocks[key] = _need(obj, key, "algebra")
         if not isinstance(blocks[key], list):
             raise SerializeError(f"{key}: expected a list of blocks")
-    # (eps (x) id)D(x) = x, so every basis vector has a coproduct block
     total = sum(dims[a] for a in support)
+    if total > MAX_DIMENSION:
+        raise SerializeError(
+            f"dims: {total} basis vectors in all, more than {MAX_DIMENSION}")
+    # (eps (x) id)D(x) = x, so every basis vector has a coproduct block
     if total > len(blocks["coproduct"]):
         raise SerializeError(
             f"dims: {total} basis vectors but only {len(blocks['coproduct'])} "

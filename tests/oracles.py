@@ -9,6 +9,7 @@ main suite can compare engine output against these values exactly.
 
 import os
 from fractions import Fraction
+from math import gcd
 
 from hopfg import builtin_algebra, solve_integrals
 from hopfg.algebra import GradedTensor, GradedVector, HopfGAlgebra
@@ -295,3 +296,121 @@ def non_unimodular_h4():
 
 def rational(n, d=1):
     return Cyclo.rational(Fraction(n, d))
+
+
+# -- reference cyclotomic arithmetic ------------------------------------------
+#
+# The sparse representation Cyclo had before its dense int form: a scalar is
+# (n, {exponent: Fraction}) reduced mod Phi_n, and Phi_n comes from dividing
+# x^n - 1 by Phi_d for every proper divisor d.  The differential test in
+# test_cyclo.py compares Cyclo with these functions exactly.
+
+
+def _ref_divide_exact(num, den):
+    num = list(num)
+    dn = len(den) - 1
+    quot = [0] * (len(num) - dn)
+    for k in range(len(quot) - 1, -1, -1):
+        c = num[k + dn]
+        quot[k] = c
+        if c:
+            for j in range(dn + 1):
+                num[k + j] -= c * den[j]
+    assert not any(num), "non-exact polynomial division"
+    return quot
+
+
+_REF_PHI = {}
+
+
+def ref_cyclotomic(n):
+    """Phi_n, ascending integer coefficients, by divisor division."""
+    got = _REF_PHI.get(n)
+    if got is None:
+        poly = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                poly = _ref_divide_exact(poly, ref_cyclotomic(d))
+        got = _REF_PHI[n] = tuple(poly)
+    return got
+
+
+_REF_ROWS = {}
+
+
+def _ref_rows(n):
+    """x^e mod Phi_n as dense rows, for deg(Phi_n) <= e < n."""
+    got = _REF_ROWS.get(n)
+    if got is None:
+        phi = ref_cyclotomic(n)
+        deg = len(phi) - 1
+        rows = {}
+        cur = [-c for c in phi[:deg]]
+        for e in range(deg, n):
+            rows[e] = tuple(cur)
+            lead = cur[deg - 1]
+            cur = [0] + cur[: deg - 1]
+            if lead:
+                for j in range(deg):
+                    cur[j] -= lead * phi[j]
+        got = _REF_ROWS[n] = (deg, rows)
+    return got
+
+
+def ref_reduce(n, raw):
+    """{exponent: rational} with any int exponents, reduced mod Phi_n."""
+    deg, rows = _ref_rows(n)
+    out = {}
+    for e, v in raw.items():
+        if not v:
+            continue
+        e %= n
+        if e < deg:
+            out[e] = out.get(e, 0) + Fraction(v)
+        else:
+            for j, r in enumerate(rows[e]):
+                if r:
+                    out[j] = out.get(j, 0) + Fraction(v) * r
+    return {e: v for e, v in out.items() if v}
+
+
+def ref_lift(a, n):
+    m, c = a
+    assert n % m == 0
+    return n, ref_reduce(n, {e * (n // m): v for e, v in c.items()})
+
+
+def _ref_align(a, b):
+    n = a[0] * b[0] // gcd(a[0], b[0])
+    return ref_lift(a, n), ref_lift(b, n)
+
+
+def ref_add(a, b):
+    (n, x), (_, y) = _ref_align(a, b)
+    out = dict(x)
+    for e, v in y.items():
+        out[e] = out.get(e, 0) + v
+    return n, {e: v for e, v in out.items() if v}
+
+
+def ref_neg(a):
+    return a[0], {e: -v for e, v in a[1].items()}
+
+
+def ref_mul(a, b):
+    (n, x), (_, y) = _ref_align(a, b)
+    raw = {}
+    for e1, v1 in x.items():
+        for e2, v2 in y.items():
+            raw[e1 + e2] = raw.get(e1 + e2, 0) + v1 * v2
+    return n, ref_reduce(n, raw)
+
+
+def ref_conjugate(a):
+    n, c = a
+    return n, ref_reduce(n, {-e % n: v for e, v in c.items()})
+
+
+def ref_equal(a, b):
+    (_, x), (_, y) = _ref_align(a, b)
+    return x == y

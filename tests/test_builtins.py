@@ -151,3 +151,19 @@ def test_integrals_cache_is_per_algebra(kp):
     again = solve_integrals(H)
     assert again.lam_values == ints.lam_values
     assert all(again.integral(a) == ints.integral(a) for a in H.group.elements())
+
+
+@pytest.mark.parametrize(
+    "spec", [oracles.spec_of(*p) for p in oracles.grid()] + ["kac-paljutkin"])
+def test_every_structure_constant_lives_at_the_declared_conductor(spec):
+    H = builtin_algebra(spec)
+    scalars = [v for tab in H.product.values() for vec in tab.values()
+               for v in vec.values()]
+    scalars += list(H.unit.values()) + list(H.rmatrix.values())
+    for a in range(H.group.order):
+        for i in range(H.dims[a]):
+            scalars += list(H.coproduct[a][i].values()) + [H.counit[a][i]]
+            scalars += list(H.antipode[a][i].values())
+    scalars += [v for rows in H.crossing.values() for row in rows
+                for v in row.values()]
+    assert scalars and {v.n for v in scalars} == {H.conductor}

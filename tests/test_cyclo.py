@@ -1,11 +1,14 @@
 """Exact cyclotomic arithmetic: identities, field laws, parse/render."""
 
 from fractions import Fraction
+from math import lcm
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from hopfg.cyclo import (
     Cyclo,
     cyclotomic_polynomial,
@@ -154,3 +157,57 @@ def test_bad_conductor_rejected():
         Cyclo(0, {})
     with pytest.raises(ValueError):
         cyclotomic_polynomial(0)
+
+
+def test_cyclotomic_polynomials_match_sympy_to_200_and_spot_values():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for n in list(range(1, 201)) + [210, 1155, 2520]:
+        ours = cyclotomic_polynomial(n)
+        theirs = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
+        assert list(ours) == [int(c) for c in reversed(theirs)], n
+
+
+_REF_CONDUCTORS = list(range(1, 17)) + [2520]
+
+
+def _ref_element(data, n):
+    """A random Cyclo at conductor n and its sparse reference value."""
+    terms = data.draw(st.dictionaries(
+        st.integers(min_value=-2 * n, max_value=2 * n), _frac, max_size=4))
+    return Cyclo(n, terms), (n, oracles.ref_reduce(n, terms))
+
+
+def _assert_matches(x, ref):
+    assert (x.n, x.c) == ref
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_dense_cyclo_matches_sparse_reference(data):
+    n1 = data.draw(st.sampled_from(_REF_CONDUCTORS))
+    # conductor pairs whose lcm stays within 2520 (any two of 1..16, or
+    # 2520 with one of its divisors)
+    n2 = data.draw(st.sampled_from(
+        [m for m in _REF_CONDUCTORS if lcm(n1, m) <= 2520]))
+    a, ra = _ref_element(data, n1)
+    b, rb = _ref_element(data, n2)
+    _assert_matches(a, ra)
+    _assert_matches(b, rb)
+    _assert_matches(a + b, oracles.ref_add(ra, rb))
+    _assert_matches(a - b, oracles.ref_add(ra, oracles.ref_neg(rb)))
+    _assert_matches(a * b, oracles.ref_mul(ra, rb))
+    assert (a == b) == oracles.ref_equal(ra, rb)
+    _assert_matches(a.conjugate(), oracles.ref_conjugate(ra))
+    m = lcm(n1, n2)
+    _assert_matches(a.lift(m), oracles.ref_lift(ra, m))
+    assert render_scalar(a) == render_scalar(SimpleNamespace(c=ra[1]))
+    assert render_scalar_terms(a) == render_scalar_terms(SimpleNamespace(c=ra[1]))
+    # the inverse at n = 2520 is a Fraction Euclid of degree 576 that takes
+    # seconds, so there a is divided by a rational only
+    if m == 2520:
+        b, rb = Cyclo.rational(3, 7, conductor=m), (m, {0: Fraction(3, 7)})
+    if b:
+        q = a / b
+        assert q.n == m
+        assert oracles.ref_equal(oracles.ref_mul((q.n, q.c), rb), ra)

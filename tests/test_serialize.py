@@ -217,3 +217,44 @@ def test_oversized_or_malformed_algebra_field_exits_2(tmp_path, field, value):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and field in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _padded_dims(obj, total):
+    # one grade of dimension `total`, with a coproduct block per basis vector
+    # so that only the dimension cap can reject it
+    obj["dims"] = [total]
+    obj["coproduct"] = [[0, i, [i, i, "1*zeta^0"]] for i in range(total)]
+
+
+def _big_table_group(obj, order):
+    # a valid group table, so that only the group order cap can reject it
+    obj["group"] = group_to_json(cyclic_group(order))
+    obj["dims"] = [2] + [0] * (order - 1)
+
+
+@pytest.mark.parametrize("spec, edit, named", [
+    (None, lambda obj: obj.update(group="cyclic:100000"), "group 'cyclic:100000'"),
+    (None, lambda obj: obj.update(group="product:cyclic:200,cyclic:200"),
+     "group 'product:cyclic:200,cyclic:200'"),
+    (None, lambda obj: _big_table_group(obj, 300), "group: order"),
+    (None, lambda obj: _padded_dims(obj, 4000), "dims: 4000"),
+    ("cyclic:k=1,l=1000000,d=0", None, "l=1000000"),
+    ("cyclic:k=1000000,l=1,d=0", None, "k=1000000"),
+    ("cyclic:k=20,l=20,d=1", None, "k*l=400"),
+], ids=["cyclic-group", "product-group", "table-group", "dims", "builtin-l",
+        "builtin-k", "builtin-kl"])
+def test_oversized_group_dims_or_builtin_exits_2(tmp_path, spec, edit, named):
+    if spec is None:
+        obj = algebra_to_json(builtin_algebra("cyclic:k=1,l=2,d=1"))
+        edit(obj)
+        spec = str(tmp_path / "algebra.json")
+        with open(spec, "w", encoding="utf-8") as fh:
+            fh.write(dumps_canonical(obj))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfg.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CLI, "check", "--algebra", spec],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and named in proc.stderr
+    assert "Traceback" not in proc.stderr
