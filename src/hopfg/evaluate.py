@@ -16,11 +16,23 @@ keeping a state table keyed by (running product basis index, pending
 tensor-factor indices of partially consumed sites).  Merging equal
 keys keeps the table near dim^(1 + open factors) instead of the
 product of all site entry counts.
+
+How wide the table gets depends on the order the components are folded
+in and on the event each one starts from, so a plan picks both before
+the fold.  Its predicted cost sums, over the slots in fold order, the
+predicted table width (the product of dims[grade] over the open axes)
+times the entry count of the site a slot opens (1 for a slot that
+closes an axis).  The cheapest of the length-sorted order and a greedy
+order from every first component wins, each component at its cheapest
+start event.  Every plan gives the same value: component values are
+scalars that commute, and lam(xy) = lam(yx) for x and y of inverse
+grades, so a component's value does not depend on its start event.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import HopfGAlgebra, add_into, apply_rows_at, slot_rows
 from .cyclo import Cyclo
@@ -140,15 +152,187 @@ def _site_tensors(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
         if g != e:
             raise EvaluationError(
                 f"grades along undotted component {u.id} do not telescope to 1")
-        comp_slots.append(slots)
-    return site_entries, comp_slots, coeff0
+        comp_slots.append(tuple(slots))
+    return site_entries, tuple(comp_slots), coeff0
+
+
+class _Planner:
+    """Predicted cost of folding the components in a given order, each
+    from a given start event.
+
+    An open axis is a pending tensor factor of a partially consumed site,
+    and the state table is predicted to hold the product of dims[grade]
+    over the open axes.  A slot whose axis is open costs one pass over
+    the table and closes the axis; a slot of an unopened site costs a
+    pass times the site's entry count and opens the site's other
+    factors.  Which axes a component leaves open does not depend on its
+    start event, so for a fixed order the cheapest start of each
+    component is the best one.  An axis is a bit of an int.
+    """
+
+    def __init__(self, dims, sizes, comp_slots):
+        bits = {}
+        self.axis_dim = axis_dim = {}
+        for slots in comp_slots:
+            for site, factor, _, sg in slots:
+                bit = bits[site, factor] = 1 << len(bits)
+                axis_dim[bit] = dims[sg]
+        # per slot: (axis, axes it opens, their width, entry count)
+        self.steps = []
+        self.axes = []
+        for slots in comp_slots:
+            steps = []
+            mask = 0
+            for site, factor, arity, _ in slots:
+                bit = bits[site, factor]
+                others, width = 0, 1
+                for f in range(arity):
+                    if f != factor:
+                        other = bits[site, f]
+                        others |= other
+                        width *= axis_dim[other]
+                steps.append((bit, others, width, sizes[site]))
+                mask |= bit
+            self.steps.append(steps)
+            self.axes.append(mask)
+        self.memo = {}
+
+    def width(self, mask: int) -> int:
+        """Predicted table width of the open axes in mask."""
+        w = 1
+        while mask:
+            bit = mask & -mask
+            w *= self.axis_dim[bit]
+            mask ^= bit
+        return w
+
+    def rotations(self, c: int, pre: int):
+        """Predicted cost of folding component c from each of its start
+        events when the axes pre of its own slots are open, and the axes
+        it leaves open."""
+        got = self.memo.get((c, pre))
+        if got is not None:
+            return got
+        axis_dim = self.axis_dim
+        steps = self.steps[c]
+        size = len(steps)
+        ring = steps + steps
+        w0 = self.width(pre)
+        costs = []
+        live = pre
+        for r in range(size):
+            live, w, cost = pre, w0, 0
+            for bit, others, width, n in ring[r:r + size]:
+                if live & bit:
+                    cost += w
+                    w //= axis_dim[bit]
+                    live ^= bit
+                else:
+                    cost += w * n
+                    w *= width
+                    live |= others
+            costs.append(cost)
+        got = self.memo[c, pre] = (costs or [0], live)
+        return got
+
+    def run(self, order, starts=None):
+        """(cost, starts) of folding in the given order, from the given
+        start events or, by default, from each component's cheapest one
+        (the earliest wins a tie)."""
+        open_axes = total = 0
+        chosen = []
+        for i, c in enumerate(order):
+            pre = open_axes & self.axes[c]
+            costs, out = self.rotations(c, pre)
+            start = costs.index(min(costs)) if starts is None else starts[i]
+            chosen.append(start)
+            open_axes ^= pre
+            total += costs[start] * self.width(open_axes)
+            open_axes |= out
+        return total, tuple(chosen)
+
+    def greedy(self, first: int):
+        """Fold order that starts with component first and then always
+        folds the component that is cheapest to fold next."""
+        order = [first]
+        open_axes = self.rotations(first, 0)[1]
+        rest = [c for c in range(len(self.steps)) if c != first]
+        while len(rest) > 1:
+            best = None
+            for c in rest:
+                pre = open_axes & self.axes[c]
+                costs, out = self.rotations(c, pre)
+                cost = min(costs) * self.width(open_axes ^ pre)
+                if best is None or cost < best[0]:
+                    best = (cost, c, open_axes ^ pre | out)
+            _, c, open_axes = best
+            order.append(c)
+            rest.remove(c)
+        return tuple(order + rest)
+
+    def by_length(self):
+        """The components, shortest first (stable)."""
+        return tuple(sorted(range(len(self.steps)), key=lambda c: len(self.steps[c])))
+
+    def plan(self):
+        """(order, starts, cost): the cheapest of the length-sorted order
+        and one greedy order per first component, each at its best start
+        events; the length-sorted order wins a tie."""
+        order = self.by_length()
+        cost, starts = self.run(order)
+        for first in range(len(self.steps)):
+            cand = self.greedy(first)
+            ccost, cstarts = self.run(cand)
+            if ccost < cost:
+                order, starts, cost = cand, cstarts, ccost
+        return order, starts, cost
+
+
+@lru_cache(maxsize=1024)
+def _plan(dims, sizes, comp_slots):
+    """(order, starts) of the plan for components with the given slots,
+    over sites with the given entry counts and grades of the given
+    dimensions; cached, since equal inputs recur across the connections
+    of one diagram and across repeated evaluations."""
+    return _Planner(dims, sizes, comp_slots).plan()[:2]
+
+
+def contraction_plan(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
+    """(order, starts, cost, stored_cost): the plan ``evaluate`` folds cd
+    by, as component indices in fold order and the event each starts
+    from, its predicted cost, and the predicted cost of the length-sorted
+    order from every stored event 0.  None when a dot alone makes the
+    value zero and nothing is folded."""
+    _check_inputs(H, integrals, cd)
+    site_entries, comp_slots, coeff0 = _site_tensors(H, integrals, cd)
+    if not coeff0:
+        return None
+    planner = _Planner(H.dims, tuple(map(len, site_entries)), comp_slots)
+    order, starts, cost = planner.plan()
+    stored_cost, _ = planner.run(planner.by_length(), (0,) * len(comp_slots))
+    return order, starts, cost, stored_cost
+
+
+def _check_inputs(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
+    if integrals.algebra is not H:
+        raise EvaluationError("integral data belongs to a different algebra")
+    require_valid(cd.diagram)
+    for x in cd.colors.values():
+        _require_grading_group(H, x.group)
+
+
+def _require_grading_group(H: HopfGAlgebra, G: FiniteGroup):
+    """Colors are read as grade indices of H, so G must have H's group
+    table (element names may differ)."""
+    if G is not H.group and G.table != H.group.table:
+        raise EvaluationError(
+            f"the coloring group (order {G.order}) is not the algebra's "
+            f"grading group (order {H.group.order})")
 
 
 def evaluate(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram) -> InvariantValue:
-    if integrals.algebra is not H:
-        raise EvaluationError("integral data belongs to a different algebra")
+    _check_inputs(H, integrals, cd)
     d = cd.diagram
-    require_valid(d)
     G = H.group
     e = G.identity_index
     zero = Cyclo.zero(H.conductor)
@@ -159,8 +343,9 @@ def evaluate(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram) -> In
     if not coeff0:
         return InvariantValue(zero, zero, exponent)
 
-    # fold small components first to retire their sites early
-    comp_slots = sorted(comp_slots, key=len)
+    # fold in the planned order, each component from its planned start
+    # event (see _Planner for the cost model)
+    order, starts = _plan(H.dims, tuple(map(len, site_entries)), comp_slots)
     lam = integrals.lam_values
     unit = H.unit
     product = H.product
@@ -169,13 +354,14 @@ def evaluate(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram) -> In
     # registry lists the open (site, factor) pairs the axes refer to
     state = {(): coeff0}
     registry = []
-    for slots in comp_slots:
+    for comp, r in zip(order, starts):
+        slots = comp_slots[comp]
         acc_g = e
         within = {}
         for axes, v in state.items():
             for xi, xv in unit.items():
                 within[(xi, axes)] = v * xv
-        for site, factor, arity, sg in slots:
+        for site, factor, arity, sg in slots[r:] + slots[:r]:
             tab = product[(acc_g, sg)]
             nxt = {}
             if (site, factor) in registry:
@@ -220,6 +406,7 @@ def evaluate_summed(H: HopfGAlgebra, integrals: IntegralData, d: KirbyDiagram,
     homomorphisms from the diagram's fundamental group into G."""
     if G is None:
         G = H.group
+    _require_grading_group(H, G)
     pres = diagrams.fundamental_presentation(d)
     homs = tuple(enumerate_homs(pres, G))
     values = []

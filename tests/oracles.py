@@ -414,3 +414,149 @@ def ref_conjugate(a):
 def ref_equal(a, b):
     (_, x), (_, y) = _ref_align(a, b)
     return x == y
+
+
+# -- term-by-term expansion of the invariant ----------------------------------
+#
+# The bracket as the evaluate.py docstring defines it, with no contraction:
+# every expansion term picks one entry of every site tensor, each undotted
+# component multiplies its slot elements in traversal order from the unit
+# and applies lam, and the bracket sums the term coefficient times the
+# component values.  Site tensors are built here from the structure tables;
+# only the scalar type and the solved integrals are shared with the engine.
+
+
+def _ref_coproduct_power(H, a, vec, k):
+    """Delta^{(k-1)} of a grade-a vector, splitting the first factor each
+    time (the engine splits the last)."""
+    zero = Cyclo.zero(H.conductor)
+    terms = {(i,): v for i, v in vec.items()}
+    for _ in range(k - 1):
+        nxt = {}
+        for idx, v in terms.items():
+            for pq, c in H.coproduct[a][idx[0]].items():
+                key = pq + idx[1:]
+                nxt[key] = nxt.get(key, zero) + v * c
+        terms = {key: v for key, v in nxt.items() if v}
+    return terms
+
+
+def _ref_antipode_at(H, a, terms, f):
+    """S applied to factor f (of grade a) of a tensor."""
+    zero = Cyclo.zero(H.conductor)
+    out = {}
+    for idx, v in terms.items():
+        for j, c in H.antipode[a][idx[f]].items():
+            key = idx[:f] + (j,) + idx[f + 1:]
+            out[key] = out.get(key, zero) + v * c
+    return {key: v for key, v in out.items() if v}
+
+
+def expansion_sites(H, ints, cd):
+    """(scalar, sites): the product of eps(Lambda) over dots without
+    passages, and one (entries, slots) per dot with passages and per
+    crossing, where entries is a list of (index tuple, coefficient) and
+    slot f is ((undotted id, event position), grade index)."""
+    d = cd.diagram
+    G = H.group
+    e = G.identity_index
+    scalar = Cyclo.one(H.conductor)
+    sites = []
+    for x in d.dotted:
+        a = cd.colors[x.id].index
+        vec = ints.integral(a).entries if H.dims[a] else {}
+        if not x.passages:
+            eps = Cyclo.zero(H.conductor)
+            for i, v in vec.items():
+                eps = eps + v * H.counit[a][i]
+            scalar = scalar * eps
+            continue
+        terms = _ref_coproduct_power(H, a, vec, len(x.passages))
+        slots = []
+        for f, (u, p) in enumerate(x.passages):
+            down = d.undotted_by_id(u).events[p].down
+            if not down:
+                terms = _ref_antipode_at(H, a, terms, f)
+            slots.append(((u, p), a if down else G.inverses[a]))
+        sites.append((sorted(terms.items()), slots))
+    ends = {}
+    for u in d.undotted:
+        for p, ev in enumerate(u.events):
+            if isinstance(ev, CrossingEnd):
+                ends[ev.crossing, ev.over] = (u.id, p)
+    for c in d.crossings:
+        terms = dict(H.rmatrix)
+        if not c.positive:
+            terms = _ref_antipode_at(H, e, terms, 0)
+        sites.append((sorted(terms.items()),
+                      [(ends[c.id, True], e), (ends[c.id, False], e)]))
+    return scalar, sites
+
+
+def expansion_invariant(H, ints, cd):
+    """The invariant of cd summed term by term over the expansion; the
+    number of terms is the product of the site entry counts."""
+    d = cd.diagram
+    G = H.group
+    zero = Cyclo.zero(H.conductor)
+    scalar, sites = expansion_sites(H, ints, cd)
+    # each component's value is looked up by the basis elements at its
+    # events, in traversal order, once the last site it touches is chosen
+    last = {u.id: -1 for u in d.undotted}
+    for s, (_, slots) in enumerate(sites):
+        for (u, _), _ in slots:
+            last[u] = s
+    done_at = [[u for u in d.undotted if last[u.id] == s] for s in range(len(sites))]
+    values = {}
+
+    def component_value(u, chosen):
+        word = tuple(chosen[u.id, p] for p in range(len(u.events)))
+        got = values.get((u.id, word))
+        if got is None:
+            g, vec = G.identity_index, dict(H.unit)
+            for h, i in word:
+                nxt = {}
+                for x, v in vec.items():
+                    for y, c in H.product[g, h][x, i].items():
+                        nxt[y] = nxt.get(y, zero) + v * c
+                g, vec = G.table[g][h], {y: v for y, v in nxt.items() if v}
+            got = zero
+            for x, v in vec.items():
+                got = got + v * ints.lam_values[x]
+            values[u.id, word] = got
+        return got
+
+    chosen = {}
+    for u in d.undotted:
+        if last[u.id] < 0:
+            scalar = scalar * component_value(u, chosen)
+
+    def expand(s, coeff):
+        if not coeff:
+            return zero
+        if s == len(sites):
+            return coeff
+        entries, slots = sites[s]
+        total = zero
+        for idx, v in entries:
+            for ((u, p), g), i in zip(slots, idx):
+                chosen[u, p] = (g, i)
+            c = coeff * v
+            for u in done_at[s]:
+                c = c * component_value(u, chosen)
+            total = total + expand(s + 1, c)
+        return total
+
+    bracket = expand(0, scalar)
+    exponent = len(d.dotted) - len(d.undotted)
+    norm = Cyclo.rational(Fraction(H.dims[G.identity_index]) ** exponent,
+                          conductor=H.conductor)
+    return norm * bracket
+
+
+def expansion_size(H, ints, cd):
+    """Number of terms expansion_invariant sums."""
+    size = 1
+    for entries, _ in expansion_sites(H, ints, cd)[1]:
+        size *= len(entries)
+    return size

@@ -213,3 +213,20 @@ def test_empty_component_contributes_the_dimension(bank):
     assert iv.value == plain.value
     assert iv.exponent == plain.exponent - 1
     assert iv.bracket == plain.bracket * Cyclo.rational(4)
+
+
+def test_coloring_group_must_be_the_grading_group(bank):
+    # colors are read as grade indices, so a group with another table is
+    # rejected: Z_5 colors would index past Z_3, and Z_2 would see 4 of the
+    # 9 connections of s1xs1xs2
+    H, ints = bank("cyclic:k=3,l=2,d=1")
+    with pytest.raises(EvaluationError, match="grading group"):
+        evaluate_summed(H, ints, builtin_diagram("s1xs3"), G=cyclic_group(5))
+    with pytest.raises(EvaluationError, match="grading group"):
+        evaluate_summed(H, ints, builtin_diagram("s1xs1xs2"), G=cyclic_group(2))
+    foreign = colorings(builtin_diagram("s1xs3"), cyclic_group(3))[1]
+    assert evaluate(H, ints, foreign) == evaluate(
+        H, ints, colorings(builtin_diagram("s1xs3"), H.group)[1])
+    with pytest.raises(EvaluationError, match="grading group"):
+        evaluate(H, ints, colorings(builtin_diagram("s1xs3"), cyclic_group(5))[4])
+    assert evaluate_summed(H, ints, builtin_diagram("s1xs1xs2")).hom_count == 9
