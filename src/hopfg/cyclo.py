@@ -267,10 +267,6 @@ class Cyclo:
     def inverse(self) -> "Cyclo":
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
-        head = self.num[0]
-        if not any(self.num[1:]):  # a rational head/den: den/head directly
-            return _make(self.n, (-self.den if head < 0 else self.den,)
-                         + self.num[1:], abs(head))
         phi = [Fraction(x) for x in cyclotomic_polynomial(self.n)]
         a = [Fraction(v, self.den) for v in self.num]
         # extended Euclid in Q[x]: find s with s*a == gcd (a nonzero unit) mod Phi

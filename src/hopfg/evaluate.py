@@ -32,7 +32,7 @@ grades, so a component's value does not depend on its start event.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
 
 from .algebra import HopfGAlgebra, add_into, apply_rows_at, slot_rows
 from .cyclo import Cyclo
@@ -96,11 +96,11 @@ def _site_tensors(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
 
     coeff0 = one
     for x in d.dotted:
+        a = cd.color_of(x.id).index
+        if H.dims[a] == 0:  # H_a = 0, so Lambda_a = 0
+            return None, None, zero
         if x.passages:
             continue
-        a = cd.color_of(x.id).index
-        if H.dims[a] == 0:
-            return None, None, zero
         coeff0 = coeff0 * H.counit_raw(a, integrals.integral(a).entries)
         if not coeff0:
             return None, None, zero
@@ -152,8 +152,8 @@ def _site_tensors(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
         if g != e:
             raise EvaluationError(
                 f"grades along undotted component {u.id} do not telescope to 1")
-        comp_slots.append(tuple(slots))
-    return site_entries, tuple(comp_slots), coeff0
+        comp_slots.append(slots)
+    return site_entries, comp_slots, coeff0
 
 
 class _Planner:
@@ -167,10 +167,13 @@ class _Planner:
     pass times the site's entry count and opens the site's other
     factors.  Which axes a component leaves open does not depend on its
     start event, so for a fixed order the cheapest start of each
-    component is the best one.  An axis is a bit of an int.
+    component is the best one.  Of equally cheap starts, the one at the
+    least slot wins (no slot occurs twice), so the start does not depend
+    on the stored rotation either.  An axis is a bit of an int.
     """
 
     def __init__(self, dims, sizes, comp_slots):
+        self.comp_slots = comp_slots
         bits = {}
         self.axis_dim = axis_dim = {}
         for slots in comp_slots:
@@ -207,9 +210,9 @@ class _Planner:
         return w
 
     def rotations(self, c: int, pre: int):
-        """Predicted cost of folding component c from each of its start
-        events when the axes pre of its own slots are open, and the axes
-        it leaves open."""
+        """(costs, best, out): the predicted cost of folding component c
+        from each of its start events when the axes pre of its own slots
+        are open, its best start event, and the axes it leaves open."""
         got = self.memo.get((c, pre))
         if got is not None:
             return got
@@ -232,19 +235,23 @@ class _Planner:
                     w *= width
                     live |= others
             costs.append(cost)
-        got = self.memo[c, pre] = (costs or [0], live)
+        if not costs:
+            got = self.memo[c, pre] = ([0], 0, live)
+            return got
+        slots = self.comp_slots[c]
+        best = min(range(size), key=lambda r: (costs[r], slots[r]))
+        got = self.memo[c, pre] = (costs, best, live)
         return got
 
     def run(self, order, starts=None):
         """(cost, starts) of folding in the given order, from the given
-        start events or, by default, from each component's cheapest one
-        (the earliest wins a tie)."""
+        start events or, by default, from each component's best one."""
         open_axes = total = 0
         chosen = []
         for i, c in enumerate(order):
             pre = open_axes & self.axes[c]
-            costs, out = self.rotations(c, pre)
-            start = costs.index(min(costs)) if starts is None else starts[i]
+            costs, best, out = self.rotations(c, pre)
+            start = best if starts is None else starts[i]
             chosen.append(start)
             open_axes ^= pre
             total += costs[start] * self.width(open_axes)
@@ -255,14 +262,14 @@ class _Planner:
         """Fold order that starts with component first and then always
         folds the component that is cheapest to fold next."""
         order = [first]
-        open_axes = self.rotations(first, 0)[1]
+        open_axes = self.rotations(first, 0)[2]
         rest = [c for c in range(len(self.steps)) if c != first]
         while len(rest) > 1:
             best = None
             for c in rest:
                 pre = open_axes & self.axes[c]
-                costs, out = self.rotations(c, pre)
-                cost = min(costs) * self.width(open_axes ^ pre)
+                costs, start, out = self.rotations(c, pre)
+                cost = costs[start] * self.width(open_axes ^ pre)
                 if best is None or cost < best[0]:
                     best = (cost, c, open_axes ^ pre | out)
             _, c, open_axes = best
@@ -280,21 +287,11 @@ class _Planner:
         events; the length-sorted order wins a tie."""
         order = self.by_length()
         cost, starts = self.run(order)
-        for first in range(len(self.steps)):
-            cand = self.greedy(first)
+        for cand in dict.fromkeys(map(self.greedy, range(len(order)))):
             ccost, cstarts = self.run(cand)
             if ccost < cost:
                 order, starts, cost = cand, cstarts, ccost
         return order, starts, cost
-
-
-@lru_cache(maxsize=1024)
-def _plan(dims, sizes, comp_slots):
-    """(order, starts) of the plan for components with the given slots,
-    over sites with the given entry counts and grades of the given
-    dimensions; cached, since equal inputs recur across the connections
-    of one diagram and across repeated evaluations."""
-    return _Planner(dims, sizes, comp_slots).plan()[:2]
 
 
 def contraction_plan(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
@@ -307,7 +304,7 @@ def contraction_plan(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagra
     site_entries, comp_slots, coeff0 = _site_tensors(H, integrals, cd)
     if not coeff0:
         return None
-    planner = _Planner(H.dims, tuple(map(len, site_entries)), comp_slots)
+    planner = _Planner(H.dims, [len(x) for x in site_entries], comp_slots)
     order, starts, cost = planner.plan()
     stored_cost, _ = planner.run(planner.by_length(), (0,) * len(comp_slots))
     return order, starts, cost, stored_cost
@@ -337,7 +334,6 @@ def evaluate(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram) -> In
     e = G.identity_index
     zero = Cyclo.zero(H.conductor)
     exponent = len(d.dotted) - len(d.undotted)
-    dim1 = Cyclo.rational(H.dims[e], conductor=H.conductor)
 
     site_entries, comp_slots, coeff0 = _site_tensors(H, integrals, cd)
     if not coeff0:
@@ -345,7 +341,8 @@ def evaluate(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram) -> In
 
     # fold in the planned order, each component from its planned start
     # event (see _Planner for the cost model)
-    order, starts = _plan(H.dims, tuple(map(len, site_entries)), comp_slots)
+    sizes = [len(x) for x in site_entries]
+    order, starts, _ = _Planner(H.dims, sizes, comp_slots).plan()
     lam = integrals.lam_values
     unit = H.unit
     product = H.product
@@ -396,7 +393,8 @@ def evaluate(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram) -> In
     if registry and state:
         raise EvaluationError("dangling tensor factors after contraction")
     bracket = state.get((), zero)
-    value = (dim1 ** exponent) * bracket
+    norm = Cyclo.rational(Fraction(H.dims[e]) ** exponent, conductor=H.conductor)
+    value = norm * bracket
     return InvariantValue(value, bracket, exponent)
 
 

@@ -14,14 +14,20 @@ import pytest
 
 import oracles
 from hopfg import (
+    algebra_from_json,
+    algebra_to_json,
     apply_move,
+    builtin_algebra,
     builtin_diagram,
     builtin_diagram_names,
     colorings,
     connected_sum,
     evaluate,
+    evaluate_summed,
     move_candidates,
     rotate_component,
+    solve_integrals,
+    verify_axioms,
 )
 from hopfg.evaluate import contraction_plan
 
@@ -64,6 +70,28 @@ def test_plan_cost_ignores_the_stored_start_events(bank, spec):
 
 
 @pytest.mark.parametrize("spec", PLAN_SPECS)
+def test_plan_starts_each_component_at_the_same_event_under_rotation(bank, spec):
+    # ties between equally cheap starts included: the planned fold reads
+    # the same events in the same order however the diagram is stored
+    H, ints = bank(spec)
+    for a, b in PLAN_DIAGRAMS:
+        d = _summed(a, b)
+        base = [contraction_plan(H, ints, cd)[:2] for cd in colorings(d, H.group)]
+        for k, u in enumerate(d.undotted):
+            n = len(u.events)
+            for r in range(1, n):
+                rot = rotate_component(d, u.id, r)
+                plans = []
+                for cd in colorings(rot, H.group):
+                    order, starts, _, _ = contraction_plan(H, ints, cd)
+                    # event p of the rotated component is event p + r of d's
+                    starts = tuple((s + r) % n if c == k else s
+                                   for c, s in zip(order, starts))
+                    plans.append((order, starts))
+                assert plans == base, (a, b, k, r)
+
+
+@pytest.mark.parametrize("spec", PLAN_SPECS)
 def test_plan_is_never_predicted_costlier_than_the_stored_order(bank, spec):
     H, ints = bank(spec)
     cheaper = 0
@@ -96,6 +124,37 @@ def test_builtins_match_the_term_by_term_expansion(bank, spec):
     for name in builtin_diagram_names():
         for cd in colorings(builtin_diagram(name), H.group):
             assert evaluate(H, ints, cd).value == oracles.expansion_invariant(H, ints, cd), name
+
+
+def _partial_support_algebra():
+    """cyclic:k=1,l=2,d=1 graded over Z/2, its grade 1 of dimension 0;
+    the new group element crosses H_1 by the identity."""
+    obj = algebra_to_json(builtin_algebra("cyclic:k=1,l=2,d=1"))
+    obj.update(group="cyclic:2", dims=obj["dims"] + [0],
+               basis_names=obj["basis_names"] + [[]],
+               crossing=obj["crossing"] + [[1, *block[1:]] for block in obj["crossing"]])
+    H = algebra_from_json(obj)
+    assert verify_axioms(H).ok
+    return H, solve_integrals(H)
+
+
+def test_a_dot_of_an_unsupported_grade_evaluates_to_zero(bank):
+    # Lambda_a lies in H_a = 0; a dot with passages used to reach the fold
+    H, ints = _partial_support_algebra()
+    H1, ints1 = bank("cyclic:k=1,l=2,d=1")
+    e = H.group.identity_index
+    for name in builtin_diagram_names():
+        d = builtin_diagram(name)
+        trivial = evaluate_summed(H1, ints1, d).values[0].value
+        for cd in colorings(d, H.group):
+            value = evaluate(H, ints, cd).value
+            assert value == oracles.expansion_invariant(H, ints, cd), name
+            if all(x.index == e for x in cd.colors.values()):
+                assert value == trivial, name
+            else:
+                assert not value, name
+    summed = evaluate_summed(H, ints, builtin_diagram("s1xs1xs2"))
+    assert [str(v.value) for v in summed.values] == ["4", "0", "0", "0"]
 
 
 # (algebra, start diagram) per walk; the walk's seed is its index
