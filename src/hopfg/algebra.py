@@ -297,12 +297,6 @@ class HopfGAlgebra:
 
     # -- basic access --------------------------------------------------------
 
-    def grade_of(self, index: int) -> GroupElement:
-        return self.group.element(index)
-
-    def dim(self, grade) -> int:
-        return self.dims[grade.index if isinstance(grade, GroupElement) else grade]
-
     def basis_vector(self, grade, i: int) -> GradedVector:
         g = grade if isinstance(grade, GroupElement) else self.group.element(grade)
         if not 0 <= i < self.dims[g.index]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .algebra import (
     AlgebraStructureError,
@@ -35,17 +34,6 @@ from .serialize import (
     resolve_diagram,
 )
 from .verify import drinfeld_element, verify_axioms
-
-
-@dataclass
-class RunConfig:
-    """One resolved CLI invocation: where the algebra and diagram come
-    from, which flat connection to use, and how to print results."""
-
-    algebra: str
-    diagram: str | None = None
-    connection: str = "trivial"
-    format: str = "text"
 
 
 # ---------------------------------------------------------------------------
@@ -106,58 +94,50 @@ def _parse_connection(spec: str, H: HopfGAlgebra, d: KirbyDiagram) -> GroupHom:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands, each given the parsed argparse namespace
 
 
-def cmd_check(cfg: RunConfig) -> int:
-    H = resolve_algebra(cfg.algebra)
+def cmd_check(args) -> int:
+    H = resolve_algebra(args.algebra)
     report = verify_axioms(H)
-    checks = list(report.checks)
+    for name, solve, error in (
+            ("integrals solved and normalized", solve_integrals, IntegralError),
+            ("drinfeld element central, antipode-fixed, invertible",
+             drinfeld_element, DrinfeldError)):
+        try:
+            solve(H)
+            report.checks.append((name, True, None))
+        except error as exc:
+            report.checks.append((name, False, str(exc)))
 
-    try:
-        solve_integrals(H)
-        checks.append(("integrals solved and normalized", True, None))
-    except IntegralError as exc:
-        checks.append(("integrals solved and normalized", False, str(exc)))
-    try:
-        drinfeld_element(H)
-        checks.append(
-            ("drinfeld element central, antipode-fixed, invertible", True, None))
-    except DrinfeldError as exc:
-        checks.append(
-            ("drinfeld element central, antipode-fixed, invertible", False,
-             str(exc)))
-
-    ok = all(passed for _, passed, _ in checks)
-    npass = sum(1 for _, passed, _ in checks if passed)
-    if cfg.format == "json":
+    checks = report.checks
+    if args.format == "json":
         _emit(dumps_canonical({
             "command": "check",
-            "algebra": cfg.algebra,
+            "algebra": args.algebra,
             "checks": [
                 {"name": name, "ok": passed, "witness": witness}
                 for name, passed, witness in checks
             ],
-            "ok": ok,
+            "ok": report.ok,
         }))
     else:
-        _emit(f"algebra: {cfg.algebra}  (|G|={H.group.order}, dims={H.dims}, "
+        _emit(f"algebra: {args.algebra}  (|G|={H.group.order}, dims={H.dims}, "
               f"conductor={H.conductor})")
-        for name, passed, witness in checks:
-            if passed:
-                _emit(f"[PASS] {name}")
-            else:
-                _emit(f"[FAIL] {name}: {witness}")
-        _emit(f"result: {'PASS' if ok else 'FAIL'} ({npass}/{len(checks)} checks)")
-    return 0 if ok else 1
+        for line in report.lines():
+            _emit(line)
+        npass = len(checks) - len(report.failures())
+        _emit(f"result: {'PASS' if report.ok else 'FAIL'} "
+              f"({npass}/{len(checks)} checks)")
+    return 0 if report.ok else 1
 
 
-def cmd_integrals(cfg: RunConfig) -> int:
-    H = resolve_algebra(cfg.algebra)
+def cmd_integrals(args) -> int:
+    H = resolve_algebra(args.algebra)
     data = solve_integrals(H)
     cond = H.conductor
     G = H.group
-    if cfg.format == "json":
+    if args.format == "json":
         integrals = []
         for a in H.support:
             vec = data.integral(a)
@@ -174,7 +154,7 @@ def cmd_integrals(cfg: RunConfig) -> int:
         ]
         _emit(dumps_canonical({
             "command": "integrals",
-            "algebra": cfg.algebra,
+            "algebra": args.algebra,
             "conductor": cond,
             "integrals": integrals,
             "lambda": lam,
@@ -182,7 +162,7 @@ def cmd_integrals(cfg: RunConfig) -> int:
         return 0
     from .algebra import format_vector
 
-    _emit(f"algebra: {cfg.algebra}  (conductor={cond})")
+    _emit(f"algebra: {args.algebra}  (conductor={cond})")
     for a in H.support:
         _emit(f"Lambda_{G.names[a]} = {format_vector(H, data.integral(a))}")
     e = G.identity_index
@@ -194,24 +174,24 @@ def cmd_integrals(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_invariant(cfg: RunConfig) -> int:
-    H = resolve_algebra(cfg.algebra)
-    d = resolve_diagram(cfg.diagram)
+def cmd_invariant(args) -> int:
+    H = resolve_algebra(args.algebra)
+    d = resolve_diagram(args.diagram)
     data = solve_integrals(H)
     cond = H.conductor
 
-    if cfg.connection == "all":
+    if args.connection == "all":
         summed = evaluate_summed(H, data, d)
         pairs = list(zip(summed.homs, summed.values))
     else:
-        hom = _parse_connection(cfg.connection, H, d)
+        hom = _parse_connection(args.connection, H, d)
         pairs = [(hom, evaluate(H, data, color(d, hom)))]
 
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {
             "command": "invariant",
-            "algebra": cfg.algebra,
-            "diagram": cfg.diagram,
+            "algebra": args.algebra,
+            "diagram": args.diagram,
             "conductor": cond,
             "connections": [
                 {
@@ -221,16 +201,16 @@ def cmd_invariant(cfg: RunConfig) -> int:
                 for hom, iv in pairs
             ],
         }
-        if cfg.connection == "all":
+        if args.connection == "all":
             payload["hom_count"] = summed.hom_count
             payload["sum"] = _scalar_json(summed.total, cond)
         _emit(dumps_canonical(payload))
         return 0
-    _emit(f"algebra: {cfg.algebra}")
-    _emit(f"diagram: {cfg.diagram}")
-    if cfg.connection != "all":
+    _emit(f"algebra: {args.algebra}")
+    _emit(f"diagram: {args.diagram}")
+    if args.connection != "all":
         hom, iv = pairs[0]
-        _emit(f"connection: {cfg.connection} {_connection_label(d, hom)}")
+        _emit(f"connection: {args.connection} {_connection_label(d, hom)}")
         _emit(_exact_line(iv.value, cond))
         _emit(_decimal_line(iv.value))
         return 0
@@ -243,15 +223,15 @@ def cmd_invariant(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_moves(cfg: RunConfig, script_path: str) -> int:
-    H = resolve_algebra(cfg.algebra)
-    d = resolve_diagram(cfg.diagram)
+def cmd_moves(args) -> int:
+    H = resolve_algebra(args.algebra)
+    d = resolve_diagram(args.diagram)
     data = solve_integrals(H)
     cond = H.conductor
-    if cfg.connection == "all":
+    if args.connection == "all":
         raise SerializeError("the moves command needs a single connection")
 
-    script = _read_json(script_path)
+    script = _read_json(args.script)
     if not isinstance(script, list):
         raise SerializeError("move script must be a JSON list of move objects")
     for idx, step in enumerate(script):
@@ -261,7 +241,7 @@ def cmd_moves(cfg: RunConfig, script_path: str) -> int:
             raise SerializeError(
                 f"script step {idx}: unknown move {step['move']!r}")
 
-    hom = _parse_connection(cfg.connection, H, d)
+    hom = _parse_connection(args.connection, H, d)
     cd = color(d, hom)
     base = evaluate(H, data, cd)
     steps = []
@@ -278,11 +258,11 @@ def cmd_moves(cfg: RunConfig, script_path: str) -> int:
         all_equal = all_equal and equal
         prev = iv.value
 
-    if cfg.format == "json":
+    if args.format == "json":
         _emit(dumps_canonical({
             "command": "moves",
-            "algebra": cfg.algebra,
-            "diagram": cfg.diagram,
+            "algebra": args.algebra,
+            "diagram": args.diagram,
             "conductor": cond,
             "base": _scalar_json(base.value, cond),
             "steps": [
@@ -298,8 +278,8 @@ def cmd_moves(cfg: RunConfig, script_path: str) -> int:
             "ok": all_equal,
         }))
     else:
-        _emit(f"algebra: {cfg.algebra}")
-        _emit(f"diagram: {cfg.diagram}")
+        _emit(f"algebra: {args.algebra}")
+        _emit(f"diagram: {args.diagram}")
         _emit("base " + _exact_line(base.value, cond))
         for idx, step, value, equal in steps:
             params = json.dumps(
@@ -315,20 +295,20 @@ def cmd_moves(cfg: RunConfig, script_path: str) -> int:
     return 0 if all_equal else 1
 
 
-def cmd_export(cfg: RunConfig, output: str | None) -> int:
-    if (cfg.algebra is None) == (cfg.diagram is None):
+def cmd_export(args) -> int:
+    if (args.algebra is None) == (args.diagram is None):
         raise SerializeError("export needs exactly one of --algebra or --diagram")
-    if cfg.algebra is not None:
-        obj = algebra_to_json(resolve_algebra(cfg.algebra))
+    if args.algebra is not None:
+        obj = algebra_to_json(resolve_algebra(args.algebra))
     else:
-        obj = diagram_to_json(resolve_diagram(cfg.diagram))
+        obj = diagram_to_json(resolve_diagram(args.diagram))
     text = dumps_canonical(obj)
-    if output:
+    if args.output:
         try:
-            with open(output, "w", encoding="utf-8") as fh:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise SerializeError(f"cannot write {output!r}: {exc}") from None
+            raise SerializeError(f"cannot write {args.output!r}: {exc}") from None
     else:
         sys.stdout.write(text)
     return 0
@@ -375,6 +355,8 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--connection", default="trivial", metavar="SPEC",
                             help="'trivial', 'all', or comma-separated group "
                                  "element names/indices (default: trivial)")
+        else:
+            sp.set_defaults(connection="all")
         fmt(sp)
 
     sp = sub.add_parser("moves", help="apply a move script, checking the "
@@ -396,39 +378,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_COMMANDS = {
+    "check": cmd_check,
+    "integrals": cmd_integrals,
+    "invariant": cmd_invariant,
+    "sum": cmd_invariant,
+    "moves": cmd_moves,
+    "export": cmd_export,
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "check":
-            return cmd_check(RunConfig(args.algebra, format=args.format))
-        if args.command == "integrals":
-            return cmd_integrals(RunConfig(args.algebra, format=args.format))
-        if args.command == "invariant":
-            return cmd_invariant(RunConfig(
-                args.algebra, args.diagram, args.connection, args.format))
-        if args.command == "sum":
-            return cmd_invariant(RunConfig(
-                args.algebra, args.diagram, "all", args.format))
-        if args.command == "moves":
-            return cmd_moves(RunConfig(
-                args.algebra, args.diagram, args.connection, args.format),
-                args.script)
-        if args.command == "export":
-            return cmd_export(
-                RunConfig(args.algebra, args.diagram), args.output)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except (IntegralError, DrinfeldError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except EvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (SerializeError, DiagramError, ColoringError, GroupError,
-            AlgebraStructureError, MoveError, ValueError) as exc:
+            AlgebraStructureError, MoveError, EvaluationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -210,6 +210,26 @@ def colorings(d: KirbyDiagram, G: FiniteGroup):
 # -- reorientation, rotation, renumbering -------------------------------------
 
 
+def _replace_component(d: KirbyDiagram, uid: int, events: tuple, position,
+                       crossings: tuple) -> KirbyDiagram:
+    """d with undotted component uid's events and the crossing tuple
+    replaced; a passage reference to event p of uid moves to position(p)."""
+    undotted = tuple(
+        UndottedComponent(x.id, events) if x.id == uid else x for x in d.undotted
+    )
+    dotted = tuple(
+        DottedComponent(
+            x.id,
+            tuple(
+                (ru, position(rp)) if ru == uid else (ru, rp)
+                for ru, rp in x.passages
+            ),
+        )
+        for x in d.dotted
+    )
+    return KirbyDiagram(dotted, undotted, crossings, d.h3, d.h4)
+
+
 def reorient(d: KirbyDiagram, uid: int) -> KirbyDiagram:
     """Reverse one undotted component's orientation.
 
@@ -231,24 +251,11 @@ def reorient(d: KirbyDiagram, uid: int) -> KirbyDiagram:
             new_events.append(DotPassage(ev.dot, not ev.down))
         else:
             new_events.append(ev)
-    undotted = tuple(
-        UndottedComponent(x.id, tuple(new_events)) if x.id == uid else x
-        for x in d.undotted
-    )
     crossings = tuple(
         Crossing(c.id, not c.positive) if c.id in flip else c for c in d.crossings
     )
-    dotted = tuple(
-        DottedComponent(
-            x.id,
-            tuple(
-                (ru, n - 1 - rp) if ru == uid else (ru, rp)
-                for ru, rp in x.passages
-            ),
-        )
-        for x in d.dotted
-    )
-    return KirbyDiagram(dotted, undotted, crossings, d.h3, d.h4)
+    return _replace_component(d, uid, tuple(new_events), lambda rp: n - 1 - rp,
+                              crossings)
 
 
 def rotate_component(d: KirbyDiagram, uid: int, r: int) -> KirbyDiagram:
@@ -258,21 +265,8 @@ def rotate_component(d: KirbyDiagram, uid: int, r: int) -> KirbyDiagram:
     if n == 0:
         return d
     r %= n
-    undotted = tuple(
-        UndottedComponent(x.id, x.events[r:] + x.events[:r]) if x.id == uid else x
-        for x in d.undotted
-    )
-    dotted = tuple(
-        DottedComponent(
-            x.id,
-            tuple(
-                (ru, (rp - r) % n) if ru == uid else (ru, rp)
-                for ru, rp in x.passages
-            ),
-        )
-        for x in d.dotted
-    )
-    return KirbyDiagram(dotted, undotted, d.crossings, d.h3, d.h4)
+    return _replace_component(d, uid, u.events[r:] + u.events[:r],
+                              lambda rp: (rp - r) % n, d.crossings)
 
 
 def relabel(d: KirbyDiagram, doff: int = 0, uoff: int = 0, coff: int = 0):

@@ -39,8 +39,6 @@ from .cyclo import Cyclo
 from .diagrams import (
     ColoredDiagram,
     CrossingEnd,
-    DiagramError,
-    DotPassage,
     KirbyDiagram,
     connected_sum,
     require_valid,
@@ -116,9 +114,6 @@ def _site_tensors(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
         grades = [a] * k
         for factor, (ru, rp) in enumerate(x.passages):
             ev = d.undotted_by_id(ru).events[rp]
-            if not isinstance(ev, DotPassage) or ev.dot != x.id:
-                raise DiagramError(
-                    f"dot {x.id} passage list points at a non-matching event")
             if not ev.down:
                 entries = apply_rows_at(entries, factor, slot_rows(H.antipode[a]))
                 grades[factor] = G.inverses[a]
@@ -141,11 +136,7 @@ def _site_tensors(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
             if isinstance(ev, CrossingEnd):
                 slots.append((crossing_slot[ev.crossing], 0 if ev.over else 1, 2, e))
             else:
-                ref = (u.id, pos)
-                if ref not in passage_slot:
-                    raise DiagramError(
-                        f"passage event at {ref} is missing from dot {ev.dot}")
-                slots.append(passage_slot[ref])
+                slots.append(passage_slot[(u.id, pos)])
         g = e
         for _, _, _, sg in slots:
             g = G.table[g][sg]

@@ -86,12 +86,6 @@ class FiniteGroup:
         except ValueError:
             raise GroupError(f"no element named {name!r}") from None
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverses[a]
-
     def conj(self, b: int, a: int) -> int:
         """Index of b a b^{-1}."""
         return self.table[self.table[b][a]][self.inverses[b]]

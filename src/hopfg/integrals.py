@@ -5,34 +5,41 @@ exact linear systems; both spaces must be one dimensional.  Integrals in
 the other grades follow from the translation law x*L_1 = eps(x)*L_alpha
 and the whole family is re-verified against both one-sided laws before
 being returned.
+
+Translation needs a basis vector x of H_alpha with eps(x) != 0, and every
+supported grade has one: the counit law (HG4) gives
+x = (eps (x) id)D(x) for every x in H_alpha, so an eps that vanished on
+a nonzero H_alpha would force every x to be zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import GradedVector, HopfGAlgebra, IntegralError
+from .algebra import GradedVector, HopfGAlgebra, IntegralError, add_into
 from .cyclo import Cyclo, render_scalar
 
 
 def _nullspace(rows, ncols, conductor):
-    """Basis of the right nullspace of the given dense Cyclo matrix."""
+    """Basis of the right nullspace of the matrix with the given sparse
+    rows ({column: nonzero Cyclo}), one dense list per basis vector."""
     zero = Cyclo.zero(conductor)
     one = Cyclo.one(conductor)
-    mat = [list(r) for r in rows if any(r)]
+    mat = [dict(r) for r in rows if r]
     pivot_cols = []
     r = 0
     for c in range(ncols):
-        pr = next((k for k in range(r, len(mat)) if mat[k][c]), None)
+        pr = next((k for k in range(r, len(mat)) if c in mat[k]), None)
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
         inv = mat[r][c].inverse()
-        mat[r] = [v * inv for v in mat[r]]
+        mat[r] = {j: v * inv for j, v in mat[r].items()}
         for k in range(len(mat)):
-            if k != r and mat[k][c]:
+            if k != r and c in mat[k]:
                 f = mat[k][c]
-                mat[k] = [a - f * b for a, b in zip(mat[k], mat[r])]
+                for j, v in mat[r].items():
+                    add_into(mat[k], j, -(f * v))
         pivot_cols.append(c)
         r += 1
         if r == len(mat):
@@ -43,9 +50,34 @@ def _nullspace(rows, ncols, conductor):
         vec = [zero] * ncols
         vec[fc] = one
         for ri, pc in enumerate(pivot_cols):
-            vec[pc] = -mat[ri][fc]
+            vec[pc] = -mat[ri].get(fc, zero)
         basis.append(vec)
     return basis
+
+
+def _two_sided_rows(n, entries):
+    """Sparse rows of the system M v = 0 for every n x n matrix M whose
+    (row, column, value) entries entries(i, mirror) yields, for i < n and
+    mirror False and True; repeated positions add up."""
+    rows = []
+    for i in range(n):
+        for mirror in (False, True):
+            mat = {}
+            for r, c, v in entries(i, mirror):
+                add_into(mat.setdefault(r, {}), c, v)
+            rows.extend(mat.values())
+    return rows
+
+
+def _one_dimensional(H: HopfGAlgebra, entries, what: str) -> list:
+    """The solution, up to scale, of the two-sided system on H_1 that
+    entries describes (see _two_sided_rows); `what` names the space in
+    the IntegralError raised when it is not one dimensional."""
+    d1 = H.dims[H.group.identity_index]
+    space = _nullspace(_two_sided_rows(d1, entries), d1, H.conductor)
+    if len(space) != 1:
+        raise IntegralError(f"{what} has dimension {len(space)}, not 1")
+    return space[0]
 
 
 @dataclass
@@ -79,8 +111,17 @@ def solve_integrals(H: HopfGAlgebra) -> IntegralData:
     d1 = H.dims[e]
     cond = H.conductor
     zero = Cyclo.zero(cond)
+    prod = H.product[(e, e)]
 
-    int1_raw = _grade_integral(H, e, "two-sided integral space in grade 1")
+    # L_1 with x*L = eps(x)L = L*x for every grade-1 basis vector x
+    def integral_law(i, mirror):
+        for j in range(d1):
+            for t, v in prod[(j, i) if mirror else (i, j)].items():
+                yield t, j, v
+            yield j, j, -H.counit[e][i]
+
+    int1 = _one_dimensional(H, integral_law, "two-sided integral space in grade 1")
+    int1_raw = {i: v for i, v in enumerate(int1) if v}
 
     eps_val = H.counit_raw(e, int1_raw)
     if not eps_val:
@@ -89,24 +130,13 @@ def solve_integrals(H: HopfGAlgebra) -> IntegralData:
     int1_raw = {i: v * scale for i, v in int1_raw.items()}
 
     # cointegral lam on H_1: (id (x) lam)D(x) = lam(x)1 and its mirror
-    rows = []
-    for i in range(d1):
-        di = H.coproduct[e][i]
-        left = [[zero] * d1 for _ in range(d1)]
-        right = [[zero] * d1 for _ in range(d1)]
-        for (p, q), v in di.items():
-            left[p][q] = left[p][q] + v
-            right[q][p] = right[q][p] + v
+    def cointegral_law(i, mirror):
+        for (p, q), v in H.coproduct[e][i].items():
+            yield (q, p, v) if mirror else (p, q, v)
         for p, up in H.unit.items():
-            left[p][i] = left[p][i] - up
-            right[p][i] = right[p][i] - up
-        rows.extend(left)
-        rows.extend(right)
-    lam_space = _nullspace(rows, d1, cond)
-    if len(lam_space) != 1:
-        raise IntegralError(
-            f"cointegral space on grade 1 has dimension {len(lam_space)}, not 1")
-    lam_vals = lam_space[0]
+            yield p, i, -up
+
+    lam_vals = _one_dimensional(H, cointegral_law, "cointegral space on grade 1")
     lam_on_l1 = sum((int1_raw[i] * lam_vals[i] for i in int1_raw), zero)
     if not lam_on_l1:
         raise IntegralError("cointegral vanishes on the integral, cannot normalize")
@@ -117,36 +147,15 @@ def solve_integrals(H: HopfGAlgebra) -> IntegralData:
     integrals = [None] * G.order
     integrals[e] = int1_raw
     for a in H.support:
-        if integrals[a] is not None:
+        if a == e:
             continue
         i = next((i for i in range(H.dims[a]) if H.counit[a][i]), None)
         if i is None:
-            continue
+            raise IntegralError(
+                f"counit vanishes on grade {G.names[a]}, so no integral "
+                f"translates to it (the counit law fails there)")
         inv = H.counit[a][i].inverse()
         integrals[a] = H.mul_raw(a, e, {i: inv}, int1_raw)
-    # leftover grades (counit identically zero there): walk from known ones
-    changed = True
-    while changed:
-        changed = False
-        for a in H.support:
-            if integrals[a] is not None:
-                continue
-            for g in H.support:
-                i = next((i for i in range(H.dims[g]) if H.counit[g][i]), None)
-                if i is None:
-                    continue
-                b = G.table[G.inverses[g]][a]
-                if H.dims[b] and integrals[b] is not None:
-                    inv = H.counit[g][i].inverse()
-                    integrals[a] = H.mul_raw(g, b, {i: inv}, integrals[b])
-                    changed = True
-                    break
-    for a in H.support:
-        if integrals[a] is None:
-            # scale genuinely undetermined by translation; pin the leading
-            # coordinate and let the re-verification below judge the result
-            integrals[a] = _grade_integral(
-                H, a, f"integral space in grade {G.names[a]}")
 
     _verify_family(H, integrals)
 
@@ -154,33 +163,6 @@ def solve_integrals(H: HopfGAlgebra) -> IntegralData:
         GradedVector(G.element(a), integrals[a] or {}) for a in range(G.order)
     )
     return IntegralData(H, out, lam_vals)
-
-
-def _grade_integral(H: HopfGAlgebra, a: int, what: str) -> dict:
-    """The L in H_a, up to scale, with x*L = eps(x)L = L*x for every
-    grade-1 basis vector x; `what` names the space in the error raised
-    when it is not one dimensional."""
-    e = H.group.identity_index
-    da = H.dims[a]
-    zero = Cyclo.zero(H.conductor)
-    rows = []
-    for i in range(H.dims[e]):
-        eps_i = H.counit[e][i]
-        left = [[zero] * da for _ in range(da)]
-        right = [[zero] * da for _ in range(da)]
-        for j in range(da):
-            for t, v in H.product[(e, a)][(i, j)].items():
-                left[t][j] = left[t][j] + v
-            for t, v in H.product[(a, e)][(j, i)].items():
-                right[t][j] = right[t][j] + v
-            left[j][j] = left[j][j] - eps_i
-            right[j][j] = right[j][j] - eps_i
-        rows.extend(left)
-        rows.extend(right)
-    space = _nullspace(rows, da, H.conductor)
-    if len(space) != 1:
-        raise IntegralError(f"{what} has dimension {len(space)}, not 1")
-    return {i: v for i, v in enumerate(space[0]) if v}
 
 
 def _verify_family(H: HopfGAlgebra, integrals):

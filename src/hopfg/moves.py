@@ -186,7 +186,7 @@ def _comp_entry(ed: _Editor, uid, ctx: str) -> int:
 # -- crossing moves -------------------------------------------------------
 
 
-def _i2_insert(ed: _Editor, spec: dict) -> None:
+def _i2_insert(ed: _Editor, spec: dict, group) -> None:
     ua = _comp_entry(ed, spec["over"], "I-2-insert")
     ub = _comp_entry(ed, spec["under"], "I-2-insert")
     i, j = spec["over_pos"], spec["under_pos"]
@@ -211,7 +211,7 @@ def _i2_insert(ed: _Editor, spec: dict) -> None:
         ed.comp_nodes[ub][j:j] = under_block
 
 
-def _i2_remove(ed: _Editor, spec: dict) -> None:
+def _i2_remove(ed: _Editor, spec: dict, group) -> None:
     c1, c2 = spec["c1"], spec["c2"]
     _require(c1 != c2, "I-2-remove: needs two distinct crossings")
     _require(c1 in ed.signs and c2 in ed.signs, "I-2-remove: unknown crossing")
@@ -230,7 +230,7 @@ def _i2_remove(ed: _Editor, spec: dict) -> None:
     del ed.signs[c1], ed.signs[c2]
 
 
-def _i3(ed: _Editor, spec: dict) -> None:
+def _i3(ed: _Editor, spec: dict, group) -> None:
     cids = list(spec["crossings"])
     _require(len(cids) == 3 and len(set(cids)) == 3,
              "I-3: needs three distinct crossings")
@@ -315,7 +315,7 @@ def _i3_matching(ends, pairs, cids):
     return search([], set())
 
 
-def _i5(ed: _Editor, spec: dict) -> None:
+def _i5(ed: _Editor, spec: dict, group) -> None:
     cid = spec["crossing"]
     _require(cid in ed.signs, f"I-5: unknown crossing {cid}")
     over, under = ed.crossing_nodes(cid)
@@ -332,7 +332,7 @@ def _i5(ed: _Editor, spec: dict) -> None:
 # -- dot passage moves -----------------------------------------------------
 
 
-def _ii1_insert(ed: _Editor, spec: dict) -> None:
+def _ii1_insert(ed: _Editor, spec: dict, group) -> None:
     did = _dot_entry(ed, spec["dot"], "II-1-insert")
     uid = _comp_entry(ed, spec["component"], "II-1-insert")
     i = spec["disk_pos"]
@@ -348,7 +348,7 @@ def _ii1_insert(ed: _Editor, spec: dict) -> None:
     ed.dot_passages[did][i:i] = [n1, n2]
 
 
-def _ii1_remove(ed: _Editor, spec: dict) -> None:
+def _ii1_remove(ed: _Editor, spec: dict, group) -> None:
     did = _dot_entry(ed, spec["dot"], "II-1-remove")
     i = spec["disk_pos"]
     passages = ed.dot_passages[did]
@@ -366,7 +366,7 @@ def _ii1_remove(ed: _Editor, spec: dict) -> None:
     del passages[i:i + 2]
 
 
-def _ii5(ed: _Editor, spec: dict) -> None:
+def _ii5(ed: _Editor, spec: dict, group) -> None:
     did = _dot_entry(ed, spec["dot"], "II-5")
     passages = ed.dot_passages[did]
     passages.reverse()
@@ -406,7 +406,7 @@ def _aligned_partners(ed: _Editor, did: int, other: int, after: bool, ctx: str):
     return partners
 
 
-def _ii6(ed: _Editor, spec: dict) -> None:
+def _ii6(ed: _Editor, spec: dict, group) -> None:
     did = _dot_entry(ed, spec["dot"], "II-6")
     bid = _dot_entry(ed, spec["through"], "II-6")
     _require(did != bid, "II-6: needs two distinct dots")
@@ -426,7 +426,7 @@ def _ii6(ed: _Editor, spec: dict) -> None:
         nodes[ia], nodes[ib] = nodes[ib], nodes[ia]
 
 
-def _iii1_slide(ed: _Editor, spec: dict) -> None:
+def _iii1_slide(ed: _Editor, spec: dict, group) -> None:
     did = _dot_entry(ed, spec["dot"], "III-1-slide")
     bid = _dot_entry(ed, spec["over"], "III-1-slide")
     _require(did != bid, "III-1-slide: needs two distinct dots")
@@ -445,7 +445,7 @@ def _iii1_slide(ed: _Editor, spec: dict) -> None:
     ed.colors[did] = ed.colors[did] * ed.colors[bid].inv
 
 
-def _iii1_unslide(ed: _Editor, spec: dict) -> None:
+def _iii1_unslide(ed: _Editor, spec: dict, group) -> None:
     did = _dot_entry(ed, spec["dot"], "III-1-unslide")
     bid = _dot_entry(ed, spec["over"], "III-1-unslide")
     _require(did != bid, "III-1-unslide: needs two distinct dots")
@@ -461,15 +461,16 @@ def _iii1_unslide(ed: _Editor, spec: dict) -> None:
 # -- canceling pair moves ---------------------------------------------------
 
 
-def _iii4_insert(ed: _Editor, spec: dict, identity: GroupElement) -> None:
-    did = ed.new_dot(identity)
+def _iii4_insert(ed: _Editor, spec: dict, group) -> None:
+    _require(group is not None, "III-4-insert: no group available; pass group=")
+    did = ed.new_dot(group.element(group.identity_index))
     uid = ed.new_component()
     node = _Node(DotPassage(did, True))
     ed.comp_nodes[uid].append(node)
     ed.dot_passages[did].append(node)
 
 
-def _iii4_remove(ed: _Editor, spec: dict) -> None:
+def _iii4_remove(ed: _Editor, spec: dict, group) -> None:
     did = _dot_entry(ed, spec["dot"], "III-4-remove")
     _require(ed.colors[did].is_identity(),
              f"III-4-remove: dot {did} is not colored with the identity")
@@ -486,12 +487,12 @@ def _iii4_remove(ed: _Editor, spec: dict) -> None:
     del ed.colors[did]
 
 
-def _iii5_insert(ed: _Editor, spec: dict) -> None:
+def _iii5_insert(ed: _Editor, spec: dict, group) -> None:
     ed.new_component()
     ed.h3 += 1
 
 
-def _iii5_remove(ed: _Editor, spec: dict) -> None:
+def _iii5_remove(ed: _Editor, spec: dict, group) -> None:
     uid = _comp_entry(ed, spec["component"], "III-5-remove")
     _require(not ed.comp_nodes[uid],
              f"III-5-remove: undotted component {uid} is not bare")
@@ -502,6 +503,7 @@ def _iii5_remove(ed: _Editor, spec: dict) -> None:
 
 
 def _global_conjugate(ed: _Editor, spec: dict, group) -> None:
+    _require(group is not None, "global-conjugate: no group available; pass group=")
     beta = spec["element"]
     if isinstance(beta, str):
         names = list(group.names)
@@ -513,22 +515,24 @@ def _global_conjugate(ed: _Editor, spec: dict, group) -> None:
         ed.colors[did] = group.element(group.conj(beta, ed.colors[did].index))
 
 
-_PARAM_KEYS = {
-    "I-2-insert": ("over", "over_pos", "under", "under_pos", "sign"),
-    "I-2-remove": ("c1", "c2"),
-    "I-3": ("crossings",),
-    "I-5": ("crossing",),
-    "II-1-insert": ("dot", "disk_pos", "component", "event_pos", "first_down"),
-    "II-1-remove": ("dot", "disk_pos"),
-    "II-5": ("dot",),
-    "II-6": ("dot", "through"),
-    "III-1-slide": ("dot", "over"),
-    "III-1-unslide": ("dot", "over"),
-    "III-4-insert": (),
-    "III-4-remove": ("dot",),
-    "III-5-insert": (),
-    "III-5-remove": ("component",),
-    "global-conjugate": ("element",),
+# name -> (rewrite, parameter names)
+_MOVES = {
+    "I-2-insert": (_i2_insert, ("over", "over_pos", "under", "under_pos", "sign")),
+    "I-2-remove": (_i2_remove, ("c1", "c2")),
+    "I-3": (_i3, ("crossings",)),
+    "I-5": (_i5, ("crossing",)),
+    "II-1-insert": (_ii1_insert,
+                    ("dot", "disk_pos", "component", "event_pos", "first_down")),
+    "II-1-remove": (_ii1_remove, ("dot", "disk_pos")),
+    "II-5": (_ii5, ("dot",)),
+    "II-6": (_ii6, ("dot", "through")),
+    "III-1-slide": (_iii1_slide, ("dot", "over")),
+    "III-1-unslide": (_iii1_unslide, ("dot", "over")),
+    "III-4-insert": (_iii4_insert, ()),
+    "III-4-remove": (_iii4_remove, ("dot",)),
+    "III-5-insert": (_iii5_insert, ()),
+    "III-5-remove": (_iii5_remove, ("component",)),
+    "global-conjugate": (_global_conjugate, ("element",)),
 }
 
 
@@ -541,8 +545,8 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_param_types(name: str, spec: dict) -> None:
-    for key in _PARAM_KEYS[name]:
+def _check_param_types(name: str, params: tuple, spec: dict) -> None:
+    for key in params:
         if key not in spec:
             continue
         v = spec[key]
@@ -554,7 +558,7 @@ def _check_param_types(name: str, spec: dict) -> None:
 
 
 def move_names() -> tuple:
-    return tuple(sorted(_PARAM_KEYS))
+    return tuple(sorted(_MOVES))
 
 
 def apply_move(cd: ColoredDiagram, spec: dict, group=None) -> ColoredDiagram:
@@ -566,50 +570,18 @@ def apply_move(cd: ColoredDiagram, spec: dict, group=None) -> ColoredDiagram:
     if not isinstance(spec, dict) or "move" not in spec:
         raise MoveError("move spec must be a dict with a 'move' key")
     name = spec["move"]
-    if name not in _PARAM_KEYS:
+    if name not in _MOVES:
         raise MoveError(f"unknown move {name!r}")
-    missing = [k for k in _PARAM_KEYS[name]
+    rewrite, params = _MOVES[name]
+    missing = [k for k in params
                if k not in spec and k not in ("sign", "first_down")]
     if missing:
         raise MoveError(f"{name}: missing parameters {missing}")
-    _check_param_types(name, spec)
+    _check_param_types(name, params, spec)
     ed = _Editor(cd)
     if group is None and cd.colors:
         group = next(iter(cd.colors.values())).group
-    if name == "I-2-insert":
-        _i2_insert(ed, spec)
-    elif name == "I-2-remove":
-        _i2_remove(ed, spec)
-    elif name == "I-3":
-        _i3(ed, spec)
-    elif name == "I-5":
-        _i5(ed, spec)
-    elif name == "II-1-insert":
-        _ii1_insert(ed, spec)
-    elif name == "II-1-remove":
-        _ii1_remove(ed, spec)
-    elif name == "II-5":
-        _ii5(ed, spec)
-    elif name == "II-6":
-        _ii6(ed, spec)
-    elif name == "III-1-slide":
-        _iii1_slide(ed, spec)
-    elif name == "III-1-unslide":
-        _iii1_unslide(ed, spec)
-    elif name == "III-4-insert":
-        if group is None:
-            raise MoveError("III-4-insert: no group available; pass group=")
-        _iii4_insert(ed, spec, group.element(group.identity_index))
-    elif name == "III-4-remove":
-        _iii4_remove(ed, spec)
-    elif name == "III-5-insert":
-        _iii5_insert(ed, spec)
-    elif name == "III-5-remove":
-        _iii5_remove(ed, spec)
-    elif name == "global-conjugate":
-        if group is None:
-            raise MoveError("global-conjugate: no group available; pass group=")
-        _global_conjugate(ed, spec, group)
+    rewrite(ed, spec, group)
     try:
         return ed.freeze()
     except DiagramError as exc:  # pragma: no cover - internal bug guard

@@ -79,6 +79,13 @@ def _need(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _need_list(obj: dict, key: str, where: str) -> list:
+    value = _need(obj, key, where)
+    if not isinstance(value, list):
+        raise SerializeError(f"{where}: field {key!r} must be a list")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # groups
 
@@ -331,12 +338,16 @@ def algebra_from_json(obj) -> HopfGAlgebra:
         coproduct[a][i][(p, q)] = _scalar(tb[2:], cond, where)
 
     counit = [[Cyclo.zero(cond) for _ in range(dims[a])] for a in range(G.order)]
+    counit_seen = set()
     for n, block in enumerate(blocks["counit"]):
         where = f"counit block {n}"
         if not isinstance(block, list) or len(block) != 3:
             raise SerializeError(f"{where}: expected [a, i, [term, ...]]")
         a = check_grade(block[0], where)
         i = check_basis(block[1], a, where)
+        if (a, i) in counit_seen:
+            raise SerializeError(f"{where}: duplicate entry for grade {a} basis {i}")
+        counit_seen.add((a, i))
         counit[a][i] = _scalar(block[2], cond, where)
 
     antipode = [[{} for _ in range(dims[a])] for a in range(G.order)]
@@ -431,22 +442,22 @@ _EVENT_KINDS = ("over", "under", "down", "up")
 
 def diagram_from_json(obj) -> KirbyDiagram:
     dotted = []
-    for n, x in enumerate(_need(obj, "dotted", "diagram")):
+    for n, x in enumerate(_need_list(obj, "dotted", "diagram")):
         where = f"dotted component {n}"
         did = _as_int(_need(x, "id", where), where)
         passages = []
-        for ref in _need(x, "passages", where):
+        for ref in _need_list(x, "passages", where):
             if not isinstance(ref, list) or len(ref) != 2:
                 raise SerializeError(f"{where}: passage must be [undotted_id, pos]")
             passages.append((_as_int(ref[0], where), _as_int(ref[1], where)))
         dotted.append(DottedComponent(did, tuple(passages)))
 
     undotted = []
-    for n, u in enumerate(_need(obj, "undotted", "diagram")):
+    for n, u in enumerate(_need_list(obj, "undotted", "diagram")):
         where = f"undotted component {n}"
         uid = _as_int(_need(u, "id", where), where)
         events = []
-        for ev in _need(u, "events", where):
+        for ev in _need_list(u, "events", where):
             if (not isinstance(ev, list) or len(ev) != 2
                     or ev[0] not in _EVENT_KINDS):
                 raise SerializeError(
@@ -460,7 +471,7 @@ def diagram_from_json(obj) -> KirbyDiagram:
         undotted.append(UndottedComponent(uid, tuple(events)))
 
     crossings = []
-    for n, c in enumerate(_need(obj, "crossings", "diagram")):
+    for n, c in enumerate(_need_list(obj, "crossings", "diagram")):
         where = f"crossing {n}"
         cid = _as_int(_need(c, "id", where), where)
         sign = _need(c, "sign", where)

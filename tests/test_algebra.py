@@ -144,6 +144,16 @@ def test_no_two_sided_integral_raises():
         solve_integrals(H)
 
 
+def test_zero_counit_on_a_supported_grade_names_the_grade():
+    # breaks the counit law (HG4): no grade-a vector translates L_1
+    H = builtin_algebra("cyclic:k=2,l=1,d=0")
+    zero = Cyclo.zero(H.conductor)
+    counit = [list(row) for row in H.counit]
+    counit[1] = [zero] * H.dims[1]
+    with pytest.raises(IntegralError, match="counit vanishes on grade a"):
+        solve_integrals(_rebuild(H, counit=counit))
+
+
 def test_cyclic_integrals_closed_form(bank):
     for (k, l, d) in [(1, 1, 0), (2, 3, 1), (3, 4, 2), (1, 6, 5)]:
         H, ints = bank(oracles.spec_of(k, l, d))

@@ -34,8 +34,11 @@ CASES = {
         ["check", "--algebra", "broken-antipode.json", "--format", "json"], 1),
     "check-broken-coproduct-crossing": (
         ["check", "--algebra", "broken-coproduct-crossing.json"], 1),
+    "check-non-unimodular": (["check", "--algebra", "non-unimodular.json"], 1),
     "integrals-kp": (["integrals", *KP], 0),
     "integrals-kp-json": (["integrals", *KP, "--format", "json"], 0),
+    "integrals-non-unimodular": (
+        ["integrals", "--algebra", "non-unimodular.json"], 1),
     "invariant-cp2": (["invariant", *C13, "--diagram", "cp2"], 0),
     "invariant-named-json": (
         ["invariant", *KP, "--diagram", "s1xs3", "--connection", "mu",

@@ -65,6 +65,15 @@ def test_move_spec_validation(bank):
         apply_move(cd, {"move": "I-5"})
 
 
+@pytest.mark.parametrize("spec", [{"move": "III-4-insert"},
+                                  {"move": "global-conjugate", "element": 0}])
+def test_group_moves_need_a_group_on_an_uncolored_diagram(spec):
+    cd = ColoredDiagram(builtin_diagram("cp2"), {})
+    with pytest.raises(MoveError, match=f"^{spec['move']}: no group available; "
+                                        f"pass group=$"):
+        apply_move(cd, spec)
+
+
 # -- I-2: add or cancel a pair of opposite crossings ------------------------------
 
 

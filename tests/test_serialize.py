@@ -120,6 +120,35 @@ def test_diagram_json_validation():
         diagram_from_json(bad)
 
 
+@pytest.mark.parametrize("path", [("dotted",), ("undotted",), ("crossings",),
+                                  ("dotted", 0, "passages"),
+                                  ("undotted", 0, "events")],
+                         ids=lambda path: ".".join(map(str, path)))
+def test_diagram_json_non_list_field_rejected(path):
+    bad = diagram_to_json(builtin_diagram("s1xs1xs2"))
+    parent = bad
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = 5
+    with pytest.raises(SerializeError, match=f"field '{path[-1]}' must be a list"):
+        diagram_from_json(bad)
+
+
+def test_duplicate_counit_block_rejected(tmp_path, capsys):
+    from hopfg.cli import main
+
+    obj = algebra_to_json(builtin_algebra("cyclic:k=2,l=3,d=1"))
+    n = len(obj["counit"])
+    obj["counit"].append(obj["counit"][0])
+    with pytest.raises(SerializeError,
+                       match=f"counit block {n}: duplicate entry for grade 0 basis 0"):
+        algebra_from_json(obj)
+    path = tmp_path / "dup-counit.json"
+    path.write_text(dumps_canonical(obj), encoding="utf-8")
+    assert main(["check", "--algebra", str(path)]) == 2
+    assert f"counit block {n}: duplicate entry" in capsys.readouterr().err
+
+
 def test_resolve_group():
     assert resolve_group("cyclic:6").order == 6
     G = resolve_group("product:cyclic:2,cyclic:2")
