@@ -17,7 +17,7 @@ GradedTensor are built only where a public function returns.
 
 from __future__ import annotations
 
-from .cyclo import Cyclo
+from .cyclo import Cyclo, render_scalar
 from .groups import FiniteGroup, GroupElement
 
 # Size limits on an algebra built from outside input, a JSON file or a
@@ -475,16 +475,19 @@ def embed_two_tensor(H: HopfGAlgebra, t: GradedTensor, pos1: int, pos2: int, ari
                         embed_two_raw(H, t.entries, pos1, pos2, arity))
 
 
-def format_scalar(v: Cyclo) -> str:
-    from .cyclo import render_scalar
-
-    return render_scalar(v)
+def format_raw_tensor(H: HopfGAlgebra, grade_idxs, raw: dict) -> str:
+    """A sparse tensor whose factors have grade indices grade_idxs, term
+    by term in index order."""
+    parts = []
+    for key, v in sorted(raw.items()):
+        names = " (x) ".join(H.basis_name(g, i) for g, i in zip(grade_idxs, key))
+        parts.append(f"({render_scalar(v)})*{names}")
+    return " + ".join(parts) or "0"
 
 
 def format_raw_vector(H: HopfGAlgebra, a: int, raw: dict) -> str:
     """A sparse vector of grade index a, term by term in basis order."""
-    parts = [f"({format_scalar(v)})*{H.basis_name(a, i)}" for i, v in sorted(raw.items())]
-    return " + ".join(parts) or "0"
+    return format_raw_tensor(H, (a,), {(i,): v for i, v in raw.items()})
 
 
 def format_vector(H: HopfGAlgebra, x: GradedVector) -> str:

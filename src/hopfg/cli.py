@@ -23,7 +23,7 @@ from .diagrams import ColoringError, DiagramError, KirbyDiagram, color, fundamen
 from .evaluate import EvaluationError, evaluate, evaluate_summed
 from .groups import GroupError, GroupHom
 from .integrals import solve_integrals
-from .moves import MoveError, apply_move, move_names
+from .moves import MoveError, apply_move
 from .serialize import (
     SerializeError,
     _read_json,
@@ -234,12 +234,6 @@ def cmd_moves(args) -> int:
     script = _read_json(args.script)
     if not isinstance(script, list):
         raise SerializeError("move script must be a JSON list of move objects")
-    for idx, step in enumerate(script):
-        if not isinstance(step, dict) or "move" not in step:
-            raise SerializeError(f"script step {idx} must be an object with 'move'")
-        if step["move"] not in move_names():
-            raise SerializeError(
-                f"script step {idx}: unknown move {step['move']!r}")
 
     hom = _parse_connection(args.connection, H, d)
     cd = color(d, hom)

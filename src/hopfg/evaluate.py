@@ -43,7 +43,7 @@ from .diagrams import (
     connected_sum,
     require_valid,
 )
-from .groups import FiniteGroup, GroupHom, enumerate_homs
+from .groups import GroupHom, enumerate_homs
 from .integrals import IntegralData
 from . import diagrams
 
@@ -305,17 +305,13 @@ def _check_inputs(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
     if integrals.algebra is not H:
         raise EvaluationError("integral data belongs to a different algebra")
     require_valid(cd.diagram)
+    # colors are read as grade indices of H, so their group must have H's
+    # group table (element names may differ)
     for x in cd.colors.values():
-        _require_grading_group(H, x.group)
-
-
-def _require_grading_group(H: HopfGAlgebra, G: FiniteGroup):
-    """Colors are read as grade indices of H, so G must have H's group
-    table (element names may differ)."""
-    if G is not H.group and G.table != H.group.table:
-        raise EvaluationError(
-            f"the coloring group (order {G.order}) is not the algebra's "
-            f"grading group (order {H.group.order})")
+        if x.group is not H.group and x.group.table != H.group.table:
+            raise EvaluationError(
+                f"the coloring group (order {x.group.order}) is not the algebra's "
+                f"grading group (order {H.group.order})")
 
 
 def evaluate(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram) -> InvariantValue:
@@ -389,15 +385,12 @@ def evaluate(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram) -> In
     return InvariantValue(value, bracket, exponent)
 
 
-def evaluate_summed(H: HopfGAlgebra, integrals: IntegralData, d: KirbyDiagram,
-                    G: FiniteGroup | None = None) -> SummedInvariant:
+def evaluate_summed(H: HopfGAlgebra, integrals: IntegralData,
+                    d: KirbyDiagram) -> SummedInvariant:
     """Sum of the invariant over all flat connections, i.e. over all
-    homomorphisms from the diagram's fundamental group into G."""
-    if G is None:
-        G = H.group
-    _require_grading_group(H, G)
+    homomorphisms from the diagram's fundamental group into H's group."""
     pres = diagrams.fundamental_presentation(d)
-    homs = tuple(enumerate_homs(pres, G))
+    homs = tuple(enumerate_homs(pres, H.group))
     values = []
     total = Cyclo.zero(H.conductor)
     for hom in homs:

@@ -113,10 +113,6 @@ class _Editor:
             raise MoveError(f"crossing {cid} not found in the diagram")
         return over, under
 
-    def next_node(self, uid: int, idx: int) -> _Node:
-        nodes = self.comp_nodes[uid]
-        return nodes[(idx + 1) % len(nodes)]
-
     def cyclically_adjacent(self, na: _Node, nb: _Node, pos: dict):
         """Return (uid, first-node) if na, nb are consecutive strand events."""
         ua, ia = pos[id(na)]
@@ -570,7 +566,7 @@ def apply_move(cd: ColoredDiagram, spec: dict, group=None) -> ColoredDiagram:
     if not isinstance(spec, dict) or "move" not in spec:
         raise MoveError("move spec must be a dict with a 'move' key")
     name = spec["move"]
-    if name not in _MOVES:
+    if not isinstance(name, str) or name not in _MOVES:
         raise MoveError(f"unknown move {name!r}")
     rewrite, params = _MOVES[name]
     missing = [k for k in params

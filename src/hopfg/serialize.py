@@ -13,8 +13,11 @@ structure maps store only their nonzero entries as index blocks:
   rmatrix    [i, j, [term, ...]]
 
 where a, b are group element indices and i, j, p, q, t basis indices.
-Blocks are sorted by their index tuple, so a given object always dumps
-to the same bytes.
+The table ``_LAYOUT`` owns this layout: the loader reads every block
+through it and the dump writes every block from it.  Blocks are sorted
+by their index tuple, so a given object always dumps to the same bytes.
+Zero entries are never stored or dumped: a block whose value is zero is
+checked like any other, then dropped.
 """
 
 from __future__ import annotations
@@ -42,10 +45,6 @@ from .groups import FiniteGroup, GroupError, cyclic_group, product_group
 
 class SerializeError(ValueError):
     """Raised for malformed or inconsistent serialized data."""
-
-
-_BLOCK_FIELDS = ("unit", "product", "coproduct", "counit", "antipode",
-                 "crossing", "rmatrix")
 
 
 def dumps_canonical(obj) -> str:
@@ -165,13 +164,8 @@ def resolve_group(spec: str) -> FiniteGroup:
 # scalars
 
 
-def _terms(v: Cyclo, conductor: int) -> list:
-    return render_scalar_terms(v.lift(conductor))
-
-
-def _scalar(terms, conductor: int, where: str) -> Cyclo:
-    if not isinstance(terms, list) or not terms or not all(
-            isinstance(t, str) for t in terms):
+def _scalar(terms: list, conductor: int, where: str) -> Cyclo:
+    if not terms or not all(isinstance(t, str) for t in terms):
         raise SerializeError(f"{where}: expected a nonempty list of scalar terms")
     total = Cyclo.zero(conductor)
     for t in terms:
@@ -182,64 +176,87 @@ def _scalar(terms, conductor: int, where: str) -> Cyclo:
     return total
 
 
-def _target_block(block, conductor: int, where: str):
-    """Split [t, term, ...] into (t, scalar)."""
-    if not isinstance(block, list) or len(block) < 2:
-        raise SerializeError(f"{where}: expected [target_index, term, ...]")
-    t = _as_int(block[0], where)
-    return t, _scalar(block[1:], conductor, where)
-
-
 # ---------------------------------------------------------------------------
 # algebras
+
+# field -> (leading indices, target indices that open the innermost list);
+# a block is [*leading, [*target, term, ...]], or the innermost list alone
+# when there are no leading indices.  a and b are grades.
+_LAYOUT = {
+    "unit": ((), ("t",)),
+    "product": (("a", "b", "i", "j"), ("t",)),
+    "coproduct": (("a", "i"), ("p", "q")),
+    "counit": (("a", "i"), ()),
+    "antipode": (("a", "i"), ("t",)),
+    "crossing": (("b", "a", "i"), ("t",)),
+    "rmatrix": (("i", "j"), ()),
+}
+
+
+def _shape(field: str) -> str:
+    lead, target = _LAYOUT[field]
+    inner = "[" + ", ".join(target + ("term", "...")) + "]"
+    return "[" + ", ".join(lead + (inner,)) + "]" if lead else inner
+
+
+def _entry_name(lead: tuple, idx: tuple) -> str:
+    """'grade a,b basis i,j target t': the indices of one entry."""
+    groups = (("grade", [x for k, x in zip(lead, idx) if k in "ab"]),
+              ("basis", [x for k, x in zip(lead, idx) if k not in "ab"]),
+              ("target", idx[len(lead):]))
+    return " ".join(f"{word} {','.join(map(str, xs))}" for word, xs in groups if xs)
+
+
+def _read_blocks(blocks: list, field: str, conductor: int):
+    """Yield (where, index tuple, scalar) for each block of one field.
+
+    The indices are checked to be integers but not to be in range; a
+    second block for the same indices is rejected, whatever its value.
+    """
+    lead, target = _LAYOUT[field]
+    seen = set()
+    for n, block in enumerate(blocks):
+        where = f"{field} block {n}"
+        ok = isinstance(block, list) and (not lead or len(block) == len(lead) + 1)
+        inner = block[-1] if ok and lead else block
+        if not (ok and isinstance(inner, list) and len(inner) >= len(target)):
+            raise SerializeError(f"{where}: expected {_shape(field)}")
+        idx = tuple(_as_int(x, where) for x in block[:len(lead)] + inner[:len(target)])
+        if idx in seen:
+            raise SerializeError(
+                f"{where}: duplicate entry for {_entry_name(lead, idx)}")
+        seen.add(idx)
+        yield where, idx, _scalar(inner[len(target):], conductor, where)
+
+
+def _entries(H: HopfGAlgebra) -> dict:
+    """field -> H's entries as (index tuple, scalar), indexed as in _LAYOUT."""
+    cells = [(a, i) for a in H.support for i in range(H.dims[a])]
+    return {
+        "unit": (((t,), v) for t, v in H.unit.items()),
+        "product": (((a, b, i, j, t), v) for (a, b), tab in H.product.items()
+                    for (i, j), vec in tab.items() for t, v in vec.items()),
+        "coproduct": (((a, i, p, q), v) for a, i in cells
+                      for (p, q), v in H.coproduct[a][i].items()),
+        "counit": (((a, i), H.counit[a][i]) for a, i in cells),
+        "antipode": (((a, i, t), v) for a, i in cells
+                     for t, v in H.antipode[a][i].items()),
+        "crossing": (((b, a, i, t), v) for (b, a), rows in H.crossing.items()
+                     for i, row in enumerate(rows) for t, v in row.items()),
+        "rmatrix": H.rmatrix.items(),
+    }
 
 
 def algebra_to_json(H: HopfGAlgebra) -> dict:
     cond = H.conductor
-    order = H.group.order
-
-    unit = [[t] + _terms(v, cond) for t, v in sorted(H.unit.items())]
-
-    product = []
-    for a in H.support:
-        for b in H.support:
-            for (i, j), vec in sorted(H.product[(a, b)].items()):
-                for t, v in sorted(vec.items()):
-                    product.append([a, b, i, j, [t] + _terms(v, cond)])
-
-    coproduct = []
-    counit = []
-    antipode = []
-    for a in H.support:
-        for i in range(H.dims[a]):
-            for (p, q), v in sorted(H.coproduct[a][i].items()):
-                coproduct.append([a, i, [p, q] + _terms(v, cond)])
-            if H.counit[a][i]:
-                counit.append([a, i, _terms(H.counit[a][i], cond)])
-            for t, v in sorted(H.antipode[a][i].items()):
-                antipode.append([a, i, [t] + _terms(v, cond)])
-
-    crossing = []
-    for b in range(order):
-        for a in H.support:
-            for i in range(H.dims[a]):
-                for t, v in sorted(H.crossing[(b, a)][i].items()):
-                    crossing.append([b, a, i, [t] + _terms(v, cond)])
-
-    rmatrix = [[i, j, _terms(v, cond)] for (i, j), v in sorted(H.rmatrix.items())]
-
-    out = {
-        "conductor": cond,
-        "group": group_to_json(H.group),
-        "dims": list(H.dims),
-        "unit": unit,
-        "product": product,
-        "coproduct": coproduct,
-        "counit": counit,
-        "antipode": antipode,
-        "crossing": crossing,
-        "rmatrix": rmatrix,
-    }
+    out = {"conductor": cond, "group": group_to_json(H.group), "dims": list(H.dims)}
+    for field, entries in _entries(H).items():
+        n = len(_LAYOUT[field][0])
+        blocks = out[field] = []
+        for idx, v in sorted(entries):
+            if v:
+                inner = [*idx[n:], *render_scalar_terms(v.lift(cond))]
+                blocks.append([*idx[:n], inner] if n else inner)
     if H.name:
         out["name"] = H.name
     if H.basis_names is not None:
@@ -265,11 +282,7 @@ def algebra_from_json(obj) -> HopfGAlgebra:
     support = [a for a in range(G.order) if dims[a] > 0]
 
     # checked before any table is allocated from dims
-    blocks = {}
-    for key in _BLOCK_FIELDS:
-        blocks[key] = _need(obj, key, "algebra")
-        if not isinstance(blocks[key], list):
-            raise SerializeError(f"{key}: expected a list of blocks")
+    blocks = {field: _need_list(obj, field, "algebra") for field in _LAYOUT}
     total = sum(dims[a] for a in support)
     if total > MAX_DIMENSION:
         raise SerializeError(
@@ -280,115 +293,70 @@ def algebra_from_json(obj) -> HopfGAlgebra:
             f"dims: {total} basis vectors but only {len(blocks['coproduct'])} "
             f"coproduct blocks; each basis vector needs at least one")
 
-    def check_grade(a, where, allow_any=False):
-        a = _as_int(a, where)
+    def check(where, a, *basis, any_grade=False):
+        """Grade a is in range and, unless any_grade, supported; each
+        basis index is in range for grade a."""
         if not 0 <= a < G.order:
             raise SerializeError(f"{where}: grade {a} out of range")
-        if not allow_any and dims[a] == 0:
+        if not any_grade and dims[a] == 0:
             raise SerializeError(f"{where}: grade {a} has dimension 0")
-        return a
+        for i in basis:
+            if not 0 <= i < dims[a]:
+                raise SerializeError(
+                    f"{where}: basis index {i} out of range for grade {a}")
 
-    def check_basis(i, a, where):
-        i = _as_int(i, where)
-        if not 0 <= i < dims[a]:
-            raise SerializeError(
-                f"{where}: basis index {i} out of range for grade {a}")
-        return i
+    def read(field):
+        return _read_blocks(blocks[field], field, cond)
 
+    # each loop checks the ranges of its indices and stores nonzero entries
+    e = G.identity_index
     unit = {}
-    for n, block in enumerate(blocks["unit"]):
-        where = f"unit block {n}"
-        t, v = _target_block(block, cond, where)
-        t = check_basis(t, G.identity_index, where)
-        if t in unit:
-            raise SerializeError(f"{where}: duplicate entry for index {t}")
-        unit[t] = v
+    for where, (t,), v in read("unit"):
+        check(where, e, t)
+        if v:
+            unit[t] = v
 
     product = {(a, b): {(i, j): {} for i in range(dims[a]) for j in range(dims[b])}
                for a in support for b in support}
-    for n, block in enumerate(blocks["product"]):
-        where = f"product block {n}"
-        if not isinstance(block, list) or len(block) != 5:
-            raise SerializeError(f"{where}: expected [a, b, i, j, [t, term, ...]]")
-        a = check_grade(block[0], where)
-        b = check_grade(block[1], where)
-        i = check_basis(block[2], a, where)
-        j = check_basis(block[3], b, where)
-        t, v = _target_block(block[4], cond, where)
-        t = check_basis(t, G.table[a][b], where)
-        vec = product[(a, b)][(i, j)]
-        if t in vec:
-            raise SerializeError(f"{where}: duplicate target {t}")
-        vec[t] = v
+    for where, (a, b, i, j, t), v in read("product"):
+        check(where, a, i)
+        check(where, b, j)
+        check(where, G.table[a][b], t)
+        if v:
+            product[(a, b)][(i, j)][t] = v
 
     coproduct = [[{} for _ in range(dims[a])] for a in range(G.order)]
-    for n, block in enumerate(blocks["coproduct"]):
-        where = f"coproduct block {n}"
-        if not isinstance(block, list) or len(block) != 3:
-            raise SerializeError(f"{where}: expected [a, i, [p, q, term, ...]]")
-        a = check_grade(block[0], where)
-        i = check_basis(block[1], a, where)
-        tb = block[2]
-        if not isinstance(tb, list) or len(tb) < 3:
-            raise SerializeError(f"{where}: expected [p, q, term, ...]")
-        p = check_basis(tb[0], a, where)
-        q = check_basis(tb[1], a, where)
-        if (p, q) in coproduct[a][i]:
-            raise SerializeError(f"{where}: duplicate target ({p},{q})")
-        coproduct[a][i][(p, q)] = _scalar(tb[2:], cond, where)
+    for where, (a, i, p, q), v in read("coproduct"):
+        check(where, a, i, p, q)
+        if v:
+            coproduct[a][i][(p, q)] = v
 
     counit = [[Cyclo.zero(cond) for _ in range(dims[a])] for a in range(G.order)]
-    counit_seen = set()
-    for n, block in enumerate(blocks["counit"]):
-        where = f"counit block {n}"
-        if not isinstance(block, list) or len(block) != 3:
-            raise SerializeError(f"{where}: expected [a, i, [term, ...]]")
-        a = check_grade(block[0], where)
-        i = check_basis(block[1], a, where)
-        if (a, i) in counit_seen:
-            raise SerializeError(f"{where}: duplicate entry for grade {a} basis {i}")
-        counit_seen.add((a, i))
-        counit[a][i] = _scalar(block[2], cond, where)
+    for where, (a, i), v in read("counit"):
+        check(where, a, i)
+        counit[a][i] = v
 
     antipode = [[{} for _ in range(dims[a])] for a in range(G.order)]
-    for n, block in enumerate(blocks["antipode"]):
-        where = f"antipode block {n}"
-        if not isinstance(block, list) or len(block) != 3:
-            raise SerializeError(f"{where}: expected [a, i, [t, term, ...]]")
-        a = check_grade(block[0], where)
-        i = check_basis(block[1], a, where)
-        t, v = _target_block(block[2], cond, where)
-        t = check_basis(t, G.inverses[a], where)
-        if t in antipode[a][i]:
-            raise SerializeError(f"{where}: duplicate target {t}")
-        antipode[a][i][t] = v
+    for where, (a, i, t), v in read("antipode"):
+        check(where, a, i)
+        check(where, G.inverses[a], t)
+        if v:
+            antipode[a][i][t] = v
 
     crossing = {(b, a): [{} for _ in range(dims[a])]
                 for b in range(G.order) for a in support}
-    for n, block in enumerate(blocks["crossing"]):
-        where = f"crossing block {n}"
-        if not isinstance(block, list) or len(block) != 4:
-            raise SerializeError(f"{where}: expected [b, a, i, [t, term, ...]]")
-        b = check_grade(block[0], where, allow_any=True)
-        a = check_grade(block[1], where)
-        i = check_basis(block[2], a, where)
-        t, v = _target_block(block[3], cond, where)
-        t = check_basis(t, G.conj(b, a), where)
-        if t in crossing[(b, a)][i]:
-            raise SerializeError(f"{where}: duplicate target {t}")
-        crossing[(b, a)][i][t] = v
+    for where, (b, a, i, t), v in read("crossing"):
+        check(where, b, any_grade=True)
+        check(where, a, i)
+        check(where, G.conj(b, a), t)
+        if v:
+            crossing[(b, a)][i][t] = v
 
     rmatrix = {}
-    e = G.identity_index
-    for n, block in enumerate(blocks["rmatrix"]):
-        where = f"rmatrix block {n}"
-        if not isinstance(block, list) or len(block) != 3:
-            raise SerializeError(f"{where}: expected [i, j, [term, ...]]")
-        i = check_basis(block[0], e, where)
-        j = check_basis(block[1], e, where)
-        if (i, j) in rmatrix:
-            raise SerializeError(f"{where}: duplicate entry ({i},{j})")
-        rmatrix[(i, j)] = _scalar(block[2], cond, where)
+    for where, (i, j), v in read("rmatrix"):
+        check(where, e, i, j)
+        if v:
+            rmatrix[(i, j)] = v
 
     name = obj.get("name")
     basis_names = obj.get("basis_names")

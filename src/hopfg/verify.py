@@ -17,6 +17,7 @@ from .algebra import (
     apply_rows,
     apply_rows_at,
     embed_two_raw,
+    format_raw_tensor,
     format_raw_vector,
     slot_rows,
 )
@@ -48,16 +49,6 @@ class AxiomReport:
 
     def __str__(self):
         return "\n".join(self.lines())
-
-
-def _fmt_raw_tensor(H, grade_idxs, raw):
-    if not raw:
-        return "0"
-    parts = []
-    for key in sorted(raw):
-        names = " (x) ".join(H.basis_name(g, i) for g, i in zip(grade_idxs, key))
-        parts.append(f"({render_scalar(raw[key])})*{names}")
-    return " + ".join(parts)
 
 
 def _grade_names(H, idxs):
@@ -164,8 +155,8 @@ def _check_coassociative(H):
             if lhs != rhs:
                 return (
                     f"grade {H.group.names[a]} basis {i}: "
-                    f"(D(x)id)D = {_fmt_raw_tensor(H, (a, a, a), lhs)} but "
-                    f"(id(x)D)D = {_fmt_raw_tensor(H, (a, a, a), rhs)}"
+                    f"(D(x)id)D = {format_raw_tensor(H, (a, a, a), lhs)} but "
+                    f"(id(x)D)D = {format_raw_tensor(H, (a, a, a), rhs)}"
                 )
     return None
 
@@ -209,8 +200,8 @@ def _check_coproduct_mult(H):
                     if lhs != rhs:
                         return (
                             f"grades {_grade_names(H, (a, b))} basis ({i},{j}): "
-                            f"D(xy) = {_fmt_raw_tensor(H, (ab, ab), lhs)} but "
-                            f"D(x)D(y) = {_fmt_raw_tensor(H, (ab, ab), rhs)}"
+                            f"D(xy) = {format_raw_tensor(H, (ab, ab), lhs)} but "
+                            f"D(x)D(y) = {format_raw_tensor(H, (ab, ab), rhs)}"
                         )
     return None
 
@@ -240,8 +231,8 @@ def _check_coproduct_unit(H):
     rhs = _unit_unit(H)
     if lhs != rhs:
         return (
-            f"D(1) = {_fmt_raw_tensor(H, (e, e), lhs)} but "
-            f"1(x)1 = {_fmt_raw_tensor(H, (e, e), rhs)}"
+            f"D(1) = {format_raw_tensor(H, (e, e), lhs)} but "
+            f"1(x)1 = {format_raw_tensor(H, (e, e), rhs)}"
         )
     return None
 
@@ -318,8 +309,8 @@ def _check_crossing_coalgebra(H):
                 if lhs != rhs:
                     return (
                         f"(beta,alpha)=({G.names[b]},{G.names[a]}) basis {i}: "
-                        f"D(phi(x)) = {_fmt_raw_tensor(H, (target, target), lhs)} but "
-                        f"(phi(x)phi)D(x) = {_fmt_raw_tensor(H, (target, target), rhs)}"
+                        f"D(phi(x)) = {format_raw_tensor(H, (target, target), lhs)} but "
+                        f"(phi(x)phi)D(x) = {format_raw_tensor(H, (target, target), rhs)}"
                     )
                 lhs_eps = H.counit_raw(target, phi[i])
                 if lhs_eps != H.counit[a][i]:
@@ -404,8 +395,8 @@ def _check_r_left(H):
     _, rhs = _tensor_mul_raw(H, (e,) * 3, _r3(H, 0, 2), (e,) * 3, _r3(H, 1, 2))
     if lhs != rhs:
         return (
-            f"(D(x)id)R = {_fmt_raw_tensor(H, (e, e, e), lhs)} but "
-            f"R13*R23 = {_fmt_raw_tensor(H, (e, e, e), rhs)}"
+            f"(D(x)id)R = {format_raw_tensor(H, (e, e, e), lhs)} but "
+            f"R13*R23 = {format_raw_tensor(H, (e, e, e), rhs)}"
         )
     return None
 
@@ -416,8 +407,8 @@ def _check_r_right(H):
     _, rhs = _tensor_mul_raw(H, (e,) * 3, _r3(H, 0, 2), (e,) * 3, _r3(H, 0, 1))
     if lhs != rhs:
         return (
-            f"(id(x)D)R = {_fmt_raw_tensor(H, (e, e, e), lhs)} but "
-            f"R13*R12 = {_fmt_raw_tensor(H, (e, e, e), rhs)}"
+            f"(id(x)D)R = {format_raw_tensor(H, (e, e, e), lhs)} but "
+            f"R13*R12 = {format_raw_tensor(H, (e, e, e), rhs)}"
         )
     return None
 
@@ -433,8 +424,8 @@ def _check_r_intertwine(H):
             if lhs != rhs:
                 return (
                     f"grade {H.group.names[a]} basis {i}: "
-                    f"R*D(x) = {_fmt_raw_tensor(H, (a, a), lhs)} but "
-                    f"Dcop(x)*R = {_fmt_raw_tensor(H, (a, a), rhs)}"
+                    f"R*D(x) = {format_raw_tensor(H, (a, a), lhs)} but "
+                    f"Dcop(x)*R = {format_raw_tensor(H, (a, a), rhs)}"
                 )
     return None
 
@@ -447,7 +438,7 @@ def _check_r_crossing(H):
         if out != H.rmatrix:
             return (
                 f"beta={G.names[b]}: (phi(x)phi)R = "
-                f"{_fmt_raw_tensor(H, (e, e), out)}"
+                f"{format_raw_tensor(H, (e, e), out)}"
             )
     return None
 
@@ -458,10 +449,10 @@ def _check_r_invertible(H):
     want = _unit_unit(H)
     _, left = _tensor_mul_raw(H, (e, e), rinv, (e, e), H.rmatrix)
     if left != want:
-        return f"(S(x)id)R * R = {_fmt_raw_tensor(H, (e, e), left)}"
+        return f"(S(x)id)R * R = {format_raw_tensor(H, (e, e), left)}"
     _, right = _tensor_mul_raw(H, (e, e), H.rmatrix, (e, e), rinv)
     if right != want:
-        return f"R * (S(x)id)R = {_fmt_raw_tensor(H, (e, e), right)}"
+        return f"R * (S(x)id)R = {format_raw_tensor(H, (e, e), right)}"
     return None
 
 
@@ -475,8 +466,8 @@ def _check_yang_baxter(H):
     _, rhs = _tensor_mul_raw(H, g3, rhs, g3, r12)
     if lhs != rhs:
         return (
-            f"R12*R13*R23 = {_fmt_raw_tensor(H, g3, lhs)} but "
-            f"R23*R13*R12 = {_fmt_raw_tensor(H, g3, rhs)}"
+            f"R12*R13*R23 = {format_raw_tensor(H, g3, lhs)} but "
+            f"R23*R13*R12 = {format_raw_tensor(H, g3, rhs)}"
         )
     return None
 

@@ -15,14 +15,13 @@ from hopfg import (
 )
 from hopfg.algebra import (
     embed_two_tensor,
-    format_scalar,
     format_vector,
     tensor_antipode_at,
     tensor_apply,
     tensor_mul,
     tensor_swap,
 )
-from hopfg.cyclo import Cyclo
+from hopfg.cyclo import Cyclo, render_scalar
 
 SPECS = ["cyclic:k=2,l=3,d=1", "cyclic:k=1,l=4,d=3", "kac-paljutkin"]
 
@@ -327,7 +326,7 @@ def test_tensor_swap_and_apply(bank):
 
 def test_formatting_helpers(bank):
     H, _ = bank("cyclic:k=1,l=3,d=1")
-    assert format_scalar(Cyclo.rational(1, 2)) == "1/2"
+    assert render_scalar(Cyclo.rational(1, 2)) == "1/2"
     text = format_vector(H, H.unit_vec())
     assert "g^0" in text
     assert format_vector(H, H.basis_vector(H.group.identity, 0).scaled(Cyclo.zero(3))) == "0"

@@ -199,6 +199,15 @@ def test_moves_script_validation(capsys, tmp_path):
     assert "must be a JSON list" in err
 
 
+def test_non_object_script_step_exits_2(capsys, tmp_path):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([5]))
+    code, out, err = run(capsys, "moves", "--algebra", "cyclic:k=1,l=2,d=1",
+                         "--diagram", "cp2", "--script", str(script))
+    assert code == 2 and out == ""
+    assert err == "error: script step 0: move spec must be a dict with a 'move' key\n"
+
+
 def test_moves_inapplicable_step(capsys, tmp_path):
     script = tmp_path / "script.json"
     script.write_text(json.dumps([{"move": "III-4-remove", "dot": 0}]))

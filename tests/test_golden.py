@@ -2,7 +2,7 @@
 compared byte for byte with files under tests/golden/.
 
 The commands run in-process from inside tests/golden/, so the input files
-there (two broken algebras, a braid closure, move scripts) are
+there (broken algebras, a braid closure, move scripts) are
 named by relative paths and the captures hold no machine-specific text.
 To capture a new case, add it to CASES and, from a Python session
 started in tests/golden/ on the commit whose output is to be kept, write
@@ -58,6 +58,7 @@ CASES = {
     "export-connected-sum": (
         ["export", "--diagram", "connected-sum:s1xs1xs2,cp2"], 0),
     "export-algebra": (["export", "--algebra", "cyclic:k=2,l=2,d=1"], 0),
+    "export-kac-paljutkin": (["export", *KP], 0),
     "error-missing-diagram": (["invariant", *C13, "--diagram", "nosuch"], 2),
     "error-connection-range": (
         ["invariant", *C13, "--diagram", "s1xs3", "--connection", "5"], 2),
@@ -76,6 +77,9 @@ CASES = {
         ["invariant", *KP, "--diagram", "one-passage.json",
          "--connection", "mu"], 2),
     "error-algebra-field": (["check", "--algebra", "bad-algebra.json"], 2),
+    "error-product-block": (["check", "--algebra", "bad-product-block.json"], 2),
+    "error-crossing-grade": (
+        ["check", "--algebra", "bad-crossing-grade.json"], 2),
     "error-export-none": (["export"], 2),
     "error-export-both": (["export", *KP, "--diagram", "cp2"], 2),
     "error-not-json": (["check", "--algebra", "script.txt"], 2),

@@ -65,6 +65,12 @@ def test_move_spec_validation(bank):
         apply_move(cd, {"move": "I-5"})
 
 
+def test_unhashable_move_name_is_a_move_error():
+    cd = _trivial(builtin_diagram("cp2"))
+    with pytest.raises(MoveError, match=r"unknown move \['x'\]"):
+        apply_move(cd, {"move": ["x"]})
+
+
 @pytest.mark.parametrize("spec", [{"move": "III-4-insert"},
                                   {"move": "global-conjugate", "element": 0}])
 def test_group_moves_need_a_group_on_an_uncolored_diagram(spec):

@@ -149,6 +149,53 @@ def test_duplicate_counit_block_rejected(tmp_path, capsys):
     assert f"counit block {n}: duplicate entry" in capsys.readouterr().err
 
 
+# the number of target indices that open each field's innermost list; a
+# unit block is its own innermost list
+_TARGETS = {"unit": 1, "product": 1, "coproduct": 2, "counit": 0,
+            "antipode": 1, "crossing": 1, "rmatrix": 0}
+
+
+def _without_terms(field, block):
+    n = _TARGETS[field]
+    return block[:n] if field == "unit" else block[:-1] + [block[-1][:n]]
+
+
+@pytest.mark.parametrize("fault", ["non-list", "short", "non-int", "no-terms",
+                                   "duplicate"])
+@pytest.mark.parametrize("field", sorted(_TARGETS))
+def test_malformed_block_names_field_and_block(field, fault):
+    obj = algebra_to_json(builtin_algebra("cyclic:k=2,l=3,d=1"))
+    blocks = obj[field]
+    first = blocks[0]
+    n = 0
+    if fault == "duplicate":
+        n = len(blocks)
+        blocks.append(first)
+    else:
+        blocks[0] = {"non-list": 7, "short": first[:1],
+                     "non-int": ["0", *first[1:]],
+                     "no-terms": _without_terms(field, first)}[fault]
+    with pytest.raises(SerializeError, match=rf"^{field} block {n}: "):
+        algebra_from_json(obj)
+
+
+@pytest.mark.parametrize("field, block", [
+    ("product", [0, 0, 0, 0, [1, "0"]]),
+    ("coproduct", [0, 0, [0, 1, "0"]]),
+    ("antipode", [0, 0, [1, "0"]]),
+    ("crossing", [0, 0, 0, [1, "0"]]),
+])
+def test_zero_block_survives_export_and_reload(field, block):
+    H0 = builtin_algebra("cyclic:k=1,l=2,d=0")
+    obj = algebra_to_json(H0)
+    obj[field].append(block)
+    H = algebra_from_json(obj)
+    assert H == H0
+    dumped = algebra_to_json(H)
+    assert dumped[field] == algebra_to_json(H0)[field]
+    assert algebra_from_json(json.loads(dumps_canonical(dumped))) == H
+
+
 def test_resolve_group():
     assert resolve_group("cyclic:6").order == 6
     G = resolve_group("product:cyclic:2,cyclic:2")
