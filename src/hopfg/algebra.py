@@ -189,7 +189,7 @@ class HopfGAlgebra:
       rmatrix[(i,j)]               Cyclo, element of H_1 (x) H_1
 
     Construction validates dimensional consistency, totality of all maps,
-    scalar conductors, and that the supported grades form a subgroup.
+    scalar conductors, and that the supported grades form a normal subgroup.
     """
 
     def __init__(self, group: FiniteGroup, dims, conductor: int, product, unit,
@@ -234,6 +234,12 @@ class HopfGAlgebra:
                     raise AlgebraStructureError(
                         f"supported grades not closed under product at "
                         f"({G.names[a]},{G.names[b]})")
+            # the crossing maps H_a onto H_{bab^-1}, so the support is normal
+            for b in range(G.order):
+                if G.conj(b, a) not in sset:
+                    raise AlgebraStructureError(
+                        f"supported grades not closed under conjugation at "
+                        f"(beta,alpha)=({G.names[b]},{G.names[a]})")
         self.support = tuple(support)
 
         def check_vec(vec: dict, grade: int, what: str):
@@ -351,9 +357,6 @@ class HopfGAlgebra:
         target = self.group.element(self.group.conj(beta.index, a))
         return GradedVector(target, apply_rows(self.crossing[(beta.index, a)], x.entries))
 
-    def eval_counit(self, x: GradedVector) -> Cyclo:
-        return self.counit_raw(x.grade.index, x.entries)
-
     def coproduct_power(self, x: GradedVector, nfactors: int) -> GradedTensor:
         """Delta^{(nfactors-1)}(x) as an nfactors-fold tensor; nfactors=1 is x."""
         if nfactors < 1:
@@ -368,10 +371,6 @@ class HopfGAlgebra:
     def r_tensor(self) -> GradedTensor:
         e = self.group.identity
         return GradedTensor((e, e), dict(self.rmatrix))
-
-    def r_inverse_tensor(self) -> GradedTensor:
-        e = self.group.identity
-        return GradedTensor((e, e), self.r_inverse_raw())
 
     # -- equality (used by serialization round-trip tests) --------------------
 
@@ -432,17 +431,6 @@ def _tensor_mul_raw(H: HopfGAlgebra, ga, sa: dict, gb, sb: dict):
             for idxs, c in partial:
                 add_into(out, idxs, c)
     return gout, out
-
-
-def tensor_apply(H: HopfGAlgebra, t: GradedTensor, pos: int, rows, target_grade: GroupElement) -> GradedTensor:
-    """Apply the linear map given by sparse rows to factor pos."""
-    grades = t.grades[:pos] + (target_grade,) + t.grades[pos + 1:]
-    return GradedTensor(grades, apply_rows_at(t.entries, pos, slot_rows(rows)))
-
-
-def tensor_antipode_at(H: HopfGAlgebra, t: GradedTensor, pos: int) -> GradedTensor:
-    g = t.grades[pos]
-    return tensor_apply(H, t, pos, H.antipode[g.index], g.inv)
 
 
 def tensor_swap(t: GradedTensor) -> GradedTensor:

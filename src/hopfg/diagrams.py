@@ -107,10 +107,11 @@ def validate(d: KirbyDiagram):
     problems = []
     uids = [u.id for u in d.undotted]
     dids = [x.id for x in d.dotted]
+    dot_ids = set(dids)
     cids = [c.id for c in d.crossings]
     if len(set(uids)) != len(uids):
         problems.append("duplicate undotted component ids")
-    if len(set(dids)) != len(dids):
+    if len(dot_ids) != len(dids):
         problems.append("duplicate dotted component ids")
     if len(set(cids)) != len(cids):
         problems.append("duplicate crossing ids")
@@ -128,7 +129,7 @@ def validate(d: KirbyDiagram):
                 else:
                     crossing_roles[ev.crossing].append(ev.over)
             elif isinstance(ev, DotPassage):
-                if ev.dot not in set(dids):
+                if ev.dot not in dot_ids:
                     problems.append(
                         f"undotted {u.id} passes through unknown dot {ev.dot}")
                 dot_events[(u.id, pos)] = ev

@@ -1,9 +1,10 @@
 """Exhaustive axiom verification for Hopf G-algebras.
 
 Every check runs over all supported grade tuples and all basis tuples,
-in deterministic ascending order, and reports the first witness when it
-fails.  Nothing is sampled; the dimensions involved make full sweeps
-cheap.
+in deterministic ascending order, and returns the text of the first
+witness when it fails (``_witness`` builds every such text) or falls
+off the end when it passes.  Nothing is sampled; the dimensions
+involved make full sweeps cheap.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .algebra import (
     format_raw_vector,
     slot_rows,
 )
-from .cyclo import render_scalar
+from .cyclo import Cyclo, render_scalar
 
 
 class AxiomReport:
@@ -49,6 +50,26 @@ class AxiomReport:
 
     def __str__(self):
         return "\n".join(self.lines())
+
+
+def _witness(H, where, grades, *sides):
+    """The failure text '<where>: <label> <value> but <label> <value> ...'.
+
+    Each side is a (label, value) pair, the label ending in its relation
+    ('(xy)z =', 'inverse crossing gives').  A value is a scalar, a sparse
+    vector of grade index grades, or a sparse tensor whose factors have
+    the grade indices in the tuple grades.  Values are shown lifted to
+    H's conductor, so every exponent counts powers of one root of unity.
+    """
+    def show(v):
+        if isinstance(v, Cyclo):
+            return render_scalar(v.lift(H.conductor))
+        v = {k: x.lift(H.conductor) for k, x in v.items()}
+        if isinstance(grades, tuple):
+            return format_raw_tensor(H, grades, v)
+        return format_raw_vector(H, grades, v)
+    text = " but ".join(f"{label} {show(v)}" for label, v in sides)
+    return f"{where}: {text}" if where else text
 
 
 def _grade_names(H, idxs):
@@ -104,27 +125,23 @@ def verify_axioms(H: HopfGAlgebra) -> AxiomReport:
 
 
 def _check_associative(H):
+    G = H.group
     one = H.one()
     for a in H.support:
         for b in H.support:
-            ab = H.group.table[a][b]
+            ab = G.table[a][b]
             for c in H.support:
-                bc = H.group.table[b][c]
+                bc = G.table[b][c]
                 for i in range(H.dims[a]):
                     for j in range(H.dims[b]):
-                        xy = H.mul_raw(a, b, {i: one}, {j: one})
+                        xy = H.product[(a, b)][(i, j)]
                         for k in range(H.dims[c]):
                             lhs = H.mul_raw(ab, c, xy, {k: one})
-                            yz = H.mul_raw(b, c, {j: one}, {k: one})
-                            rhs = H.mul_raw(a, bc, {i: one}, yz)
+                            rhs = H.mul_raw(a, bc, {i: one}, H.product[(b, c)][(j, k)])
                             if lhs != rhs:
-                                abc = H.group.table[ab][c]
-                                return (
-                                    f"grades {_grade_names(H, (a, b, c))} basis ({i},{j},{k}): "
-                                    f"(xy)z = {format_raw_vector(H, abc, lhs)} but "
-                                    f"x(yz) = {format_raw_vector(H, abc, rhs)}"
-                                )
-    return None
+                                return _witness(
+                                    H, f"grades {_grade_names(H, (a, b, c))} basis ({i},{j},{k})",
+                                    G.table[ab][c], ("(xy)z =", lhs), ("x(yz) =", rhs))
 
 
 def _check_unit(H):
@@ -132,18 +149,10 @@ def _check_unit(H):
     one = H.one()
     for a in H.support:
         for i in range(H.dims[a]):
-            left = H.mul_raw(e, a, H.unit, {i: one})
-            right = H.mul_raw(a, e, {i: one}, H.unit)
-            want = {i: one}
-            if left != want:
-                return (
-                    f"grade {H.group.names[a]} basis {i}: 1*x = {format_raw_vector(H, a, left)}"
-                )
-            if right != want:
-                return (
-                    f"grade {H.group.names[a]} basis {i}: x*1 = {format_raw_vector(H, a, right)}"
-                )
-    return None
+            for label, got in (("1*x =", H.mul_raw(e, a, H.unit, {i: one})),
+                               ("x*1 =", H.mul_raw(a, e, {i: one}, H.unit))):
+                if got != {i: one}:
+                    return _witness(H, f"grade {H.group.names[a]} basis {i}", a, (label, got))
 
 
 def _check_coassociative(H):
@@ -153,12 +162,8 @@ def _check_coassociative(H):
             lhs = apply_rows_at(delta[i], 0, delta)
             rhs = apply_rows_at(delta[i], 1, delta)
             if lhs != rhs:
-                return (
-                    f"grade {H.group.names[a]} basis {i}: "
-                    f"(D(x)id)D = {format_raw_tensor(H, (a, a, a), lhs)} but "
-                    f"(id(x)D)D = {format_raw_tensor(H, (a, a, a), rhs)}"
-                )
-    return None
+                return _witness(H, f"grade {H.group.names[a]} basis {i}", (a, a, a),
+                                ("(D(x)id)D =", lhs), ("(id(x)D)D =", rhs))
 
 
 def _check_counit(H):
@@ -173,18 +178,9 @@ def _check_counit(H):
                     add_into(right, q, v * eps[p])
                 if eps[q]:
                     add_into(left, p, v * eps[q])
-            want = {i: H.one()}
-            if left != want:
-                return (
-                    f"grade {H.group.names[a]} basis {i}: "
-                    f"(id(x)eps)D = {format_raw_vector(H, a, left)}"
-                )
-            if right != want:
-                return (
-                    f"grade {H.group.names[a]} basis {i}: "
-                    f"(eps(x)id)D = {format_raw_vector(H, a, right)}"
-                )
-    return None
+            for label, got in (("(id(x)eps)D =", left), ("(eps(x)id)D =", right)):
+                if got != {i: H.one()}:
+                    return _witness(H, f"grade {H.group.names[a]} basis {i}", a, (label, got))
 
 
 def _check_coproduct_mult(H):
@@ -198,31 +194,21 @@ def _check_coproduct_mult(H):
                     _, rhs = _tensor_mul_raw(H, (a, a), H.coproduct[a][i],
                                              (b, b), H.coproduct[b][j])
                     if lhs != rhs:
-                        return (
-                            f"grades {_grade_names(H, (a, b))} basis ({i},{j}): "
-                            f"D(xy) = {format_raw_tensor(H, (ab, ab), lhs)} but "
-                            f"D(x)D(y) = {format_raw_tensor(H, (ab, ab), rhs)}"
-                        )
-    return None
+                        return _witness(H, f"grades {_grade_names(H, (a, b))} basis ({i},{j})",
+                                        (ab, ab), ("D(xy) =", lhs), ("D(x)D(y) =", rhs))
 
 
 def _check_counit_mult(H):
-    one = H.one()
     for a in H.support:
         for b in H.support:
             ab = H.group.table[a][b]
             for i in range(H.dims[a]):
                 for j in range(H.dims[b]):
-                    prod = H.mul_raw(a, b, {i: one}, {j: one})
-                    lhs = H.counit_raw(ab, prod)
+                    lhs = H.counit_raw(ab, H.product[(a, b)][(i, j)])
                     rhs = H.counit[a][i] * H.counit[b][j]
                     if lhs != rhs:
-                        return (
-                            f"grades {_grade_names(H, (a, b))} basis ({i},{j}): "
-                            f"eps(xy) = {render_scalar(lhs)} but "
-                            f"eps(x)eps(y) = {render_scalar(rhs)}"
-                        )
-    return None
+                        return _witness(H, f"grades {_grade_names(H, (a, b))} basis ({i},{j})",
+                                        None, ("eps(xy) =", lhs), ("eps(x)eps(y) =", rhs))
 
 
 def _check_coproduct_unit(H):
@@ -230,19 +216,13 @@ def _check_coproduct_unit(H):
     lhs = apply_rows(H.coproduct[e], H.unit)
     rhs = _unit_unit(H)
     if lhs != rhs:
-        return (
-            f"D(1) = {format_raw_tensor(H, (e, e), lhs)} but "
-            f"1(x)1 = {format_raw_tensor(H, (e, e), rhs)}"
-        )
-    return None
+        return _witness(H, "", (e, e), ("D(1) =", lhs), ("1(x)1 =", rhs))
 
 
 def _check_counit_unit(H):
-    e = H.group.identity_index
-    val = H.counit_raw(e, H.unit)
+    val = H.counit_raw(H.group.identity_index, H.unit)
     if val != H.one():
-        return f"eps(1) = {render_scalar(val)}"
-    return None
+        return _witness(H, "", None, ("eps(1) =", val))
 
 
 def _check_antipode(H):
@@ -257,19 +237,10 @@ def _check_antipode(H):
             for (p, q), v in H.coproduct[a][i].items():
                 _add_all(left, H.mul_raw(ainv, a, H.antipode[a][p], {q: v}))
                 _add_all(right, H.mul_raw(a, ainv, {p: v}, H.antipode[a][q]))
-            if left != want:
-                return (
-                    f"grade {H.group.names[a]} basis {i}: "
-                    f"m(S(x)id)D(x) = {format_raw_vector(H, e, left)} but "
-                    f"eps(x)1 = {format_raw_vector(H, e, want)}"
-                )
-            if right != want:
-                return (
-                    f"grade {H.group.names[a]} basis {i}: "
-                    f"m(id(x)S)D(x) = {format_raw_vector(H, e, right)} but "
-                    f"eps(x)1 = {format_raw_vector(H, e, want)}"
-                )
-    return None
+            for label, got in (("m(S(x)id)D(x) =", left), ("m(id(x)S)D(x) =", right)):
+                if got != want:
+                    return _witness(H, f"grade {H.group.names[a]} basis {i}", e,
+                                    (label, got), ("eps(x)1 =", want))
 
 
 def _check_involutory(H):
@@ -279,11 +250,8 @@ def _check_involutory(H):
         for i in range(H.dims[a]):
             twice = apply_rows(H.antipode[ainv], H.antipode[a][i])
             if twice != {i: one}:
-                return (
-                    f"grade {H.group.names[a]} basis {i}: "
-                    f"S(S(x)) = {format_raw_vector(H, a, twice)}"
-                )
-    return None
+                return _witness(H, f"grade {H.group.names[a]} basis {i}", a,
+                                ("S(S(x)) =", twice))
 
 
 # -- crossing axioms ---------------------------------------------------------
@@ -298,33 +266,23 @@ def _check_crossing_coalgebra(H):
             target = G.conj(b, a)
             phi = H.crossing[(b, a)]
             for i in range(H.dims[a]):
+                where = f"(beta,alpha)=({G.names[b]},{G.names[a]}) basis {i}"
                 back = apply_rows(H.crossing[(binv, target)], phi[i])
                 if back != {i: one}:
-                    return (
-                        f"(beta,alpha)=({G.names[b]},{G.names[a]}) basis {i}: "
-                        f"inverse crossing gives {format_raw_vector(H, a, back)}"
-                    )
+                    return _witness(H, where, a, ("inverse crossing gives", back))
                 lhs = apply_rows(H.coproduct[target], phi[i])
                 rhs = _both_slots(H.coproduct[a][i], phi)
                 if lhs != rhs:
-                    return (
-                        f"(beta,alpha)=({G.names[b]},{G.names[a]}) basis {i}: "
-                        f"D(phi(x)) = {format_raw_tensor(H, (target, target), lhs)} but "
-                        f"(phi(x)phi)D(x) = {format_raw_tensor(H, (target, target), rhs)}"
-                    )
+                    return _witness(H, where, (target, target),
+                                    ("D(phi(x)) =", lhs), ("(phi(x)phi)D(x) =", rhs))
                 lhs_eps = H.counit_raw(target, phi[i])
                 if lhs_eps != H.counit[a][i]:
-                    return (
-                        f"(beta,alpha)=({G.names[b]},{G.names[a]}) basis {i}: "
-                        f"eps(phi(x)) = {render_scalar(lhs_eps)} but "
-                        f"eps(x) = {render_scalar(H.counit[a][i])}"
-                    )
-    return None
+                    return _witness(H, where, None, ("eps(phi(x)) =", lhs_eps),
+                                    ("eps(x) =", H.counit[a][i]))
 
 
 def _check_crossing_mult(H):
     G = H.group
-    one = H.one()
     for b in range(G.order):
         for a in H.support:
             ca = G.conj(b, a)
@@ -334,18 +292,13 @@ def _check_crossing_mult(H):
                 for i in range(H.dims[a]):
                     pi = H.crossing[(b, a)][i]
                     for j in range(H.dims[c]):
-                        pj = H.crossing[(b, c)][j]
-                        lhs = H.mul_raw(ca, cc, pi, pj)
-                        prod = H.mul_raw(a, c, {i: one}, {j: one})
-                        rhs = apply_rows(H.crossing[(b, ac)], prod)
+                        lhs = H.mul_raw(ca, cc, pi, H.crossing[(b, c)][j])
+                        rhs = apply_rows(H.crossing[(b, ac)], H.product[(a, c)][(i, j)])
                         if lhs != rhs:
-                            tgt = G.conj(b, ac)
-                            return (
-                                f"(beta,alpha,gamma)=({G.names[b]},{G.names[a]},{G.names[c]}) "
-                                f"basis ({i},{j}): phi(x)phi(y) = {format_raw_vector(H, tgt, lhs)} "
-                                f"but phi(xy) = {format_raw_vector(H, tgt, rhs)}"
-                            )
-    return None
+                            return _witness(
+                                H, f"(beta,alpha,gamma)=({G.names[b]},{G.names[a]},"
+                                f"{G.names[c]}) basis ({i},{j})", G.conj(b, ac),
+                                ("phi(x)phi(y) =", lhs), ("phi(xy) =", rhs))
 
 
 def _check_crossing_unit(H):
@@ -354,10 +307,7 @@ def _check_crossing_unit(H):
     for b in range(G.order):
         img = apply_rows(H.crossing[(b, e)], H.unit)
         if img != H.unit:
-            return (
-                f"beta={G.names[b]}: phi(1) = {format_raw_vector(H, e, img)}"
-            )
-    return None
+            return _witness(H, f"beta={G.names[b]}", e, ("phi(1) =", img))
 
 
 def _check_crossing_comp(H):
@@ -371,14 +321,10 @@ def _check_crossing_comp(H):
                     step = apply_rows(H.crossing[(b1, mid)], H.crossing[(b2, a)][i])
                     direct = H.crossing[(b12, a)][i]
                     if step != direct:
-                        tgt = G.conj(b12, a)
-                        return (
-                            f"(beta,beta')=({G.names[b1]},{G.names[b2]}) grade "
-                            f"{G.names[a]} basis {i}: composite = "
-                            f"{format_raw_vector(H, tgt, step)} but direct = "
-                            f"{format_raw_vector(H, tgt, direct)}"
-                        )
-    return None
+                        return _witness(
+                            H, f"(beta,beta')=({G.names[b1]},{G.names[b2]}) grade "
+                            f"{G.names[a]} basis {i}", G.conj(b12, a),
+                            ("composite =", step), ("direct =", direct))
 
 
 # -- quasitriangular axioms --------------------------------------------------
@@ -390,27 +336,19 @@ def _r3(H, p1, p2):
 
 
 def _check_r_left(H):
-    e = H.group.identity_index
-    lhs = apply_rows_at(H.rmatrix, 0, H.coproduct[e])
-    _, rhs = _tensor_mul_raw(H, (e,) * 3, _r3(H, 0, 2), (e,) * 3, _r3(H, 1, 2))
+    g3 = (H.group.identity_index,) * 3
+    lhs = apply_rows_at(H.rmatrix, 0, H.coproduct[g3[0]])
+    _, rhs = _tensor_mul_raw(H, g3, _r3(H, 0, 2), g3, _r3(H, 1, 2))
     if lhs != rhs:
-        return (
-            f"(D(x)id)R = {format_raw_tensor(H, (e, e, e), lhs)} but "
-            f"R13*R23 = {format_raw_tensor(H, (e, e, e), rhs)}"
-        )
-    return None
+        return _witness(H, "", g3, ("(D(x)id)R =", lhs), ("R13*R23 =", rhs))
 
 
 def _check_r_right(H):
-    e = H.group.identity_index
-    lhs = apply_rows_at(H.rmatrix, 1, H.coproduct[e])
-    _, rhs = _tensor_mul_raw(H, (e,) * 3, _r3(H, 0, 2), (e,) * 3, _r3(H, 0, 1))
+    g3 = (H.group.identity_index,) * 3
+    lhs = apply_rows_at(H.rmatrix, 1, H.coproduct[g3[0]])
+    _, rhs = _tensor_mul_raw(H, g3, _r3(H, 0, 2), g3, _r3(H, 0, 1))
     if lhs != rhs:
-        return (
-            f"(id(x)D)R = {format_raw_tensor(H, (e, e, e), lhs)} but "
-            f"R13*R12 = {format_raw_tensor(H, (e, e, e), rhs)}"
-        )
-    return None
+        return _witness(H, "", g3, ("(id(x)D)R =", lhs), ("R13*R12 =", rhs))
 
 
 def _check_r_intertwine(H):
@@ -422,12 +360,8 @@ def _check_r_intertwine(H):
             _, lhs = _tensor_mul_raw(H, (e, e), H.rmatrix, (a, a), dx)
             _, rhs = _tensor_mul_raw(H, (a, a), dcop, (e, e), H.rmatrix)
             if lhs != rhs:
-                return (
-                    f"grade {H.group.names[a]} basis {i}: "
-                    f"R*D(x) = {format_raw_tensor(H, (a, a), lhs)} but "
-                    f"Dcop(x)*R = {format_raw_tensor(H, (a, a), rhs)}"
-                )
-    return None
+                return _witness(H, f"grade {H.group.names[a]} basis {i}", (a, a),
+                                ("R*D(x) =", lhs), ("Dcop(x)*R =", rhs))
 
 
 def _check_r_crossing(H):
@@ -436,40 +370,29 @@ def _check_r_crossing(H):
     for b in range(G.order):
         out = _both_slots(H.rmatrix, H.crossing[(b, e)])
         if out != H.rmatrix:
-            return (
-                f"beta={G.names[b]}: (phi(x)phi)R = "
-                f"{format_raw_tensor(H, (e, e), out)}"
-            )
-    return None
+            return _witness(H, f"beta={G.names[b]}", (e, e), ("(phi(x)phi)R =", out))
 
 
 def _check_r_invertible(H):
     e = H.group.identity_index
     rinv = H.r_inverse_raw()
     want = _unit_unit(H)
-    _, left = _tensor_mul_raw(H, (e, e), rinv, (e, e), H.rmatrix)
-    if left != want:
-        return f"(S(x)id)R * R = {format_raw_tensor(H, (e, e), left)}"
-    _, right = _tensor_mul_raw(H, (e, e), H.rmatrix, (e, e), rinv)
-    if right != want:
-        return f"R * (S(x)id)R = {format_raw_tensor(H, (e, e), right)}"
-    return None
+    for label, x, y in (("(S(x)id)R * R =", rinv, H.rmatrix),
+                        ("R * (S(x)id)R =", H.rmatrix, rinv)):
+        _, got = _tensor_mul_raw(H, (e, e), x, (e, e), y)
+        if got != want:
+            return _witness(H, "", (e, e), (label, got))
 
 
 def _check_yang_baxter(H):
-    e = H.group.identity_index
-    g3 = (e, e, e)
+    g3 = (H.group.identity_index,) * 3
     r12, r13, r23 = _r3(H, 0, 1), _r3(H, 0, 2), _r3(H, 1, 2)
     _, lhs = _tensor_mul_raw(H, g3, r12, g3, r13)
     _, lhs = _tensor_mul_raw(H, g3, lhs, g3, r23)
     _, rhs = _tensor_mul_raw(H, g3, r23, g3, r13)
     _, rhs = _tensor_mul_raw(H, g3, rhs, g3, r12)
     if lhs != rhs:
-        return (
-            f"R12*R13*R23 = {format_raw_tensor(H, g3, lhs)} but "
-            f"R23*R13*R12 = {format_raw_tensor(H, g3, rhs)}"
-        )
-    return None
+        return _witness(H, "", g3, ("R12*R13*R23 =", lhs), ("R23*R13*R12 =", rhs))
 
 
 # -- Drinfeld element --------------------------------------------------------

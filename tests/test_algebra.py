@@ -14,10 +14,10 @@ from hopfg import (
     solve_integrals,
 )
 from hopfg.algebra import (
+    apply_rows_at,
     embed_two_tensor,
     format_vector,
-    tensor_antipode_at,
-    tensor_apply,
+    slot_rows,
     tensor_mul,
     tensor_swap,
 )
@@ -45,7 +45,7 @@ def test_graded_vector_arithmetic(bank):
 def test_unit_and_zero(bank):
     H, _ = bank("cyclic:k=2,l=3,d=1")
     assert H.unit_vec().entries == {0: Cyclo.one(H.conductor)}
-    assert H.eval_counit(H.unit_vec()) == Cyclo.one(1)
+    assert H.counit_raw(H.group.identity_index, H.unit_vec().entries) == Cyclo.one(1)
 
 
 def test_coproduct_power_of_unit(bank):
@@ -168,7 +168,7 @@ def test_integral_normalization(bank):
     for spec in SPECS:
         H, ints = bank(spec)
         e = H.group.identity
-        assert H.eval_counit(ints.integral(e)) == Cyclo.one(1)
+        assert H.counit_raw(e.index, ints.integral(e).entries) == Cyclo.one(1)
         assert ints.eval_lambda(ints.integral(e)) == Cyclo.one(1)
 
 
@@ -253,8 +253,8 @@ def test_antipode_is_an_antihomomorphism(bank):
 def test_r_matrix_fixed_by_antipode(bank):
     for spec in SPECS:
         H, _ = bank(spec)
-        R = H.r_tensor()
-        assert tensor_antipode_at(H, tensor_antipode_at(H, R, 0), 1) == R
+        S = slot_rows(H.antipode[H.group.identity_index])
+        assert apply_rows_at(apply_rows_at(H.rmatrix, 0, S), 1, S) == H.rmatrix
 
 
 def test_r_matrix_counit_legs(bank):
@@ -265,7 +265,8 @@ def test_r_matrix_counit_legs(bank):
             for (i, j), v in H.r_tensor().entries.items():
                 kept = j if leg == 0 else i
                 other = i if leg == 0 else j
-                eps = H.eval_counit(H.basis_vector(H.group.identity, other))
+                eps = H.counit_raw(H.group.identity_index,
+                                   H.basis_vector(H.group.identity, other).entries)
                 total = total + H.basis_vector(H.group.identity, kept).scaled(v * eps)
             assert total == H.unit_vec()
 
@@ -275,8 +276,9 @@ def test_r_inverse_is_two_sided(bank):
         H, _ = bank(spec)
         e = H.group.identity
         one = GradedTensor((e, e), {(0, 0): Cyclo.one(H.conductor)})
-        assert tensor_mul(H, H.r_tensor(), H.r_inverse_tensor()) == one
-        assert tensor_mul(H, H.r_inverse_tensor(), H.r_tensor()) == one
+        rinv = GradedTensor((e, e), H.r_inverse_raw())
+        assert tensor_mul(H, H.r_tensor(), rinv) == one
+        assert tensor_mul(H, rinv, H.r_tensor()) == one
 
 
 def test_cabling_identities_two_strands(bank):
@@ -318,10 +320,10 @@ def test_tensor_swap_and_apply(bank):
     # applying the antipode rows at a leg equals the vector-level antipode
     e = H.group.identity
     x = H.basis_vector(e, 4)
-    t = GradedTensor((e,), {(i,): v for i, v in x.entries.items()})
-    out = tensor_apply(H, t, 0, H.antipode[e.index], e)
+    t = {(i,): v for i, v in x.entries.items()}
+    out = apply_rows_at(t, 0, slot_rows(H.antipode[e.index]))
     expected = H.apply_antipode(x)
-    assert out.entries == {(i,): v for i, v in expected.entries.items()}
+    assert out == {(i,): v for i, v in expected.entries.items()}
 
 
 def test_formatting_helpers(bank):
@@ -368,6 +370,18 @@ def test_verify_axioms_catches_broken_antipode():
     assert any(line.startswith("[FAIL] (HG9)") for line in report.lines())
 
 
+def test_witness_values_are_shown_at_the_algebra_conductor():
+    # entries at conductor 3 in an algebra declared at conductor 6: the
+    # witness writes both sides in powers of zeta_6 (zeta_3^2 = -zeta_6)
+    from hopfg import verify_axioms
+
+    H = builtin_algebra("cyclic:k=1,l=3,d=1")
+    counit = [[Cyclo.one(3), Cyclo.zeta(3), Cyclo.one(3)]]
+    report = verify_axioms(_rebuild(H, conductor=6, counit=counit))
+    assert dict(report.failures())["(HG6) counit multiplicative"] == (
+        "grades (1,1) basis (1,1): eps(xy) = 1 but eps(x)eps(y) = -z^1")
+
+
 def test_drinfeld_element_trivial_when_r_is_trivial(bank):
     from hopfg import drinfeld_element
 
@@ -392,7 +406,7 @@ def test_drinfeld_element_properties(bank, kp):
 
     H, _ = kp
     u = drinfeld_element(H)
-    assert H.eval_counit(u) == Cyclo.one(1)
+    assert H.counit_raw(u.grade.index, u.entries) == Cyclo.one(1)
     assert H.apply_antipode(u) == u
     for i in range(H.dims[H.group.identity_index]):
         x = H.basis_vector(H.group.identity, i)

@@ -35,6 +35,13 @@ CASES = {
     "check-broken-coproduct-crossing": (
         ["check", "--algebra", "broken-coproduct-crossing.json"], 1),
     "check-non-unimodular": (["check", "--algebra", "non-unimodular.json"], 1),
+    "check-broken-product": (["check", "--algebra", "broken-product.json"], 1),
+    "check-broken-unit-counit": (
+        ["check", "--algebra", "broken-unit-counit.json"], 1),
+    "check-broken-coproduct": (
+        ["check", "--algebra", "broken-coproduct.json"], 1),
+    "check-broken-crossing-unit": (
+        ["check", "--algebra", "broken-crossing-unit.json"], 1),
     "integrals-kp": (["integrals", *KP], 0),
     "integrals-kp-json": (["integrals", *KP, "--format", "json"], 0),
     "integrals-non-unimodular": (
@@ -80,6 +87,8 @@ CASES = {
     "error-product-block": (["check", "--algebra", "bad-product-block.json"], 2),
     "error-crossing-grade": (
         ["check", "--algebra", "bad-crossing-grade.json"], 2),
+    "error-non-normal-support": (
+        ["check", "--algebra", "non-normal-support.json"], 2),
     "error-export-none": (["export"], 2),
     "error-export-both": (["export", *KP, "--diagram", "cp2"], 2),
     "error-not-json": (["check", "--algebra", "script.txt"], 2),
