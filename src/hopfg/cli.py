@@ -17,6 +17,7 @@ from .algebra import (
     DrinfeldError,
     HopfGAlgebra,
     IntegralError,
+    format_vector,
 )
 from .cyclo import Cyclo, render_decimal, render_scalar, render_scalar_terms
 from .diagrams import ColoringError, DiagramError, KirbyDiagram, color, fundamental_presentation
@@ -40,11 +41,11 @@ from .verify import drinfeld_element, verify_axioms
 # rendering helpers
 
 
-def _exact_line(v: Cyclo, conductor: int, label: str = "I") -> str:
+def _exact_line(v: Cyclo, conductor: int) -> str:
     text = render_scalar(v)
     if "z^" in text:
         text = f"{text}  (z = primitive {conductor}-th root of unity)"
-    return f"{label} = {text}"
+    return f"I = {text}"
 
 
 def _decimal_line(v: Cyclo) -> str:
@@ -160,8 +161,6 @@ def cmd_integrals(args) -> int:
             "lambda": lam,
         }))
         return 0
-    from .algebra import format_vector
-
     _emit(f"algebra: {args.algebra}  (conductor={cond})")
     for a in H.support:
         _emit(f"Lambda_{G.names[a]} = {format_vector(H, data.integral(a))}")

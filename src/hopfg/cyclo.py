@@ -20,25 +20,6 @@ from functools import lru_cache
 from math import gcd, lcm
 
 
-def _poly_divide_exact(num: list, den) -> list:
-    # Long division of integer polynomials (ascending coefficients).
-    # den is monic here, so the quotient stays integral; the remainder
-    # must vanish or the caller picked a non-divisor.
-    num = list(num)
-    dn = len(den) - 1
-    qdeg = len(num) - 1 - dn
-    quot = [0] * (qdeg + 1)
-    for k in range(qdeg, -1, -1):
-        c = num[k + dn]
-        quot[k] = c
-        if c:
-            for j in range(dn + 1):
-                num[k + j] -= c * den[j]
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return quot
-
-
 def _smallest_prime_factor(n: int) -> int:
     if n % 2 == 0:
         return 2
@@ -68,7 +49,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     stretched[::p] = inner
     if m % p == 0:
         return tuple(stretched)
-    return tuple(_poly_divide_exact(stretched, inner))
+    quot, rem = _poly_divmod(stretched, inner)
+    if any(rem):
+        raise ArithmeticError("non-exact polynomial division")
+    return tuple(quot)
 
 
 @lru_cache(maxsize=None)
@@ -435,14 +419,15 @@ def _poly_mul(a: list, b: list) -> list:
 
 
 def _poly_divmod(num: list, den: list):
+    # Long division, ascending coefficients; a monic den keeps ints ints
     num = list(num)
     dn = len(den) - 1
     lead = den[dn]
     if len(num) - 1 < dn:
         return [], num
-    quot = [Fraction(0)] * (len(num) - dn)
+    quot = [0] * (len(num) - dn)
     for k in range(len(quot) - 1, -1, -1):
-        c = num[k + dn] / lead
+        c = num[k + dn] if lead == 1 else num[k + dn] / lead
         quot[k] = c
         if c:
             for j in range(dn + 1):

@@ -15,14 +15,25 @@ does not match the move's pattern.  Mechanized moves:
   III-5-insert / III-5-remove  bare unknot paired with a 3-handle
   global-conjugate          recolor every dot by a fixed conjugation
 
+Each move's parameters are declared once, in _MOVES, by kind: "dot",
+"component" and "crossing" name an id the diagram has, "pos" is any
+integer, "crossings" is a list of 3 crossing ids, and "any" is left to the
+move; a kind ending in "?" may be left out.  apply_move checks presence,
+type and ids from that table; each rewrite checks only its own rules
+(sign, element, position ranges, distinctness).  A rewrite's output is
+colored through diagrams.color, which decides flatness.
+
 Rewrites renumber ids densely; round-trip pairs restore diagrams up to
 that renumbering (which is the identity on already-dense inputs).
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .diagrams import (
     ColoredDiagram,
+    ColoringError,
     Crossing,
     CrossingEnd,
     DiagramError,
@@ -30,10 +41,11 @@ from .diagrams import (
     DottedComponent,
     KirbyDiagram,
     UndottedComponent,
+    color,
     renumber,
     require_valid,
 )
-from .groups import GroupElement
+from .groups import GroupElement, GroupHom
 
 
 class MoveError(ValueError):
@@ -143,25 +155,17 @@ class _Editor:
         crossings = tuple(Crossing(c, self.signs[c]) for c in sorted(self.signs))
         d = renumber(KirbyDiagram(dotted, undotted, crossings, self.h3, self.h4))
         require_valid(d)
-        colors = {new: self.colors[did] for new, did in enumerate(self.dot_order)}
-        cd = ColoredDiagram(d, colors)
-        _check_coloring(cd)
-        return cd
+        return _colored(d, [self.colors[did] for did in self.dot_order])
 
 
-def _check_coloring(cd: ColoredDiagram) -> None:
-    # every relation word must still map to the group identity
-    for u in cd.diagram.undotted:
-        acc = None
-        for ev in u.events:
-            if not isinstance(ev, DotPassage):
-                continue
-            g = cd.color_of(ev.dot)
-            g = g if ev.down else g.inv
-            acc = g if acc is None else acc * g
-        if acc is not None and not acc.is_identity():
-            raise MoveError(
-                f"rewrite broke the coloring on undotted component {u.id}")
+def _colored(d: KirbyDiagram, images: list) -> ColoredDiagram:
+    """Color d by images in dot order; diagrams.color decides flatness."""
+    if not images:
+        return ColoredDiagram(d, {})
+    try:
+        return color(d, GroupHom(images[0].group, images))
+    except ColoringError as exc:
+        raise MoveError(str(exc)) from None
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -169,22 +173,11 @@ def _require(cond: bool, msg: str) -> None:
         raise MoveError(msg)
 
 
-def _dot_entry(ed: _Editor, did, ctx: str) -> int:
-    _require(did in ed.dot_passages, f"{ctx}: unknown dotted component {did}")
-    return did
-
-
-def _comp_entry(ed: _Editor, uid, ctx: str) -> int:
-    _require(uid in ed.comp_nodes, f"{ctx}: unknown undotted component {uid}")
-    return uid
-
-
 # -- crossing moves -------------------------------------------------------
 
 
 def _i2_insert(ed: _Editor, spec: dict, group) -> None:
-    ua = _comp_entry(ed, spec["over"], "I-2-insert")
-    ub = _comp_entry(ed, spec["under"], "I-2-insert")
+    ua, ub = spec["over"], spec["under"]
     i, j = spec["over_pos"], spec["under_pos"]
     sign = spec.get("sign", "+")
     _require(sign in ("+", "-"), "I-2-insert: sign must be '+' or '-'")
@@ -196,21 +189,17 @@ def _i2_insert(ed: _Editor, spec: dict, group) -> None:
     c2 = ed.new_crossing(sign != "+")
     over_block = [_Node(CrossingEnd(c1, True)), _Node(CrossingEnd(c2, True))]
     under_block = [_Node(CrossingEnd(c1, False)), _Node(CrossingEnd(c2, False))]
-    if ua == ub:
+    blocks = [(ua, i, over_block), (ub, j, under_block)]
+    if ua == ub and j > i:
         # insert at the later position first so the earlier index stays valid
-        first, second = ((j, under_block), (i, over_block)) if j > i \
-            else ((i, over_block), (j, under_block))
-        ed.comp_nodes[ua][first[0]:first[0]] = first[1]
-        ed.comp_nodes[ua][second[0]:second[0]] = second[1]
-    else:
-        ed.comp_nodes[ua][i:i] = over_block
-        ed.comp_nodes[ub][j:j] = under_block
+        blocks.reverse()
+    for uid, p, block in blocks:
+        ed.comp_nodes[uid][p:p] = block
 
 
 def _i2_remove(ed: _Editor, spec: dict, group) -> None:
     c1, c2 = spec["c1"], spec["c2"]
     _require(c1 != c2, "I-2-remove: needs two distinct crossings")
-    _require(c1 in ed.signs and c2 in ed.signs, "I-2-remove: unknown crossing")
     _require(ed.signs[c1] != ed.signs[c2],
              "I-2-remove: crossing signs must be opposite")
     o1, u1 = ed.crossing_nodes(c1)
@@ -227,34 +216,27 @@ def _i2_remove(ed: _Editor, spec: dict, group) -> None:
 
 
 def _i3(ed: _Editor, spec: dict, group) -> None:
-    cids = list(spec["crossings"])
-    _require(len(cids) == 3 and len(set(cids)) == 3,
-             "I-3: needs three distinct crossings")
-    for c in cids:
-        _require(c in ed.signs, f"I-3: unknown crossing {c}")
+    cids = spec["crossings"]
+    _require(len(set(cids)) == 3, "I-3: needs three distinct crossings")
     _require(len({ed.signs[c] for c in cids}) == 1,
              "I-3: crossing signs must all agree")
     ends = {}
-    order = []
     for c in cids:
         o, u = ed.crossing_nodes(c)
-        for node, over in ((o, True), (u, False)):
-            ends[id(node)] = (c, over, node)
-            order.append(id(node))
+        ends[id(o)] = (c, True, o)
+        ends[id(u)] = (c, False, u)
     pos = ed.positions()
     pairs = []  # candidate windows: strand-consecutive pairs within the six ends
-    for i, ka in enumerate(order):
-        for kb in order[i + 1:]:
-            na, nb = ends[ka][2], ends[kb][2]
-            adj = ed.cyclically_adjacent(na, nb, pos)
-            if adj is None:
-                continue
-            uid, first = adj
-            second = nb if first is na else na
-            pairs.append((uid, first, second))
-            if len(ed.comp_nodes[uid]) == 2:
-                # a two-event cycle reads in either order
-                pairs.append((uid, second, first))
+    for (_, _, na), (_, _, nb) in combinations(ends.values(), 2):
+        adj = ed.cyclically_adjacent(na, nb, pos)
+        if adj is None:
+            continue
+        uid, first = adj
+        second = nb if first is na else na
+        pairs.append((uid, first, second))
+        if len(ed.comp_nodes[uid]) == 2:
+            # a two-event cycle reads in either order
+            pairs.append((uid, second, first))
     windows = _i3_matching(ends, pairs, cids)
     _require(windows is not None,
              "I-3: the six crossing ends admit no valid window matching")
@@ -269,55 +251,36 @@ def _i3_matching(ends, pairs, cids):
     realizes the triple-slide pattern, or None."""
 
     def valid(windows):
-        # one all-over, one mixed, one all-under window
-        rank_of_window = {}
-        for wi, (_, first, second) in enumerate(windows):
-            n_over = sum(1 for node in (first, second) if ends[id(node)][1])
-            rank_of_window[wi] = {2: 1, 1: 2, 0: 3}[n_over]
-        if sorted(rank_of_window.values()) != [1, 2, 3]:
+        if len({id(node) for _, *nodes in windows for node in nodes}) < 6:
+            return False  # the windows overlap
+        # rank 1, 2, 3: one all-over, one mixed, one all-under window
+        rank = [3 - ends[id(first)][1] - ends[id(second)][1]
+                for _, first, second in windows]
+        if sorted(rank) != [1, 2, 3]:
             return False
-        window_of = {}
-        for wi, (_, first, second) in enumerate(windows):
-            for node in (first, second):
-                c, over, _ = ends[id(node)]
-                window_of[(c, over)] = wi
-        for c in cids:
-            if window_of[(c, True)] == window_of[(c, False)]:
-                return False
+        window_of = {ends[id(node)][:2]: wi
+                     for wi, (_, *nodes) in enumerate(windows) for node in nodes}
+        if any(window_of[(c, True)] == window_of[(c, False)] for c in cids):
+            return False
         configs = set()
-        for wi, (_, first, second) in enumerate(windows):
+        for _, first, second in windows:
             ranks = []
             for node in (first, second):
                 c, over, _ = ends[id(node)]
-                ranks.append(rank_of_window[window_of[(c, not over)]])
+                ranks.append(rank[window_of[(c, not over)]])
             if ranks[0] == ranks[1]:
                 return False
             configs.add(ranks[0] > ranks[1])
         return len(configs) == 1
 
-    def search(chosen, used):
-        if len(chosen) == 3:
-            return list(chosen) if valid(chosen) else None
-        for cand in pairs:
-            _, first, second = cand
-            if id(first) in used or id(second) in used:
-                continue
-            found = search(chosen + [cand],
-                           used | {id(first), id(second)})
-            if found is not None:
-                return found
-        return None
-
-    return search([], set())
+    return next((w for w in combinations(pairs, 3) if valid(w)), None)
 
 
 def _i5(ed: _Editor, spec: dict, group) -> None:
-    cid = spec["crossing"]
-    _require(cid in ed.signs, f"I-5: unknown crossing {cid}")
-    over, under = ed.crossing_nodes(cid)
+    over, under = ed.crossing_nodes(spec["crossing"])
     pos = ed.positions()
-    adj = ed.cyclically_adjacent(over, under, pos)
-    _require(adj is not None, "I-5: crossing ends are not adjacent on one strand")
+    _require(ed.cyclically_adjacent(over, under, pos) is not None,
+             "I-5: crossing ends are not adjacent on one strand")
     uid = pos[id(over)][0]
     _require(uid == pos[id(under)][0], "I-5: not a self-crossing")
     nodes = ed.comp_nodes[uid]
@@ -329,8 +292,7 @@ def _i5(ed: _Editor, spec: dict, group) -> None:
 
 
 def _ii1_insert(ed: _Editor, spec: dict, group) -> None:
-    did = _dot_entry(ed, spec["dot"], "II-1-insert")
-    uid = _comp_entry(ed, spec["component"], "II-1-insert")
+    did, uid = spec["dot"], spec["component"]
     i = spec["disk_pos"]
     p = spec["event_pos"]
     first_down = bool(spec.get("first_down", True))
@@ -345,7 +307,7 @@ def _ii1_insert(ed: _Editor, spec: dict, group) -> None:
 
 
 def _ii1_remove(ed: _Editor, spec: dict, group) -> None:
-    did = _dot_entry(ed, spec["dot"], "II-1-remove")
+    did = spec["dot"]
     i = spec["disk_pos"]
     passages = ed.dot_passages[did]
     _require(0 <= i and i + 1 < len(passages),
@@ -363,7 +325,7 @@ def _ii1_remove(ed: _Editor, spec: dict, group) -> None:
 
 
 def _ii5(ed: _Editor, spec: dict, group) -> None:
-    did = _dot_entry(ed, spec["dot"], "II-5")
+    did = spec["dot"]
     passages = ed.dot_passages[did]
     passages.reverse()
     for node in passages:
@@ -403,8 +365,7 @@ def _aligned_partners(ed: _Editor, did: int, other: int, after: bool, ctx: str):
 
 
 def _ii6(ed: _Editor, spec: dict, group) -> None:
-    did = _dot_entry(ed, spec["dot"], "II-6")
-    bid = _dot_entry(ed, spec["through"], "II-6")
+    did, bid = spec["dot"], spec["through"]
     _require(did != bid, "II-6: needs two distinct dots")
     a = ed.colors[did]
     b = ed.colors[bid]
@@ -423,8 +384,7 @@ def _ii6(ed: _Editor, spec: dict, group) -> None:
 
 
 def _iii1_slide(ed: _Editor, spec: dict, group) -> None:
-    did = _dot_entry(ed, spec["dot"], "III-1-slide")
-    bid = _dot_entry(ed, spec["over"], "III-1-slide")
+    did, bid = spec["dot"], spec["over"]
     _require(did != bid, "III-1-slide: needs two distinct dots")
     passages = ed.dot_passages[did]
     _require(all(node.ev.down for node in passages),
@@ -442,8 +402,7 @@ def _iii1_slide(ed: _Editor, spec: dict, group) -> None:
 
 
 def _iii1_unslide(ed: _Editor, spec: dict, group) -> None:
-    did = _dot_entry(ed, spec["dot"], "III-1-unslide")
-    bid = _dot_entry(ed, spec["over"], "III-1-unslide")
+    did, bid = spec["dot"], spec["over"]
     _require(did != bid, "III-1-unslide: needs two distinct dots")
     partners = _aligned_partners(ed, did, bid, after=True, ctx="III-1-unslide")
     pos = ed.positions()
@@ -467,7 +426,7 @@ def _iii4_insert(ed: _Editor, spec: dict, group) -> None:
 
 
 def _iii4_remove(ed: _Editor, spec: dict, group) -> None:
-    did = _dot_entry(ed, spec["dot"], "III-4-remove")
+    did = spec["dot"]
     _require(ed.colors[did].is_identity(),
              f"III-4-remove: dot {did} is not colored with the identity")
     passages = ed.dot_passages[did]
@@ -489,7 +448,7 @@ def _iii5_insert(ed: _Editor, spec: dict, group) -> None:
 
 
 def _iii5_remove(ed: _Editor, spec: dict, group) -> None:
-    uid = _comp_entry(ed, spec["component"], "III-5-remove")
+    uid = spec["component"]
     _require(not ed.comp_nodes[uid],
              f"III-5-remove: undotted component {uid} is not bare")
     _require(ed.h3 >= 1, "III-5-remove: no 3-handle available to cancel")
@@ -511,46 +470,56 @@ def _global_conjugate(ed: _Editor, spec: dict, group) -> None:
         ed.colors[did] = group.element(group.conj(beta, ed.colors[did].index))
 
 
-# name -> (rewrite, parameter names)
+# name -> (rewrite, {parameter: kind}); the kinds are described above
 _MOVES = {
-    "I-2-insert": (_i2_insert, ("over", "over_pos", "under", "under_pos", "sign")),
-    "I-2-remove": (_i2_remove, ("c1", "c2")),
-    "I-3": (_i3, ("crossings",)),
-    "I-5": (_i5, ("crossing",)),
-    "II-1-insert": (_ii1_insert,
-                    ("dot", "disk_pos", "component", "event_pos", "first_down")),
-    "II-1-remove": (_ii1_remove, ("dot", "disk_pos")),
-    "II-5": (_ii5, ("dot",)),
-    "II-6": (_ii6, ("dot", "through")),
-    "III-1-slide": (_iii1_slide, ("dot", "over")),
-    "III-1-unslide": (_iii1_unslide, ("dot", "over")),
-    "III-4-insert": (_iii4_insert, ()),
-    "III-4-remove": (_iii4_remove, ("dot",)),
-    "III-5-insert": (_iii5_insert, ()),
-    "III-5-remove": (_iii5_remove, ("component",)),
-    "global-conjugate": (_global_conjugate, ("element",)),
+    "I-2-insert": (_i2_insert, {"over": "component", "over_pos": "pos",
+                                "under": "component", "under_pos": "pos",
+                                "sign": "any?"}),
+    "I-2-remove": (_i2_remove, {"c1": "crossing", "c2": "crossing"}),
+    "I-3": (_i3, {"crossings": "crossings"}),
+    "I-5": (_i5, {"crossing": "crossing"}),
+    "II-1-insert": (_ii1_insert, {"dot": "dot", "disk_pos": "pos",
+                                  "component": "component", "event_pos": "pos",
+                                  "first_down": "any?"}),
+    "II-1-remove": (_ii1_remove, {"dot": "dot", "disk_pos": "pos"}),
+    "II-5": (_ii5, {"dot": "dot"}),
+    "II-6": (_ii6, {"dot": "dot", "through": "dot"}),
+    "III-1-slide": (_iii1_slide, {"dot": "dot", "over": "dot"}),
+    "III-1-unslide": (_iii1_unslide, {"dot": "dot", "over": "dot"}),
+    "III-4-insert": (_iii4_insert, {}),
+    "III-4-remove": (_iii4_remove, {"dot": "dot"}),
+    "III-5-insert": (_iii5_insert, {}),
+    "III-5-remove": (_iii5_remove, {"component": "component"}),
+    "global-conjugate": (_global_conjugate, {"element": "any"}),
 }
-
-
-# ids and positions; the remaining parameters are checked by their moves
-_INT_PARAMS = {"over", "over_pos", "under", "under_pos", "c1", "c2", "crossing",
-               "dot", "disk_pos", "component", "event_pos", "through"}
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_param_types(name: str, params: tuple, spec: dict) -> None:
-    for key in params:
-        if key not in spec:
-            continue
-        v = spec[key]
-        if key in _INT_PARAMS and not _is_int(v):
+def _check_params(ed: _Editor, name: str, params: dict, spec: dict) -> None:
+    """Presence, then types, then ids of spec's parameters, as _MOVES says."""
+    missing = [k for k, kind in params.items()
+               if k not in spec and not kind.endswith("?")]
+    if missing:
+        raise MoveError(f"{name}: missing parameters {missing}")
+    given = [(k, kind.rstrip("?"), spec[k]) for k, kind in params.items() if k in spec]
+    for key, kind, v in given:
+        if kind == "crossings":
+            if not (isinstance(v, list) and len(v) == 3 and all(map(_is_int, v))):
+                raise MoveError(f"{name}: crossings must be a list of 3 integers, got {v!r}")
+        elif kind != "any" and not _is_int(v):
             raise MoveError(f"{name}: {key} must be an integer, got {v!r}")
-        if key == "crossings" and not (
-                isinstance(v, list) and len(v) == 3 and all(map(_is_int, v))):
-            raise MoveError(f"{name}: crossings must be a list of 3 integers, got {v!r}")
+    known = {"dot": (ed.dot_passages, "dotted component"),
+             "component": (ed.comp_nodes, "undotted component"),
+             "crossing": (ed.signs, "crossing"), "crossings": (ed.signs, "crossing")}
+    for key, kind, v in given:
+        if kind in known:
+            ids, noun = known[kind]
+            for x in v if kind == "crossings" else [v]:
+                if x not in ids:
+                    raise MoveError(f"{name}: unknown {noun} {x}")
 
 
 def move_names() -> tuple:
@@ -569,12 +538,8 @@ def apply_move(cd: ColoredDiagram, spec: dict, group=None) -> ColoredDiagram:
     if not isinstance(name, str) or name not in _MOVES:
         raise MoveError(f"unknown move {name!r}")
     rewrite, params = _MOVES[name]
-    missing = [k for k in params
-               if k not in spec and k not in ("sign", "first_down")]
-    if missing:
-        raise MoveError(f"{name}: missing parameters {missing}")
-    _check_param_types(name, params, spec)
     ed = _Editor(cd)
+    _check_params(ed, name, params, spec)
     if group is None and cd.colors:
         group = next(iter(cd.colors.values())).group
     rewrite(ed, spec, group)
@@ -599,21 +564,16 @@ def move_candidates(cd: ColoredDiagram, inserts: bool = True, group=None) -> lis
     d = cd.diagram
     try:
         require_valid(d)
-        _check_coloring(cd)
+        _colored(d, [cd.color_of(x.id) for x in d.dotted])
     except (DiagramError, MoveError):
         return []
     out = []
     cross_ids = [c.id for c in d.crossings]
-    for i, c1 in enumerate(cross_ids):
-        for c2 in cross_ids[i + 1:]:
-            out.append({"move": "I-2-remove", "c1": c1, "c2": c2})
-            out.append({"move": "I-2-remove", "c1": c2, "c2": c1})
-    if len(cross_ids) >= 3:
-        for i, c1 in enumerate(cross_ids):
-            for j in range(i + 1, len(cross_ids)):
-                for k in range(j + 1, len(cross_ids)):
-                    out.append({"move": "I-3",
-                                "crossings": [c1, cross_ids[j], cross_ids[k]]})
+    for c1, c2 in combinations(cross_ids, 2):
+        out.append({"move": "I-2-remove", "c1": c1, "c2": c2})
+        out.append({"move": "I-2-remove", "c1": c2, "c2": c1})
+    for triple in combinations(cross_ids, 3):
+        out.append({"move": "I-3", "crossings": list(triple)})
     for c in cross_ids:
         out.append({"move": "I-5", "crossing": c})
     for x in d.dotted:

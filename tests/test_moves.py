@@ -1,6 +1,8 @@
 """Move rewrites: structural round trips, invariance of the evaluator under
 every mechanized move, and equality on the curated rewrite pairs."""
 
+import hashlib
+
 import pytest
 
 import oracles
@@ -8,9 +10,12 @@ from hopfg import (
     MoveError,
     apply_move,
     builtin_diagram,
+    builtin_diagram_names,
     color,
     colorings,
     cyclic_group,
+    diagram_to_json,
+    dumps_canonical,
     evaluate,
     move_candidates,
     move_names,
@@ -395,6 +400,28 @@ def test_candidates_of_an_invalid_diagram_are_empty():
     assert move_candidates(cd, inserts=True, group=cyclic_group(2)) == []
 
 
+def test_candidates_and_rewrites_are_pinned():
+    # bench walks replay candidates by index, so their order is pinned along
+    # with every rewrite's canonical diagram and colors
+    diagrams = [builtin_diagram(name) for name in builtin_diagram_names()]
+    diagrams += [oracles.braid_closure(), oracles.two_kinks(),
+                 builtin_diagram("connected-sum:s1xs1xs2,cp2")]
+    digest = hashlib.sha256()
+    n = 0
+    for G in (cyclic_group(2), cyclic_group(3)):
+        for d in diagrams:
+            for cd in colorings(d, G):
+                for spec in move_candidates(cd, inserts=True, group=G):
+                    moved = apply_move(cd, spec, group=G)
+                    colors = sorted((k, g.index) for k, g in moved.colors.items())
+                    digest.update(dumps_canonical(
+                        [spec, diagram_to_json(moved.diagram), colors]).encode())
+                    n += 1
+    assert n == 10737
+    assert digest.hexdigest() == \
+        "53f95f144a49236f13b78ffdfb4b20f7d7b4dfb54b0e69e071c361c7faea2ee3"
+
+
 @pytest.mark.parametrize("spec, message", [
     ({"move": "I-2-insert", "over": 0, "over_pos": "x", "under": 0,
       "under_pos": 1}, "over_pos must be an integer"),
@@ -405,8 +432,15 @@ def test_candidates_of_an_invalid_diagram_are_empty():
     ({"move": "I-3", "crossings": [0, 1, "2"]},
      "crossings must be a list of 3 integers"),
     ({"move": "II-5", "dot": [0]}, "dot must be an integer"),
+    ({"move": "I-2-remove", "c1": 7, "c2": 0}, "^I-2-remove: unknown crossing 7$"),
+    ({"move": "I-3", "crossings": [0, 0, 9]}, "^I-3: unknown crossing 9$"),
+    ({"move": "II-6", "dot": 0, "through": 9},
+     "^II-6: unknown dotted component 9$"),
+    ({"move": "III-5-remove", "component": 4},
+     "^III-5-remove: unknown undotted component 4$"),
 ])
 def test_mistyped_parameters_raise_move_error(spec, message):
-    cd = _trivial(oracles.braid_closure())
+    # two dots, two undotted components and three crossings
+    cd = _trivial(builtin_diagram("connected-sum:s1xs1xs2,cp2"))
     with pytest.raises(MoveError, match=message):
         apply_move(cd, spec)
