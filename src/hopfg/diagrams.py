@@ -6,6 +6,11 @@ recorded 3-/4-handle counts.  Undotted components store their events in
 traversal order; dotted components list their passage points from left
 to right across the spanning disk as (undotted id, event position)
 references.  Planar realizability is trusted, not checked.
+
+require_colored is the one test that a ColoredDiagram can be read: the
+diagram is valid, every dot has a color, and the coloring is flat.
+Editor is the one way to rebuild a diagram: rotate_component, reorient
+and every move rewrite edit its node lists and freeze the result.
 """
 
 from __future__ import annotations
@@ -208,27 +213,122 @@ def colorings(d: KirbyDiagram, G: FiniteGroup):
     return [color(d, hom) for hom in enumerate_homs(pres, G)]
 
 
-# -- reorientation, rotation, renumbering -------------------------------------
+def require_colored(cd: ColoredDiagram) -> None:
+    """Raise DiagramError unless cd's diagram is valid and every dot has a
+    color, and ColoringError unless the coloring is flat."""
+    d = cd.diagram
+    require_valid(d)
+    missing = [x.id for x in d.dotted if x.id not in cd.colors]
+    if missing:
+        raise DiagramError(f"dotted components {missing} have no color")
+    if d.dotted:
+        images = [cd.colors[x.id] for x in d.dotted]
+        G = images[0].group
+        if any(g.group is not G and g.group.table != G.table for g in images):
+            raise ColoringError("the dot colors come from different groups")
+        color(d, GroupHom(G, images))
 
 
-def _replace_component(d: KirbyDiagram, uid: int, events: tuple, position,
-                       crossings: tuple) -> KirbyDiagram:
-    """d with undotted component uid's events and the crossing tuple
-    replaced; a passage reference to event p of uid moves to position(p)."""
-    undotted = tuple(
-        UndottedComponent(x.id, events) if x.id == uid else x for x in d.undotted
-    )
-    dotted = tuple(
-        DottedComponent(
-            x.id,
-            tuple(
-                (ru, position(rp)) if ru == uid else (ru, rp)
-                for ru, rp in x.passages
-            ),
+# -- editing, reorientation, rotation, renumbering -----------------------------
+
+
+class Node:
+    # one strand event with object identity, so edits survive reindexing
+    __slots__ = ("ev",)
+
+    def __init__(self, ev):
+        self.ev = ev
+
+
+class Editor:
+    """Mutable working copy of a diagram and, optionally, its colors.
+
+    Dot passages point at Nodes, not positions, so edits to the node lists
+    of components keep them attached.  The input is trusted to be valid.
+    """
+
+    def __init__(self, d: KirbyDiagram, colors=None):
+        self.h3 = d.h3
+        self.h4 = d.h4
+        self.signs = {c.id: c.positive for c in d.crossings}
+        self.comp_order = [u.id for u in d.undotted]
+        self.comp_nodes = {}
+        node_at = {}
+        for u in d.undotted:
+            nodes = [Node(ev) for ev in u.events]
+            self.comp_nodes[u.id] = nodes
+            for pos, node in enumerate(nodes):
+                node_at[(u.id, pos)] = node
+        self.dot_order = [x.id for x in d.dotted]
+        self.dot_passages = {
+            x.id: [node_at[ref] for ref in x.passages] for x in d.dotted
+        }
+        self.colors = dict(colors or {})
+
+    # -- id allocation ---------------------------------------------------
+
+    def new_crossing(self, positive: bool) -> int:
+        cid = max(self.signs, default=-1) + 1
+        self.signs[cid] = positive
+        return cid
+
+    def new_dot(self, color: GroupElement) -> int:
+        did = max(self.dot_order, default=-1) + 1
+        self.dot_order.append(did)
+        self.dot_passages[did] = []
+        self.colors[did] = color
+        return did
+
+    def new_component(self) -> int:
+        uid = max(self.comp_order, default=-1) + 1
+        self.comp_order.append(uid)
+        self.comp_nodes[uid] = []
+        return uid
+
+    # -- queries ----------------------------------------------------------
+
+    def positions(self) -> dict:
+        pos = {}
+        for uid in self.comp_order:
+            for i, node in enumerate(self.comp_nodes[uid]):
+                pos[id(node)] = (uid, i)
+        return pos
+
+    def crossing_nodes(self, cid: int):
+        """(over node, under node) of crossing cid."""
+        ends = {node.ev.over: node for nodes in self.comp_nodes.values()
+                for node in nodes
+                if isinstance(node.ev, CrossingEnd) and node.ev.crossing == cid}
+        return ends[True], ends[False]
+
+    def cyclically_adjacent(self, na: Node, nb: Node, pos: dict):
+        """Return (uid, first-node) if na, nb are consecutive strand events."""
+        ua, ia = pos[id(na)]
+        ub, ib = pos[id(nb)]
+        if ua != ub:
+            return None
+        n = len(self.comp_nodes[ua])
+        if n < 2:
+            return None
+        if (ia + 1) % n == ib:
+            return ua, na
+        if (ib + 1) % n == ia:
+            return ua, nb
+        return None
+
+    def freeze(self) -> KirbyDiagram:
+        """The edited diagram, with the editor's ids, crossings in id order."""
+        pos = self.positions()
+        undotted = tuple(
+            UndottedComponent(uid, tuple(node.ev for node in self.comp_nodes[uid]))
+            for uid in self.comp_order
         )
-        for x in d.dotted
-    )
-    return KirbyDiagram(dotted, undotted, crossings, d.h3, d.h4)
+        dotted = tuple(
+            DottedComponent(did, tuple(pos[id(node)] for node in self.dot_passages[did]))
+            for did in self.dot_order
+        )
+        crossings = tuple(Crossing(c, self.signs[c]) for c in sorted(self.signs))
+        return KirbyDiagram(dotted, undotted, crossings, self.h3, self.h4)
 
 
 def reorient(d: KirbyDiagram, uid: int) -> KirbyDiagram:
@@ -238,36 +338,29 @@ def reorient(d: KirbyDiagram, uid: int) -> KirbyDiagram:
     sign of every crossing with exactly one end on it flips.  Passage
     references into it are re-pointed; disk orders are unaffected.
     """
-    u = d.undotted_by_id(uid)
-    n = len(u.events)
-    end_count = {}
-    for ev in u.events:
-        if isinstance(ev, CrossingEnd):
-            end_count[ev.crossing] = end_count.get(ev.crossing, 0) + 1
-    flip = {cid for cid, cnt in end_count.items() if cnt == 1}
-
-    new_events = []
-    for ev in reversed(u.events):
-        if isinstance(ev, DotPassage):
-            new_events.append(DotPassage(ev.dot, not ev.down))
-        else:
-            new_events.append(ev)
-    crossings = tuple(
-        Crossing(c.id, not c.positive) if c.id in flip else c for c in d.crossings
-    )
-    return _replace_component(d, uid, tuple(new_events), lambda rp: n - 1 - rp,
-                              crossings)
+    require_valid(d)
+    ed = Editor(d)
+    nodes = ed.comp_nodes[d.undotted_by_id(uid).id]
+    nodes.reverse()
+    ends = [node.ev.crossing for node in nodes if isinstance(node.ev, CrossingEnd)]
+    for node in nodes:
+        if isinstance(node.ev, DotPassage):
+            node.ev = DotPassage(node.ev.dot, not node.ev.down)
+    for cid in ends:
+        if ends.count(cid) == 1:
+            ed.signs[cid] = not ed.signs[cid]
+    return ed.freeze()
 
 
 def rotate_component(d: KirbyDiagram, uid: int, r: int) -> KirbyDiagram:
     """Shift the cyclic start point of one undotted component by r."""
-    u = d.undotted_by_id(uid)
-    n = len(u.events)
-    if n == 0:
-        return d
-    r %= n
-    return _replace_component(d, uid, u.events[r:] + u.events[:r],
-                              lambda rp: (rp - r) % n, d.crossings)
+    require_valid(d)
+    ed = Editor(d)
+    nodes = ed.comp_nodes[d.undotted_by_id(uid).id]
+    if nodes:
+        r %= len(nodes)
+        nodes[:] = nodes[r:] + nodes[:r]
+    return ed.freeze()
 
 
 def relabel(d: KirbyDiagram, doff: int = 0, uoff: int = 0, coff: int = 0):

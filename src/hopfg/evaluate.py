@@ -41,7 +41,7 @@ from .diagrams import (
     CrossingEnd,
     KirbyDiagram,
     connected_sum,
-    require_valid,
+    require_colored,
 )
 from .groups import GroupHom, enumerate_homs
 from .integrals import IntegralData
@@ -49,7 +49,9 @@ from . import diagrams
 
 
 class EvaluationError(RuntimeError):
-    """Internal consistency failure (grade telescoping, missing colors)."""
+    """Integrals or colors that do not belong to the algebra, or an
+    internal consistency failure; a malformed ColoredDiagram raises
+    diagrams.DiagramError or diagrams.ColoringError instead."""
 
 
 @dataclass
@@ -123,11 +125,13 @@ def _site_tensors(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
             passage_slot[ref] = (site, factor, k, grades[factor])
 
     crossing_slot = {}
+    r_entries = {}  # sign -> sorted R or (S (x) id)(R), built once per call
     for c in d.crossings:
-        entries = H.rmatrix if c.positive else H.r_inverse_raw()
-        site = len(site_entries)
-        site_entries.append(sorted(entries.items()))
-        crossing_slot[c.id] = site
+        if c.positive not in r_entries:
+            raw = H.rmatrix if c.positive else H.r_inverse_raw()
+            r_entries[c.positive] = sorted(raw.items())
+        crossing_slot[c.id] = len(site_entries)
+        site_entries.append(r_entries[c.positive])
 
     comp_slots = []
     for u in d.undotted:
@@ -137,12 +141,6 @@ def _site_tensors(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
                 slots.append((crossing_slot[ev.crossing], 0 if ev.over else 1, 2, e))
             else:
                 slots.append(passage_slot[(u.id, pos)])
-        g = e
-        for _, _, _, sg in slots:
-            g = G.table[g][sg]
-        if g != e:
-            raise EvaluationError(
-                f"grades along undotted component {u.id} do not telescope to 1")
         comp_slots.append(slots)
     return site_entries, comp_slots, coeff0
 
@@ -304,7 +302,6 @@ def contraction_plan(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagra
 def _check_inputs(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
     if integrals.algebra is not H:
         raise EvaluationError("integral data belongs to a different algebra")
-    require_valid(cd.diagram)
     # colors are read as grade indices of H, so their group must have H's
     # group table (element names may differ)
     for x in cd.colors.values():
@@ -312,6 +309,7 @@ def _check_inputs(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
             raise EvaluationError(
                 f"the coloring group (order {x.group.order}) is not the algebra's "
                 f"grading group (order {H.group.order})")
+    require_colored(cd)
 
 
 def evaluate(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram) -> InvariantValue:

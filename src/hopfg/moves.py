@@ -1,8 +1,9 @@
 """Move rewrites on colored Kirby diagrams.
 
 apply_move takes a JSON-style spec dict {"move": name, ...params} and
-returns a fresh ColoredDiagram, or raises MoveError when the named site
-does not match the move's pattern.  Mechanized moves:
+returns a fresh ColoredDiagram, or raises MoveError when the input fails
+diagrams.require_colored or the named site does not match the move's
+pattern.  Mechanized moves:
 
   I-2-insert / I-2-remove   crossing pair creation / cancellation
   I-3                       triple slide across three same-sign crossings
@@ -20,8 +21,9 @@ Each move's parameters are declared once, in _MOVES, by kind: "dot",
 integer, "crossings" is a list of 3 crossing ids, and "any" is left to the
 move; a kind ending in "?" may be left out.  apply_move checks presence,
 type and ids from that table; each rewrite checks only its own rules
-(sign, element, position ranges, distinctness).  A rewrite's output is
-colored through diagrams.color, which decides flatness.
+(sign, element, position ranges, distinctness).  A rewrite edits a
+diagrams.Editor; _freeze renumbers and colors its result and asks
+require_colored of it, which decides flatness through diagrams.color.
 
 Rewrites renumber ids densely; round-trip pairs restore diagrams up to
 that renumbering (which is the identity on already-dense inputs).
@@ -29,143 +31,32 @@ that renumbering (which is the identity on already-dense inputs).
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from .diagrams import (
     ColoredDiagram,
     ColoringError,
-    Crossing,
     CrossingEnd,
     DiagramError,
     DotPassage,
-    DottedComponent,
-    KirbyDiagram,
-    UndottedComponent,
-    color,
+    Editor,
+    Node,
     renumber,
-    require_valid,
+    require_colored,
 )
-from .groups import GroupElement, GroupHom
 
 
 class MoveError(ValueError):
     """The move's pattern does not match at the named site."""
 
 
-class _Node:
-    # one strand event with object identity, so edits survive reindexing
-    __slots__ = ("ev",)
-
-    def __init__(self, ev):
-        self.ev = ev
-
-
-class _Editor:
-    """Mutable working copy of a colored diagram."""
-
-    def __init__(self, cd: ColoredDiagram):
-        d = cd.diagram
-        self.h3 = d.h3
-        self.h4 = d.h4
-        self.signs = {c.id: c.positive for c in d.crossings}
-        self.comp_order = [u.id for u in d.undotted]
-        self.comp_nodes = {}
-        node_at = {}
-        for u in d.undotted:
-            nodes = [_Node(ev) for ev in u.events]
-            self.comp_nodes[u.id] = nodes
-            for pos, node in enumerate(nodes):
-                node_at[(u.id, pos)] = node
-        self.dot_order = [x.id for x in d.dotted]
-        self.dot_passages = {
-            x.id: [node_at[ref] for ref in x.passages] for x in d.dotted
-        }
-        self.colors = dict(cd.colors)
-
-    # -- id allocation ---------------------------------------------------
-
-    def new_crossing(self, positive: bool) -> int:
-        cid = max(self.signs, default=-1) + 1
-        self.signs[cid] = positive
-        return cid
-
-    def new_dot(self, color: GroupElement) -> int:
-        did = max(self.dot_order, default=-1) + 1
-        self.dot_order.append(did)
-        self.dot_passages[did] = []
-        self.colors[did] = color
-        return did
-
-    def new_component(self) -> int:
-        uid = max(self.comp_order, default=-1) + 1
-        self.comp_order.append(uid)
-        self.comp_nodes[uid] = []
-        return uid
-
-    # -- queries ----------------------------------------------------------
-
-    def positions(self) -> dict:
-        pos = {}
-        for uid in self.comp_order:
-            for i, node in enumerate(self.comp_nodes[uid]):
-                pos[id(node)] = (uid, i)
-        return pos
-
-    def crossing_nodes(self, cid: int):
-        over = under = None
-        for uid in self.comp_order:
-            for node in self.comp_nodes[uid]:
-                ev = node.ev
-                if isinstance(ev, CrossingEnd) and ev.crossing == cid:
-                    if ev.over:
-                        over = node
-                    else:
-                        under = node
-        if over is None or under is None:
-            raise MoveError(f"crossing {cid} not found in the diagram")
-        return over, under
-
-    def cyclically_adjacent(self, na: _Node, nb: _Node, pos: dict):
-        """Return (uid, first-node) if na, nb are consecutive strand events."""
-        ua, ia = pos[id(na)]
-        ub, ib = pos[id(nb)]
-        if ua != ub:
-            return None
-        n = len(self.comp_nodes[ua])
-        if n < 2:
-            return None
-        if (ia + 1) % n == ib:
-            return ua, na
-        if (ib + 1) % n == ia:
-            return ua, nb
-        return None
-
-    # -- freezing ----------------------------------------------------------
-
-    def freeze(self) -> ColoredDiagram:
-        pos = self.positions()
-        undotted = tuple(
-            UndottedComponent(uid, tuple(node.ev for node in self.comp_nodes[uid]))
-            for uid in self.comp_order
-        )
-        dotted = tuple(
-            DottedComponent(did, tuple(pos[id(node)] for node in self.dot_passages[did]))
-            for did in self.dot_order
-        )
-        crossings = tuple(Crossing(c, self.signs[c]) for c in sorted(self.signs))
-        d = renumber(KirbyDiagram(dotted, undotted, crossings, self.h3, self.h4))
-        require_valid(d)
-        return _colored(d, [self.colors[did] for did in self.dot_order])
-
-
-def _colored(d: KirbyDiagram, images: list) -> ColoredDiagram:
-    """Color d by images in dot order; diagrams.color decides flatness."""
-    if not images:
-        return ColoredDiagram(d, {})
-    try:
-        return color(d, GroupHom(images[0].group, images))
-    except ColoringError as exc:
-        raise MoveError(str(exc)) from None
+def _freeze(ed: Editor) -> ColoredDiagram:
+    """ed's diagram renumbered densely, colored by ed's colors; raises
+    DiagramError or ColoringError unless require_colored accepts it."""
+    d = renumber(ed.freeze())
+    cd = ColoredDiagram(d, {i: ed.colors[did] for i, did in enumerate(ed.dot_order)})
+    require_colored(cd)
+    return cd
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -176,7 +67,7 @@ def _require(cond: bool, msg: str) -> None:
 # -- crossing moves -------------------------------------------------------
 
 
-def _i2_insert(ed: _Editor, spec: dict, group) -> None:
+def _i2_insert(ed: Editor, spec: dict, group) -> None:
     ua, ub = spec["over"], spec["under"]
     i, j = spec["over_pos"], spec["under_pos"]
     sign = spec.get("sign", "+")
@@ -187,8 +78,8 @@ def _i2_insert(ed: _Editor, spec: dict, group) -> None:
              "I-2-insert: same-component windows need distinct positions")
     c1 = ed.new_crossing(sign == "+")
     c2 = ed.new_crossing(sign != "+")
-    over_block = [_Node(CrossingEnd(c1, True)), _Node(CrossingEnd(c2, True))]
-    under_block = [_Node(CrossingEnd(c1, False)), _Node(CrossingEnd(c2, False))]
+    over_block = [Node(CrossingEnd(c1, True)), Node(CrossingEnd(c2, True))]
+    under_block = [Node(CrossingEnd(c1, False)), Node(CrossingEnd(c2, False))]
     blocks = [(ua, i, over_block), (ub, j, under_block)]
     if ua == ub and j > i:
         # insert at the later position first so the earlier index stays valid
@@ -197,7 +88,7 @@ def _i2_insert(ed: _Editor, spec: dict, group) -> None:
         ed.comp_nodes[uid][p:p] = block
 
 
-def _i2_remove(ed: _Editor, spec: dict, group) -> None:
+def _i2_remove(ed: Editor, spec: dict, group) -> None:
     c1, c2 = spec["c1"], spec["c2"]
     _require(c1 != c2, "I-2-remove: needs two distinct crossings")
     _require(ed.signs[c1] != ed.signs[c2],
@@ -215,7 +106,7 @@ def _i2_remove(ed: _Editor, spec: dict, group) -> None:
     del ed.signs[c1], ed.signs[c2]
 
 
-def _i3(ed: _Editor, spec: dict, group) -> None:
+def _i3(ed: Editor, spec: dict, group) -> None:
     cids = spec["crossings"]
     _require(len(set(cids)) == 3, "I-3: needs three distinct crossings")
     _require(len({ed.signs[c] for c in cids}) == 1,
@@ -276,7 +167,7 @@ def _i3_matching(ends, pairs, cids):
     return next((w for w in combinations(pairs, 3) if valid(w)), None)
 
 
-def _i5(ed: _Editor, spec: dict, group) -> None:
+def _i5(ed: Editor, spec: dict, group) -> None:
     over, under = ed.crossing_nodes(spec["crossing"])
     pos = ed.positions()
     _require(ed.cyclically_adjacent(over, under, pos) is not None,
@@ -291,7 +182,7 @@ def _i5(ed: _Editor, spec: dict, group) -> None:
 # -- dot passage moves -----------------------------------------------------
 
 
-def _ii1_insert(ed: _Editor, spec: dict, group) -> None:
+def _ii1_insert(ed: Editor, spec: dict, group) -> None:
     did, uid = spec["dot"], spec["component"]
     i = spec["disk_pos"]
     p = spec["event_pos"]
@@ -300,13 +191,13 @@ def _ii1_insert(ed: _Editor, spec: dict, group) -> None:
              "II-1-insert: disk_pos out of range")
     _require(0 <= p <= len(ed.comp_nodes[uid]),
              "II-1-insert: event_pos out of range")
-    n1 = _Node(DotPassage(did, first_down))
-    n2 = _Node(DotPassage(did, not first_down))
+    n1 = Node(DotPassage(did, first_down))
+    n2 = Node(DotPassage(did, not first_down))
     ed.comp_nodes[uid][p:p] = [n1, n2]
     ed.dot_passages[did][i:i] = [n1, n2]
 
 
-def _ii1_remove(ed: _Editor, spec: dict, group) -> None:
+def _ii1_remove(ed: Editor, spec: dict, group) -> None:
     did = spec["dot"]
     i = spec["disk_pos"]
     passages = ed.dot_passages[did]
@@ -324,7 +215,7 @@ def _ii1_remove(ed: _Editor, spec: dict, group) -> None:
     del passages[i:i + 2]
 
 
-def _ii5(ed: _Editor, spec: dict, group) -> None:
+def _ii5(ed: Editor, spec: dict, group) -> None:
     did = spec["dot"]
     passages = ed.dot_passages[did]
     passages.reverse()
@@ -333,7 +224,7 @@ def _ii5(ed: _Editor, spec: dict, group) -> None:
     ed.colors[did] = ed.colors[did].inv
 
 
-def _aligned_partners(ed: _Editor, did: int, other: int, after: bool, ctx: str):
+def _aligned_partners(ed: Editor, did: int, other: int, after: bool, ctx: str):
     """Partner nodes of `other` aligned with dot `did`'s disk order.
 
     Every passage of `did` must be Down and be immediately followed
@@ -364,7 +255,7 @@ def _aligned_partners(ed: _Editor, did: int, other: int, after: bool, ctx: str):
     return partners
 
 
-def _ii6(ed: _Editor, spec: dict, group) -> None:
+def _ii6(ed: Editor, spec: dict, group) -> None:
     did, bid = spec["dot"], spec["through"]
     _require(did != bid, "II-6: needs two distinct dots")
     a = ed.colors[did]
@@ -383,7 +274,7 @@ def _ii6(ed: _Editor, spec: dict, group) -> None:
         nodes[ia], nodes[ib] = nodes[ib], nodes[ia]
 
 
-def _iii1_slide(ed: _Editor, spec: dict, group) -> None:
+def _iii1_slide(ed: Editor, spec: dict, group) -> None:
     did, bid = spec["dot"], spec["over"]
     _require(did != bid, "III-1-slide: needs two distinct dots")
     passages = ed.dot_passages[did]
@@ -394,14 +285,14 @@ def _iii1_slide(ed: _Editor, spec: dict, group) -> None:
     for node in passages:
         uid, _ = pos[id(node)]
         nodes = ed.comp_nodes[uid]
-        fresh = _Node(DotPassage(bid, True))
+        fresh = Node(DotPassage(bid, True))
         nodes.insert(nodes.index(node) + 1, fresh)
         new_nodes.append(fresh)
     ed.dot_passages[bid][0:0] = new_nodes
     ed.colors[did] = ed.colors[did] * ed.colors[bid].inv
 
 
-def _iii1_unslide(ed: _Editor, spec: dict, group) -> None:
+def _iii1_unslide(ed: Editor, spec: dict, group) -> None:
     did, bid = spec["dot"], spec["over"]
     _require(did != bid, "III-1-unslide: needs two distinct dots")
     partners = _aligned_partners(ed, did, bid, after=True, ctx="III-1-unslide")
@@ -416,16 +307,16 @@ def _iii1_unslide(ed: _Editor, spec: dict, group) -> None:
 # -- canceling pair moves ---------------------------------------------------
 
 
-def _iii4_insert(ed: _Editor, spec: dict, group) -> None:
+def _iii4_insert(ed: Editor, spec: dict, group) -> None:
     _require(group is not None, "III-4-insert: no group available; pass group=")
     did = ed.new_dot(group.element(group.identity_index))
     uid = ed.new_component()
-    node = _Node(DotPassage(did, True))
+    node = Node(DotPassage(did, True))
     ed.comp_nodes[uid].append(node)
     ed.dot_passages[did].append(node)
 
 
-def _iii4_remove(ed: _Editor, spec: dict, group) -> None:
+def _iii4_remove(ed: Editor, spec: dict, group) -> None:
     did = spec["dot"]
     _require(ed.colors[did].is_identity(),
              f"III-4-remove: dot {did} is not colored with the identity")
@@ -442,12 +333,12 @@ def _iii4_remove(ed: _Editor, spec: dict, group) -> None:
     del ed.colors[did]
 
 
-def _iii5_insert(ed: _Editor, spec: dict, group) -> None:
+def _iii5_insert(ed: Editor, spec: dict, group) -> None:
     ed.new_component()
     ed.h3 += 1
 
 
-def _iii5_remove(ed: _Editor, spec: dict, group) -> None:
+def _iii5_remove(ed: Editor, spec: dict, group) -> None:
     uid = spec["component"]
     _require(not ed.comp_nodes[uid],
              f"III-5-remove: undotted component {uid} is not bare")
@@ -457,7 +348,7 @@ def _iii5_remove(ed: _Editor, spec: dict, group) -> None:
     ed.h3 -= 1
 
 
-def _global_conjugate(ed: _Editor, spec: dict, group) -> None:
+def _global_conjugate(ed: Editor, spec: dict, group) -> None:
     _require(group is not None, "global-conjugate: no group available; pass group=")
     beta = spec["element"]
     if isinstance(beta, str):
@@ -498,7 +389,7 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_params(ed: _Editor, name: str, params: dict, spec: dict) -> None:
+def _check_params(ed: Editor, name: str, params: dict, spec: dict) -> None:
     """Presence, then types, then ids of spec's parameters, as _MOVES says."""
     missing = [k for k, kind in params.items()
                if k not in spec and not kind.endswith("?")]
@@ -532,21 +423,30 @@ def apply_move(cd: ColoredDiagram, spec: dict, group=None) -> ColoredDiagram:
     group is only needed by III-4-insert and global-conjugate when the
     diagram has no colored dots to read it from.
     """
+    try:
+        require_colored(cd)
+    except (DiagramError, ColoringError) as exc:
+        raise MoveError(f"cannot rewrite this colored diagram: {exc}") from None
+    return _apply(cd, spec, group)
+
+
+def _apply(cd: ColoredDiagram, spec: dict, group) -> ColoredDiagram:
+    """apply_move on a cd that require_colored has accepted."""
     if not isinstance(spec, dict) or "move" not in spec:
         raise MoveError("move spec must be a dict with a 'move' key")
     name = spec["move"]
     if not isinstance(name, str) or name not in _MOVES:
         raise MoveError(f"unknown move {name!r}")
     rewrite, params = _MOVES[name]
-    ed = _Editor(cd)
+    ed = Editor(cd.diagram, cd.colors)
     _check_params(ed, name, params, spec)
     if group is None and cd.colors:
         group = next(iter(cd.colors.values())).group
     rewrite(ed, spec, group)
     try:
-        return ed.freeze()
-    except DiagramError as exc:  # pragma: no cover - internal bug guard
-        raise MoveError(f"{name}: rewrite produced an invalid diagram: {exc}")
+        return _freeze(ed)
+    except (DiagramError, ColoringError) as exc:  # pragma: no cover - bug guard
+        raise MoveError(f"{name}: rewrite produced an unreadable diagram: {exc}")
 
 
 # -- candidate enumeration (for fuzzing) -------------------------------------
@@ -557,15 +457,13 @@ def move_candidates(cd: ColoredDiagram, inserts: bool = True, group=None) -> lis
 
     Insert-type specs are enumerated over every legal position, so the
     list grows with diagram size; they apply to every valid diagram by
-    construction.  Pattern moves are verified by a dry apply_move run
-    before being reported.  A diagram that is not valid, or whose
-    coloring breaks a relation, has no candidates.
+    construction.  Pattern moves are verified by a dry run before being
+    reported.  A diagram that require_colored rejects has no candidates.
     """
     d = cd.diagram
     try:
-        require_valid(d)
-        _colored(d, [cd.color_of(x.id) for x in d.dotted])
-    except (DiagramError, MoveError):
+        require_colored(cd)
+    except (DiagramError, ColoringError):
         return []
     out = []
     cross_ids = [c.id for c in d.crossings]
@@ -597,31 +495,25 @@ def move_candidates(cd: ColoredDiagram, inserts: bool = True, group=None) -> lis
     applicable = []
     for spec in out:
         try:
-            apply_move(cd, spec, group=group)
+            _apply(cd, spec, group)
         except MoveError:
             continue
         applicable.append(spec)
     if inserts:
-        for ua in d.undotted:
-            for ub in d.undotted:
-                for i in range(len(ua.events) + 1):
-                    for j in range(len(ub.events) + 1):
-                        if ua.id == ub.id and i == j:
-                            continue
-                        for sign in ("+", "-"):
-                            applicable.append({"move": "I-2-insert",
-                                               "over": ua.id, "over_pos": i,
-                                               "under": ub.id, "under_pos": j,
-                                               "sign": sign})
-        for x in d.dotted:
-            for u in d.undotted:
-                for i in range(len(x.passages) + 1):
-                    for p in range(len(u.events) + 1):
-                        for first_down in (True, False):
-                            applicable.append({"move": "II-1-insert", "dot": x.id,
-                                               "disk_pos": i, "component": u.id,
-                                               "event_pos": p,
-                                               "first_down": first_down})
+        for ua, ub in product(d.undotted, repeat=2):
+            for i, j, sign in product(range(len(ua.events) + 1),
+                                      range(len(ub.events) + 1), "+-"):
+                if ua.id != ub.id or i != j:
+                    applicable.append({"move": "I-2-insert",
+                                       "over": ua.id, "over_pos": i,
+                                       "under": ub.id, "under_pos": j,
+                                       "sign": sign})
+        for x, u in product(d.dotted, d.undotted):
+            for i, p, first_down in product(range(len(x.passages) + 1),
+                                            range(len(u.events) + 1), (True, False)):
+                applicable.append({"move": "II-1-insert", "dot": x.id,
+                                   "disk_pos": i, "component": u.id,
+                                   "event_pos": p, "first_down": first_down})
         if group is not None:
             applicable.append({"move": "III-4-insert"})
         applicable.append({"move": "III-5-insert"})

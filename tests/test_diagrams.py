@@ -1,6 +1,8 @@
 """Diagram data model: validation, presentations, colorings, and the
 orientation / rotation / renumbering / sum operations."""
 
+import hashlib
+
 import pytest
 
 import oracles
@@ -14,13 +16,23 @@ from hopfg import (
     colorings,
     connected_sum,
     cyclic_group,
+    diagram_to_json,
+    dumps_canonical,
     fundamental_presentation,
     renumber,
     reorient,
     rotate_component,
     validate,
 )
-from hopfg.diagrams import Crossing, CrossingEnd, DotPassage, DottedComponent, UndottedComponent
+from hopfg.diagrams import (
+    ColoredDiagram,
+    Crossing,
+    CrossingEnd,
+    DotPassage,
+    DottedComponent,
+    UndottedComponent,
+    require_colored,
+)
 from hopfg.groups import GroupHom, enumerate_homs, group_from_table
 
 
@@ -285,6 +297,52 @@ def test_rotation_repoints_passages():
     # event previously at position 0 is now at position n-1
     assert (0, 5) in r.dotted[0].passages
     assert validate(r) == []
+
+
+def test_colors_from_different_groups_are_rejected():
+    d = builtin_diagram("s1xs1xs2")
+    cd = ColoredDiagram(d, {0: cyclic_group(2).element(1), 1: cyclic_group(5).element(4)})
+    with pytest.raises(ColoringError, match="different groups"):
+        require_colored(cd)
+    # another group object with the same table is the same group
+    cd = ColoredDiagram(d, {0: cyclic_group(3).element(1), 1: cyclic_group(3).element(2)})
+    require_colored(cd)
+
+
+def test_rotation_and_reorientation_rebuild_valid_diagrams_only():
+    d = builtin_diagram("s2xs2")
+    # crossings come out in id order
+    shuffled = KirbyDiagram(d.dotted, d.undotted, d.crossings[::-1], d.h3, d.h4)
+    assert rotate_component(shuffled, 0, 0) == d
+    assert reorient(reorient(shuffled, 1), 1) == d
+    # a passage that names no event
+    bad = KirbyDiagram((DottedComponent(0, ((0, 5),)),), (UndottedComponent(0, ()),), ())
+    with pytest.raises(DiagramError, match="not a dot passage event"):
+        rotate_component(bad, 0, 1)
+    with pytest.raises(DiagramError, match="not a dot passage event"):
+        reorient(bad, 0)
+    with pytest.raises(DiagramError, match="no undotted component 9"):
+        rotate_component(d, 9, 1)
+
+
+def test_rotations_and_reorientations_are_pinned():
+    # every reorientation and every rotation (wrapping both ways) of every
+    # undotted component of the diagrams the move pin walks
+    ds = [builtin_diagram(name) for name in builtin_diagram_names()]
+    ds += [oracles.braid_closure(), oracles.two_kinks(),
+           builtin_diagram("connected-sum:s1xs1xs2,cp2")]
+    digest = hashlib.sha256()
+    n = 0
+    for d in ds:
+        for u in d.undotted:
+            rotations = [rotate_component(d, u.id, r)
+                         for r in range(-1, len(u.events) + 2)]
+            for out in [reorient(d, u.id)] + rotations:
+                digest.update(dumps_canonical(diagram_to_json(out)).encode())
+                n += 1
+    assert n == 84
+    assert digest.hexdigest() == \
+        "b900259806030b8766da2acfd618a4c840a554388753e778b187cc921b750b85"
 
 
 # -- renumbering and sums ------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 import oracles
 from hopfg import (
     ColoredDiagram,
+    ColoringError,
     EvaluationError,
     builtin_diagram,
     color,
@@ -190,7 +191,8 @@ def test_inconsistent_coloring_rejected(bank):
     d = oracles.two_dots_chain()
     g = H.group.element(1)
     bad = ColoredDiagram(d, {0: g, 1: g})  # g*g != 1 in Z_3
-    with pytest.raises(EvaluationError, match="do not telescope"):
+    with pytest.raises(ColoringError, match="relation of undotted component 0 "
+                       "does not map to the identity"):
         evaluate(H, ints, bad)
 
 

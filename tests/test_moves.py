@@ -7,6 +7,8 @@ import pytest
 
 import oracles
 from hopfg import (
+    ColoringError,
+    DiagramError,
     MoveError,
     apply_move,
     builtin_diagram,
@@ -27,9 +29,11 @@ from hopfg.diagrams import (
     ColoredDiagram,
     Crossing,
     CrossingEnd,
+    DottedComponent,
     KirbyDiagram,
     UndottedComponent,
 )
+from hopfg.evaluate import contraction_plan
 
 ALGEBRAS = ["cyclic:k=1,l=2,d=1", "cyclic:k=2,l=3,d=1", "cyclic:k=1,l=4,d=3",
             "kac-paljutkin"]
@@ -444,3 +448,28 @@ def test_mistyped_parameters_raise_move_error(spec, message):
     cd = _trivial(builtin_diagram("connected-sum:s1xs1xs2,cp2"))
     with pytest.raises(MoveError, match=message):
         apply_move(cd, spec)
+
+
+def _unreadable():
+    g = cyclic_group(3).element(1)
+    dangling = KirbyDiagram((DottedComponent(0, ((0, 5),)),), (UndottedComponent(0, ()),), ())
+    return [
+        ColoredDiagram(builtin_diagram("s1xs1xs2"), {0: g}),  # dot 1 has no color
+        ColoredDiagram(dangling, {0: g}),  # a passage that names no event
+        ColoredDiagram(oracles.two_dots_chain(), {0: g, 1: g}),  # not flat in Z_3
+    ]
+
+
+@pytest.mark.parametrize("cd", _unreadable(),
+                         ids=["missing-color", "dangling-passage", "not-flat"])
+def test_unreadable_colored_diagrams_are_rejected(bank, cd):
+    # every entry point asks diagrams.require_colored, so none of them
+    # reaches a KeyError
+    H, ints = bank("cyclic:k=3,l=2,d=1")
+    for call in (evaluate, contraction_plan):
+        with pytest.raises((ColoringError, DiagramError)):
+            call(H, ints, cd)
+    for spec in ({"move": "II-5", "dot": 0}, {"move": "III-5-insert"}):
+        with pytest.raises(MoveError, match="^cannot rewrite this colored diagram: "):
+            apply_move(cd, spec)
+    assert move_candidates(cd, group=H.group) == []
