@@ -190,6 +190,8 @@ class HopfGAlgebra:
 
     Construction validates dimensional consistency, totality of all maps,
     scalar conductors, and that the supported grades form a normal subgroup.
+    An instance is treated as immutable after construction: ``r_site`` and
+    the sites an ``IntegralData`` caches are computed once from these maps.
     """
 
     def __init__(self, group: FiniteGroup, dims, conductor: int, product, unit,
@@ -207,6 +209,7 @@ class HopfGAlgebra:
         self.rmatrix = _clean(rmatrix)
         self.basis_names = basis_names
         self.name = name
+        self._r_sites = {}  # crossing sign -> r_site(sign)
         self._validate_structure()
 
     # -- structural validation (load errors, before any axiom checking) ----
@@ -341,6 +344,13 @@ class HopfGAlgebra:
         """(S_1 (x) id)(R), the two-sided inverse of R for a valid algebra."""
         e = self.group.identity_index
         return apply_rows_at(self.rmatrix, 0, slot_rows(self.antipode[e]))
+
+    def r_site(self, positive: bool) -> list:
+        """The sorted entries of R (positive) or (S_1 (x) id)(R), built once."""
+        if positive not in self._r_sites:
+            raw = self.rmatrix if positive else self.r_inverse_raw()
+            self._r_sites[positive] = sorted(raw.items())
+        return self._r_sites[positive]
 
     # -- public vector operations ---------------------------------------------
 

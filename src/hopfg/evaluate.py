@@ -27,6 +27,16 @@ order from every first component wins, each component at its cheapest
 start event.  Every plan gives the same value: component values are
 scalars that commute, and lam(xy) = lam(yx) for x and y of inverse
 grades, so a component's value does not depend on its start event.
+
+Evaluation is split in two.  Compiling (``_Compiled``) does, once per
+(algebra, integrals, diagram), what no coloring changes: it validates
+the diagram and records each dot's passage signs, the crossing sites and
+every component's slots.  Binding a coloring reads each dot's site, takes
+the plan from the compiled diagram's memo and folds.  ``evaluate``
+compiles and binds one coloring; ``evaluate_summed`` compiles once and
+binds every flat connection.  Dot sites are cached per (grade, signs) on
+the IntegralData and crossing sites on the algebra; both are immutable
+after construction, so a cached site is the one a fresh build would give.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import HopfGAlgebra, add_into, apply_rows_at, slot_rows
+from .algebra import HopfGAlgebra, add_into
 from .cyclo import Cyclo
 from .diagrams import (
     ColoredDiagram,
@@ -42,6 +52,7 @@ from .diagrams import (
     KirbyDiagram,
     connected_sum,
     require_colored,
+    require_valid,
 )
 from .groups import GroupHom, enumerate_homs
 from .integrals import IntegralData
@@ -79,70 +90,6 @@ class SummedInvariant:
     @property
     def hom_count(self) -> int:
         return len(self.values)
-
-
-def _site_tensors(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
-    """Expansion tensor per site, plus the slot list of every component.
-
-    Returns (site_entries, comp_slots, coeff0) where a slot is
-    (site, factor, arity, slot grade index) and coeff0 collects the
-    scalar contributions of dots with no passages.
-    """
-    d = cd.diagram
-    G = H.group
-    e = G.identity_index
-    one = Cyclo.one(H.conductor)
-    zero = Cyclo.zero(H.conductor)
-
-    coeff0 = one
-    for x in d.dotted:
-        a = cd.color_of(x.id).index
-        if H.dims[a] == 0:  # H_a = 0, so Lambda_a = 0
-            return None, None, zero
-        if x.passages:
-            continue
-        coeff0 = coeff0 * H.counit_raw(a, integrals.integral(a).entries)
-        if not coeff0:
-            return None, None, zero
-
-    site_entries = []
-    passage_slot = {}  # (undotted id, event pos) -> slot
-    for x in d.dotted:
-        if not x.passages:
-            continue
-        a = cd.color_of(x.id).index
-        k = len(x.passages)
-        entries = H.coproduct_power(integrals.integral(a), k).entries
-        grades = [a] * k
-        for factor, (ru, rp) in enumerate(x.passages):
-            ev = d.undotted_by_id(ru).events[rp]
-            if not ev.down:
-                entries = apply_rows_at(entries, factor, slot_rows(H.antipode[a]))
-                grades[factor] = G.inverses[a]
-        site = len(site_entries)
-        site_entries.append(sorted(entries.items()))
-        for factor, ref in enumerate(x.passages):
-            passage_slot[ref] = (site, factor, k, grades[factor])
-
-    crossing_slot = {}
-    r_entries = {}  # sign -> sorted R or (S (x) id)(R), built once per call
-    for c in d.crossings:
-        if c.positive not in r_entries:
-            raw = H.rmatrix if c.positive else H.r_inverse_raw()
-            r_entries[c.positive] = sorted(raw.items())
-        crossing_slot[c.id] = len(site_entries)
-        site_entries.append(r_entries[c.positive])
-
-    comp_slots = []
-    for u in d.undotted:
-        slots = []
-        for pos, ev in enumerate(u.events):
-            if isinstance(ev, CrossingEnd):
-                slots.append((crossing_slot[ev.crossing], 0 if ev.over else 1, 2, e))
-            else:
-                slots.append(passage_slot[(u.id, pos)])
-        comp_slots.append(slots)
-    return site_entries, comp_slots, coeff0
 
 
 class _Planner:
@@ -283,25 +230,147 @@ class _Planner:
         return order, starts, cost
 
 
+class _Compiled:
+    """The color-free part of evaluating a diagram d, and the binding of a
+    coloring to it.  A slot is (site, factor, arity): the dots with
+    passages are sites 0, 1, ... in dot order, the crossings follow."""
+
+    def __init__(self, H: HopfGAlgebra, integrals: IntegralData, d: KirbyDiagram):
+        if integrals.algebra is not H:
+            raise EvaluationError("integral data belongs to a different algebra")
+        require_valid(d)
+        self.H, self.integrals = H, integrals
+        self.zero, self.one = Cyclo.zero(H.conductor), Cyclo.one(H.conductor)
+        self.exponent = len(d.dotted) - len(d.undotted)
+        self.norm = Cyclo.rational(Fraction(H.dims[H.group.identity_index]) ** self.exponent,
+                                   conductor=H.conductor)
+        self.signs = [tuple(d.undotted_by_id(ru).events[rp].down for ru, rp in x.passages)
+                      for x in d.dotted]
+        dots = [x for x in d.dotted if x.passages]
+        passage_slot = {ref: (site, f, len(x.passages)) for site, x in enumerate(dots)
+                        for f, ref in enumerate(x.passages)}  # (undotted id, event pos)
+        crossing_site = {c.id: len(dots) + i for i, c in enumerate(d.crossings)}
+        self.crossings = [H.r_site(c.positive) for c in d.crossings]
+        self.skeleton = [
+            [(crossing_site[ev.crossing], 0 if ev.over else 1, 2)
+             if isinstance(ev, CrossingEnd) else passage_slot[(u.id, pos)]
+             for pos, ev in enumerate(u.events)]
+            for u in d.undotted]
+        self.plans = {}
+
+    def sites(self, grades):
+        """(coeff0, site_entries, comp_slots) for the coloring with the given
+        grade index per dot: coeff0 collects the dots with no passages and a
+        slot gains its grade as a fourth entry.  None when a dot gives 0."""
+        coeff0, entries, site_grades = self.one, [], []
+        for a, signs in zip(grades, self.signs):
+            site, sg = self.integrals.dot_site(a, signs)
+            if not site:  # H_a = 0, so L_a = 0
+                return None
+            if signs:
+                entries.append(site)
+                site_grades.append(sg)
+            else:
+                coeff0 = coeff0 * site[0][1]
+        e = self.H.group.identity_index
+        site_grades += [(e, e)] * len(self.crossings)
+        comp_slots = [[(site, f, n, site_grades[site][f]) for site, f, n in slots]
+                      for slots in self.skeleton]
+        return coeff0, entries + self.crossings, comp_slots
+
+    def plan(self, site_entries, comp_slots):
+        """(planner, (order, starts, cost)) for the sites of one coloring,
+        kept under what the planner reads: the site entry counts and the
+        dims of the slot grades (a tie between starts is broken by the
+        slot's (site, factor), which no two slots share)."""
+        dims = self.H.dims
+        sizes = [len(x) for x in site_entries]
+        key = (tuple(sizes), tuple(dims[s[3]] for slots in comp_slots for s in slots))
+        got = self.plans.get(key)
+        if got is None:
+            planner = _Planner(dims, sizes, comp_slots)
+            got = self.plans[key] = (planner, planner.plan())
+        return got
+
+    def bind(self, grades) -> InvariantValue:
+        """The invariant of the coloring with the given grade index per
+        dot: the planned fold of its sites (see _Planner for the plan)."""
+        zero = self.zero
+        bound = self.sites(grades)
+        if bound is None:
+            return InvariantValue(zero, zero, self.exponent)
+        coeff0, site_entries, comp_slots = bound
+        order, starts, _ = self.plan(site_entries, comp_slots)[1]
+        G, unit, product = self.H.group, self.H.unit, self.H.product
+        e, lam = G.identity_index, self.integrals.lam_values
+
+        # between components the state maps pending-axis tuples to scalars;
+        # registry lists the open (site, factor) pairs the axes refer to
+        state = {(): coeff0}
+        registry = []
+        for comp, r in zip(order, starts):
+            slots = comp_slots[comp]
+            acc_g = e
+            within = {}
+            for axes, v in state.items():
+                for xi, xv in unit.items():
+                    within[(xi, axes)] = v * xv
+            for site, factor, arity, sg in slots[r:] + slots[:r]:
+                tab = product[(acc_g, sg)]
+                nxt = {}
+                if (site, factor) in registry:
+                    p = registry.index((site, factor))
+                    for (x, axes), v in within.items():
+                        a = axes[p]
+                        naxes = axes[:p] + axes[p + 1:]
+                        for y, c in tab[(x, a)].items():
+                            add_into(nxt, (y, naxes), v * c)
+                    registry.pop(p)
+                else:
+                    remaining = [f for f in range(arity) if f != factor]
+                    entries = site_entries[site]
+                    for (x, axes), v in within.items():
+                        for t, w0 in entries:
+                            ext = axes + tuple(t[f] for f in remaining)
+                            vw = v * w0
+                            for y, c in tab[(x, t[factor])].items():
+                                add_into(nxt, (y, ext), vw * c)
+                    registry.extend((site, f) for f in remaining)
+                within = nxt
+                if not within:
+                    break
+                acc_g = G.table[acc_g][sg]
+            state = {}
+            for (x, axes), v in within.items():
+                lv = lam[x]
+                if lv:
+                    add_into(state, axes, v * lv)
+            if not state:
+                break
+        if registry and state:
+            raise EvaluationError("dangling tensor factors after contraction")
+        bracket = state.get((), zero)
+        return InvariantValue(self.norm * bracket, bracket, self.exponent)
+
+
 def contraction_plan(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
     """(order, starts, cost, stored_cost): the plan ``evaluate`` folds cd
     by, as component indices in fold order and the event each starts
     from, its predicted cost, and the predicted cost of the length-sorted
     order from every stored event 0.  None when a dot alone makes the
     value zero and nothing is folded."""
-    _check_inputs(H, integrals, cd)
-    site_entries, comp_slots, coeff0 = _site_tensors(H, integrals, cd)
-    if not coeff0:
+    compiled = _Compiled(H, integrals, cd.diagram)
+    _check_inputs(H, cd)
+    bound = compiled.sites([cd.color_of(x.id).index for x in cd.diagram.dotted])
+    if bound is None:
         return None
-    planner = _Planner(H.dims, [len(x) for x in site_entries], comp_slots)
-    order, starts, cost = planner.plan()
+    _, site_entries, comp_slots = bound
+    planner, (order, starts, cost) = compiled.plan(site_entries, comp_slots)
     stored_cost, _ = planner.run(planner.by_length(), (0,) * len(comp_slots))
     return order, starts, cost, stored_cost
 
 
-def _check_inputs(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
-    if integrals.algebra is not H:
-        raise EvaluationError("integral data belongs to a different algebra")
+def _check_inputs(H: HopfGAlgebra, cd: ColoredDiagram):
     # colors are read as grade indices of H, so their group must have H's
     # group table (element names may differ)
     for x in cd.colors.values():
@@ -313,90 +382,22 @@ def _check_inputs(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
 
 
 def evaluate(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram) -> InvariantValue:
-    _check_inputs(H, integrals, cd)
-    d = cd.diagram
-    G = H.group
-    e = G.identity_index
-    zero = Cyclo.zero(H.conductor)
-    exponent = len(d.dotted) - len(d.undotted)
-
-    site_entries, comp_slots, coeff0 = _site_tensors(H, integrals, cd)
-    if not coeff0:
-        return InvariantValue(zero, zero, exponent)
-
-    # fold in the planned order, each component from its planned start
-    # event (see _Planner for the cost model)
-    sizes = [len(x) for x in site_entries]
-    order, starts, _ = _Planner(H.dims, sizes, comp_slots).plan()
-    lam = integrals.lam_values
-    unit = H.unit
-    product = H.product
-
-    # between components the state maps pending-axis tuples to scalars;
-    # registry lists the open (site, factor) pairs the axes refer to
-    state = {(): coeff0}
-    registry = []
-    for comp, r in zip(order, starts):
-        slots = comp_slots[comp]
-        acc_g = e
-        within = {}
-        for axes, v in state.items():
-            for xi, xv in unit.items():
-                within[(xi, axes)] = v * xv
-        for site, factor, arity, sg in slots[r:] + slots[:r]:
-            tab = product[(acc_g, sg)]
-            nxt = {}
-            if (site, factor) in registry:
-                p = registry.index((site, factor))
-                for (x, axes), v in within.items():
-                    a = axes[p]
-                    naxes = axes[:p] + axes[p + 1:]
-                    for y, c in tab[(x, a)].items():
-                        add_into(nxt, (y, naxes), v * c)
-                registry.pop(p)
-            else:
-                remaining = [f for f in range(arity) if f != factor]
-                entries = site_entries[site]
-                for (x, axes), v in within.items():
-                    for t, w0 in entries:
-                        ext = axes + tuple(t[f] for f in remaining)
-                        vw = v * w0
-                        for y, c in tab[(x, t[factor])].items():
-                            add_into(nxt, (y, ext), vw * c)
-                registry.extend((site, f) for f in remaining)
-            within = nxt
-            if not within:
-                break
-            acc_g = G.table[acc_g][sg]
-        state = {}
-        for (x, axes), v in within.items():
-            lv = lam[x]
-            if lv:
-                add_into(state, axes, v * lv)
-        if not state:
-            break
-    if registry and state:
-        raise EvaluationError("dangling tensor factors after contraction")
-    bracket = state.get((), zero)
-    norm = Cyclo.rational(Fraction(H.dims[e]) ** exponent, conductor=H.conductor)
-    value = norm * bracket
-    return InvariantValue(value, bracket, exponent)
+    compiled = _Compiled(H, integrals, cd.diagram)
+    _check_inputs(H, cd)
+    return compiled.bind([cd.color_of(x.id).index for x in cd.diagram.dotted])
 
 
 def evaluate_summed(H: HopfGAlgebra, integrals: IntegralData,
                     d: KirbyDiagram) -> SummedInvariant:
     """Sum of the invariant over all flat connections, i.e. over all
     homomorphisms from the diagram's fundamental group into H's group."""
+    compiled = _Compiled(H, integrals, d)
     pres = diagrams.fundamental_presentation(d)
     homs = tuple(enumerate_homs(pres, H.group))
-    values = []
-    total = Cyclo.zero(H.conductor)
-    for hom in homs:
-        cd = diagrams.color(d, hom)
-        iv = evaluate(H, integrals, cd)
-        values.append(iv)
-        total = total + iv.value
-    return SummedInvariant(total, tuple(values), homs)
+    # every enumerated hom is flat and into H's group
+    values = tuple(compiled.bind([g.index for g in hom.images]) for hom in homs)
+    return SummedInvariant(sum((iv.value for iv in values), Cyclo.zero(H.conductor)),
+                           values, homs)
 
 
 def connected_sum_check(H: HopfGAlgebra, integrals: IntegralData,

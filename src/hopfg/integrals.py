@@ -14,9 +14,9 @@ a nonzero H_alpha would force every x to be zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .algebra import GradedVector, HopfGAlgebra, IntegralError, add_into
+from .algebra import GradedVector, HopfGAlgebra, IntegralError, add_into, apply_rows_at, slot_rows
 from .cyclo import Cyclo, render_scalar
 
 
@@ -85,16 +85,39 @@ class IntegralData:
     """Normalized integrals per grade plus the cointegral on H_1.
 
     lam_values[i] is lam applied to the i-th grade-1 basis vector; the
-    normalization is eps(L_1) = 1 and lam(L_1) = 1.
+    normalization is eps(L_1) = 1 and lam(L_1) = 1.  An instance, like its
+    algebra, is treated as immutable after construction: ``dot_site``
+    keeps what it computes from both.
     """
 
     algebra: HopfGAlgebra
     integrals: tuple
     lam_values: tuple
+    _sites: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def integral(self, grade) -> GradedVector:
         idx = grade if isinstance(grade, int) else grade.index
         return self.integrals[idx]
+
+    def dot_site(self, a: int, downs: tuple):
+        """(sorted entries, factor grades) of (S^s1 (x) ... (x) S^sk)(Delta^(k-1)(L_a)),
+        s_i = 1 where downs[i] is false (an up passage), or of eps(L_a) at ()
+        when k = 0; no entries when it is zero.  Built once per (a, downs)."""
+        site = self._sites.get((a, downs))
+        if site is None:
+            H, lam_a = self.algebra, self.integrals[a]
+            if downs:
+                entries = H.coproduct_power(lam_a, len(downs)).entries
+            else:
+                eps = H.counit_raw(a, lam_a.entries)
+                entries = {(): eps} if eps else {}
+            grades = [a] * len(downs)
+            for f, down in enumerate(downs):
+                if not down:
+                    entries = apply_rows_at(entries, f, slot_rows(H.antipode[a]))
+                    grades[f] = H.group.inverses[a]
+            site = self._sites[a, downs] = (sorted(entries.items()), tuple(grades))
+        return site
 
     def eval_lambda(self, x: GradedVector) -> Cyclo:
         if not x.grade.is_identity():

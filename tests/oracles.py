@@ -242,6 +242,16 @@ def parallel_pair_of_kink():
     )
 
 
+def kink_through_disk():
+    """A component with one positive kink that runs down through a dot's
+    disk before the crossing and back up after it; flat for every color."""
+    return KirbyDiagram(
+        dotted=(DottedComponent(0, ((0, 0), (0, 2))),),
+        undotted=(UndottedComponent(0, (D(0), O(0), D(0, False), U(0))),),
+        crossings=(Crossing(0, True),),
+    )
+
+
 def kink_with_split_unknot():
     """The single positive kink plus a disjoint zero-framed unknot."""
     return KirbyDiagram(

@@ -122,8 +122,10 @@ ORACLE_SPECS = ("kac-paljutkin", "cyclic:k=1,l=2,d=1", "cyclic:k=3,l=2,d=1",
 def test_builtins_match_the_term_by_term_expansion(bank, spec):
     H, ints = bank(spec)
     for name in builtin_diagram_names():
-        for cd in colorings(builtin_diagram(name), H.group):
-            assert evaluate(H, ints, cd).value == oracles.expansion_invariant(H, ints, cd), name
+        d = builtin_diagram(name)
+        expected = [oracles.expansion_invariant(H, ints, cd) for cd in colorings(d, H.group)]
+        assert [evaluate(H, ints, cd).value for cd in colorings(d, H.group)] == expected, name
+        assert [iv.value for iv in evaluate_summed(H, ints, d).values] == expected, name
 
 
 def _partial_support_algebra():
@@ -146,6 +148,7 @@ def test_a_dot_of_an_unsupported_grade_evaluates_to_zero(bank):
     for name in builtin_diagram_names():
         d = builtin_diagram(name)
         trivial = evaluate_summed(H1, ints1, d).values[0].value
+        values = []
         for cd in colorings(d, H.group):
             value = evaluate(H, ints, cd).value
             assert value == oracles.expansion_invariant(H, ints, cd), name
@@ -153,6 +156,8 @@ def test_a_dot_of_an_unsupported_grade_evaluates_to_zero(bank):
                 assert value == trivial, name
             else:
                 assert not value, name
+            values.append(value)
+        assert [iv.value for iv in evaluate_summed(H, ints, d).values] == values, name
     summed = evaluate_summed(H, ints, builtin_diagram("s1xs1xs2"))
     assert [str(v.value) for v in summed.values] == ["4", "0", "0", "0"]
 

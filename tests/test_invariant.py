@@ -17,11 +17,18 @@ from hopfg import (
     evaluate,
     evaluate_summed,
     connected_sum_check,
+    reorient,
     solve_integrals,
 )
 from hopfg.cyclo import Cyclo
 from hopfg.groups import GroupHom, enumerate_homs
-from hopfg.diagrams import fundamental_presentation
+from hopfg.diagrams import (
+    DiagramError,
+    DotPassage,
+    KirbyDiagram,
+    UndottedComponent,
+    fundamental_presentation,
+)
 
 
 def _gauss_sum(l: int, d: int) -> Cyclo:
@@ -184,6 +191,35 @@ def test_foreign_integral_data_rejected(bank):
     cd = colorings(builtin_diagram("cp2"), H1.group)[0]
     with pytest.raises(EvaluationError, match="different algebra"):
         evaluate(H2, ints1, cd)
+    with pytest.raises(EvaluationError, match="different algebra"):
+        evaluate_summed(H2, ints1, builtin_diagram("cp2"))
+
+
+def test_summed_over_an_invalid_diagram_raises_diagram_error(bank):
+    # the diagram is validated before its fundamental group is read, so a
+    # passage through a dot that does not exist is not a KeyError
+    H, ints = bank("cyclic:k=3,l=2,d=1")
+    d = KirbyDiagram((), (UndottedComponent(0, (DotPassage(3, True),)),), ())
+    with pytest.raises(DiagramError, match="unknown dot 3"):
+        evaluate_summed(H, ints, d)
+
+
+def test_cached_dot_sites_follow_the_signs_and_the_integral_data(bank):
+    # The dots have one color per coloring and two passages, signed down-up,
+    # up-down (the reoriented copy), down-down and up-up.  The diagrams
+    # alternate on one IntegralData and on a second algebra's, twice so the
+    # second pass reads every site from the cache, against the oracle, which
+    # shares no cache with the engine.
+    algebras = [bank("kac-paljutkin"), bank("cyclic:k=2,l=4,d=1")]
+    G = algebras[0][0].group
+    diagrams = [dd for d in (oracles.kink_through_disk(), oracles.pair_crossing_through_disk(True)[0])
+                for dd in (d, reorient(d, 0))]
+    for _ in range(2):
+        for d in diagrams:
+            for H, ints in algebras:
+                expected = [oracles.expansion_invariant(H, ints, cd) for cd in colorings(d, G)]
+                assert [evaluate(H, ints, cd).value for cd in colorings(d, G)] == expected
+                assert [iv.value for iv in evaluate_summed(H, ints, d).values] == expected
 
 
 def test_inconsistent_coloring_rejected(bank):
