@@ -17,6 +17,9 @@ GradedTensor are built only where a public function returns.
 
 from __future__ import annotations
 
+import itertools
+from math import prod
+
 from .cyclo import Cyclo, render_scalar
 from .groups import FiniteGroup, GroupElement
 
@@ -190,8 +193,9 @@ class HopfGAlgebra:
 
     Construction validates dimensional consistency, totality of all maps,
     scalar conductors, and that the supported grades form a normal subgroup.
-    An instance is treated as immutable after construction: ``r_site`` and
-    the sites an ``IntegralData`` caches are computed once from these maps.
+    An instance is treated as immutable after construction:
+    ``crossing_site`` and the sites an ``IntegralData`` caches are computed
+    once from these maps.
     """
 
     def __init__(self, group: FiniteGroup, dims, conductor: int, product, unit,
@@ -209,7 +213,7 @@ class HopfGAlgebra:
         self.rmatrix = _clean(rmatrix)
         self.basis_names = basis_names
         self.name = name
-        self._r_sites = {}  # crossing sign -> r_site(sign)
+        self._crossing_sites = {}  # (signs, words) -> crossing_site(signs, words)
         self._validate_structure()
 
     # -- structural validation (load errors, before any axiom checking) ----
@@ -345,12 +349,27 @@ class HopfGAlgebra:
         e = self.group.identity_index
         return apply_rows_at(self.rmatrix, 0, slot_rows(self.antipode[e]))
 
-    def r_site(self, positive: bool) -> list:
-        """The sorted entries of R (positive) or (S_1 (x) id)(R), built once."""
-        if positive not in self._r_sites:
-            raw = self.rmatrix if positive else self.r_inverse_raw()
-            self._r_sites[positive] = sorted(raw.items())
-        return self._r_sites[positive]
+    def crossing_site(self, signs: tuple, words: tuple) -> list:
+        """The sorted entries of crossings with the given signs (R for True,
+        (S_1 (x) id)(R) for False) multiplied out: factor f is the product
+        of the ends words[f] lists in order, an end being (crossing, 0 for
+        its over factor or 1 for its under one).  Built once per key."""
+        got = self._crossing_sites.get((signs, words))
+        if got is None:
+            e, one = self.group.identity_index, self.one()
+            rs = [(self.rmatrix if s else self.r_inverse_raw()).items() for s in signs]
+            out = {}
+            for terms in itertools.product(*rs):
+                tensor = {(): prod((w for _, w in terms), start=one)}
+                for (k, f), *rest in words:
+                    vec = {terms[k][0][f]: one}
+                    for k, f in rest:
+                        vec = self.mul_raw(e, e, vec, {terms[k][0][f]: one})
+                    tensor = {t + (i,): v * x for t, v in tensor.items() for i, x in vec.items()}
+                for t, v in tensor.items():
+                    add_into(out, t, v)
+            got = self._crossing_sites[signs, words] = sorted(out.items())
+        return got
 
     # -- public vector operations ---------------------------------------------
 

@@ -216,8 +216,13 @@ def colorings(d: KirbyDiagram, G: FiniteGroup):
 def require_colored(cd: ColoredDiagram) -> None:
     """Raise DiagramError unless cd's diagram is valid and every dot has a
     color, and ColoringError unless the coloring is flat."""
+    require_valid(cd.diagram)
+    require_coloring(cd)
+
+
+def require_coloring(cd: ColoredDiagram) -> None:
+    """require_colored of a cd whose diagram is already known to be valid."""
     d = cd.diagram
-    require_valid(d)
     missing = [x.id for x in d.dotted if x.id not in cd.colors]
     if missing:
         raise DiagramError(f"dotted components {missing} have no color")

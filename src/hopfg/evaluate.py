@@ -11,31 +11,35 @@ evaluations.  The invariant multiplies the bracket by
 dim(H_1)^(dotted - undotted).
 
 The expansion is contracted as a sparse tensor network rather than
-enumerated term by term: the engine folds one component at a time,
-keeping a state table keyed by (running product basis index, pending
-tensor-factor indices of partially consumed sites).  Merging equal
-keys keeps the table near dim^(1 + open factors) instead of the
-product of all site entry counts.
+enumerated term by term.  Its sites are the dots' tensors and the
+crossing sites: a kink is pre-multiplied into one factor, and a clasp or
+Reidemeister-II pair of crossings into one two-factor site when that
+has fewer entries than the two R sites (see _crossing_sites).  Each
+factor of a merged site is one slot, at the first of the adjacent ends
+it multiplies.  The engine folds one component at a time, keeping a state table
+keyed by (running product basis index, pending tensor-factor indices of
+partially consumed sites).  Merging equal keys keeps the table near
+dim^(1 + open factors) instead of the product of all site entry counts.
 
 How wide the table gets depends on the order the components are folded
-in and on the event each one starts from, so a plan picks both before
+in and on the slot each one starts from, so a plan picks both before
 the fold.  Its predicted cost sums, over the slots in fold order, the
 predicted table width (the product of dims[grade] over the open axes)
 times the entry count of the site a slot opens (1 for a slot that
 closes an axis).  The cheapest of the length-sorted order and a greedy
 order from every first component wins, each component at its cheapest
-start event.  Every plan gives the same value: component values are
-scalars that commute, and lam(xy) = lam(yx) for x and y of inverse
-grades, so a component's value does not depend on its start event.
+start.  Every plan gives the same value: component values are scalars
+that commute, and lam(xy) = lam(yx) for x and y of inverse grades, so a
+component's value does not depend on its start.
 
-Evaluation is split in two.  Compiling (``_Compiled``) does, once per
-(algebra, integrals, diagram), what no coloring changes: it validates
-the diagram and records each dot's passage signs, the crossing sites and
-every component's slots.  Binding a coloring reads each dot's site, takes
-the plan from the compiled diagram's memo and folds.  ``evaluate``
-compiles and binds one coloring; ``evaluate_summed`` compiles once and
-binds every flat connection.  Dot sites are cached per (grade, signs) on
-the IntegralData and crossing sites on the algebra; both are immutable
+Compiling (``_Compiled``) does, once per (algebra, integrals, diagram),
+what no coloring changes: it validates the diagram and records each
+dot's passage signs, the crossing sites and every component's slots.
+Binding a coloring reads each dot's site, takes the plan from the
+compiled diagram's memo and folds.  ``evaluate`` compiles and binds one
+coloring; ``evaluate_summed`` compiles once and binds every flat
+connection.  Dot sites are cached per (grade, signs) on the IntegralData
+and crossing sites, merged or not, on the algebra; both are immutable
 after construction, so a cached site is the one a fresh build would give.
 """
 
@@ -51,7 +55,7 @@ from .diagrams import (
     CrossingEnd,
     KirbyDiagram,
     connected_sum,
-    require_colored,
+    require_coloring,
     require_valid,
 )
 from .groups import GroupHom, enumerate_homs
@@ -94,15 +98,17 @@ class SummedInvariant:
 
 class _Planner:
     """Predicted cost of folding the components in a given order, each
-    from a given start event.
+    from a given start slot.
 
-    An open axis is a pending tensor factor of a partially consumed site,
-    and the state table is predicted to hold the product of dims[grade]
-    over the open axes.  A slot whose axis is open costs one pass over
-    the table and closes the axis; a slot of an unopened site costs a
-    pass times the site's entry count and opens the site's other
-    factors.  Which axes a component leaves open does not depend on its
-    start event, so for a fixed order the cheapest start of each
+    A site is a dot's tensor or a crossing site: R, a kink's one factor,
+    or a merged clasp or II pair, whose factors are runs of adjacent ends
+    (one slot each).  An open axis is a pending tensor factor of a
+    partially consumed site, and the state table is predicted to hold the
+    product of dims[grade] over the open axes.  A slot whose axis is open
+    costs one pass over the table and closes the axis; a slot of an
+    unopened site costs a pass times the site's entry count and opens the
+    site's other factors.  Which axes a component leaves open does not
+    depend on its start, so for a fixed order the cheapest start of each
     component is the best one.  Of equally cheap starts, the one at the
     least slot wins (no slot occurs twice), so the start does not depend
     on the stored rotation either.  An axis is a bit of an int.
@@ -147,8 +153,8 @@ class _Planner:
 
     def rotations(self, c: int, pre: int):
         """(costs, best, out): the predicted cost of folding component c
-        from each of its start events when the axes pre of its own slots
-        are open, its best start event, and the axes it leaves open."""
+        from each of its slots when the axes pre of its own slots are
+        open, its best start slot, and the axes it leaves open."""
         got = self.memo.get((c, pre))
         if got is not None:
             return got
@@ -171,17 +177,14 @@ class _Planner:
                     w *= width
                     live |= others
             costs.append(cost)
-        if not costs:
-            got = self.memo[c, pre] = ([0], 0, live)
-            return got
         slots = self.comp_slots[c]
-        best = min(range(size), key=lambda r: (costs[r], slots[r]))
-        got = self.memo[c, pre] = (costs, best, live)
+        best = min(range(size), key=lambda r: (costs[r], slots[r]), default=0)
+        got = self.memo[c, pre] = (costs or [0], best, live)
         return got
 
     def run(self, order, starts=None):
         """(cost, starts) of folding in the given order, from the given
-        start events or, by default, from each component's best one."""
+        start slots or, by default, from each component's best one."""
         open_axes = total = 0
         chosen = []
         for i, c in enumerate(order):
@@ -220,7 +223,7 @@ class _Planner:
     def plan(self):
         """(order, starts, cost): the cheapest of the length-sorted order
         and one greedy order per first component, each at its best start
-        events; the length-sorted order wins a tie."""
+        slots; the length-sorted order wins a tie."""
         order = self.by_length()
         cost, starts = self.run(order)
         for cand in dict.fromkeys(map(self.greedy, range(len(order)))):
@@ -230,10 +233,73 @@ class _Planner:
         return order, starts, cost
 
 
+def _crossing_sites(H: HopfGAlgebra, d: KirbyDiagram, runs, first: int) -> list:
+    """The entries of d's crossing sites, numbered from first in order of
+    their least crossing id; slot (site, factor, arity) goes to
+    runs[k][p] when it starts at event p of component k.
+
+    A kink (a crossing whose ends are cyclically adjacent) is one factor,
+    its ends multiplied in traversal order.  Two crossings whose ends are
+    cyclically adjacent on a component X and on another component Y (a
+    clasp or a Reidemeister-II pair) are one site, factor 0 the product
+    of the two ends on X (the component of the lesser crossing's over
+    end) and factor 1 of those on Y, when it has fewer entries than the
+    two R sites together; pairs are taken in crossing-id order.  Where a
+    component holds just the two ends, the kink's over end or the lesser
+    crossing's end comes first, so no choice depends on the stored start
+    events.  Every other crossing keeps its R site, factor 0 on the over
+    end."""
+    at = {(ev.crossing, ev.over): (k, p) for k, u in enumerate(d.undotted)
+          for p, ev in enumerate(u.events) if isinstance(ev, CrossingEnd)}
+    signs = {c.id: c.positive for c in d.crossings}
+
+    def word(a, b):  # ends a and b in traversal order, or None if not adjacent
+        (ka, pa), (kb, pb) = at[a], at[b]
+        n = len(d.undotted[ka].events)
+        if ka == kb and pb == (pa + 1) % n:
+            return (a, b)
+        return (b, a) if ka == kb and pa == (pb + 1) % n else None
+
+    def site(words):  # ends per factor -> H.crossing_site
+        ids = sorted({c for w in words for c, _ in w})
+        return H.crossing_site(tuple(signs[c] for c in ids),
+                               tuple(tuple((ids.index(c), 1 - over) for c, over in w)
+                                     for w in words))
+
+    def lone(c):
+        return ((c, True),), ((c, False),)
+
+    groups = {c: (w,) for c in signs if (w := word((c, True), (c, False)))}
+    adjacent = {tuple(sorted((ev.crossing, nxt.crossing)))
+                for u in d.undotted for ev, nxt in zip(u.events, u.events[1:] + u.events[:1])
+                if isinstance(ev, CrossingEnd) and isinstance(nxt, CrossingEnd)
+                and ev.crossing != nxt.crossing}  # not the one end of a 1-event component
+    taken = set(groups)
+    for a, b in sorted(adjacent):
+        if a in taken or b in taken or at[a, True][0] == at[a, False][0]:
+            continue
+        xb = (b, at[b, True][0] == at[a, True][0])
+        words = (word((a, True), xb), word((a, False), (b, not xb[1])))
+        if None not in words and len(site(words)) < len(site(lone(a))) * len(site(lone(b))):
+            groups[a] = words
+            taken.update((a, b))
+    for c in signs.keys() - taken:
+        groups[c] = lone(c)
+    sites = []
+    for i, (_, words) in enumerate(sorted(groups.items())):
+        sites.append(site(words))
+        for f, w in enumerate(words):
+            k, p = at[w[0]]
+            runs[k][p] = (first + i, f, len(words))
+    return sites
+
+
 class _Compiled:
     """The color-free part of evaluating a diagram d, and the binding of a
     coloring to it.  A slot is (site, factor, arity): the dots with
-    passages are sites 0, 1, ... in dot order, the crossings follow."""
+    passages are sites 0, 1, ... in dot order, the crossing sites follow
+    (see _crossing_sites).  skeleton[k] lists component k's slots in
+    traversal order and positions[k] the event each slot starts at."""
 
     def __init__(self, H: HopfGAlgebra, integrals: IntegralData, d: KirbyDiagram):
         if integrals.algebra is not H:
@@ -247,15 +313,14 @@ class _Compiled:
         self.signs = [tuple(d.undotted_by_id(ru).events[rp].down for ru, rp in x.passages)
                       for x in d.dotted]
         dots = [x for x in d.dotted if x.passages]
-        passage_slot = {ref: (site, f, len(x.passages)) for site, x in enumerate(dots)
-                        for f, ref in enumerate(x.passages)}  # (undotted id, event pos)
-        crossing_site = {c.id: len(dots) + i for i, c in enumerate(d.crossings)}
-        self.crossings = [H.r_site(c.positive) for c in d.crossings]
-        self.skeleton = [
-            [(crossing_site[ev.crossing], 0 if ev.over else 1, 2)
-             if isinstance(ev, CrossingEnd) else passage_slot[(u.id, pos)]
-             for pos, ev in enumerate(u.events)]
-            for u in d.undotted]
+        comp = {u.id: k for k, u in enumerate(d.undotted)}
+        runs = [{} for _ in d.undotted]  # event position -> the slot starting there
+        for site, x in enumerate(dots):
+            for f, (ru, rp) in enumerate(x.passages):
+                runs[comp[ru]][rp] = (site, f, len(x.passages))
+        self.crossings = _crossing_sites(H, d, runs, len(dots))
+        self.skeleton = [[slot for _, slot in sorted(r.items())] for r in runs]
+        self.positions = [sorted(r) for r in runs]
         self.plans = {}
 
     def sites(self, grades):
@@ -356,21 +421,28 @@ class _Compiled:
 def contraction_plan(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
     """(order, starts, cost, stored_cost): the plan ``evaluate`` folds cd
     by, as component indices in fold order and the event each starts
-    from, its predicted cost, and the predicted cost of the length-sorted
-    order from every stored event 0.  None when a dot alone makes the
+    from (a merged slot's first end), its predicted cost, and the
+    predicted cost of the length-sorted order from every stored event 0
+    (from the merged slot holding it).  None when a dot alone makes the
     value zero and nothing is folded."""
-    compiled = _Compiled(H, integrals, cd.diagram)
-    _check_inputs(H, cd)
-    bound = compiled.sites([cd.color_of(x.id).index for x in cd.diagram.dotted])
+    compiled, grades = _compile_colored(H, integrals, cd)
+    bound = compiled.sites(grades)
     if bound is None:
         return None
     _, site_entries, comp_slots = bound
     planner, (order, starts, cost) = compiled.plan(site_entries, comp_slots)
-    stored_cost, _ = planner.run(planner.by_length(), (0,) * len(comp_slots))
-    return order, starts, cost, stored_cost
+    positions = compiled.positions
+    # the slot holding event 0: the first one, or a last one that wraps round
+    stored = [0 if not ps or ps[0] == 0 else len(ps) - 1 for ps in positions]
+    by_length = planner.by_length()
+    stored_cost, _ = planner.run(by_length, [stored[c] for c in by_length])
+    events = tuple(positions[c][r] if positions[c] else 0 for c, r in zip(order, starts))
+    return order, events, cost, stored_cost
 
 
-def _check_inputs(H: HopfGAlgebra, cd: ColoredDiagram):
+def _compile_colored(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
+    """(compiled diagram, grade index per dot); validates cd's diagram once."""
+    compiled = _Compiled(H, integrals, cd.diagram)
     # colors are read as grade indices of H, so their group must have H's
     # group table (element names may differ)
     for x in cd.colors.values():
@@ -378,13 +450,13 @@ def _check_inputs(H: HopfGAlgebra, cd: ColoredDiagram):
             raise EvaluationError(
                 f"the coloring group (order {x.group.order}) is not the algebra's "
                 f"grading group (order {H.group.order})")
-    require_colored(cd)
+    require_coloring(cd)
+    return compiled, [cd.color_of(x.id).index for x in cd.diagram.dotted]
 
 
 def evaluate(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram) -> InvariantValue:
-    compiled = _Compiled(H, integrals, cd.diagram)
-    _check_inputs(H, cd)
-    return compiled.bind([cd.color_of(x.id).index for x in cd.diagram.dotted])
+    compiled, grades = _compile_colored(H, integrals, cd)
+    return compiled.bind(grades)
 
 
 def evaluate_summed(H: HopfGAlgebra, integrals: IntegralData,

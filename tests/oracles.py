@@ -9,6 +9,7 @@ main suite can compare engine output against these values exactly.
 
 import os
 from fractions import Fraction
+import itertools
 from math import gcd
 
 from hopfg import builtin_algebra, solve_integrals
@@ -264,6 +265,79 @@ def kink_with_split_unknot():
     )
 
 
+def kink_on_clasp(positive, over_first):
+    """A kink (crossing 0, either sign, either end first) on a component
+    that also clasps a second one (crossings 1 and 2)."""
+    kink = (O(0), U(0)) if over_first else (U(0), O(0))
+    return KirbyDiagram(
+        dotted=(),
+        undotted=(
+            UndottedComponent(0, kink + (O(1), U(2))),
+            UndottedComponent(1, (U(1), O(2))),
+        ),
+        crossings=(Crossing(0, positive), Crossing(1, True), Crossing(2, True)),
+    )
+
+
+def parallel_pair(signs, over_twice, y_reversed):
+    """Crossings 0 and 1 with cyclically adjacent ends on both components:
+    X = component 0 runs down and back up through a dot around them, and
+    Y = component 1 carries a positive kink (crossing 2) after them.  X is
+    over at both (a Reidemeister-II pair) or over at 0 and under at 1 (a
+    clasp); Y meets them in X's order or reversed."""
+    xb, yb = (O(1), U(1)) if over_twice else (U(1), O(1))
+    y = (yb, U(0)) if y_reversed else (U(0), yb)
+    return KirbyDiagram(
+        dotted=(DottedComponent(0, ((0, 0), (0, 3))),),
+        undotted=(
+            UndottedComponent(0, (D(0), O(0), xb, D(0, False))),
+            UndottedComponent(1, y + (O(2), U(2))),
+        ),
+        crossings=(Crossing(0, signs[0]), Crossing(1, signs[1]), Crossing(2, True)),
+    )
+
+
+def three_parallel_crossings():
+    """Component 0 passes over component 1 three times in a row, at
+    crossings 0 (+), 1 (-) and 2 (+), and component 1 meets them in
+    reverse: both (0, 1) and (1, 2) are parallel pairs."""
+    return KirbyDiagram(
+        dotted=(DottedComponent(0, ((0, 3), (0, 4))),),
+        undotted=(
+            UndottedComponent(0, (O(0), O(1), O(2), D(0), D(0, False))),
+            UndottedComponent(1, (U(2), U(1), U(0))),
+        ),
+        crossings=(Crossing(0, True), Crossing(1, False), Crossing(2, True)),
+    )
+
+
+def one_event_components():
+    """One crossing between two components of one event each, so each
+    end is its own neighbour without being a kink or a pair."""
+    return KirbyDiagram(
+        dotted=(),
+        undotted=(UndottedComponent(0, (O(0),)), UndottedComponent(1, (U(0),))),
+        crossings=(Crossing(0, True),),
+    )
+
+
+def db2():
+    """DB_2: a component K running twice down through dot 0, as the
+    closure of the braid sigma_1 about the dot's axis (crossing 0), and a
+    0-framed meridian clasping K (crossings 1 and 2); one 3-handle.  Its
+    value depends on the connection."""
+    return KirbyDiagram(
+        dotted=(DottedComponent(0, ((0, 0), (0, 2))),),
+        undotted=(
+            UndottedComponent(0, (D(0), O(0), D(0), U(0), O(1), U(2))),
+            UndottedComponent(1, (U(1), O(2))),
+        ),
+        crossings=tuple(Crossing(i, True) for i in range(3)),
+        h3=1,
+        h4=1,
+    )
+
+
 def two_dots_chain():
     """One component passing down through two distinct dots; the coloring
     forces the colors to be mutually inverse."""
@@ -302,6 +376,96 @@ def non_unimodular_h4():
         G, (4,), 1, product, {0: one}, coproduct, counit, antipode,
         crossing, {(0, 0): one}, basis_names=[["1", "g", "x", "gx"]],
     )
+
+
+# -- the Drinfeld double of S3, whose R legs do not commute ---------------------
+
+
+def double_s3():
+    """D(S3) graded over the trivial group: basis delta_a x (index 6a + x,
+    a and x permutations of range(3) in sorted order), with
+    (delta_a x)(delta_b y) = [a = x b x^-1] delta_a xy,
+    Delta(delta_a x) = sum_{bc = a} delta_b x (x) delta_c x,
+    S(delta_a x) = delta_{x^-1 a^-1 x} x^-1 and R = sum_g delta_g (x) g.
+    Its R legs, delta_g and g, do not commute, so the order in which a
+    merged crossing site multiplies them shows."""
+    perms = sorted(itertools.permutations(range(3)))
+    n = len(perms)
+    idx = {p: i for i, p in enumerate(perms)}
+    mul = [[idx[tuple(p[i] for i in q)] for q in perms] for p in perms]
+    inv = [idx[tuple(sorted(range(3), key=p.__getitem__))] for p in perms]
+    e = idx[(0, 1, 2)]
+    one, zero = Cyclo.one(1), Cyclo.zero(1)
+
+    def conj(x, a):
+        return mul[mul[x][a]][inv[x]]
+
+    def basis(a, x):
+        return a * n + x
+
+    pairs = [(a, x) for a in range(n) for x in range(n)]
+    product = {(basis(a, x), basis(b, y)): {basis(a, mul[x][y]): one} if a == conj(x, b) else {}
+               for a, x in pairs for b, y in pairs}
+    coproduct = [{(basis(b, x), basis(mul[inv[b]][a], x)): one for b in range(n)}
+                 for a, x in pairs]
+    counit = [one if a == e else zero for a, _ in pairs]
+    antipode = [{basis(conj(inv[x], inv[a]), inv[x]): one} for a, x in pairs]
+    rmatrix = {(basis(g, e), basis(h, g)): one for g in range(n) for h in range(n)}
+    return HopfGAlgebra(
+        cyclic_group(1), (n * n,), 1, {(0, 0): product}, {basis(a, e): one for a in range(n)},
+        [coproduct], [counit], [antipode], {(0, 0): [{i: one} for i in range(n * n)]},
+        rmatrix, name="D(S3)",
+    )
+
+
+def merged_crossing_site(H, d, ids):
+    """The crossings ids of d multiplied out into one site, read off the
+    diagram: every term picks one entry of each crossing's R or
+    (S (x) id)(R), and each component that meets them multiplies the basis
+    elements at their ends in its traversal order, starting after the
+    event that is not one of them (so each such component must have one).
+    Factor 0 is read on the component of ids[0]'s over end, and factor 1,
+    if any, on the other."""
+    e = H.group.identity_index
+    zero, one = Cyclo.zero(H.conductor), Cyclo.one(H.conductor)
+    sites = {}
+    for c in d.crossings:
+        if c.id in ids:
+            terms = dict(H.rmatrix)
+            if not c.positive:
+                terms = _ref_antipode_at(H, e, terms, 0)
+            sites[c.id] = sorted(terms.items())
+    reads = {}  # component id -> its (crossing, tensor factor) ends in order
+    for u in d.undotted:
+        ends = [(p, ev.crossing, 0 if ev.over else 1) for p, ev in enumerate(u.events)
+                if isinstance(ev, CrossingEnd) and ev.crossing in ids]
+        if ends:
+            k = len(u.events)
+            ps = {p for p, _, _ in ends}
+            start = next(p for p in sorted(ps) if (p - 1) % k not in ps)
+            ends.sort(key=lambda t: (t[0] - start) % k)
+            reads[u.id] = [(c, f) for _, c, f in ends]
+    first = next(u.id for u in d.undotted if (ids[0], 0) in reads.get(u.id, ()))
+    words = [reads[first]] + [w for uid, w in reads.items() if uid != first]
+    out = {}
+    for choice in itertools.product(*(sites[c] for c in ids)):
+        picked = {c: t for c, (t, _) in zip(ids, choice)}
+        coeff = one
+        for _, v in choice:
+            coeff = coeff * v
+        tensor = {(): coeff}
+        for word in words:
+            vec = dict(H.unit)
+            for c, f in word:
+                nxt = {}
+                for x, v in vec.items():
+                    for y, w in H.product[e, e][x, picked[c][f]].items():
+                        nxt[y] = nxt.get(y, zero) + v * w
+                vec = {y: v for y, v in nxt.items() if v}
+            tensor = {t + (y,): v * w for t, v in tensor.items() for y, w in vec.items()}
+        for t, v in tensor.items():
+            out[t] = out.get(t, zero) + v
+    return sorted((t, v) for t, v in out.items() if v)
 
 
 def rational(n, d=1):

@@ -29,7 +29,7 @@ from hopfg import (
     solve_integrals,
     verify_axioms,
 )
-from hopfg.evaluate import contraction_plan
+from hopfg.evaluate import _Compiled, contraction_plan
 
 PLAN_SPECS = ("kac-paljutkin", "cyclic:k=2,l=3,d=1", "cyclic:k=1,l=4,d=1")
 
@@ -212,3 +212,108 @@ def test_move_walks_match_the_term_by_term_expansion(bank, walk):
         move, cd = _step(H, ints, cd, rng)
         assert evaluate(H, ints, cd).value == oracles.expansion_invariant(H, ints, cd), \
             (spec, name, move)
+
+
+# -- kinks and parallel crossing pairs, pre-contracted before the plan ----------
+
+MERGE_SPECS = ("kac-paljutkin", "cyclic:k=1,l=4,d=1")
+
+
+def _merge_cases():
+    """(name, diagram) per kink, clasp and II-pair case."""
+    for positive in (True, False):
+        for over_first in (True, False):
+            yield f"kink{'+-'[not positive]}{'OU' if over_first else 'UO'}", \
+                oracles.kink_on_clasp(positive, over_first)
+    for signs, over_twice in (((True, True), False), ((False, False), False),
+                              ((True, False), True), ((False, True), True)):
+        for y_reversed in (False, True):
+            name = (f"{'II' if over_twice else 'clasp'}"
+                    f"{''.join('+-'[not s] for s in signs)}{'-reversed' * y_reversed}")
+            yield name, oracles.parallel_pair(signs, over_twice, y_reversed)
+    yield "three-parallel", oracles.three_parallel_crossings()
+    yield "one-event-components", oracles.one_event_components()
+
+
+MERGE_CASES = tuple(_merge_cases())
+
+
+def _plans_under_rotation(H, ints, d):
+    """Each rotation r of each component k, with the plans of its colorings
+    read back as events of d."""
+    for k, u in enumerate(d.undotted):
+        n = len(u.events)
+        for r in range(1, n):
+            rot = rotate_component(d, u.id, r)
+            plans = []
+            for cd in colorings(rot, H.group):
+                order, starts, cost, _ = contraction_plan(H, ints, cd)
+                plans.append((order, tuple((s + r) % n if c == k else s
+                                           for c, s in zip(order, starts)), cost))
+            yield rot, k, r, plans
+
+
+@pytest.mark.parametrize("spec", MERGE_SPECS)
+@pytest.mark.parametrize("name,d", MERGE_CASES, ids=[n for n, _ in MERGE_CASES])
+def test_merged_crossings_match_the_term_by_term_expansion(bank, spec, name, d):
+    # every rotation of every component included, so each kink and pair
+    # also straddles the stored start event; the plan reads the same
+    # events at the same cost however the diagram is stored
+    H, ints = bank(spec)
+    base = [contraction_plan(H, ints, cd)[:3] for cd in colorings(d, H.group)]
+    for rot, k, r, plans in [(d, 0, 0, base), *_plans_under_rotation(H, ints, d)]:
+        expected = [oracles.expansion_invariant(H, ints, cd) for cd in colorings(rot, H.group)]
+        assert [evaluate(H, ints, cd).value for cd in colorings(rot, H.group)] == expected, \
+            (name, k, r)
+        assert plans == base, (name, k, r)
+
+
+@pytest.mark.parametrize("spec", MERGE_SPECS)
+def test_kinks_and_parallel_pairs_are_merged(bank, spec):
+    # a kink always becomes a one-factor site; a pair only when that
+    # shrinks the site, which a clasp at kac-paljutkin (16 = 4 x 4) does not
+    H, ints = bank(spec)
+    dense = spec != "kac-paljutkin"
+    for name, d in MERGE_CASES:
+        compiled = _Compiled(H, ints, d)
+        widths = sorted(len(slots) for slots in compiled.skeleton)
+        if name.startswith("kink"):
+            assert widths == ([1, 2] if dense else [2, 3]), name
+            # a merged slot starts at the event of its first end
+            assert compiled.positions[0][:2] == [0, 2], name
+        elif name.startswith("clasp"):
+            assert widths == ([2, 3] if dense else [3, 4]), name
+        elif name.startswith("II"):
+            assert widths == [2, 3], name
+    # of the pairs (0, 1) and (1, 2), the lesser ids merge: component 1
+    # reads crossing 2 alone (site 2) and then the merged pair (site 1)
+    compiled = _Compiled(H, ints, oracles.three_parallel_crossings())
+    assert [slot[:2] for slot in compiled.skeleton[1]] == [(2, 1), (1, 1)]
+
+
+@pytest.mark.parametrize("spec", ("kac-paljutkin", "cyclic:k=2,l=4,d=1"))
+def test_a_value_that_depends_on_the_connection(bank, spec):
+    # DB_2 takes different values on its connections, so a bind that
+    # reads another connection's sites shows here
+    H, ints = bank(spec)
+    d = oracles.db2()
+    expected = [oracles.expansion_invariant(H, ints, cd) for cd in colorings(d, H.group)]
+    assert [iv.value for iv in evaluate_summed(H, ints, d).values] == expected
+    assert [evaluate(H, ints, cd).value for cd in colorings(d, H.group)] == expected
+    if spec == "cyclic:k=2,l=4,d=1":
+        assert [str(v) for v in expected] == ["2", "0"]
+
+
+def test_merged_sites_multiply_their_ends_in_traversal_order():
+    # at D(S3) the order of the product in a merged clasp or II pair shows
+    # in its entries, which kac-paljutkin's commuting R legs hide
+    H = oracles.double_s3()
+    ints = solve_integrals(H)
+    cases = [(d, (0, 1)) for name, d in MERGE_CASES if name.startswith(("clasp", "II", "three"))]
+    cases += [(oracles.kink_on_clasp(positive, over_first), (0,))
+              for positive in (True, False) for over_first in (True, False)]
+    for d, ids in cases:
+        for dd in (d, *_rotations(d)):
+            # the sites follow the least crossing id, so ids[0] = 0 is the first
+            merged = _Compiled(H, ints, dd).crossings[0]
+            assert merged == oracles.merged_crossing_site(H, dd, ids), (d, ids)
