@@ -13,6 +13,13 @@ applies sparse rows to a vector, and ``apply_rows_at`` applies them to
 one factor of a tensor.  Inside the package vectors and tensors are raw
 dicts ({basis index: Cyclo} and {index tuple: Cyclo}); GradedVector and
 GradedTensor are built only where a public function returns.
+
+The unit rule: a structure constant equal to 1 is its conductor's shared
+``Cyclo.one`` (the builtins and the JSON loader build it so), and the
+kernel never multiplies by that object: where a factor ``is`` it, the
+other factor is the product.  A 1 that is another object is simply
+multiplied, so values never depend on identity, only the work does.
+``product_rows`` caches the product table per algebra as nested lists.
 """
 
 from __future__ import annotations
@@ -68,18 +75,20 @@ def add_into(out: dict, key, v) -> None:
         del out[key]
 
 
-def apply_rows(rows, x: dict) -> dict:
+def apply_rows(rows, x: dict, one) -> dict:
     """The linear map with sparse rows (rows[i] is the image of basis
-    vector i) applied to the sparse vector x."""
+    vector i) applied to the sparse vector x, never multiplying by one
+    (the algebra's ``one()``, see the unit rule)."""
     out: dict = {}
     for i, xi in x.items():
         for t, tv in rows[i].items():
-            add_into(out, t, xi * tv)
+            add_into(out, t, xi if tv is one else tv if xi is one else xi * tv)
     return out
 
 
-def apply_rows_at(entries: dict, pos: int, rows) -> dict:
-    """Sparse rows applied to factor pos of a sparse tensor.
+def apply_rows_at(entries: dict, pos: int, rows, one) -> dict:
+    """Sparse rows applied to factor pos of a sparse tensor, nothing
+    multiplied by ``one`` as in ``apply_rows``.
 
     Row keys are index tuples spliced in place of the factor: 1-tuples
     for a map of one factor (see ``slot_rows``), pairs for a coproduct.
@@ -88,7 +97,7 @@ def apply_rows_at(entries: dict, pos: int, rows) -> dict:
     for idxs, v in entries.items():
         head, tail = idxs[:pos], idxs[pos + 1:]
         for u, uv in rows[idxs[pos]].items():
-            add_into(out, head + u + tail, v * uv)
+            add_into(out, head + u + tail, v if uv is one else uv if v is one else v * uv)
     return out
 
 
@@ -194,8 +203,8 @@ class HopfGAlgebra:
     Construction validates dimensional consistency, totality of all maps,
     scalar conductors, and that the supported grades form a normal subgroup.
     An instance is treated as immutable after construction:
-    ``crossing_site`` and the sites an ``IntegralData`` caches are computed
-    once from these maps.
+    ``product_rows``, ``crossing_site`` and the sites an ``IntegralData``
+    caches are computed once from these maps.
     """
 
     def __init__(self, group: FiniteGroup, dims, conductor: int, product, unit,
@@ -213,6 +222,7 @@ class HopfGAlgebra:
         self.rmatrix = _clean(rmatrix)
         self.basis_names = basis_names
         self.name = name
+        self._product_rows = {}  # (a, b) -> product_rows(a, b)
         self._crossing_sites = {}  # (signs, words) -> crossing_site(signs, words)
         self._validate_structure()
 
@@ -230,22 +240,22 @@ class HopfGAlgebra:
         e = G.identity_index
         support = [a for a in range(G.order) if self.dims[a] > 0]
         if e not in support:
-            raise AlgebraStructureError("dim H_1 must be positive")
+            raise AlgebraStructureError("dims: dim H_1 must be positive")
         sset = set(support)
         for a in support:
             if G.inverses[a] not in sset:
                 raise AlgebraStructureError(
-                    f"supported grades not closed under inverse at {G.names[a]}")
+                    f"dims: supported grades not closed under inverse at {G.names[a]}")
             for b in support:
                 if G.table[a][b] not in sset:
                     raise AlgebraStructureError(
-                        f"supported grades not closed under product at "
+                        f"dims: supported grades not closed under product at "
                         f"({G.names[a]},{G.names[b]})")
             # the crossing maps H_a onto H_{bab^-1}, so the support is normal
             for b in range(G.order):
                 if G.conj(b, a) not in sset:
                     raise AlgebraStructureError(
-                        f"supported grades not closed under conjugation at "
+                        f"dims: supported grades not closed under conjugation at "
                         f"(beta,alpha)=({G.names[b]},{G.names[a]})")
         self.support = tuple(support)
 
@@ -332,10 +342,27 @@ class HopfGAlgebra:
 
     # -- raw sparse kernels (dicts in, dicts out) ----------------------------
 
+    def product_rows(self, a: int, b: int) -> list:
+        """rows[i][j] is product[(a, b)][(i, j)], the sparse vector e_i e_j,
+        for supported grades a and b.  Built once per pair."""
+        got = self._product_rows.get((a, b))
+        if got is None:
+            tab = self.product[(a, b)]
+            got = self._product_rows[a, b] = [[tab[(i, j)] for j in range(self.dims[b])]
+                                              for i in range(self.dims[a])]
+        return got
+
     def mul_raw(self, a: int, b: int, x: dict, y: dict) -> dict:
-        tab = self.product[(a, b)]
-        return apply_rows(tab, {(i, j): xi * yj for i, xi in x.items()
-                                for j, yj in y.items() if tab[(i, j)]})
+        rows, one = self.product_rows(a, b), self.one()
+        out: dict = {}
+        for i, xi in x.items():
+            for j, yj in y.items():
+                terms = rows[i][j]
+                if terms:
+                    xy = yj if xi is one else xi if yj is one else xi * yj
+                    for t, c in terms.items():
+                        add_into(out, t, xy if c is one else c if xy is one else xy * c)
+        return out
 
     def counit_raw(self, a: int, x: dict) -> Cyclo:
         eps = self.counit[a]
@@ -347,7 +374,7 @@ class HopfGAlgebra:
     def r_inverse_raw(self) -> dict:
         """(S_1 (x) id)(R), the two-sided inverse of R for a valid algebra."""
         e = self.group.identity_index
-        return apply_rows_at(self.rmatrix, 0, slot_rows(self.antipode[e]))
+        return apply_rows_at(self.rmatrix, 0, slot_rows(self.antipode[e]), self.one())
 
     def crossing_site(self, signs: tuple, words: tuple) -> list:
         """The sorted entries of crossings with the given signs (R for True,
@@ -360,12 +387,13 @@ class HopfGAlgebra:
             rs = [(self.rmatrix if s else self.r_inverse_raw()).items() for s in signs]
             out = {}
             for terms in itertools.product(*rs):
-                tensor = {(): prod((w for _, w in terms), start=one)}
+                tensor = {(): prod((w for _, w in terms[1:]), start=terms[0][1])}
                 for (k, f), *rest in words:
                     vec = {terms[k][0][f]: one}
                     for k, f in rest:
                         vec = self.mul_raw(e, e, vec, {terms[k][0][f]: one})
-                    tensor = {t + (i,): v * x for t, v in tensor.items() for i, x in vec.items()}
+                    tensor = {t + (i,): v if x is one else x if v is one else v * x
+                              for t, v in tensor.items() for i, x in vec.items()}
                 for t, v in tensor.items():
                     add_into(out, t, v)
             got = self._crossing_sites[signs, words] = sorted(out.items())
@@ -379,12 +407,14 @@ class HopfGAlgebra:
         return GradedVector(target, self.mul_raw(a, b, x.entries, y.entries))
 
     def apply_antipode(self, x: GradedVector) -> GradedVector:
-        return GradedVector(x.grade.inv, apply_rows(self.antipode[x.grade.index], x.entries))
+        rows = self.antipode[x.grade.index]
+        return GradedVector(x.grade.inv, apply_rows(rows, x.entries, self.one()))
 
     def apply_crossing(self, beta: GroupElement, x: GradedVector) -> GradedVector:
         a = x.grade.index
         target = self.group.element(self.group.conj(beta.index, a))
-        return GradedVector(target, apply_rows(self.crossing[(beta.index, a)], x.entries))
+        rows = self.crossing[(beta.index, a)]
+        return GradedVector(target, apply_rows(rows, x.entries, self.one()))
 
     def coproduct_power(self, x: GradedVector, nfactors: int) -> GradedTensor:
         """Delta^{(nfactors-1)}(x) as an nfactors-fold tensor; nfactors=1 is x."""
@@ -394,7 +424,7 @@ class HopfGAlgebra:
         delta = self.coproduct[x.grade.index]
         for last in range(nfactors - 1):
             # split the last slot; coassociativity makes the choice irrelevant
-            entries = apply_rows_at(entries, last, delta)
+            entries = apply_rows_at(entries, last, delta, self.one())
         return GradedTensor((x.grade,) * nfactors, entries)
 
     def r_tensor(self) -> GradedTensor:
@@ -440,23 +470,20 @@ def tensor_mul(H: HopfGAlgebra, s: GradedTensor, t: GradedTensor) -> GradedTenso
 
 
 def _tensor_mul_raw(H: HopfGAlgebra, ga, sa: dict, gb, sb: dict):
-    G = H.group
+    G, one = H.group, H.one()
     gout = tuple(G.table[x][y] for x, y in zip(ga, gb))
-    tabs = [H.product[(x, y)] for x, y in zip(ga, gb)]
+    rows = [H.product_rows(x, y) for x, y in zip(ga, gb)]
     out: dict = {}
     for ka, va in sa.items():
         for kb, vb in sb.items():
-            partial = [((), va * vb)]
-            for p, tab in enumerate(tabs):
-                target = tab[(ka[p], kb[p])]
+            partial = [((), vb if va is one else va if vb is one else va * vb)]
+            for p, r in enumerate(rows):
+                target = r[ka[p]][kb[p]]
                 if not target:
                     partial = []
                     break
-                nxt = []
-                for idxs, c in partial:
-                    for u, uv in target.items():
-                        nxt.append((idxs + (u,), c * uv))
-                partial = nxt
+                partial = [(idxs + (u,), c if uv is one else uv if c is one else c * uv)
+                           for idxs, c in partial for u, uv in target.items()]
             for idxs, c in partial:
                 add_into(out, idxs, c)
     return gout, out
@@ -472,24 +499,19 @@ def tensor_swap(t: GradedTensor) -> GradedTensor:
 def embed_two_raw(H: HopfGAlgebra, raw: dict, pos1: int, pos2: int, arity: int) -> dict:
     """Place a grade-(1,1) 2-tensor at slots pos1 < pos2 with units elsewhere."""
     out: dict = {}
+    one = H.one()
     rest = [p for p in range(arity) if p not in (pos1, pos2)]
     for (i, j), v in raw.items():
         stack = [({pos1: i, pos2: j}, v)]
         for p in rest:
             stack = [
-                ({**placed, p: u}, c * uv)
+                ({**placed, p: u}, c if uv is one else uv if c is one else c * uv)
                 for placed, c in stack
                 for u, uv in H.unit.items()
             ]
         for placed, c in stack:
             add_into(out, tuple(placed[p] for p in range(arity)), c)
     return out
-
-
-def embed_two_tensor(H: HopfGAlgebra, t: GradedTensor, pos1: int, pos2: int, arity: int) -> GradedTensor:
-    """Place a grade-(1,1) 2-tensor at slots pos1 < pos2 with units elsewhere."""
-    return GradedTensor((H.group.identity,) * arity,
-                        embed_two_raw(H, t.entries, pos1, pos2, arity))
 
 
 def format_raw_tensor(H: HopfGAlgebra, grade_idxs, raw: dict) -> str:

@@ -74,7 +74,7 @@ def build_cyclic(k: int, l: int, d: int) -> HopfGAlgebra:
             term = inv_l * Cyclo.zeta(cond, (-i * j) % l)
             acc = rmatrix.get(key)
             rmatrix[key] = term if acc is None else acc + term
-    rmatrix = {key: v for key, v in rmatrix.items() if v}
+    rmatrix = {key: one if v == 1 else v for key, v in rmatrix.items() if v}
 
     names = [[f"g^{i * k + p}" for i in range(l)] for p in range(k)]
     return HopfGAlgebra(
@@ -134,8 +134,9 @@ def _kp_coproduct(i: int) -> dict:
 
 def _lift(frak: dict, cond: int) -> dict:
     """Fraction-valued sparse map to Cyclo values at conductor cond, zeros
-    dropped."""
-    return {key: Cyclo.rational(v, conductor=cond) for key, v in frak.items() if v}
+    dropped and 1 the shared Cyclo.one."""
+    return {key: Cyclo.one(cond) if v == 1 else Cyclo.rational(v, conductor=cond)
+            for key, v in frak.items() if v}
 
 
 def build_kac_paljutkin() -> HopfGAlgebra:

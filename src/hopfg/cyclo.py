@@ -114,6 +114,7 @@ class Cyclo:
     """
 
     __slots__ = ("n", "num", "den")
+    _ones: dict = {}  # conductor -> the shared one(conductor)
 
     def __init__(self, n: int, coeffs: dict | None = None):
         if n < 1:
@@ -153,7 +154,11 @@ class Cyclo:
 
     @classmethod
     def one(cls, conductor: int = 1) -> "Cyclo":
-        return cls.rational(1, conductor=conductor)
+        """1 at the given conductor, one shared instance per conductor (a
+        Cyclo is immutable): see the unit rule in ``algebra``."""
+        if conductor not in cls._ones:
+            cls._ones[conductor] = cls.rational(1, conductor=conductor)
+        return cls._ones[conductor]
 
     # -- conductor handling -------------------------------------------------
 

@@ -366,7 +366,7 @@ class _Compiled:
             return InvariantValue(zero, zero, self.exponent)
         coeff0, site_entries, comp_slots = bound
         order, starts, _ = self.plan(site_entries, comp_slots)[1]
-        G, unit, product = self.H.group, self.H.unit, self.H.product
+        H, G, unit, one = self.H, self.H.group, self.H.unit, self.one
         e, lam = G.identity_index, self.integrals.lam_values
 
         # between components the state maps pending-axis tuples to scalars;
@@ -379,17 +379,17 @@ class _Compiled:
             within = {}
             for axes, v in state.items():
                 for xi, xv in unit.items():
-                    within[(xi, axes)] = v * xv
+                    within[(xi, axes)] = v if xv is one else v * xv
             for site, factor, arity, sg in slots[r:] + slots[:r]:
-                tab = product[(acc_g, sg)]
+                rows = H.product_rows(acc_g, sg)
                 nxt = {}
                 if (site, factor) in registry:
                     p = registry.index((site, factor))
                     for (x, axes), v in within.items():
                         a = axes[p]
                         naxes = axes[:p] + axes[p + 1:]
-                        for y, c in tab[(x, a)].items():
-                            add_into(nxt, (y, naxes), v * c)
+                        for y, c in rows[x][a].items():
+                            add_into(nxt, (y, naxes), v if c is one else v * c)
                     registry.pop(p)
                 else:
                     remaining = [f for f in range(arity) if f != factor]
@@ -397,9 +397,9 @@ class _Compiled:
                     for (x, axes), v in within.items():
                         for t, w0 in entries:
                             ext = axes + tuple(t[f] for f in remaining)
-                            vw = v * w0
-                            for y, c in tab[(x, t[factor])].items():
-                                add_into(nxt, (y, ext), vw * c)
+                            vw = w0 if v is one else v * w0
+                            for y, c in rows[x][t[factor]].items():
+                                add_into(nxt, (y, ext), vw if c is one else vw * c)
                     registry.extend((site, f) for f in remaining)
                 within = nxt
                 if not within:

@@ -114,7 +114,7 @@ class IntegralData:
             grades = [a] * len(downs)
             for f, down in enumerate(downs):
                 if not down:
-                    entries = apply_rows_at(entries, f, slot_rows(H.antipode[a]))
+                    entries = apply_rows_at(entries, f, slot_rows(H.antipode[a]), H.one())
                     grades[f] = H.group.inverses[a]
             site = self._sites[a, downs] = (sorted(entries.items()), tuple(grades))
         return site

@@ -25,7 +25,8 @@ from __future__ import annotations
 import json
 from math import prod
 
-from .algebra import MAX_CONDUCTOR, MAX_DIMENSION, MAX_GROUP_ORDER, HopfGAlgebra
+from .algebra import (MAX_CONDUCTOR, MAX_DIMENSION, MAX_GROUP_ORDER,
+                      AlgebraStructureError, HopfGAlgebra)
 from .builtins import builtin_algebra
 from .cyclo import Cyclo, parse_scalar, render_scalar_terms
 from .diagrams import (
@@ -164,16 +165,21 @@ def resolve_group(spec: str) -> FiniteGroup:
 # scalars
 
 
-def _scalar(terms: list, conductor: int, where: str) -> Cyclo:
+def _scalar(terms: list, conductor: int, where: str, memo: dict) -> Cyclo:
+    """The sum of the terms, a 1 as the shared Cyclo.one; memo holds the
+    term lists (as tuples) read so far in one load, each parsed once."""
     if not terms or not all(isinstance(t, str) for t in terms):
         raise SerializeError(f"{where}: expected a nonempty list of scalar terms")
-    total = Cyclo.zero(conductor)
-    for t in terms:
-        try:
-            total = total + parse_scalar(t, conductor)
-        except ValueError as exc:
-            raise SerializeError(f"{where}: {exc}") from None
-    return total
+    key = tuple(terms)
+    if key not in memo:
+        total = Cyclo.zero(conductor)
+        for t in terms:
+            try:
+                total = total + parse_scalar(t, conductor)
+            except ValueError as exc:
+                raise SerializeError(f"{where}: {exc}") from None
+        memo[key] = Cyclo.one(conductor) if total == 1 else total
+    return memo[key]
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +213,7 @@ def _entry_name(lead: tuple, idx: tuple) -> str:
     return " ".join(f"{word} {','.join(map(str, xs))}" for word, xs in groups if xs)
 
 
-def _read_blocks(blocks: list, field: str, conductor: int):
+def _read_blocks(blocks: list, field: str, conductor: int, memo: dict):
     """Yield (where, index tuple, scalar) for each block of one field.
 
     The indices are checked to be integers but not to be in range; a
@@ -226,7 +232,7 @@ def _read_blocks(blocks: list, field: str, conductor: int):
             raise SerializeError(
                 f"{where}: duplicate entry for {_entry_name(lead, idx)}")
         seen.add(idx)
-        yield where, idx, _scalar(inner[len(target):], conductor, where)
+        yield where, idx, _scalar(inner[len(target):], conductor, where, memo)
 
 
 def _entries(H: HopfGAlgebra) -> dict:
@@ -280,6 +286,7 @@ def algebra_from_json(obj) -> HopfGAlgebra:
         raise SerializeError("dims must list one dimension per group element")
     dims = tuple(_as_int(v, "dims") for v in dims_raw)
     support = [a for a in range(G.order) if dims[a] > 0]
+    memo = {}  # term list -> scalar, for this load only (see _scalar)
 
     # checked before any table is allocated from dims
     blocks = {field: _need_list(obj, field, "algebra") for field in _LAYOUT}
@@ -306,7 +313,7 @@ def algebra_from_json(obj) -> HopfGAlgebra:
                     f"{where}: basis index {i} out of range for grade {a}")
 
     def read(field):
-        return _read_blocks(blocks[field], field, cond)
+        return _read_blocks(blocks[field], field, cond, memo)
 
     # each loop checks the ranges of its indices and stores nonzero entries
     e = G.identity_index
@@ -373,10 +380,13 @@ def algebra_from_json(obj) -> HopfGAlgebra:
 
 
 def resolve_algebra(spec: str) -> HopfGAlgebra:
-    """An algebra from a builtin name or a JSON file path."""
+    """An algebra from a builtin name or a JSON file path (named in a structure error)."""
     if spec == "kac-paljutkin" or spec.startswith("cyclic:"):
         return builtin_algebra(spec)
-    return algebra_from_json(_read_json(spec))
+    try:
+        return algebra_from_json(_read_json(spec))
+    except AlgebraStructureError as exc:
+        raise AlgebraStructureError(f"{spec!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hopfg import (
 )
 from hopfg.algebra import (
     apply_rows_at,
-    embed_two_tensor,
+    embed_two_raw,
     format_vector,
     slot_rows,
     tensor_mul,
@@ -254,7 +254,8 @@ def test_r_matrix_fixed_by_antipode(bank):
     for spec in SPECS:
         H, _ = bank(spec)
         S = slot_rows(H.antipode[H.group.identity_index])
-        assert apply_rows_at(apply_rows_at(H.rmatrix, 0, S), 1, S) == H.rmatrix
+        one = H.one()
+        assert apply_rows_at(apply_rows_at(H.rmatrix, 0, S, one), 1, S, one) == H.rmatrix
 
 
 def test_r_matrix_counit_legs(bank):
@@ -279,6 +280,12 @@ def test_r_inverse_is_two_sided(bank):
         rinv = GradedTensor((e, e), H.r_inverse_raw())
         assert tensor_mul(H, H.r_tensor(), rinv) == one
         assert tensor_mul(H, rinv, H.r_tensor()) == one
+
+
+def embed_two_tensor(H, t, pos1, pos2, arity):
+    """The 2-tensor t at slots pos1 < pos2 of an arity-fold tensor."""
+    return GradedTensor((H.group.identity,) * arity,
+                        embed_two_raw(H, t.entries, pos1, pos2, arity))
 
 
 def test_cabling_identities_two_strands(bank):
@@ -321,7 +328,7 @@ def test_tensor_swap_and_apply(bank):
     e = H.group.identity
     x = H.basis_vector(e, 4)
     t = {(i,): v for i, v in x.entries.items()}
-    out = apply_rows_at(t, 0, slot_rows(H.antipode[e.index]))
+    out = apply_rows_at(t, 0, slot_rows(H.antipode[e.index]), H.one())
     expected = H.apply_antipode(x)
     assert out == {(i,): v for i, v in expected.entries.items()}
 
@@ -411,3 +418,102 @@ def test_drinfeld_element_properties(bank, kp):
     for i in range(H.dims[H.group.identity_index]):
         x = H.basis_vector(H.group.identity, i)
         assert H.mul(u, x) == H.mul(x, u)
+
+
+# -- the unit rule: structure constants equal to 1 are the shared one -------------
+
+
+def _constants(H):
+    """(container, key) of every structure constant of H."""
+    S = H.support
+    maps = [H.unit, H.rmatrix, *(H.counit[a] for a in S)]
+    maps += [vec for tab in H.product.values() for vec in tab.values()]
+    maps += [m[a][i] for m in (H.coproduct, H.antipode) for a in S for i in range(H.dims[a])]
+    maps += [row for rows in H.crossing.values() for row in rows]
+    for m in maps:
+        yield from ((m, k) for k in (list(m) if isinstance(m, dict) else range(len(m))))
+
+
+def _exact(v):
+    return (v.n, v.num, v.den)
+
+
+def _fresh_ones(spec):
+    """The builtin spec with every constant equal to 1 a new Cyclo(n, {0: 1})."""
+    H = builtin_algebra(spec)
+    replaced = 0
+    for m, k in _constants(H):
+        if m[k] == 1:
+            m[k] = Cyclo(H.conductor, {0: 1})
+            replaced += 1
+    assert replaced and not any(m[k] is H.one() for m, k in _constants(H))
+    return H
+
+
+@pytest.mark.parametrize("spec", ["kac-paljutkin", "cyclic:k=2,l=4,d=1"])
+def test_unit_skip_is_only_a_fast_path(spec):
+    from hopfg import builtin_diagram, builtin_diagram_names, drinfeld_element, \
+        evaluate_summed, verify_axioms
+
+    canonical, fresh = builtin_algebra(spec), _fresh_ones(spec)
+    assert verify_axioms(fresh).lines() == verify_axioms(canonical).lines()
+    ic, ifr = solve_integrals(canonical), solve_integrals(fresh)
+    for a in canonical.support:
+        assert ({i: _exact(v) for i, v in ifr.integrals[a].entries.items()}
+                == {i: _exact(v) for i, v in ic.integrals[a].entries.items()})
+    assert list(map(_exact, ifr.lam_values)) == list(map(_exact, ic.lam_values))
+    assert ({i: _exact(v) for i, v in drinfeld_element(fresh).entries.items()}
+            == {i: _exact(v) for i, v in drinfeld_element(canonical).entries.items()})
+    for name in builtin_diagram_names():
+        d = builtin_diagram(name)
+        want, got = evaluate_summed(canonical, ic, d), evaluate_summed(fresh, ifr, d)
+        assert _exact(got.total) == _exact(want.total), name
+        assert ([_exact(v.bracket) for v in got.values]
+                == [_exact(v.bracket) for v in want.values]), name
+
+
+@pytest.mark.parametrize("spec", ["kac-paljutkin", "cyclic:k=2,l=4,d=1",
+                                  "cyclic:k=3,l=6,d=1", "cyclic:k=1,l=1,d=0"])
+def test_built_and_loaded_constants_equal_to_one_are_shared(spec):
+    from hopfg import algebra_from_json, algebra_to_json
+
+    assert Cyclo.one(6) is Cyclo.one(6)
+    H = builtin_algebra(spec)
+    loaded = algebra_from_json(algebra_to_json(H))
+    for alg in (H, loaded):
+        units = [m[k] for m, k in _constants(alg) if m[k] == 1]
+        assert units and all(v is Cyclo.one(alg.conductor) for v in units), spec
+
+
+def test_unit_skip_op_counts(monkeypatch):
+    # Deterministic guards of the unit rule and of the load's scalar memo:
+    # verify_axioms at cyclic:k=3,l=6,d=1 made 72,241 Cyclo multiplications
+    # before it and 11,145 with it; the bound is that count plus 10%.
+    from hopfg import algebra_from_json, algebra_to_json, serialize, verify_axioms
+
+    H = builtin_algebra("cyclic:k=3,l=6,d=1")
+    calls = {"mul": 0, "parse": 0}
+    mul, parse = Cyclo.__mul__, serialize.parse_scalar
+
+    def counted_mul(a, b):
+        calls["mul"] += 1
+        return mul(a, b)
+
+    def counted_parse(text, conductor):
+        calls["parse"] += 1
+        return parse(text, conductor)
+
+    monkeypatch.setattr(Cyclo, "__mul__", counted_mul)
+    monkeypatch.setattr(Cyclo, "__rmul__", counted_mul)
+    assert verify_axioms(H).ok
+    assert calls["mul"] <= 12_259
+    monkeypatch.undo()
+
+    obj = algebra_to_json(H)
+    fields = ("unit", "product", "coproduct", "counit", "antipode", "crossing", "rmatrix")
+    lists = {tuple(x for x in inner if isinstance(x, str))
+             for f in fields for block in obj[f]
+             for inner in [block[-1] if isinstance(block[-1], list) else block]}
+    monkeypatch.setattr(serialize, "parse_scalar", counted_parse)
+    assert algebra_from_json(obj) == H
+    assert calls["parse"] == sum(map(len, lists)) == 9
