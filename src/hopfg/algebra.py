@@ -20,6 +20,9 @@ kernel never multiplies by that object: where a factor ``is`` it, the
 other factor is the product.  A 1 that is another object is simply
 multiplied, so values never depend on identity, only the work does.
 ``product_rows`` caches the product table per algebra as nested lists.
+Tensor products are slotwise apply_rows_at passes of the right
+multiplication maps ``right_mul_rows`` caches; a map the table makes the
+identity (e_i -> {i: one}) is skipped under the same rule.
 """
 
 from __future__ import annotations
@@ -99,6 +102,11 @@ def apply_rows_at(entries: dict, pos: int, rows, one) -> dict:
         for u, uv in rows[idxs[pos]].items():
             add_into(out, head + u + tail, v if uv is one else uv if v is one else v * uv)
     return out
+
+
+def scaled_raw(x: dict, c, one) -> dict:
+    """The sparse vector or tensor x times c, by the unit rule, zeros dropped."""
+    return dict(x) if c is one else {k: w for k, v in x.items() if (w := c if v is one else v * c)}
 
 
 def slot_rows(rows) -> list:
@@ -223,6 +231,7 @@ class HopfGAlgebra:
         self.basis_names = basis_names
         self.name = name
         self._product_rows = {}  # (a, b) -> product_rows(a, b)
+        self._right_mul_rows = {}  # (a, b) -> right_mul_rows(a, b)
         self._crossing_sites = {}  # (signs, words) -> crossing_site(signs, words)
         self._validate_structure()
 
@@ -352,6 +361,20 @@ class HopfGAlgebra:
                                               for i in range(self.dims[a])]
         return got
 
+    def right_mul_rows(self, a: int, b: int) -> list:
+        """maps[j] is x -> x e_j, H_a to H_ab, as rows for apply_rows_at, or
+        None where the table makes it the identity.  Built once per pair."""
+        got = self._right_mul_rows.get((a, b))
+        if got is None:
+            rows, one, got = self.product_rows(a, b), self.one(), []
+            for j in range(self.dims[b]):
+                m = slot_rows(r[j] for r in rows)
+                identity = self.group.table[a][b] == a and all(
+                    len(r) == 1 and r.get((i,)) is one for i, r in enumerate(m))
+                got.append(None if identity else m)
+            self._right_mul_rows[a, b] = got
+        return got
+
     def mul_raw(self, a: int, b: int, x: dict, y: dict) -> dict:
         rows, one = self.product_rows(a, b), self.one()
         out: dict = {}
@@ -365,11 +388,9 @@ class HopfGAlgebra:
         return out
 
     def counit_raw(self, a: int, x: dict) -> Cyclo:
-        eps = self.counit[a]
-        total = Cyclo.zero(self.conductor)
-        for i, xi in x.items():
-            total = total + xi * eps[i]
-        return total
+        eps, one = self.counit[a], self.one()
+        return sum((xi if eps[i] is one else eps[i] if xi is one else xi * eps[i]
+                    for i, xi in x.items()), Cyclo.zero(self.conductor))
 
     def r_inverse_raw(self) -> dict:
         """(S_1 (x) id)(R), the two-sided inverse of R for a valid algebra."""
@@ -470,22 +491,19 @@ def tensor_mul(H: HopfGAlgebra, s: GradedTensor, t: GradedTensor) -> GradedTenso
 
 
 def _tensor_mul_raw(H: HopfGAlgebra, ga, sa: dict, gb, sb: dict):
+    """Per entry (kb, vb) of sb, factor p of sa multiplied on the right by
+    e_{kb[p]} in one apply_rows_at pass (none for an identity map), times vb."""
     G, one = H.group, H.one()
     gout = tuple(G.table[x][y] for x, y in zip(ga, gb))
-    rows = [H.product_rows(x, y) for x, y in zip(ga, gb)]
+    maps = [H.right_mul_rows(x, y) for x, y in zip(ga, gb)]
     out: dict = {}
-    for ka, va in sa.items():
-        for kb, vb in sb.items():
-            partial = [((), vb if va is one else va if vb is one else va * vb)]
-            for p, r in enumerate(rows):
-                target = r[ka[p]][kb[p]]
-                if not target:
-                    partial = []
-                    break
-                partial = [(idxs + (u,), c if uv is one else uv if c is one else c * uv)
-                           for idxs, c in partial for u, uv in target.items()]
-            for idxs, c in partial:
-                add_into(out, idxs, c)
+    for kb, vb in sb.items():
+        t = sa
+        for p, m in enumerate(maps):
+            if m[kb[p]] is not None:
+                t = apply_rows_at(t, p, m[kb[p]], one)
+        for k, v in t.items():
+            add_into(out, k, v if vb is one else vb if v is one else v * vb)
     return gout, out
 
 
@@ -498,19 +516,11 @@ def tensor_swap(t: GradedTensor) -> GradedTensor:
 
 def embed_two_raw(H: HopfGAlgebra, raw: dict, pos1: int, pos2: int, arity: int) -> dict:
     """Place a grade-(1,1) 2-tensor at slots pos1 < pos2 with units elsewhere."""
-    out: dict = {}
-    one = H.one()
-    rest = [p for p in range(arity) if p not in (pos1, pos2)]
-    for (i, j), v in raw.items():
-        stack = [({pos1: i, pos2: j}, v)]
-        for p in rest:
-            stack = [
-                ({**placed, p: u}, c if uv is one else uv if c is one else c * uv)
-                for placed, c in stack
-                for u, uv in H.unit.items()
-            ]
-        for placed, c in stack:
-            add_into(out, tuple(placed[p] for p in range(arity)), c)
+    out, one = dict(raw), H.one()
+    for p in range(arity):
+        if p not in (pos1, pos2):  # slots before p are placed: insert the unit at p
+            out = {k[:p] + (u,) + k[p:]: v if uv is one else uv if v is one else v * uv
+                   for k, v in out.items() for u, uv in H.unit.items()}
     return out
 
 

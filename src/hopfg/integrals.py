@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import GradedVector, HopfGAlgebra, IntegralError, add_into, apply_rows_at, slot_rows
+from .algebra import (GradedVector, HopfGAlgebra, IntegralError, add_into, apply_rows_at,
+                      scaled_raw, slot_rows)
 from .cyclo import Cyclo, render_scalar
 
 
@@ -198,14 +199,12 @@ def _verify_family(H: HopfGAlgebra, integrals):
             for i in range(H.dims[a]):
                 eps_i = H.counit[a][i]
                 lhs = H.mul_raw(a, b, {i: one}, integrals[b])
-                rhs = {t: v * eps_i for t, v in integrals[ab].items() if v * eps_i}
-                if lhs != rhs:
+                if lhs != scaled_raw(integrals[ab], eps_i, one):
                     raise IntegralError(
                         f"left integral law fails at grades "
                         f"({G.names[a]},{G.names[b]}) basis {i}")
                 lhs = H.mul_raw(b, a, integrals[b], {i: one})
-                rhs = {t: v * eps_i for t, v in integrals[ba].items() if v * eps_i}
-                if lhs != rhs:
+                if lhs != scaled_raw(integrals[ba], eps_i, one):
                     raise IntegralError(
                         f"right integral law fails at grades "
                         f"({G.names[b]},{G.names[a]}) basis {i}")

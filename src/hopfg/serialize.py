@@ -380,13 +380,14 @@ def algebra_from_json(obj) -> HopfGAlgebra:
 
 
 def resolve_algebra(spec: str) -> HopfGAlgebra:
-    """An algebra from a builtin name or a JSON file path (named in a structure error)."""
+    """An algebra from a builtin name or a JSON file path (named in a load error)."""
     if spec == "kac-paljutkin" or spec.startswith("cyclic:"):
         return builtin_algebra(spec)
+    obj = _read_json(spec)
     try:
-        return algebra_from_json(_read_json(spec))
-    except AlgebraStructureError as exc:
-        raise AlgebraStructureError(f"{spec!r}: {exc}") from None
+        return algebra_from_json(obj)
+    except (SerializeError, AlgebraStructureError) as exc:
+        raise type(exc)(f"{spec!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .algebra import (
     embed_two_raw,
     format_raw_tensor,
     format_raw_vector,
+    scaled_raw,
     slot_rows,
 )
 from .cyclo import Cyclo, render_scalar
@@ -232,8 +233,7 @@ def _check_antipode(H):
     for a in H.support:
         ainv = H.group.inverses[a]
         for i in range(H.dims[a]):
-            eps = H.counit[a][i]
-            want = {t: v * eps for t, v in H.unit.items() if v * eps}
+            want = scaled_raw(H.unit, H.counit[a][i], H.one())
             left = {}
             right = {}
             for (p, q), v in H.coproduct[a][i].items():

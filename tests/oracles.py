@@ -119,6 +119,30 @@ def tensor_coprod_leg(H, t, pos, nfactors):
     return GradedTensor(grades, out)
 
 
+def ref_tensor_mul(H, s, t):
+    """The slotwise product s*t of two GradedTensors of one arity, term by
+    term over pairs of entries: factor p of a pair is e_i e_j read from
+    H.product, and every scalar is multiplied, one or not."""
+    table = H.group.table
+    grades = tuple(H.group.element(table[x.index][y.index])
+                   for x, y in zip(s.grades, t.grades))
+    out = {}
+    for ka, va in s.entries.items():
+        for kb, vb in t.entries.items():
+            terms = [((), va * vb)]
+            for x, y, i, j in zip(s.grades, t.grades, ka, kb):
+                vec = H.product[(x.index, y.index)][(i, j)]
+                terms = [(key + (u,), c * w) for key, c in terms for u, w in vec.items()]
+            for key, c in terms:
+                w = out.get(key)
+                w = c if w is None else w + c
+                if w:
+                    out[key] = w
+                elif key in out:
+                    del out[key]
+    return GradedTensor(grades, out)
+
+
 # -- hand-built diagram fixtures ----------------------------------------------
 
 
