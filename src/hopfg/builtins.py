@@ -1,21 +1,82 @@
-"""Built-in involutory quasitriangular Hopf G-algebras.
-
-Two families:
-  * build_cyclic(k, l, d): group ring of Z_{kl} sliced into a Hopf
-    Z_k-algebra whose grade p has basis g^p, g^{k+p}, ..., g^{(l-1)k+p},
-    with the trivial crossing and the R-matrix indexed by d.
-  * build_kac_paljutkin(): the 8-dimensional algebra generated by
-    x, y, z with z^2 = (1+x+y-xy)/2, graded over Z_2 = {1, mu} where mu
-    is conjugation by x; the crossing by mu is nontrivial.
+"""Built-in involutory quasitriangular Hopf G-algebras, each a crossed
+product (``build_crossed``) of a Hopf algebra A by G with every H_a = A:
+  * build_cyclic(k, l, d): the group ring of Z_{kl} sliced into a Hopf
+    Z_k-algebra whose grade p has basis g^p, g^{k+p}, ..., g^{(l-1)k+p}:
+    A = C[Z_l] generated by h = g^k with the R-matrix indexed by d, the
+    trivial action and crossing, and the carry of Z_{kl} -> Z_k as cocycle.
+  * build_kac_paljutkin(): the 8-dimensional algebra generated by x, y, z
+    with z^2 = (1+x+y-xy)/2, graded over Z_2 = {1, mu} where mu acts as
+    conjugation by x; the crossing by mu is nontrivial.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import MAX_CONDUCTOR, MAX_DIMENSION, MAX_GROUP_ORDER, HopfGAlgebra
+from .algebra import (
+    MAX_CONDUCTOR, MAX_DIMENSION, MAX_GROUP_ORDER, HopfGAlgebra, add_into, apply_rows)
 from .cyclo import Cyclo
 from .groups import cyclic_group, group_from_table
+
+# A Hopf algebra with basis 0..dim-1 and Fraction or Cyclo scalars at the
+# conductor: mul(i, j) and coproduct(i) give sparse dicts, unit is sparse,
+# counit a list, antipode a basis permutation and rmatrix {(i, j): scalar}.
+HopfData = namedtuple(
+    "HopfData", "dim conductor mul unit coproduct counit antipode rmatrix")
+
+
+def build_crossed(G, A: HopfData, phi, sigma, names, name: str) -> HopfGAlgebra:
+    """The crossed product of A by G: H_a = A, x_a y_b = x phi_a(y) sigma(a, b),
+    S_a(x) = phi_{a^-1}(S(x)) S(sigma(a^-1, a)) and the crossing by b is phi_b.
+    phi[a][i] is the basis permutation phi_a, a Hopf automorphism of A that
+    fixes R, and sigma(a, b), a 2-cocycle, is the index of a central
+    grouplike or None for 1."""
+    cond, n, grades = A.conductor, A.dim, range(G.order)
+    S, inv, one = A.antipode, G.inverses, Cyclo.one(cond)
+    lifted = {}  # (i, j, s) -> mul(i, j, s), shared by every table
+
+    def lift(sparse):
+        # Fraction or Cyclo values at cond, zeros dropped and 1 the shared one
+        return {key: one if v == 1 else one * v for key, v in sparse.items() if v}
+
+    def mul(i, j, s):
+        # e_i e_j e_s, with s None read as 1
+        if (i, j, s) not in lifted:
+            x = A.mul(i, j)
+            if s is not None:
+                x = apply_rows({t: A.mul(t, s) for t in x}, x, one)
+            lifted[i, j, s] = lift(x)
+        return lifted[i, j, s]
+
+    product = {(a, b): {(i, j): mul(i, phi[a][j], s) for i in range(n) for j in range(n)}
+               for a in grades for b in grades for s in [sigma(a, b)]}
+    antipode = []
+    for a in grades:
+        s = sigma(inv[a], a)
+        sx = [phi[inv[a]][S[i]] for i in range(n)]
+        antipode.append([{x: one} if s is None else mul(x, S[s], None) for x in sx])
+    phi_rows = [[{phi[b][i]: one} for i in range(n)] for b in grades]
+    crossing = {(b, a): phi_rows[b] for b in grades for a in grades}
+    coproduct = [lift(A.coproduct(i)) for i in range(n)]
+    counit = [one if c == 1 else one * c for c in A.counit]
+    return HopfGAlgebra(
+        G, (n,) * G.order, cond, product, lift(A.unit), [coproduct] * G.order,
+        [counit] * G.order, antipode, crossing, lift(A.rmatrix),
+        basis_names=names, name=name,
+    )
+
+
+def cyclic_ring(l: int, d: int) -> HopfData:
+    """C[Z_l] with basis h^0, ..., h^{l-1} and the Gauss-pairing R-matrix
+    R = (1/l) sum_{i,j} zeta_l^{-ij} h^i (x) h^{dj}, at conductor l."""
+    rmatrix = {}
+    inv_l = Cyclo.rational(1, l, conductor=l)
+    for i in range(l):
+        for j in range(l):
+            add_into(rmatrix, (i, (d * j) % l), inv_l * Cyclo.zeta(l, (-i * j) % l))
+    return HopfData(l, l, lambda i, j: {(i + j) % l: 1}, {0: 1}, lambda i: {(i, i): 1},
+                    [1] * l, [-i % l for i in range(l)], rmatrix)
 
 
 def build_cyclic(k: int, l: int, d: int) -> HopfGAlgebra:
@@ -30,57 +91,12 @@ def build_cyclic(k: int, l: int, d: int) -> HopfGAlgebra:
         raise ValueError(f"l={l} exceeds the conductor cap {MAX_CONDUCTOR}")
     if k * l > MAX_DIMENSION:
         raise ValueError(f"k*l={k * l} exceeds the dimension cap {MAX_DIMENSION}")
-    m = k * l
-    G = cyclic_group(k)
-    cond = l
-    one = Cyclo.one(cond)
-
-    def exp_to_pair(e):
-        # exponent e of g, 0 <= e < m, lives in grade e % k at index e // k
-        return e % k, e // k
-
-    product = {}
-    for p in range(k):
-        for q in range(k):
-            tab = {}
-            for i in range(l):
-                for j in range(l):
-                    e = ((i + j) * k + p + q) % m
-                    tab[(i, j)] = {e // k: one}
-            product[(p, q)] = tab
-
-    unit = {0: one}
-    coproduct = [[{(i, i): one} for i in range(l)] for _ in range(k)]
-    counit = [[one] * l for _ in range(k)]
-
-    antipode = []
-    for p in range(k):
-        rows = []
-        for i in range(l):
-            se = (-(i * k + p)) % m
-            grade, idx = exp_to_pair(se)
-            assert grade == (-p) % k
-            rows.append({idx: one})
-        antipode.append(rows)
-
-    identity_rows = [{i: one} for i in range(l)]
-    crossing = {(b, p): identity_rows for b in range(k) for p in range(k)}
-
-    rmatrix = {}
-    inv_l = Cyclo.rational(1, l, conductor=cond)
-    for i in range(l):
-        for j in range(l):
-            key = (i, (d * j) % l)
-            term = inv_l * Cyclo.zeta(cond, (-i * j) % l)
-            acc = rmatrix.get(key)
-            rmatrix[key] = term if acc is None else acc + term
-    rmatrix = {key: one if v == 1 else v for key, v in rmatrix.items() if v}
-
-    names = [[f"g^{i * k + p}" for i in range(l)] for p in range(k)]
-    return HopfGAlgebra(
-        G, (l,) * k, cond, product, unit, coproduct, counit, antipode,
-        crossing, rmatrix, basis_names=names, name=f"cyclic:k={k},l={l},d={d}",
-    )
+    # grade p, index i is g^{ik+p}, and g^p g^q = h g^{p+q-k} when p + q >= k
+    return build_crossed(
+        cyclic_group(k), cyclic_ring(l, d), [range(l)] * k,
+        lambda p, q: 1 % l if p + q >= k else None,
+        [[f"g^{i * k + p}" for i in range(l)] for p in range(k)],
+        f"cyclic:k={k},l={l},d={d}")
 
 
 # -- Kac-Paljutkin ------------------------------------------------------------
@@ -132,55 +148,17 @@ def _kp_coproduct(i: int) -> dict:
     return {(i, i): h, (i, right): h, (left, i): h, (left, right): -h}
 
 
-def _lift(frak: dict, cond: int) -> dict:
-    """Fraction-valued sparse map to Cyclo values at conductor cond, zeros
-    dropped and 1 the shared Cyclo.one."""
-    return {key: Cyclo.one(cond) if v == 1 else Cyclo.rational(v, conductor=cond)
-            for key, v in frak.items() if v}
-
-
 def build_kac_paljutkin() -> HopfGAlgebra:
-    G = group_from_table([[0, 1], [1, 0]], names=["1", "mu"])
-    cond = 4
-    one = Cyclo.one(cond)
-
-    product = {}
-    for ga in range(2):
-        for gb in range(2):
-            tab = {}
-            for i in range(8):
-                for j in range(8):
-                    jj = _kp_mu(j) if ga == 1 else j
-                    tab[(i, j)] = _lift(_kp_mul(i, jj), cond)
-            product[(ga, gb)] = tab
-
-    unit = {0: one}
-    coproduct = [[_lift(_kp_coproduct(i), cond) for i in range(8)] for _ in range(2)]
-    counit = [[one] * 8 for _ in range(2)]
-
-    # S on monomials: identity for c = 0, swap the x and y exponents for
-    # c = 1; the grade-mu copy composes with mu itself
-    s_plain = [{_kp_swap(i) if i & 4 else i: one} for i in range(8)]
-    s_mu = [{_kp_mu(_kp_swap(i)) if i & 4 else i: one} for i in range(8)]
-    antipode = [s_plain, s_mu]
-
-    identity_rows = [{i: one} for i in range(8)]
-    mu_rows = [{_kp_mu(i): one} for i in range(8)]
-    crossing = {
-        (0, 0): identity_rows,
-        (0, 1): identity_rows,
-        (1, 0): mu_rows,
-        (1, 1): mu_rows,
-    }
-
-    h = Cyclo.rational(1, 2, conductor=cond)
-    rmatrix = {(0, 0): h, (1, 0): h, (0, 2): h, (1, 2): -h}
-
+    # S on monomials: identity for c = 0, swap the x and y exponents for c = 1
+    h = Fraction(1, 2)
+    kp = HopfData(8, 4, _kp_mul, {0: 1}, _kp_coproduct, [1] * 8,
+                  [_kp_swap(i) if i & 4 else i for i in range(8)],
+                  {(0, 0): h, (1, 0): h, (0, 2): h, (1, 2): -h})
     mono = ["1", "x", "y", "xy", "z", "xz", "yz", "xyz"]
-    return HopfGAlgebra(
-        G, (8, 8), cond, product, unit, coproduct, counit, antipode,
-        crossing, rmatrix, basis_names=[mono, mono], name="kac-paljutkin",
-    )
+    return build_crossed(
+        group_from_table([[0, 1], [1, 0]], names=["1", "mu"]), kp,
+        [range(8), [_kp_mu(i) for i in range(8)]], lambda a, b: None,
+        [mono, mono], "kac-paljutkin")
 
 
 def builtin_algebra(spec: str) -> HopfGAlgebra:
@@ -192,8 +170,10 @@ def builtin_algebra(spec: str) -> HopfGAlgebra:
         for part in spec[len("cyclic:"):].split(","):
             if "=" not in part:
                 raise ValueError(f"bad cyclic parameter {part!r}")
-            key, _, value = part.partition("=")
-            params[key.strip()] = value.strip()
+            key, _, value = map(str.strip, part.partition("="))
+            if key in params:
+                raise ValueError(f"cyclic parameter {key!r} given twice")
+            params[key] = value
         if set(params) != {"k", "l", "d"}:
             raise ValueError("cyclic algebra needs exactly k=, l=, d=")
         try:

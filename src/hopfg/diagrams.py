@@ -484,7 +484,7 @@ def builtin_diagram(name: str) -> KirbyDiagram:
     if name in _BUILTIN_DIAGRAMS:
         return _BUILTIN_DIAGRAMS[name]()
     if name.startswith("connected-sum:"):
-        parts = name[len("connected-sum:"):].split(",")
+        parts = [part.strip() for part in name[len("connected-sum:"):].split(",")]
         if len(parts) != 2:
             raise DiagramError("connected-sum takes exactly two diagram names")
         return connected_sum(builtin_diagram(parts[0]), builtin_diagram(parts[1]))

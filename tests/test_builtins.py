@@ -1,13 +1,16 @@
 """Built-in algebra families: the cyclic series and the eight dimensional
 non-group example."""
 
+import hashlib
+
 import pytest
 
 import oracles
-from hopfg import builtin_algebra, solve_integrals, verify_axioms
+from hopfg import builtin_algebra, drinfeld_element, solve_integrals, verify_axioms
 from hopfg.algebra import tensor_swap
-from hopfg.builtins import build_cyclic, build_kac_paljutkin
+from hopfg.builtins import build_crossed, build_cyclic, build_kac_paljutkin, cyclic_ring
 from hopfg.cyclo import Cyclo
+from hopfg.groups import cyclic_group
 
 
 def test_trivial_algebra():
@@ -70,6 +73,10 @@ def test_builtin_spec_parsing():
         builtin_algebra("cyclic:k=1,l=two,d=0")
     with pytest.raises(ValueError, match="unknown builtin algebra"):
         builtin_algebra("octonions")
+    with pytest.raises(ValueError, match="cyclic parameter 'k' given twice"):
+        builtin_algebra("cyclic:k=1,k=2,l=2,d=1")
+    with pytest.raises(ValueError, match="cyclic parameter 'd' given twice"):
+        builtin_algebra("cyclic:k=1,l=2,d=1, d =0")
 
 
 def test_kac_paljutkin_shape(kp):
@@ -167,3 +174,43 @@ def test_every_structure_constant_lives_at_the_declared_conductor(spec):
     scalars += [v for rows in H.crossing.values() for row in rows
                 for v in row.values()]
     assert scalars and {v.n for v in scalars} == {H.conductor}
+
+
+# The builtin exports, pinned: sha256 of the concatenated canonical JSON
+# texts of every grid algebra plus kac-paljutkin, then with two larger
+# cyclic algebras appended.  The full grid is spelled out so that a shrunk
+# local test grid does not change the digest.
+_EXPORT_SPECS = [oracles.spec_of(k, l, d) for k in (1, 2, 3) for l in range(1, 7)
+                 for d in range(l)] + ["kac-paljutkin"]
+_EXPORT_DIGEST = "7d8e15dbbe24751635544082a1377ea6a7f23addaee04490d03030c16e21ed44"
+_LARGE_SPECS = ["cyclic:k=2,l=12,d=5", "cyclic:k=1,l=60,d=7"]
+_LARGE_DIGEST = "a306cb4fef9173a46a2fbf5e52b6db50706f6f5b16c26c44986750ccedd02b1c"
+
+
+def test_builtin_exports_are_pinned():
+    from hopfg import algebra_to_json, dumps_canonical
+
+    digest = hashlib.sha256()
+    for spec in _EXPORT_SPECS:
+        digest.update(dumps_canonical(algebra_to_json(builtin_algebra(spec))).encode())
+    assert digest.copy().hexdigest() == _EXPORT_DIGEST
+    for spec in _LARGE_SPECS:
+        digest.update(dumps_canonical(algebra_to_json(builtin_algebra(spec))).encode())
+    assert digest.hexdigest() == _LARGE_DIGEST
+
+
+@pytest.mark.parametrize("l, d", [(3, 1), (4, 1), (5, 1), (5, 2), (8, 3)])
+def test_crossed_product_by_inversion(l, d):
+    # C[Z_l] x| Z_2 with Z_2 acting by h -> h^-1, which fixes the Gauss
+    # pairing R, and sigma = 1: neither builtin acts nontrivially on a
+    # group algebra
+    H = build_crossed(cyclic_group(2), cyclic_ring(l, d),
+                      [range(l), [-i % l for i in range(l)]], lambda a, b: None,
+                      None, f"inversion:l={l},d={d}")
+    assert H.dims == (l, l) and H.conductor == l
+    inv = H.group.element_by_name("a")
+    h = H.basis_vector(H.group.identity, 1)
+    assert H.apply_crossing(inv, h) == H.basis_vector(H.group.identity, l - 1)
+    assert verify_axioms(H).ok
+    solve_integrals(H)
+    drinfeld_element(H)

@@ -265,6 +265,8 @@ def test_bad_inputs_exit_2(capsys):
     code, _, err = run(capsys, "invariant", "--algebra", "cyclic:k=0,l=2,d=1",
                        "--diagram", "cp2")
     assert code == 2 and "must be positive" in err
+    code, out, err = run(capsys, "export", "--algebra", "cyclic:k=1,k=2,l=2,d=1")
+    assert code == 2 and out == "" and "cyclic parameter 'k' given twice" in err
 
 
 def test_connection_relation_violation_exit_2(capsys):

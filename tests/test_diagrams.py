@@ -62,6 +62,15 @@ def test_unknown_builtin_diagram():
         builtin_diagram("connected-sum:cp2")
 
 
+def test_connected_sum_parts_are_stripped():
+    from hopfg import diagram_to_json, resolve_diagram
+
+    spec = "connected-sum:cp2, s1xs3"
+    want = diagram_to_json(builtin_diagram("connected-sum:cp2,s1xs3"))
+    assert diagram_to_json(builtin_diagram(spec)) == want
+    assert diagram_to_json(resolve_diagram(spec)) == want
+
+
 def test_builtin_shapes():
     cp2 = builtin_diagram("cp2")
     assert len(cp2.undotted) == 1 and len(cp2.dotted) == 0
