@@ -19,7 +19,7 @@ The unit rule: a structure constant equal to 1 is its conductor's shared
 kernel never multiplies by that object: where a factor ``is`` it, the
 other factor is the product.  A 1 that is another object is simply
 multiplied, so values never depend on identity, only the work does.
-``product_rows`` caches the product table per algebra as nested lists.
+The product table is nested rows, ``product[a, b][i][j]`` = e_i e_j.
 Tensor products are slotwise apply_rows_at passes of the right
 multiplication maps ``right_mul_rows`` caches; a map the table makes the
 identity (e_i -> {i: one}) is skipped under the same rule.
@@ -200,7 +200,7 @@ class HopfGAlgebra:
 
     Internal layout (grade = element index into the group table):
       dims[a]                      dimension of H_a
-      product[(a,b)][(i,j)]        sparse target vector in H_{ab}
+      product[a,b][i][j]           sparse vector e_i e_j in H_{ab} (tables may be shared)
       unit                         sparse vector in H_1
       coproduct[a][i]              sparse 2-tensor {(p,q): c} in H_a (x) H_a
       counit[a][i]                 Cyclo
@@ -211,7 +211,7 @@ class HopfGAlgebra:
     Construction validates dimensional consistency, totality of all maps,
     scalar conductors, and that the supported grades form a normal subgroup.
     An instance is treated as immutable after construction:
-    ``product_rows``, ``crossing_site`` and the sites an ``IntegralData``
+    ``right_mul_rows``, ``crossing_site`` and the sites an ``IntegralData``
     caches are computed once from these maps.
     """
 
@@ -230,7 +230,6 @@ class HopfGAlgebra:
         self.rmatrix = _clean(rmatrix)
         self.basis_names = basis_names
         self.name = name
-        self._product_rows = {}  # (a, b) -> product_rows(a, b)
         self._right_mul_rows = {}  # (a, b) -> right_mul_rows(a, b)
         self._crossing_sites = {}  # (signs, words) -> crossing_site(signs, words)
         self._validate_structure()
@@ -284,17 +283,20 @@ class HopfGAlgebra:
         for a in support:
             for b in support:
                 tab = self.product.get((a, b))
-                ab = G.table[a][b]
+                da, db, names = self.dims[a], self.dims[b], f"({G.names[a]},{G.names[b]})"
                 if tab is None:
+                    raise AlgebraStructureError(f"product table missing for grades {names}")
+                if not (isinstance(tab, list) and len(tab) <= da and all(
+                        isinstance(row, list) and len(row) <= db
+                        and all(isinstance(vec, dict) for vec in row) for row in tab)):
                     raise AlgebraStructureError(
-                        f"product table missing for grades ({G.names[a]},{G.names[b]})")
-                for i in range(self.dims[a]):
-                    for j in range(self.dims[b]):
-                        if (i, j) not in tab:
+                        f"product table for grades {names} is not {da} rows of {db} vectors")
+                for i in range(da):
+                    for j in range(db):
+                        if i >= len(tab) or j >= len(tab[i]):
                             raise AlgebraStructureError(
-                                f"product undefined at grades ({G.names[a]},{G.names[b]}) "
-                                f"basis ({i},{j})")
-                        check_vec(tab[(i, j)], ab, "product")
+                                f"product undefined at grades {names} basis ({i},{j})")
+                        check_vec(tab[i][j], G.table[a][b], "product")
 
         for a in support:
             if len(self.coproduct[a]) != self.dims[a]:
@@ -351,22 +353,12 @@ class HopfGAlgebra:
 
     # -- raw sparse kernels (dicts in, dicts out) ----------------------------
 
-    def product_rows(self, a: int, b: int) -> list:
-        """rows[i][j] is product[(a, b)][(i, j)], the sparse vector e_i e_j,
-        for supported grades a and b.  Built once per pair."""
-        got = self._product_rows.get((a, b))
-        if got is None:
-            tab = self.product[(a, b)]
-            got = self._product_rows[a, b] = [[tab[(i, j)] for j in range(self.dims[b])]
-                                              for i in range(self.dims[a])]
-        return got
-
     def right_mul_rows(self, a: int, b: int) -> list:
         """maps[j] is x -> x e_j, H_a to H_ab, as rows for apply_rows_at, or
         None where the table makes it the identity.  Built once per pair."""
         got = self._right_mul_rows.get((a, b))
         if got is None:
-            rows, one, got = self.product_rows(a, b), self.one(), []
+            rows, one, got = self.product[a, b], self.one(), []
             for j in range(self.dims[b]):
                 m = slot_rows(r[j] for r in rows)
                 identity = self.group.table[a][b] == a and all(
@@ -376,7 +368,7 @@ class HopfGAlgebra:
         return got
 
     def mul_raw(self, a: int, b: int, x: dict, y: dict) -> dict:
-        rows, one = self.product_rows(a, b), self.one()
+        rows, one = self.product[a, b], self.one()
         out: dict = {}
         for i, xi in x.items():
             for j, yj in y.items():

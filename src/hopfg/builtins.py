@@ -11,12 +11,11 @@ product (``build_crossed``) of a Hopf algebra A by G with every H_a = A:
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, defaultdict, namedtuple
 from fractions import Fraction
 
-from .algebra import (
-    MAX_CONDUCTOR, MAX_DIMENSION, MAX_GROUP_ORDER, HopfGAlgebra, add_into, apply_rows)
-from .cyclo import Cyclo
+from .algebra import MAX_CONDUCTOR, MAX_DIMENSION, MAX_GROUP_ORDER, HopfGAlgebra, apply_rows
+from .cyclo import Cyclo, _fold, _make
 from .groups import cyclic_group, group_from_table
 
 # A Hopf algebra with basis 0..dim-1 and Fraction or Cyclo scalars at the
@@ -31,10 +30,10 @@ def build_crossed(G, A: HopfData, phi, sigma, names, name: str) -> HopfGAlgebra:
     S_a(x) = phi_{a^-1}(S(x)) S(sigma(a^-1, a)) and the crossing by b is phi_b.
     phi[a][i] is the basis permutation phi_a, a Hopf automorphism of A that
     fixes R, and sigma(a, b), a 2-cocycle, is the index of a central
-    grouplike or None for 1."""
+    grouplike or None for 1.  The table of (a, b) depends only on
+    (phi_a, sigma(a, b)), and each distinct one is built once and shared."""
     cond, n, grades = A.conductor, A.dim, range(G.order)
     S, inv, one = A.antipode, G.inverses, Cyclo.one(cond)
-    lifted = {}  # (i, j, s) -> mul(i, j, s), shared by every table
 
     def lift(sparse):
         # Fraction or Cyclo values at cond, zeros dropped and 1 the shared one
@@ -42,15 +41,19 @@ def build_crossed(G, A: HopfData, phi, sigma, names, name: str) -> HopfGAlgebra:
 
     def mul(i, j, s):
         # e_i e_j e_s, with s None read as 1
-        if (i, j, s) not in lifted:
-            x = A.mul(i, j)
-            if s is not None:
-                x = apply_rows({t: A.mul(t, s) for t in x}, x, one)
-            lifted[i, j, s] = lift(x)
-        return lifted[i, j, s]
+        x = A.mul(i, j)
+        if s is not None:
+            x = apply_rows({t: A.mul(t, s) for t in x}, x, one)
+        return lift(x)
 
-    product = {(a, b): {(i, j): mul(i, phi[a][j], s) for i in range(n) for j in range(n)}
-               for a in grades for b in grades for s in [sigma(a, b)]}
+    tables, product = {}, {}
+    for a in grades:
+        phi_a = tuple(phi[a])
+        for b in grades:
+            key = (phi_a, sigma(a, b))
+            if key not in tables:
+                tables[key] = [[mul(i, phi_a[j], key[1]) for j in range(n)] for i in range(n)]
+            product[a, b] = tables[key]
     antipode = []
     for a in grades:
         s = sigma(inv[a], a)
@@ -69,12 +72,13 @@ def build_crossed(G, A: HopfData, phi, sigma, names, name: str) -> HopfGAlgebra:
 
 def cyclic_ring(l: int, d: int) -> HopfData:
     """C[Z_l] with basis h^0, ..., h^{l-1} and the Gauss-pairing R-matrix
-    R = (1/l) sum_{i,j} zeta_l^{-ij} h^i (x) h^{dj}, at conductor l."""
-    rmatrix = {}
-    inv_l = Cyclo.rational(1, l, conductor=l)
+    R = (1/l) sum_{i,j} zeta_l^{-ij} h^i (x) h^{dj}, at conductor l: each
+    entry counts its powers of zeta_l and is made a scalar once."""
+    counts = defaultdict(Counter)  # (i, dj) -> {exponent: number of j giving it}
     for i in range(l):
         for j in range(l):
-            add_into(rmatrix, (i, (d * j) % l), inv_l * Cyclo.zeta(l, (-i * j) % l))
+            counts[i, d * j % l][-i * j % l] += 1
+    rmatrix = {key: v for key, c in counts.items() if (v := _make(l, _fold(l, c.items()), l))}
     return HopfData(l, l, lambda i, j: {(i + j) % l: 1}, {0: 1}, lambda i: {(i, i): 1},
                     [1] * l, [-i % l for i in range(l)], rmatrix)
 

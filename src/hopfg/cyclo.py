@@ -357,7 +357,10 @@ def parse_scalar(text: str, conductor: int) -> Cyclo:
         m = _TERM_RE.match(piece)
         if not m or (m.group("rat") is None and "zeta" not in piece):
             raise ValueError(f"cannot parse scalar term {piece!r}")
-        q = Fraction(m.group("rat")) if m.group("rat") is not None else Fraction(1)
+        try:
+            q = Fraction(m.group("rat")) if m.group("rat") is not None else Fraction(1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in scalar term {piece!r}") from None
         if m.group("sign") == "-":
             q = -q
         e = 0

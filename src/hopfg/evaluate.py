@@ -381,7 +381,7 @@ class _Compiled:
                 for xi, xv in unit.items():
                     within[(xi, axes)] = v if xv is one else v * xv
             for site, factor, arity, sg in slots[r:] + slots[:r]:
-                rows = H.product_rows(acc_g, sg)
+                rows = H.product[acc_g, sg]
                 nxt = {}
                 if (site, factor) in registry:
                     p = registry.index((site, factor))

@@ -135,12 +135,12 @@ def solve_integrals(H: HopfGAlgebra) -> IntegralData:
     d1 = H.dims[e]
     cond = H.conductor
     zero = Cyclo.zero(cond)
-    prod = H.product[(e, e)]
+    prod = H.product[e, e]
 
     # L_1 with x*L = eps(x)L = L*x for every grade-1 basis vector x
     def integral_law(i, mirror):
         for j in range(d1):
-            for t, v in prod[(j, i) if mirror else (i, j)].items():
+            for t, v in (prod[j][i] if mirror else prod[i][j]).items():
                 yield t, j, v
             yield j, j, -H.counit[e][i]
 

@@ -241,7 +241,8 @@ def _entries(H: HopfGAlgebra) -> dict:
     return {
         "unit": (((t,), v) for t, v in H.unit.items()),
         "product": (((a, b, i, j, t), v) for (a, b), tab in H.product.items()
-                    for (i, j), vec in tab.items() for t, v in vec.items()),
+                    for i, row in enumerate(tab) for j, vec in enumerate(row)
+                    for t, v in vec.items()),
         "coproduct": (((a, i, p, q), v) for a, i in cells
                       for (p, q), v in H.coproduct[a][i].items()),
         "counit": (((a, i), H.counit[a][i]) for a, i in cells),
@@ -323,14 +324,14 @@ def algebra_from_json(obj) -> HopfGAlgebra:
         if v:
             unit[t] = v
 
-    product = {(a, b): {(i, j): {} for i in range(dims[a]) for j in range(dims[b])}
+    product = {(a, b): [[{} for _ in range(dims[b])] for _ in range(dims[a])]
                for a in support for b in support}
     for where, (a, b, i, j, t), v in read("product"):
         check(where, a, i)
         check(where, b, j)
         check(where, G.table[a][b], t)
         if v:
-            product[(a, b)][(i, j)][t] = v
+            product[a, b][i][j][t] = v
 
     coproduct = [[{} for _ in range(dims[a])] for a in range(G.order)]
     for where, (a, i, p, q), v in read("coproduct"):
@@ -370,8 +371,9 @@ def algebra_from_json(obj) -> HopfGAlgebra:
     if basis_names is not None:
         if (not isinstance(basis_names, list) or len(basis_names) != G.order
                 or any(not isinstance(row, list) or len(row) != dims[a]
+                       or not all(isinstance(x, str) for x in row)
                        for a, row in enumerate(basis_names))):
-            raise SerializeError("basis_names must match dims per grade")
+            raise SerializeError("basis_names must be strings matching dims per grade")
         basis_names = [list(row) for row in basis_names]
 
     return HopfGAlgebra(G, dims, cond, product, unit, coproduct, counit,

@@ -131,7 +131,7 @@ def ref_tensor_mul(H, s, t):
         for kb, vb in t.entries.items():
             terms = [((), va * vb)]
             for x, y, i, j in zip(s.grades, t.grades, ka, kb):
-                vec = H.product[(x.index, y.index)][(i, j)]
+                vec = H.product[x.index, y.index][i][j]
                 terms = [(key + (u,), c * w) for key, c in terms for u, w in vec.items()]
             for key, c in terms:
                 w = out.get(key)
@@ -381,12 +381,12 @@ def non_unimodular_h4():
     one = Cyclo.one(1)
     m1 = Cyclo.rational(-1)
     G = cyclic_group(1)
-    product = {(0, 0): {
-        (0, 0): {0: one}, (0, 1): {1: one}, (0, 2): {2: one}, (0, 3): {3: one},
-        (1, 0): {1: one}, (1, 1): {0: one}, (1, 2): {3: one}, (1, 3): {2: one},
-        (2, 0): {2: one}, (2, 1): {3: m1}, (2, 2): {}, (2, 3): {},
-        (3, 0): {3: one}, (3, 1): {2: m1}, (3, 2): {}, (3, 3): {},
-    }}
+    product = {(0, 0): [
+        [{0: one}, {1: one}, {2: one}, {3: one}],
+        [{1: one}, {0: one}, {3: one}, {2: one}],
+        [{2: one}, {3: m1}, {}, {}],
+        [{3: one}, {2: m1}, {}, {}],
+    ]}
     coproduct = [[
         {(0, 0): one},
         {(1, 1): one},
@@ -428,8 +428,8 @@ def double_s3():
         return a * n + x
 
     pairs = [(a, x) for a in range(n) for x in range(n)]
-    product = {(basis(a, x), basis(b, y)): {basis(a, mul[x][y]): one} if a == conj(x, b) else {}
-               for a, x in pairs for b, y in pairs}
+    product = [[{basis(a, mul[x][y]): one} if a == conj(x, b) else {} for b, y in pairs]
+               for a, x in pairs]
     coproduct = [{(basis(b, x), basis(mul[inv[b]][a], x)): one for b in range(n)}
                  for a, x in pairs]
     counit = [one if a == e else zero for a, _ in pairs]
@@ -483,7 +483,7 @@ def merged_crossing_site(H, d, ids):
             for c, f in word:
                 nxt = {}
                 for x, v in vec.items():
-                    for y, w in H.product[e, e][x, picked[c][f]].items():
+                    for y, w in H.product[e, e][x][picked[c][f]].items():
                         nxt[y] = nxt.get(y, zero) + v * w
                 vec = {y: v for y, v in nxt.items() if v}
             tensor = {t + (y,): v * w for t, v in tensor.items() for y, w in vec.items()}
@@ -715,7 +715,7 @@ def expansion_invariant(H, ints, cd):
             for h, i in word:
                 nxt = {}
                 for x, v in vec.items():
-                    for y, c in H.product[g, h][x, i].items():
+                    for y, c in H.product[g, h][x][i].items():
                         nxt[y] = nxt.get(y, zero) + v * c
                 g, vec = G.table[g][h], {y: v for y, v in nxt.items() if v}
             got = zero

@@ -91,10 +91,27 @@ def _rebuild(H, **overrides):
 
 def test_missing_product_entry_rejected():
     H = builtin_algebra("cyclic:k=1,l=2,d=0")
-    tab = dict(H.product[(0, 0)])
-    del tab[(0, 1)]
+    tab = [list(row) for row in H.product[0, 0]]
+    del tab[0][1]
     with pytest.raises(AlgebraStructureError, match=r"product undefined .* \(0,1\)"):
         _rebuild(H, product={(0, 0): tab})
+
+
+def _old_layout(tab):
+    return {(i, j): vec for i, row in enumerate(tab) for j, vec in enumerate(row)}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_old_layout, r"product table for grades \(1,a\) is not 2 rows of 2 vectors"),
+    (lambda tab: tab[:1], r"product undefined at grades \(1,a\) basis \(1,0\)"),
+    (lambda tab: [row + [{}] for row in tab], r"grades \(1,a\) is not 2 rows of 2 vectors"),
+    (lambda tab: [[5, *row[1:]] for row in tab], r"grades \(1,a\) is not 2 rows of 2 vectors"),
+], ids=["dict-layout", "missing-row", "long-row", "entry-not-a-vector"])
+def test_product_table_must_be_nested_rows(edit, message):
+    # product[a, b] is dims[a] rows of dims[b] sparse vectors, nothing else
+    H = builtin_algebra("cyclic:k=2,l=2,d=0")
+    with pytest.raises(AlgebraStructureError, match=message):
+        _rebuild(H, product={**H.product, (0, 1): edit(H.product[0, 1])})
 
 
 def test_missing_product_grade_pair_rejected():
@@ -431,7 +448,7 @@ def _constants(H):
     """(container, key) of every structure constant of H."""
     S = H.support
     maps = [H.unit, H.rmatrix, *(H.counit[a] for a in S)]
-    maps += [vec for tab in H.product.values() for vec in tab.values()]
+    maps += [vec for tab in H.product.values() for row in tab for vec in row]
     maps += [m[a][i] for m in (H.coproduct, H.antipode) for a in S for i in range(H.dims[a])]
     maps += [row for rows in H.crossing.values() for row in rows]
     for m in maps:

@@ -164,7 +164,7 @@ def test_integrals_cache_is_per_algebra(kp):
     "spec", [oracles.spec_of(*p) for p in oracles.grid()] + ["kac-paljutkin"])
 def test_every_structure_constant_lives_at_the_declared_conductor(spec):
     H = builtin_algebra(spec)
-    scalars = [v for tab in H.product.values() for vec in tab.values()
+    scalars = [v for tab in H.product.values() for row in tab for vec in row
                for v in vec.values()]
     scalars += list(H.unit.values()) + list(H.rmatrix.values())
     for a in range(H.group.order):
@@ -197,6 +197,15 @@ def test_builtin_exports_are_pinned():
     for spec in _LARGE_SPECS:
         digest.update(dumps_canonical(algebra_to_json(builtin_algebra(spec))).encode())
     assert digest.hexdigest() == _LARGE_DIGEST
+
+
+@pytest.mark.parametrize("spec", ["cyclic:k=3,l=2,d=1", "kac-paljutkin"])
+def test_each_distinct_product_table_is_held_once(spec):
+    # a crossed product's table at (a, b) depends only on (phi_a, sigma(a, b)):
+    # the carry is 1 or h at k = 3, and phi_a is 1 or mu at kac-paljutkin
+    H = builtin_algebra(spec)
+    held = list({id(tab): tab for tab in H.product.values()}.values())
+    assert len(held) == 2 and held[0] != held[1]
 
 
 @pytest.mark.parametrize("l, d", [(3, 1), (4, 1), (5, 1), (5, 2), (8, 3)])

@@ -116,6 +116,8 @@ def test_parse_scalar_forms():
         parse_scalar("nonsense", 4)
     with pytest.raises(ValueError):
         parse_scalar("", 4)
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_scalar("1/0*zeta^0", 4)
 
 
 def test_float_coefficients_rejected():

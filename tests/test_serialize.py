@@ -279,6 +279,8 @@ sys.exit(main(sys.argv[1:]))
     ("coproduct", 5),
     ("unit", None),
     ("basis_names", [5]),
+    ("basis_names", [[0, 1]]),
+    ("counit", [[0, 0, ["1/0*zeta^0"]], [0, 1, ["1*zeta^0"]]]),
 ])
 def test_oversized_or_malformed_algebra_field_exits_2(tmp_path, field, value):
     obj = algebra_to_json(builtin_algebra("cyclic:k=1,l=2,d=1"))
