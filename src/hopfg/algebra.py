@@ -3,8 +3,8 @@
 An algebra is stored by structure constants: densely indexed bases per
 group grade, sparsely valued maps for product, unit, coproduct, counit,
 antipode, crossing, and the grade-1 universal R-matrix.  Everything here
-is exact; axiom verification is exhaustive over basis tuples, which is
-fine at desk scale (grade dimensions up to ~16).
+is exact; axiom verification (``verify``) proves each axiom, by a sweep
+over basis tuples or from a smaller check and the axioms it rests on.
 
 Every structure map is a sparse linear map, and one kernel applies them
 all: ``add_into`` is the only place where a sum is accumulated into a
@@ -280,12 +280,16 @@ class HopfGAlgebra:
         if not self.unit:
             raise AlgebraStructureError("unit vector is zero")
 
+        checked = set()  # (table id, dims, target grade) of each table validated
         for a in support:
             for b in support:
                 tab = self.product.get((a, b))
                 da, db, names = self.dims[a], self.dims[b], f"({G.names[a]},{G.names[b]})"
                 if tab is None:
                     raise AlgebraStructureError(f"product table missing for grades {names}")
+                if (key := (id(tab), da, db, G.table[a][b])) in checked:
+                    continue
+                checked.add(key)
                 if not (isinstance(tab, list) and len(tab) <= da and all(
                         isinstance(row, list) and len(row) <= db
                         and all(isinstance(vec, dict) for vec in row) for row in tab)):
@@ -299,14 +303,18 @@ class HopfGAlgebra:
                         check_vec(tab[i][j], G.table[a][b], "product")
 
         for a in support:
-            if len(self.coproduct[a]) != self.dims[a]:
-                raise AlgebraStructureError(f"coproduct not total on grade {G.names[a]}")
-            if len(self.counit[a]) != self.dims[a]:
-                raise AlgebraStructureError(f"counit not total on grade {G.names[a]}")
-            if len(self.antipode[a]) != self.dims[a]:
-                raise AlgebraStructureError(f"antipode not total on grade {G.names[a]}")
+            for what in ("coproduct", "counit", "antipode"):
+                grades = getattr(self, what)
+                if a >= len(grades):
+                    raise AlgebraStructureError(f"{what} not given for grade {G.names[a]}")
+                if len(grades[a]) != self.dims[a]:
+                    raise AlgebraStructureError(f"{what} not total on grade {G.names[a]}")
             ainv = G.inverses[a]
             for i in range(self.dims[a]):
+                for what in ("coproduct", "antipode"):
+                    if not isinstance(getattr(self, what)[a][i], dict):
+                        raise AlgebraStructureError(
+                            f"{what} at grade {G.names[a]} basis {i} is not a sparse map")
                 for (p, q), v in self.coproduct[a][i].items():
                     if not (0 <= p < self.dims[a] and 0 <= q < self.dims[a]):
                         raise AlgebraStructureError(

@@ -114,6 +114,33 @@ def test_product_table_must_be_nested_rows(edit, message):
         _rebuild(H, product={**H.product, (0, 1): edit(H.product[0, 1])})
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda tab: [row[:1] for row in tab], r"product undefined at grades \(a,a\^2\) basis \(0,1\)"),
+    (lambda tab: [[{5: v} for v in row] for row in tab], r"product: index 5 out of range"),
+], ids=["short-rows", "index-out-of-range"])
+def test_a_fault_in_a_shared_table_names_its_first_grade_pair(edit, message):
+    # cyclic:k=3 shares one table among the pairs (a, b) with a + b >= 3;
+    # it is validated once per target grade, at the first pair holding it
+    H = builtin_algebra("cyclic:k=3,l=2,d=1")
+    shared = H.product[2, 2]
+    bad = edit(shared)
+    product = {k: bad if t is shared else t for k, t in H.product.items()}
+    assert sum(t is bad for t in product.values()) == 3
+    with pytest.raises(AlgebraStructureError, match=f"^{message}$"):
+        _rebuild(H, product=product)
+
+
+@pytest.mark.parametrize("field, edit, message", [
+    ("antipode", lambda m: [[5, {}], [{}, {}]], "antipode at grade 1 basis 0 is not a sparse map"),
+    ("coproduct", lambda m: [[5, {}], [{}, {}]], "coproduct at grade 1 basis 0 is not a sparse map"),
+    ("coproduct", lambda m: m[:1], "coproduct not given for grade a"),
+], ids=["antipode-entry", "coproduct-entry", "coproduct-grades"])
+def test_coproduct_and_antipode_must_be_sparse_maps_per_grade(field, edit, message):
+    H = builtin_algebra("cyclic:k=2,l=2,d=0")
+    with pytest.raises(AlgebraStructureError, match=f"^{message}$"):
+        _rebuild(H, **{field: edit(getattr(H, field))})
+
+
 def test_missing_product_grade_pair_rejected():
     H = builtin_algebra("cyclic:k=2,l=2,d=0")
     product = dict(H.product)
@@ -508,9 +535,11 @@ def test_built_and_loaded_constants_equal_to_one_are_shared(spec):
 
 def test_unit_skip_op_counts(monkeypatch):
     # Deterministic guards of the unit rule and of the load's scalar memo:
-    # verify_axioms at cyclic:k=3,l=6,d=1 made 72,241 Cyclo multiplications
-    # before it and 11,145 with it; the bound is that count plus 10%.
-    from hopfg import algebra_from_json, algebra_to_json, serialize, verify_axioms
+    # the full sweep of every axiom check at cyclic:k=3,l=6,d=1 made 72,241
+    # Cyclo multiplications before it and 11,145 with it, 10,694 since the
+    # tensor kernel; the bound is that count plus 10%.
+    from hopfg import algebra_from_json, algebra_to_json, serialize
+    from hopfg.verify import CHECKS
 
     H = builtin_algebra("cyclic:k=3,l=6,d=1")
     calls = {"mul": 0, "parse": 0}
@@ -526,8 +555,8 @@ def test_unit_skip_op_counts(monkeypatch):
 
     monkeypatch.setattr(Cyclo, "__mul__", counted_mul)
     monkeypatch.setattr(Cyclo, "__rmul__", counted_mul)
-    assert verify_axioms(H).ok
-    assert calls["mul"] <= 12_259
+    assert all(sweep(H) is None for _, sweep in CHECKS.values())
+    assert calls["mul"] <= 11_763
     monkeypatch.undo()
 
     obj = algebra_to_json(H)
@@ -573,9 +602,10 @@ def test_tensor_mul_matches_the_term_by_term_product(spec):
 
 def test_tensor_kernel_op_count(monkeypatch):
     # Deterministic guard of the slotwise tensor kernel and its identity
-    # skip: verify_axioms at kac-paljutkin made 23,251 Cyclo
-    # multiplications with the pairwise product loop and 13,522 with it.
-    from hopfg import verify_axioms
+    # skip: the full sweep of every axiom check at kac-paljutkin made 23,251
+    # Cyclo multiplications with the pairwise product loop and 13,522 with
+    # it (13,442 since (HG4) applies the counit through apply_rows_at).
+    from hopfg.verify import CHECKS
 
     H = builtin_algebra("kac-paljutkin")
     calls = [0]
@@ -587,5 +617,5 @@ def test_tensor_kernel_op_count(monkeypatch):
 
     monkeypatch.setattr(Cyclo, "__mul__", counted_mul)
     monkeypatch.setattr(Cyclo, "__rmul__", counted_mul)
-    assert verify_axioms(H).ok
+    assert all(sweep(H) is None for _, sweep in CHECKS.values())
     assert calls[0] <= 13_522
