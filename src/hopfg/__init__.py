@@ -7,6 +7,8 @@ a G-colored Kirby diagram given combinatorially.  All arithmetic is
 exact over cyclotomic fields.
 """
 
+import types as _types
+
 from .algebra import (
     AlgebraStructureError,
     DrinfeldError,
@@ -76,72 +78,8 @@ from .verify import AxiomReport, drinfeld_element, verify_axioms
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraStructureError",
-    "AxiomReport",
-    "ColoredDiagram",
-    "ColoringError",
-    "Crossing",
-    "CrossingEnd",
-    "Cyclo",
-    "DiagramError",
-    "DotPassage",
-    "DottedComponent",
-    "DrinfeldError",
-    "EvaluationError",
-    "FiniteGroup",
-    "GradedTensor",
-    "GradedVector",
-    "GroupElement",
-    "GroupError",
-    "GroupHom",
-    "HopfGAlgebra",
-    "IntegralData",
-    "IntegralError",
-    "InvariantValue",
-    "KirbyDiagram",
-    "MoveError",
-    "Presentation",
-    "SerializeError",
-    "SummedInvariant",
-    "UndottedComponent",
-    "apply_move",
-    "build_cyclic",
-    "build_kac_paljutkin",
-    "builtin_algebra",
-    "builtin_diagram",
-    "builtin_diagram_names",
-    "color",
-    "colorings",
-    "connected_sum",
-    "connected_sum_check",
-    "cyclic_group",
-    "diagram_from_json",
-    "diagram_to_json",
-    "dumps_canonical",
-    "drinfeld_element",
-    "enumerate_homs",
-    "evaluate",
-    "evaluate_summed",
-    "fundamental_presentation",
-    "group_from_json",
-    "group_from_table",
-    "group_to_json",
-    "algebra_from_json",
-    "algebra_to_json",
-    "move_candidates",
-    "move_names",
-    "product_group",
-    "render_decimal",
-    "render_scalar",
-    "renumber",
-    "reorient",
-    "resolve_algebra",
-    "resolve_diagram",
-    "resolve_group",
-    "rotate_component",
-    "solve_integrals",
-    "validate",
-    "verify_axioms",
-    "__version__",
-]
+# The public names are the ones imported above: every global that is
+# neither private nor a module (submodules such as .algebra bind here too).
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _types.ModuleType)]
+__all__.append("__version__")

@@ -50,6 +50,11 @@ MAX_GROUP_ORDER = 256
 # scalars of phi(l) ints each: cyclic:k=1,l=128 builds in 0.37 s and
 # 15 MB, cyclic:k=1,l=256 in 1.5 s and 100 MB.
 MAX_DIMENSION = 128
+# The entries of one dot's site, bounded before the site is built (see
+# evaluate._Compiled.sites).  At kac-paljutkin, k = 10 alternating passages
+# give 1,048,580 entries (bound 8 * 4^9 = 2^21) in 18.5 s with a 556 MB
+# peak, and k = 12 would need about 9 GB.
+MAX_SITE_ENTRIES = 1 << 21
 
 
 class AlgebraStructureError(ValueError):

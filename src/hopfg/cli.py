@@ -12,15 +12,9 @@ import argparse
 import json
 import sys
 
-from .algebra import (
-    AlgebraStructureError,
-    DrinfeldError,
-    HopfGAlgebra,
-    IntegralError,
-    format_vector,
-)
+from .algebra import DrinfeldError, HopfGAlgebra, IntegralError, format_vector
 from .cyclo import Cyclo, render_decimal, render_scalar, render_scalar_terms
-from .diagrams import ColoringError, DiagramError, KirbyDiagram, color, fundamental_presentation
+from .diagrams import ColoringError, KirbyDiagram, color, fundamental_presentation
 from .evaluate import EvaluationError, evaluate, evaluate_summed
 from .groups import GroupError, GroupHom
 from .integrals import solve_integrals
@@ -239,7 +233,6 @@ def cmd_moves(args) -> int:
     base = evaluate(H, data, cd)
     steps = []
     prev = base.value
-    all_equal = True
     for idx, step in enumerate(script):
         try:
             cd = apply_move(cd, step, group=H.group)
@@ -248,8 +241,8 @@ def cmd_moves(args) -> int:
         iv = evaluate(H, data, cd)
         equal = iv.value == prev
         steps.append((idx, step, iv.value, equal))
-        all_equal = all_equal and equal
         prev = iv.value
+    all_equal = all(equal for *_, equal in steps)
 
     if args.format == "json":
         _emit(dumps_canonical({
@@ -283,7 +276,7 @@ def cmd_moves(args) -> int:
         if all_equal:
             _emit(f"result: all {len(steps)} step(s) preserve the invariant")
         else:
-            bad = sum(1 for s in steps if not s[3])
+            bad = sum(not equal for *_, equal in steps)
             _emit(f"result: {bad} of {len(steps)} step(s) changed the value")
     return 0 if all_equal else 1
 
@@ -325,6 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check", help="verify all axioms, integrals, and the "
                                       "drinfeld element of an algebra")
+    sp.set_defaults(run=cmd_check)
     sp.add_argument("--algebra", required=True, metavar="SPEC",
                     help="builtin name (cyclic:k=K,l=L,d=D | kac-paljutkin) "
                          "or a JSON file path")
@@ -332,6 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("integrals", help="solve and print the normalized "
                                           "integrals and cointegral")
+    sp.set_defaults(run=cmd_integrals)
     sp.add_argument("--algebra", required=True, metavar="SPEC")
     fmt(sp)
 
@@ -341,6 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="evaluate the invariant of a diagram"
             if connection else
             "evaluate the invariant summed over all flat connections")
+        sp.set_defaults(run=cmd_invariant)
         sp.add_argument("--algebra", required=True, metavar="SPEC")
         sp.add_argument("--diagram", required=True, metavar="SPEC",
                         help="builtin name, connected-sum:A,B, or a JSON path")
@@ -354,6 +350,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("moves", help="apply a move script, checking the "
                                       "invariant after every step")
+    sp.set_defaults(run=cmd_moves)
     sp.add_argument("--algebra", required=True, metavar="SPEC")
     sp.add_argument("--diagram", required=True, metavar="SPEC")
     sp.add_argument("--connection", default="trivial", metavar="SPEC")
@@ -364,6 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("export", help="emit canonical JSON for an algebra "
                                        "or a diagram")
+    sp.set_defaults(run=cmd_export)
     sp.add_argument("--algebra", metavar="SPEC")
     sp.add_argument("--diagram", metavar="SPEC")
     sp.add_argument("--output", metavar="PATH",
@@ -371,25 +369,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-_COMMANDS = {
-    "check": cmd_check,
-    "integrals": cmd_integrals,
-    "invariant": cmd_invariant,
-    "sum": cmd_invariant,
-    "moves": cmd_moves,
-    "export": cmd_export,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (IntegralError, DrinfeldError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (SerializeError, DiagramError, ColoringError, GroupError,
-            AlgebraStructureError, MoveError, EvaluationError, ValueError) as exc:
+    except (EvaluationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -99,13 +99,6 @@ class ColoredDiagram:
     def color_of(self, did: int) -> GroupElement:
         return self.colors[did]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, ColoredDiagram)
-            and other.diagram == self.diagram
-            and other.colors == self.colors
-        )
-
 
 def validate(d: KirbyDiagram):
     """Referential-integrity report: empty list means the diagram is sound."""

@@ -48,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import HopfGAlgebra, add_into
+from .algebra import MAX_SITE_ENTRIES, HopfGAlgebra, add_into
 from .cyclo import Cyclo
 from .diagrams import (
     ColoredDiagram,
@@ -310,6 +310,7 @@ class _Compiled:
         self.exponent = len(d.dotted) - len(d.undotted)
         self.norm = Cyclo.rational(Fraction(H.dims[H.group.identity_index]) ** self.exponent,
                                    conductor=H.conductor)
+        self.dot_ids = [x.id for x in d.dotted]
         self.signs = [tuple(d.undotted_by_id(ru).events[rp].down for ru, rp in x.passages)
                       for x in d.dotted]
         dots = [x for x in d.dotted if x.passages]
@@ -326,9 +327,19 @@ class _Compiled:
     def sites(self, grades):
         """(coeff0, site_entries, comp_slots) for the coloring with the given
         grade index per dot: coeff0 collects the dots with no passages and a
-        slot gains its grade as a fourth entry.  None when a dot gives 0."""
-        coeff0, entries, site_grades = self.one, [], []
-        for a, signs in zip(grades, self.signs):
+        slot gains its grade as a fourth entry.  None when a dot gives 0.
+        Raises EvaluationError when a dot's site may exceed MAX_SITE_ENTRIES by
+        the bound nnz(L_a) * max_i |Delta_a(e_i)|^(k-1) * max_i |S_a(e_i)|^(up passages)."""
+        H, coeff0, entries, site_grades = self.H, self.one, [], []
+        for x, a, signs in zip(self.dot_ids, grades, self.signs):
+            bound = (len(self.integrals.integrals[a].entries)
+                     * max(map(len, H.coproduct[a]), default=0) ** max(len(signs) - 1, 0)
+                     * max(map(len, H.antipode[a]), default=0) ** signs.count(False))
+            if bound > MAX_SITE_ENTRIES:
+                shown = bound if bound < 1 << 64 else f"over 2^{bound.bit_length() - 1}"
+                raise EvaluationError(
+                    f"dot {x} at grade {H.group.names[a]} has {len(signs)} passages, "
+                    f"so its site may hold {shown} entries, more than {MAX_SITE_ENTRIES}")
             site, sg = self.integrals.dot_site(a, signs)
             if not site:  # H_a = 0, so L_a = 0
                 return None
@@ -337,7 +348,7 @@ class _Compiled:
                 site_grades.append(sg)
             else:
                 coeff0 = coeff0 * site[0][1]
-        e = self.H.group.identity_index
+        e = H.group.identity_index
         site_grades += [(e, e)] * len(self.crossings)
         comp_slots = [[(site, f, n, site_grades[site][f]) for site, f, n in slots]
                       for slots in self.skeleton]

@@ -18,12 +18,13 @@ pattern.  Mechanized moves:
 
 Each move's parameters are declared once, in _MOVES, by kind: "dot",
 "component" and "crossing" name an id the diagram has, "pos" is any
-integer, "crossings" is a list of 3 crossing ids, and "any" is left to the
-move; a kind ending in "?" may be left out.  apply_move checks presence,
-type and ids from that table; each rewrite checks only its own rules
-(sign, element, position ranges, distinctness).  A rewrite edits a
-diagrams.Editor; _freeze renumbers and colors its result and asks
-require_colored of it, which decides flatness through diagrams.color.
+integer, "crossings" is a list of 3 crossing ids, "bool" is true or false,
+"element" is an integer or a name, and "any" is left to the move; a kind
+ending in "?" may be left out.  apply_move checks presence, type and ids
+from that table; each rewrite checks only its own rules (sign, element
+range, position ranges, distinctness).  A rewrite edits a diagrams.Editor;
+_freeze renumbers and colors its result and asks require_colored of it,
+which decides flatness through diagrams.color.
 
 Rewrites renumber ids densely; round-trip pairs restore diagrams up to
 that renumbering (which is the identity on already-dense inputs).
@@ -186,7 +187,7 @@ def _ii1_insert(ed: Editor, spec: dict, group) -> None:
     did, uid = spec["dot"], spec["component"]
     i = spec["disk_pos"]
     p = spec["event_pos"]
-    first_down = bool(spec.get("first_down", True))
+    first_down = spec.get("first_down", True)
     _require(0 <= i <= len(ed.dot_passages[did]),
              "II-1-insert: disk_pos out of range")
     _require(0 <= p <= len(ed.comp_nodes[uid]),
@@ -355,8 +356,7 @@ def _global_conjugate(ed: Editor, spec: dict, group) -> None:
         names = list(group.names)
         _require(beta in names, f"global-conjugate: unknown element {beta!r}")
         beta = names.index(beta)
-    _require(isinstance(beta, int) and 0 <= beta < group.order,
-             "global-conjugate: element out of range")
+    _require(0 <= beta < group.order, "global-conjugate: element out of range")
     for did in list(ed.colors):
         ed.colors[did] = group.element(group.conj(beta, ed.colors[did].index))
 
@@ -371,7 +371,7 @@ _MOVES = {
     "I-5": (_i5, {"crossing": "crossing"}),
     "II-1-insert": (_ii1_insert, {"dot": "dot", "disk_pos": "pos",
                                   "component": "component", "event_pos": "pos",
-                                  "first_down": "any?"}),
+                                  "first_down": "bool?"}),
     "II-1-remove": (_ii1_remove, {"dot": "dot", "disk_pos": "pos"}),
     "II-5": (_ii5, {"dot": "dot"}),
     "II-6": (_ii6, {"dot": "dot", "through": "dot"}),
@@ -381,12 +381,20 @@ _MOVES = {
     "III-4-remove": (_iii4_remove, {"dot": "dot"}),
     "III-5-insert": (_iii5_insert, {}),
     "III-5-remove": (_iii5_remove, {"component": "component"}),
-    "global-conjugate": (_global_conjugate, {"element": "any"}),
+    "global-conjugate": (_global_conjugate, {"element": "element"}),
 }
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+# kind -> (test of a value, what the value must be); the other kinds are integers
+_TYPES = {"any": (lambda v: True, "anything"),
+          "bool": (lambda v: isinstance(v, bool), "true or false"),
+          "element": (lambda v: _is_int(v) or isinstance(v, str), "an integer or an element name"),
+          "crossings": (lambda v: isinstance(v, list) and len(v) == 3 and all(map(_is_int, v)),
+                        "a list of 3 integers")}
 
 
 def _check_params(ed: Editor, name: str, params: dict, spec: dict) -> None:
@@ -397,11 +405,9 @@ def _check_params(ed: Editor, name: str, params: dict, spec: dict) -> None:
         raise MoveError(f"{name}: missing parameters {missing}")
     given = [(k, kind.rstrip("?"), spec[k]) for k, kind in params.items() if k in spec]
     for key, kind, v in given:
-        if kind == "crossings":
-            if not (isinstance(v, list) and len(v) == 3 and all(map(_is_int, v))):
-                raise MoveError(f"{name}: crossings must be a list of 3 integers, got {v!r}")
-        elif kind != "any" and not _is_int(v):
-            raise MoveError(f"{name}: {key} must be an integer, got {v!r}")
+        test, what = _TYPES.get(kind, (_is_int, "an integer"))
+        if not test(v):
+            raise MoveError(f"{name}: {key} must be {what}, got {v!r}")
     known = {"dot": (ed.dot_passages, "dotted component"),
              "component": (ed.comp_nodes, "undotted component"),
              "crossing": (ed.signs, "crossing"), "crossings": (ed.signs, "crossing")}

@@ -289,6 +289,17 @@ def kink_with_split_unknot():
     )
 
 
+def dot_with_passages(k):
+    """One dot that a single component passes through k times, alternately
+    down and up; flat for every color when k is even.  Each down-up pair
+    cancels, so the value is that of the dot beside a bare unknot."""
+    return KirbyDiagram(
+        dotted=(DottedComponent(0, tuple((0, p) for p in range(k))),),
+        undotted=(UndottedComponent(0, tuple(D(0, p % 2 == 0) for p in range(k))),),
+        crossings=(),
+    )
+
+
 def kink_on_clasp(positive, over_first):
     """A kink (crossing 0, either sign, either end first) on a component
     that also clasps a second one (crossings 1 and 2)."""

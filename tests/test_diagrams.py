@@ -424,3 +424,12 @@ def test_oracle_fixture_diagrams_are_valid():
         fixtures.append(after)
     for d in fixtures:
         assert validate(d) == []
+
+
+def test_colored_diagram_equality():
+    G = cyclic_group(3)
+    d = builtin_diagram("s1xs1xs2")
+    cd = ColoredDiagram(d, {0: G.element(1), 1: G.element(2)})
+    assert cd == ColoredDiagram(builtin_diagram("s1xs1xs2"), {0: G.element(1), 1: G.element(2)})
+    assert cd != ColoredDiagram(d, {0: G.element(1), 1: G.element(1)})
+    assert cd != d and cd != (d, cd.colors)

@@ -255,3 +255,14 @@ def test_coloring_group_must_be_the_grading_group(bank):
     with pytest.raises(EvaluationError, match="grading group"):
         evaluate(H, ints, colorings(builtin_diagram("s1xs3"), cyclic_group(5))[4])
     assert evaluate_summed(H, ints, builtin_diagram("s1xs1xs2")).hom_count == 9
+
+
+def test_a_dot_with_many_passages_at_a_cyclic_algebra(bank):
+    # a cyclic algebra's dot site has at most l entries whatever the
+    # passage count, so the site cap admits 12 passages; the down-up
+    # pairs cancel, so 12, 2 and 0 passages give the same values
+    H, ints = bank("cyclic:k=3,l=6,d=1")
+    values = [[iv.value for iv in evaluate_summed(H, ints, oracles.dot_with_passages(k)).values]
+              for k in (12, 2, 0)]
+    assert len(values[0]) == 3
+    assert values[0] == values[1] == values[2]

@@ -436,6 +436,10 @@ def test_candidates_and_rewrites_are_pinned():
     ({"move": "I-3", "crossings": [0, 1, "2"]},
      "crossings must be a list of 3 integers"),
     ({"move": "II-5", "dot": [0]}, "dot must be an integer"),
+    ({"move": "II-1-insert", "dot": 0, "disk_pos": 0, "component": 0,
+      "event_pos": 0, "first_down": "false"}, "first_down must be true or false"),
+    ({"move": "global-conjugate", "element": True},
+     "element must be an integer or an element name"),
     ({"move": "I-2-remove", "c1": 7, "c2": 0}, "^I-2-remove: unknown crossing 7$"),
     ({"move": "I-3", "crossings": [0, 0, 9]}, "^I-3: unknown crossing 9$"),
     ({"move": "II-6", "dot": 0, "through": 9},

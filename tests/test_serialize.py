@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import hopfg
+import oracles
 
 from hopfg import builtin_algebra, builtin_diagram, builtin_diagram_names
 from hopfg.groups import cyclic_group, product_group
@@ -295,6 +296,22 @@ def test_oversized_or_malformed_algebra_field_exits_2(tmp_path, field, value):
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and field in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_a_dot_whose_site_exceeds_the_cap_exits_2(tmp_path):
+    # 12 passages at kac-paljutkin would expand to 4^12 + 4 entries (about
+    # 9 GB); the bound 8 * 4^11 is checked first, under the 1 GiB cap
+    path = tmp_path / "diagram.json"
+    path.write_text(dumps_canonical(diagram_to_json(oracles.dot_with_passages(12))))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hopfg.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CLI, "invariant", "--algebra", "kac-paljutkin",
+         "--diagram", str(path)],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("error: dot 0 at grade 1 has 12 passages, so its site may hold "
+                           "33554432 entries, more than 2097152\n")
 
 
 def _padded_dims(obj, total):
