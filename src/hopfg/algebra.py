@@ -53,7 +53,8 @@ MAX_DIMENSION = 128
 # The entries of one dot's site, bounded before the site is built (see
 # evaluate._Compiled.sites).  At kac-paljutkin, k = 10 alternating passages
 # give 1,048,580 entries (bound 8 * 4^9 = 2^21) in 18.5 s with a 556 MB
-# peak, and k = 12 would need about 9 GB.
+# peak, and k = 12 would need about 9 GB.  It also bounds the (table entry,
+# site entry) pairs of each site the fold opens (evaluate._Compiled.bind).
 MAX_SITE_ENTRIES = 1 << 21
 
 
@@ -405,19 +406,19 @@ class HopfGAlgebra:
     def crossing_site(self, signs: tuple, words: tuple) -> list:
         """The sorted entries of crossings with the given signs (R for True,
         (S_1 (x) id)(R) for False) multiplied out: factor f is the product
-        of the ends words[f] lists in order, an end being (crossing, 0 for
-        its over factor or 1 for its under one).  Built once per key."""
+        of the one or two ends words[f] lists in order, an end being
+        (crossing, 0 for its over factor or 1 for its under one).  Built
+        once per key."""
         got = self._crossing_sites.get((signs, words))
         if got is None:
-            e, one = self.group.identity_index, self.one()
+            one, rows = self.one(), self.product[(self.group.identity_index,) * 2]
             rs = [(self.rmatrix if s else self.r_inverse_raw()).items() for s in signs]
             out = {}
             for terms in itertools.product(*rs):
                 tensor = {(): prod((w for _, w in terms[1:]), start=terms[0][1])}
-                for (k, f), *rest in words:
-                    vec = {terms[k][0][f]: one}
-                    for k, f in rest:
-                        vec = self.mul_raw(e, e, vec, {terms[k][0][f]: one})
+                for word in words:
+                    i, *j = (terms[k][0][f] for k, f in word)
+                    vec = rows[i][j[0]] if j else {i: one}
                     tensor = {t + (i,): v if x is one else x if v is one else v * x
                               for t, v in tensor.items() for i, x in vec.items()}
                 for t, v in tensor.items():

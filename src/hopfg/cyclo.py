@@ -256,19 +256,19 @@ class Cyclo:
     def inverse(self) -> "Cyclo":
         if not self:
             raise ZeroDivisionError("inverse of zero cyclotomic scalar")
-        phi = [Fraction(x) for x in cyclotomic_polynomial(self.n)]
+        n, phi = self.n, [Fraction(x) for x in cyclotomic_polynomial(self.n)]
         a = [Fraction(v, self.den) for v in self.num]
-        # extended Euclid in Q[x]: find s with s*a == gcd (a nonzero unit) mod Phi
-        r0, s0 = phi, [Fraction(0)]
-        r1, s1 = _trim(a), [Fraction(1)]
+        # extended Euclid in Q[x] on the remainders; the Bezout coefficient
+        # s with s*a == r1 mod Phi_n is kept as a Cyclo, reduced as it grows
+        r0, s0 = phi, Cyclo.zero(n)
+        r1, s1 = _trim(a), Cyclo.one(n)
         while len(r1) > 1:
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, _trim(r)
-            s0, s1 = s1, _trim(_poly_sub(s0, _poly_mul(q, s1)))
+            s0, s1 = s1, s0 - Cyclo(n, dict(enumerate(q))) * s1
         if not r1 or not r1[0]:
             raise ZeroDivisionError("scalar not invertible mod Phi_n")
-        scale = r1[0]
-        return Cyclo(self.n, {i: v / scale for i, v in enumerate(s1)})
+        return s1 * Cyclo.rational(1 / r1[0], conductor=n)
 
     def __truediv__(self, other):
         a, b = self._align(other)
@@ -406,24 +406,6 @@ def _trim(p: list) -> list:
     while p and not p[-1]:
         p.pop()
     return p
-
-
-def _poly_sub(a: list, b: list) -> list:
-    out = list(a) + [Fraction(0)] * (len(b) - len(a))
-    for i, v in enumerate(b):
-        out[i] -= v
-    return out
-
-
-def _poly_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, u in enumerate(a):
-        if u:
-            for j, v in enumerate(b):
-                out[i + j] += u * v
-    return out
 
 
 def _poly_divmod(num: list, den: list):

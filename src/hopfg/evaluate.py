@@ -325,13 +325,18 @@ class _Compiled:
         self.plans = {}
 
     def sites(self, grades):
-        """(coeff0, site_entries, comp_slots) for the coloring with the given
-        grade index per dot: coeff0 collects the dots with no passages and a
-        slot gains its grade as a fourth entry.  None when a dot gives 0.
-        Raises EvaluationError when a dot's site may exceed MAX_SITE_ENTRIES by
-        the bound nnz(L_a) * max_i |Delta_a(e_i)|^(k-1) * max_i |S_a(e_i)|^(up passages)."""
-        H, coeff0, entries, site_grades = self.H, self.one, [], []
+        """(site_entries, comp_slots) for the coloring with the given grade
+        index per dot, a slot gaining its grade as a fourth entry.  None
+        when a dot's L_a is 0; a dot with no passages contributes
+        eps(L_a) = 1 (see IntegralData).  Raises EvaluationError when a
+        dot's site may exceed MAX_SITE_ENTRIES by the bound
+        nnz(L_a) * max_i |Delta_a(e_i)|^(k-1) * max_i |S_a(e_i)|^(up passages)."""
+        H, entries, site_grades = self.H, [], []
         for x, a, signs in zip(self.dot_ids, grades, self.signs):
+            if not self.integrals.integrals[a].entries:
+                return None
+            if not signs:
+                continue
             bound = (len(self.integrals.integrals[a].entries)
                      * max(map(len, H.coproduct[a]), default=0) ** max(len(signs) - 1, 0)
                      * max(map(len, H.antipode[a]), default=0) ** signs.count(False))
@@ -341,18 +346,13 @@ class _Compiled:
                     f"dot {x} at grade {H.group.names[a]} has {len(signs)} passages, "
                     f"so its site may hold {shown} entries, more than {MAX_SITE_ENTRIES}")
             site, sg = self.integrals.dot_site(a, signs)
-            if not site:  # H_a = 0, so L_a = 0
-                return None
-            if signs:
-                entries.append(site)
-                site_grades.append(sg)
-            else:
-                coeff0 = coeff0 * site[0][1]
+            entries.append(site)
+            site_grades.append(sg)
         e = H.group.identity_index
         site_grades += [(e, e)] * len(self.crossings)
         comp_slots = [[(site, f, n, site_grades[site][f]) for site, f, n in slots]
                       for slots in self.skeleton]
-        return coeff0, entries + self.crossings, comp_slots
+        return entries + self.crossings, comp_slots
 
     def plan(self, site_entries, comp_slots):
         """(planner, (order, starts, cost)) for the sites of one coloring,
@@ -375,14 +375,14 @@ class _Compiled:
         bound = self.sites(grades)
         if bound is None:
             return InvariantValue(zero, zero, self.exponent)
-        coeff0, site_entries, comp_slots = bound
+        site_entries, comp_slots = bound
         order, starts, _ = self.plan(site_entries, comp_slots)[1]
         H, G, unit, one = self.H, self.H.group, self.H.unit, self.one
         e, lam = G.identity_index, self.integrals.lam_values
 
         # between components the state maps pending-axis tuples to scalars;
         # registry lists the open (site, factor) pairs the axes refer to
-        state = {(): coeff0}
+        state = {(): one}
         registry = []
         for comp, r in zip(order, starts):
             slots = comp_slots[comp]
@@ -405,6 +405,10 @@ class _Compiled:
                 else:
                     remaining = [f for f in range(arity) if f != factor]
                     entries = site_entries[site]
+                    if (pairs := len(within) * len(entries)) > MAX_SITE_ENTRIES:
+                        raise EvaluationError(
+                            f"the fold would open a site of {len(entries)} entries over a "
+                            f"table of {len(within)}: {pairs} pairs, more than {MAX_SITE_ENTRIES}")
                     for (x, axes), v in within.items():
                         for t, w0 in entries:
                             ext = axes + tuple(t[f] for f in remaining)
@@ -440,7 +444,7 @@ def contraction_plan(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagra
     bound = compiled.sites(grades)
     if bound is None:
         return None
-    _, site_entries, comp_slots = bound
+    site_entries, comp_slots = bound
     planner, (order, starts, cost) = compiled.plan(site_entries, comp_slots)
     positions = compiled.positions
     # the slot holding event 0: the first one, or a last one that wraps round

@@ -187,12 +187,8 @@ class GroupHom:
         self.images = tuple(images)
 
     def word_image(self, word) -> GroupElement:
-        acc = self.target.identity_index
-        t = self.target.table
-        for letter in word:
-            g = self.images[abs(letter) - 1].index
-            acc = t[acc][g if letter > 0 else self.target.inverses[g]]
-        return self.target.element(acc)
+        return self.target.element(
+            _word_index(self.target, word, [g.index for g in self.images]))
 
     def __eq__(self, other):
         return (
@@ -208,6 +204,15 @@ class GroupHom:
         return f"GroupHom({', '.join(e.name for e in self.images)})"
 
 
+def _word_index(G: FiniteGroup, word, images) -> int:
+    """The index in G of word's image, generator i + 1 sent to images[i]."""
+    t, inv, acc = G.table, G.inverses, G.identity_index
+    for letter in word:
+        g = images[abs(letter) - 1]
+        acc = t[acc][g if letter > 0 else inv[g]]
+    return acc
+
+
 def enumerate_homs(pres: Presentation, G: FiniteGroup) -> list[GroupHom]:
     """All tuples in G^m satisfying the relations, lexicographic by index.
 
@@ -221,15 +226,7 @@ def enumerate_homs(pres: Presentation, G: FiniteGroup) -> list[GroupHom]:
         top = max((abs(x) for x in word), default=0)
         buckets[top].append(word)
 
-    t, inv, e = G.table, G.inverses, G.identity_index
-
-    def word_ok(word, images) -> bool:
-        acc = e
-        for letter in word:
-            g = images[abs(letter) - 1]
-            acc = t[acc][g if letter > 0 else inv[g]]
-        return acc == e
-
+    e = G.identity_index
     out: list[GroupHom] = []
     images: list[int] = []
 
@@ -239,10 +236,10 @@ def enumerate_homs(pres: Presentation, G: FiniteGroup) -> list[GroupHom]:
             return
         for g in range(G.order):
             images.append(g)
-            if all(word_ok(w, images) for w in buckets[depth + 1]):
+            if all(_word_index(G, w, images) == e for w in buckets[depth + 1]):
                 extend(depth + 1)
             images.pop()
 
-    if all(word_ok(w, []) for w in buckets[0]):
+    if all(_word_index(G, w, []) == e for w in buckets[0]):
         extend(0)
     return out

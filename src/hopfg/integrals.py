@@ -86,7 +86,9 @@ class IntegralData:
     """Normalized integrals per grade plus the cointegral on H_1.
 
     lam_values[i] is lam applied to the i-th grade-1 basis vector; the
-    normalization is eps(L_1) = 1 and lam(L_1) = 1.  An instance, like its
+    normalization is lam(L_1) = 1 and eps(L_a) = 1 in every supported grade
+    (``solve_integrals`` certifies it; L_a = 0 elsewhere), so the evaluator
+    takes a dot without passages to contribute 1.  An instance, like its
     algebra, is treated as immutable after construction: ``dot_site``
     keeps what it computes from both.
     """
@@ -101,17 +103,13 @@ class IntegralData:
         return self.integrals[idx]
 
     def dot_site(self, a: int, downs: tuple):
-        """(sorted entries, factor grades) of (S^s1 (x) ... (x) S^sk)(Delta^(k-1)(L_a)),
-        s_i = 1 where downs[i] is false (an up passage), or of eps(L_a) at ()
-        when k = 0; no entries when it is zero.  Built once per (a, downs)."""
+        """(sorted entries, factor grades) of (S^s1 (x) ... (x) S^sk)(Delta^(k-1)(L_a))
+        for k >= 1 passages, s_i = 1 where downs[i] is false (an up
+        passage); no entries when it is zero.  Built once per (a, downs)."""
         site = self._sites.get((a, downs))
         if site is None:
-            H, lam_a = self.algebra, self.integrals[a]
-            if downs:
-                entries = H.coproduct_power(lam_a, len(downs)).entries
-            else:
-                eps = H.counit_raw(a, lam_a.entries)
-                entries = {(): eps} if eps else {}
+            H = self.algebra
+            entries = H.coproduct_power(self.integrals[a], len(downs)).entries
             grades = [a] * len(downs)
             for f, down in enumerate(downs):
                 if not down:

@@ -84,9 +84,13 @@ def _grade_names(H, idxs):
     return "(" + ",".join(H.group.names[a] for a in idxs) + ")"
 
 
-def _add_all(out, raw):
-    for key, v in raw.items():
-        add_into(out, key, v)
+def _multiply_out(H, a, b, two_tensor):
+    """m(x (x) y) summed over a 2-tensor whose factors lie in grades a and b."""
+    rows, one, out = H.product[a, b], H.one(), {}
+    for (p, q), v in two_tensor.items():
+        for t, c in rows[p][q].items():
+            add_into(out, t, v if c is one else c if v is one else v * c)
+    return out
 
 
 def _both_slots(H, two_tensor, rows):
@@ -252,16 +256,14 @@ def _check_counit_unit(H):
 
 
 def _check_antipode(H):
-    e = H.group.identity_index
+    e, one = H.group.identity_index, H.one()
     for a in H.support:
-        ainv = H.group.inverses[a]
+        ainv, s = H.group.inverses[a], slot_rows(H.antipode[a])
         for i in range(H.dims[a]):
-            want = scaled_raw(H.unit, H.counit[a][i], H.one())
-            left = {}
-            right = {}
-            for (p, q), v in H.coproduct[a][i].items():
-                _add_all(left, H.mul_raw(ainv, a, H.antipode[a][p], {q: v}))
-                _add_all(right, H.mul_raw(a, ainv, {p: v}, H.antipode[a][q]))
+            want = scaled_raw(H.unit, H.counit[a][i], one)
+            dx = H.coproduct[a][i]
+            left = _multiply_out(H, ainv, a, apply_rows_at(dx, 0, s, one))
+            right = _multiply_out(H, a, ainv, apply_rows_at(dx, 1, s, one))
             for label, got in (("m(S(x)id)D(x) =", left), ("m(id(x)S)D(x) =", right)):
                 if got != want:
                     return _witness(H, f"grade {H.group.names[a]} basis {i}", e,
@@ -360,20 +362,16 @@ def _r3(H, p1, p2):
     return embed_two_raw(H, H.rmatrix, p1, p2, 3)
 
 
-def _check_r_left(H):
+def _check_r_split(H, slot):
+    """(QHG1) at slot 0, (D(x)id)R = R13 R23, and (QHG2) at slot 1,
+    (id(x)D)R = R13 R12."""
     g3 = (H.group.identity_index,) * 3
-    lhs = apply_rows_at(H.rmatrix, 0, H.coproduct[g3[0]], H.one())
-    _, rhs = _tensor_mul_raw(H, g3, _r3(H, 0, 2), g3, _r3(H, 1, 2))
+    lhs = apply_rows_at(H.rmatrix, slot, H.coproduct[g3[0]], H.one())
+    p, q = 1 - slot, 2 - slot
+    _, rhs = _tensor_mul_raw(H, g3, _r3(H, 0, 2), g3, _r3(H, p, q))
     if lhs != rhs:
-        return _witness(H, "", g3, ("(D(x)id)R =", lhs), ("R13*R23 =", rhs))
-
-
-def _check_r_right(H):
-    g3 = (H.group.identity_index,) * 3
-    lhs = apply_rows_at(H.rmatrix, 1, H.coproduct[g3[0]], H.one())
-    _, rhs = _tensor_mul_raw(H, g3, _r3(H, 0, 2), g3, _r3(H, 0, 1))
-    if lhs != rhs:
-        return _witness(H, "", g3, ("(id(x)D)R =", lhs), ("R13*R12 =", rhs))
+        return _witness(H, "", g3, (("(D(x)id)R =", "(id(x)D)R =")[slot], lhs),
+                        (f"R13*R{p + 1}{q + 1} =", rhs))
 
 
 def _check_r_intertwine(H):
@@ -443,8 +441,8 @@ CHECKS = {
     "CHG2": ("(CHG2) crossing multiplicative", _check_crossing_mult),
     "CHG3": ("(CHG3) crossing fixes unit", _check_crossing_unit),
     "CHG4": ("(CHG4) crossing composition", _check_crossing_comp),
-    "QHG1": ("(QHG1) R splits left coproduct", _check_r_left),
-    "QHG2": ("(QHG2) R splits right coproduct", _check_r_right),
+    "QHG1": ("(QHG1) R splits left coproduct", lambda H: _check_r_split(H, 0)),
+    "QHG2": ("(QHG2) R splits right coproduct", lambda H: _check_r_split(H, 1)),
     "QHG3": ("(QHG3) R intertwines coproduct and opposite", _check_r_intertwine),
     "QHG4": ("(QHG4) R fixed by crossing", _check_r_crossing),
     "RINV": ("R invertible", _check_r_invertible),
@@ -473,14 +471,10 @@ def drinfeld_element(H: HopfGAlgebra) -> GradedVector:
     sum b * S(S(a))), central in H_1, fixed by the antipode, and has
     counit 1.  Raises DrinfeldError naming the identity that failed.
     """
-    e = H.group.identity_index
-    one = H.one()
-    u: dict = {}
-    uinv: dict = {}
-    for (i, j), v in H.rmatrix.items():
-        _add_all(u, H.mul_raw(e, e, H.antipode[e][j], {i: v}))
-        s2 = apply_rows(H.antipode[e], H.antipode[e][i], one)
-        _add_all(uinv, H.mul_raw(e, e, {j: v}, s2))
+    e, one = H.group.identity_index, H.one()
+    s, flipped = slot_rows(H.antipode[e]), {(j, i): v for (i, j), v in H.rmatrix.items()}
+    u = _multiply_out(H, e, e, apply_rows_at(flipped, 0, s, one))
+    uinv = _multiply_out(H, e, e, apply_rows_at(apply_rows_at(flipped, 1, s, one), 1, s, one))
 
     if H.mul_raw(e, e, u, uinv) != H.unit or H.mul_raw(e, e, uinv, u) != H.unit:
         raise DrinfeldError("drinfeld element is not inverted by sum b*S^2(a)")

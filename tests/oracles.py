@@ -7,7 +7,6 @@ structures themselves), never by calling the code paths under test, so the
 main suite can compare engine output against these values exactly.
 """
 
-import os
 from fractions import Fraction
 import itertools
 from math import gcd
@@ -42,9 +41,7 @@ def D(x, down=True):
 
 
 def grid():
-    """All (k, l, d) triples; HOPFG_TEST_GRID=small shrinks local runs."""
-    if os.environ.get("HOPFG_TEST_GRID") == "small":
-        return [(1, 1, 0), (1, 2, 1), (2, 3, 1), (1, 4, 3), (3, 2, 1)]
+    """All (k, l, d) triples."""
     return [(k, l, d) for k in (1, 2, 3) for l in range(1, 7) for d in range(l)]
 
 
@@ -296,6 +293,18 @@ def dot_with_passages(k):
     return KirbyDiagram(
         dotted=(DottedComponent(0, tuple((0, p) for p in range(k))),),
         undotted=(UndottedComponent(0, tuple(D(0, p % 2 == 0) for p in range(k))),),
+        crossings=(),
+    )
+
+
+def dots_between_two_components(n):
+    """n dots, each passed down by component 0 and up by component 1, so
+    the fold opens one axis per dot: at kac-paljutkin each dot site has 20
+    entries and the table grows about eightfold per dot."""
+    return KirbyDiagram(
+        dotted=tuple(DottedComponent(i, ((0, i), (1, i))) for i in range(n)),
+        undotted=(UndottedComponent(0, tuple(D(i) for i in range(n))),
+                  UndottedComponent(1, tuple(D(i, False) for i in range(n)))),
         crossings=(),
     )
 

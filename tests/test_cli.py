@@ -269,6 +269,37 @@ def test_bad_inputs_exit_2(capsys):
     assert code == 2 and out == "" and "cyclic parameter 'k' given twice" in err
 
 
+@pytest.mark.parametrize("field, value, message", [
+    # product blocks 0-8 are those of grades (0, 0)
+    ("dims", [3, 0], "product block 9: grade 1 has dimension 0"),
+    ("unit", [[7, "1*zeta^0"]], "unit block 0: basis index 7 out of range for grade 0"),
+])
+def test_algebra_block_out_of_its_grade_exits_2(capsys, tmp_path, field, value, message):
+    obj = algebra_to_json(builtin_algebra("cyclic:k=2,l=3,d=1"))
+    obj[field] = value
+    path = tmp_path / "algebra.json"
+    path.write_text(dumps_canonical(obj))
+    want = f"error: {str(path)!r}: {message}\n"
+    assert run(capsys, "check", "--algebra", str(path)) == (2, "", want)
+
+
+@pytest.mark.parametrize("dotted, undotted, crossings, message", [
+    ([{"id": 0, "passages": []}] * 2, [], [], "duplicate dotted component ids"),
+    ([], [{"id": 0, "events": [["over", 0], ["under", 0]]}], [{"id": 0, "sign": "+"}] * 2,
+     "duplicate crossing ids"),
+    ([{"id": 0, "passages": [[0, 0], [0, 1]]}, {"id": 1, "passages": []}],
+     [{"id": 0, "events": [["down", 0], ["down", 1]]}], [],
+     "dot 0 references (0, 1), which names dot 1"),
+])
+def test_diagram_with_clashing_ids_exits_2(capsys, tmp_path, dotted, undotted, crossings,
+                                           message):
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps({"dotted": dotted, "undotted": undotted,
+                                "crossings": crossings, "h3": 0, "h4": 0}))
+    assert run(capsys, "invariant", "--algebra", "cyclic:k=1,l=2,d=1",
+               "--diagram", str(path)) == (2, "", f"error: {message}\n")
+
+
 def test_connection_relation_violation_exit_2(capsys):
     # a coloring that breaks a component relation is malformed input
     code, _, err = run(capsys, "moves", "--algebra", "kac-paljutkin",

@@ -69,13 +69,23 @@ def test_ring_laws(a, b, c):
     assert a - a == Cyclo.zero(12)
 
 
-@given(_elem12)
-def test_multiplicative_inverse(a):
-    if not a:
-        with pytest.raises(ZeroDivisionError):
-            a.inverse()
-    else:
-        assert a * a.inverse() == Cyclo.one(12)
+@settings(deadline=None, max_examples=10)
+@given(st.data())
+def test_multiplicative_inverse(data):
+    # one drawn element at every conductor from 1 to 60 per example
+    for n in range(1, 61):
+        a = Cyclo(n, data.draw(st.dictionaries(st.integers(0, n - 1), _frac, max_size=4)))
+        if not a:
+            with pytest.raises(ZeroDivisionError):
+                a.inverse()
+        else:
+            assert a * a.inverse() == Cyclo.one(n), (n, a)
+
+
+def test_inverse_at_the_largest_conductor():
+    # three terms at n = 2520, where phi(n) = 576: about a second
+    a = Cyclo(2520, {1: Fraction(1, 2), 700: 3, 1999: Fraction(-2, 3)})
+    assert a * a.inverse() == Cyclo.one(2520)
 
 
 @given(_elem4, _elem4)
@@ -205,8 +215,9 @@ def test_dense_cyclo_matches_sparse_reference(data):
     _assert_matches(a.lift(m), oracles.ref_lift(ra, m))
     assert render_scalar(a) == render_scalar(SimpleNamespace(c=ra[1]))
     assert render_scalar_terms(a) == render_scalar_terms(SimpleNamespace(c=ra[1]))
-    # the inverse at n = 2520 is a Fraction Euclid of degree 576 that takes
-    # seconds, so there a is divided by a rational only
+    # the inverse at n = 2520 is a Euclid of degree 576 that takes about a
+    # second (see test_inverse_at_the_largest_conductor), so there a is
+    # divided by a rational only
     if m == 2520:
         b, rb = Cyclo.rational(3, 7, conductor=m), (m, {0: Fraction(3, 7)})
     if b:

@@ -233,6 +233,14 @@ def test_validate_reports_duplicate_ids_and_bad_counts():
     assert any("negative handle count" in p for p in validate(d))
 
 
+def test_validate_reports_shapes_only_python_can_build():
+    # the JSON loader builds every event and passage reference itself
+    d = KirbyDiagram(dotted=(), undotted=(UndottedComponent(0, ("over",)),), crossings=())
+    assert validate(d) == ["undotted 0 has a malformed event at 0"]
+    d = KirbyDiagram(dotted=(DottedComponent(0, (5,)),), undotted=(), crossings=())
+    assert validate(d) == ["dot 0 has a malformed passage reference"]
+
+
 def test_component_lookup_errors():
     d = builtin_diagram("s2xs2")
     assert d.undotted_by_id(1).id == 1

@@ -1,6 +1,7 @@
 """Evaluator results on the builtin diagrams, checked against independent
 closed forms, plus summed invariants and multiplicativity."""
 
+import sys
 from math import gcd
 
 import pytest
@@ -266,3 +267,28 @@ def test_a_dot_with_many_passages_at_a_cyclic_algebra(bank):
               for k in (12, 2, 0)]
     assert len(values[0]) == 3
     assert values[0] == values[1] == values[2]
+
+
+def test_the_fold_cap_stops_a_table_before_a_site_opens(bank, monkeypatch, capsys, tmp_path):
+    # three dots between two components at kac-paljutkin: the fold opens
+    # the last dot's 20-entry site over a table of 208, 4,160 pairs, so a
+    # cap of 4,160 evaluates and one of 4,159 stops there, in the library
+    # and as exit 2 from the command line
+    from hopfg import diagram_to_json, dumps_canonical
+    from hopfg.cli import main
+
+    H, ints = bank("kac-paljutkin")
+    d = oracles.dots_between_two_components(3)
+    cd = colorings(d, H.group)[0]
+    module = sys.modules["hopfg.evaluate"]
+    monkeypatch.setattr(module, "MAX_SITE_ENTRIES", 4160)
+    assert evaluate(H, ints, cd).value == 40
+    monkeypatch.setattr(module, "MAX_SITE_ENTRIES", 4159)
+    message = ("the fold would open a site of 20 entries over a table of 208: "
+               "4160 pairs, more than 4159")
+    with pytest.raises(EvaluationError, match=f"^{message}$"):
+        evaluate(H, ints, cd)
+    path = tmp_path / "dots.json"
+    path.write_text(dumps_canonical(diagram_to_json(d)))
+    assert main(["invariant", "--algebra", "kac-paljutkin", "--diagram", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
