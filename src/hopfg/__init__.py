@@ -5,81 +5,60 @@ with a flat G-connection from two inputs: a finite type involutory
 quasitriangular Hopf G-algebra given by exact structure constants, and
 a G-colored Kirby diagram given combinatorially.  All arithmetic is
 exact over cyclotomic fields.
+
+``import hopfg`` loads no submodule: each public name imports its own
+on first use (PEP 562).
 """
 
+import importlib as _importlib
+import sys as _sys
 import types as _types
 
-from .algebra import (
-    AlgebraStructureError,
-    DrinfeldError,
-    GradedTensor,
-    GradedVector,
-    HopfGAlgebra,
-    IntegralError,
-)
-from .builtins import build_cyclic, build_kac_paljutkin, builtin_algebra
-from .cyclo import Cyclo, render_decimal, render_scalar
-from .diagrams import (
-    ColoredDiagram,
-    ColoringError,
-    Crossing,
-    CrossingEnd,
-    DiagramError,
-    DotPassage,
-    DottedComponent,
-    KirbyDiagram,
-    UndottedComponent,
-    builtin_diagram,
-    builtin_diagram_names,
-    color,
-    colorings,
-    connected_sum,
-    fundamental_presentation,
-    renumber,
-    reorient,
-    rotate_component,
-    validate,
-)
-from .evaluate import (
-    EvaluationError,
-    InvariantValue,
-    SummedInvariant,
-    connected_sum_check,
-    evaluate,
-    evaluate_summed,
-)
-from .groups import (
-    FiniteGroup,
-    GroupElement,
-    GroupError,
-    GroupHom,
-    Presentation,
-    cyclic_group,
-    enumerate_homs,
-    group_from_table,
-    product_group,
-)
-from .integrals import IntegralData, solve_integrals
-from .moves import MoveError, apply_move, move_candidates, move_names
-from .serialize import (
-    SerializeError,
-    algebra_from_json,
-    algebra_to_json,
-    diagram_from_json,
-    diagram_to_json,
-    dumps_canonical,
-    group_from_json,
-    group_to_json,
-    resolve_algebra,
-    resolve_diagram,
-    resolve_group,
-)
-from .verify import AxiomReport, drinfeld_element, verify_axioms
+# submodule -> the public names it defines
+_EXPORTS = {
+    "algebra": "AlgebraStructureError DrinfeldError GradedTensor GradedVector HopfGAlgebra "
+               "IntegralError",
+    "builtins": "build_cyclic build_kac_paljutkin builtin_algebra",
+    "cyclo": "Cyclo render_decimal render_scalar",
+    "diagrams": "ColoredDiagram ColoringError Crossing CrossingEnd DiagramError DotPassage "
+                "DottedComponent KirbyDiagram UndottedComponent builtin_diagram "
+                "builtin_diagram_names color colorings connected_sum fundamental_presentation "
+                "renumber reorient rotate_component validate",
+    "evaluate": "EvaluationError InvariantValue SummedInvariant connected_sum_check evaluate "
+                "evaluate_summed",
+    "groups": "FiniteGroup GroupElement GroupError GroupHom Presentation cyclic_group "
+              "enumerate_homs group_from_table product_group",
+    "integrals": "IntegralData solve_integrals",
+    "moves": "MoveError apply_move move_candidates move_names",
+    "serialize": "SerializeError algebra_from_json algebra_to_json diagram_from_json "
+                 "diagram_to_json dumps_canonical group_from_json group_to_json "
+                 "resolve_algebra resolve_diagram resolve_group",
+    "verify": "AxiomReport drinfeld_element verify_axioms",
+}
+_SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
 __version__ = "0.1.0"
+__all__ = [*_SUBMODULE, "__version__"]
 
-# The public names are the ones imported above: every global that is
-# neither private nor a module (submodules such as .algebra bind here too).
-__all__ = [name for name, value in globals().items()
-           if not name.startswith("_") and not isinstance(value, _types.ModuleType)]
-__all__.append("__version__")
+
+def __getattr__(name):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_importlib.import_module(f"{__name__}.{_SUBMODULE[name]}"), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+class _Package(_types.ModuleType):
+    def __setattr__(self, name, value):
+        # importing the submodule hopfg.evaluate binds it here: keep the function
+        if name == "evaluate" and isinstance(value, _types.ModuleType):
+            value = value.evaluate
+        super().__setattr__(name, value)
+
+
+_sys.modules[__name__].__class__ = _Package

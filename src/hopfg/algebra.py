@@ -286,14 +286,14 @@ class HopfGAlgebra:
         if not self.unit:
             raise AlgebraStructureError("unit vector is zero")
 
-        checked = set()  # (table id, dims, target grade) of each table validated
+        checked = set()  # (id, dims read) of each product table and crossing row list
         for a in support:
             for b in support:
                 tab = self.product.get((a, b))
                 da, db, names = self.dims[a], self.dims[b], f"({G.names[a]},{G.names[b]})"
                 if tab is None:
                     raise AlgebraStructureError(f"product table missing for grades {names}")
-                if (key := (id(tab), da, db, G.table[a][b])) in checked:
+                if (key := (id(tab), da, db, self.dims[G.table[a][b]])) in checked:
                     continue
                 checked.add(key)
                 if not (isinstance(tab, list) and len(tab) <= da and all(
@@ -336,8 +336,10 @@ class HopfGAlgebra:
                     raise AlgebraStructureError(
                         f"crossing missing for (beta,alpha)=({G.names[b]},{G.names[a]})")
                 target = G.conj(b, a)
-                for i in range(self.dims[a]):
-                    check_vec(phi[i], target, "crossing")
+                if (key := (id(phi), self.dims[target])) not in checked:
+                    checked.add(key)
+                    for row in phi:
+                        check_vec(row, target, "crossing")
 
         for (i, j), v in self.rmatrix.items():
             check_vec({i: v}, e, "rmatrix")

@@ -12,13 +12,11 @@ import argparse
 import json
 import sys
 
+# What every command uses; each command imports the rest itself, so a run
+# loads (and, without bytecode, compiles) only the modules it needs.
 from .algebra import DrinfeldError, HopfGAlgebra, IntegralError, format_vector
 from .cyclo import Cyclo, render_decimal, render_scalar, render_scalar_terms
-from .diagrams import ColoringError, KirbyDiagram, color, fundamental_presentation
-from .evaluate import EvaluationError, evaluate, evaluate_summed
 from .groups import GroupError, GroupHom
-from .integrals import solve_integrals
-from .moves import MoveError, apply_move
 from .serialize import (
     SerializeError,
     _read_json,
@@ -28,7 +26,6 @@ from .serialize import (
     resolve_algebra,
     resolve_diagram,
 )
-from .verify import drinfeld_element, verify_axioms
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +63,8 @@ def _connection_label(d: KirbyDiagram, hom: GroupHom) -> str:
 
 
 def _parse_connection(spec: str, H: HopfGAlgebra, d: KirbyDiagram) -> GroupHom:
+    from .diagrams import ColoringError, fundamental_presentation
+
     G = H.group
     n = fundamental_presentation(d).num_generators
     if spec == "trivial":
@@ -93,6 +92,9 @@ def _parse_connection(spec: str, H: HopfGAlgebra, d: KirbyDiagram) -> GroupHom:
 
 
 def cmd_check(args) -> int:
+    from .integrals import solve_integrals
+    from .verify import drinfeld_element, verify_axioms
+
     H = resolve_algebra(args.algebra)
     report = verify_axioms(H)
     for name, solve, error in (
@@ -128,6 +130,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_integrals(args) -> int:
+    from .integrals import solve_integrals
+
     H = resolve_algebra(args.algebra)
     data = solve_integrals(H)
     cond = H.conductor
@@ -168,6 +172,10 @@ def cmd_integrals(args) -> int:
 
 
 def cmd_invariant(args) -> int:
+    from .diagrams import color
+    from .evaluate import evaluate, evaluate_summed
+    from .integrals import solve_integrals
+
     H = resolve_algebra(args.algebra)
     d = resolve_diagram(args.diagram)
     data = solve_integrals(H)
@@ -217,6 +225,11 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_moves(args) -> int:
+    from .diagrams import color
+    from .evaluate import evaluate
+    from .integrals import solve_integrals
+    from .moves import MoveError, apply_move
+
     H = resolve_algebra(args.algebra)
     d = resolve_diagram(args.diagram)
     data = solve_integrals(H)
@@ -369,6 +382,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _input_errors() -> tuple:
+    """ValueError, and EvaluationError once the evaluator that raises it is loaded."""
+    module = sys.modules.get("hopfg.evaluate")
+    return (ValueError,) if module is None else (ValueError, module.EvaluationError)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -376,7 +395,7 @@ def main(argv=None) -> int:
     except (IntegralError, DrinfeldError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (EvaluationError, ValueError) as exc:
+    except _input_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

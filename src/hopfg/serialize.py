@@ -29,18 +29,6 @@ from .algebra import (MAX_CONDUCTOR, MAX_DIMENSION, MAX_GROUP_ORDER,
                       AlgebraStructureError, HopfGAlgebra)
 from .builtins import builtin_algebra
 from .cyclo import Cyclo, parse_scalar, render_scalar_terms
-from .diagrams import (
-    Crossing,
-    CrossingEnd,
-    DotPassage,
-    DottedComponent,
-    KirbyDiagram,
-    UndottedComponent,
-    builtin_diagram_names,
-    builtin_diagram,
-    connected_sum,
-    require_valid,
-)
 from .groups import FiniteGroup, GroupError, cyclic_group, product_group
 
 
@@ -393,10 +381,12 @@ def resolve_algebra(spec: str) -> HopfGAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# diagrams
+# diagrams (each function imports .diagrams itself, so an algebra load does not)
 
 
 def diagram_to_json(d: KirbyDiagram) -> dict:
+    from .diagrams import CrossingEnd
+
     def ev(e):
         if isinstance(e, CrossingEnd):
             return ["over" if e.over else "under", e.crossing]
@@ -422,6 +412,9 @@ _EVENT_KINDS = ("over", "under", "down", "up")
 
 
 def diagram_from_json(obj) -> KirbyDiagram:
+    from .diagrams import (Crossing, CrossingEnd, DotPassage, DottedComponent, KirbyDiagram,
+                           UndottedComponent, require_valid)
+
     dotted = []
     for n, x in enumerate(_need_list(obj, "dotted", "diagram")):
         where = f"dotted component {n}"
@@ -469,7 +462,9 @@ def diagram_from_json(obj) -> KirbyDiagram:
 
 def resolve_diagram(spec: str) -> KirbyDiagram:
     """A diagram from a builtin name, a connected-sum combinator, or a
-    JSON file path."""
+    JSON file path (named in a load error)."""
+    from .diagrams import DiagramError, builtin_diagram, builtin_diagram_names, connected_sum
+
     if spec in builtin_diagram_names():
         return builtin_diagram(spec)
     if spec.startswith("connected-sum:"):
@@ -478,4 +473,8 @@ def resolve_diagram(spec: str) -> KirbyDiagram:
             raise SerializeError("connected-sum takes exactly two diagram specs")
         return connected_sum(resolve_diagram(parts[0].strip()),
                              resolve_diagram(parts[1].strip()))
-    return diagram_from_json(_read_json(spec))
+    obj = _read_json(spec)
+    try:
+        return diagram_from_json(obj)
+    except (SerializeError, DiagramError) as exc:
+        raise type(exc)(f"{spec!r}: {exc}") from None

@@ -120,7 +120,7 @@ def test_product_table_must_be_nested_rows(edit, message):
 ], ids=["short-rows", "index-out-of-range"])
 def test_a_fault_in_a_shared_table_names_its_first_grade_pair(edit, message):
     # cyclic:k=3 shares one table among the pairs (a, b) with a + b >= 3;
-    # it is validated once per target grade, at the first pair holding it
+    # it is validated once (all grades have dimension 2), at the first pair holding it
     H = builtin_algebra("cyclic:k=3,l=2,d=1")
     shared = H.product[2, 2]
     bad = edit(shared)
@@ -128,6 +128,34 @@ def test_a_fault_in_a_shared_table_names_its_first_grade_pair(edit, message):
     assert sum(t is bad for t in product.values()) == 3
     with pytest.raises(AlgebraStructureError, match=f"^{message}$"):
         _rebuild(H, product=product)
+
+
+def test_a_shared_crossing_row_list_is_checked_once_per_target_dimension():
+    # build_crossed shares crossing[(b, a)] = phi_b over every grade a, so
+    # cyclic:k=64 (64 grades of dimension 2) has 64 row lists of 2 rows:
+    # 128 row checks, where one check per (b, a) pair would make 8,192
+    H = builtin_algebra("cyclic:k=64,l=2,d=1")
+    checked = []
+
+    class Row(dict):
+        def items(self):
+            checked.append(self)
+            return super().items()
+
+    lists = {}
+    for rows in H.crossing.values():
+        lists.setdefault(id(rows), [Row(row) for row in rows])
+    assert len(lists) == 64
+    _rebuild(H, crossing={key: lists[id(rows)] for key, rows in H.crossing.items()})
+    assert len(checked) == 128
+
+
+def test_a_fault_in_a_shared_crossing_row_is_found():
+    H = builtin_algebra("cyclic:k=3,l=2,d=1")
+    bad = [{5: Cyclo.one(2)}, *H.crossing[1, 0][1:]]
+    crossing = {key: bad if key[0] == 1 else rows for key, rows in H.crossing.items()}
+    with pytest.raises(AlgebraStructureError, match="^crossing: index 5 out of range$"):
+        _rebuild(H, crossing=crossing)
 
 
 @pytest.mark.parametrize("field, edit, message", [

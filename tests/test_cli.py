@@ -5,7 +5,8 @@ import json
 
 import pytest
 
-from hopfg import builtin_algebra
+from hopfg import EvaluationError, builtin_algebra
+from hopfg import cli
 from hopfg.cli import main
 from hopfg.serialize import algebra_to_json, dumps_canonical
 
@@ -296,8 +297,35 @@ def test_diagram_with_clashing_ids_exits_2(capsys, tmp_path, dotted, undotted, c
     path = tmp_path / "diagram.json"
     path.write_text(json.dumps({"dotted": dotted, "undotted": undotted,
                                 "crossings": crossings, "h3": 0, "h4": 0}))
+    want = f"error: {str(path)!r}: {message}\n"
     assert run(capsys, "invariant", "--algebra", "cyclic:k=1,l=2,d=1",
-               "--diagram", str(path)) == (2, "", f"error: {message}\n")
+               "--diagram", str(path)) == (2, "", want)
+
+
+def test_diagram_file_structure_error_names_the_file(capsys, tmp_path):
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps({"dotted": [], "undotted": [], "crossings": [], "h3": 0}))
+    want = f"error: {str(path)!r}: diagram: missing field 'h4'\n"
+    assert run(capsys, "export", "--diagram", str(path)) == (2, "", want)
+    # a file inside a connected sum is named too
+    assert run(capsys, "export", "--diagram", f"connected-sum:cp2,{path}") == (2, "", want)
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("internal"), RecursionError("deep")])
+def test_an_internal_error_escapes_main(monkeypatch, exc):
+    def fail(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_export", fail)
+    with pytest.raises(type(exc)):
+        main(["export", "--algebra", "kac-paljutkin"])
+
+
+def test_an_evaluation_error_exits_2(monkeypatch, capsys):
+    def fail(args):
+        raise EvaluationError("colors outside the algebra")
+    monkeypatch.setattr(cli, "cmd_export", fail)
+    assert run(capsys, "export", "--algebra", "kac-paljutkin") == (
+        2, "", "error: colors outside the algebra\n")
 
 
 def test_connection_relation_violation_exit_2(capsys):
