@@ -9,8 +9,10 @@ over basis tuples or from a smaller check and the axioms it rests on.
 Every structure map is a sparse linear map, and one kernel applies them
 all: ``add_into`` is the only place where a sum is accumulated into a
 sparse dict (an entry whose sum is zero is dropped), ``apply_rows``
-applies sparse rows to a vector, and ``apply_rows_at`` applies them to
-one factor of a tensor.  Inside the package vectors and tensors are raw
+applies sparse rows to a vector, ``apply_rows_at`` applies them to
+one factor of a tensor, and ``echelon_add`` is the one exact
+elimination (span tests in ``verify.generators``, the integral systems
+in ``integrals``).  Inside the package vectors and tensors are raw
 dicts ({basis index: Cyclo} and {index tuple: Cyclo}); GradedVector and
 GradedTensor are built only where a public function returns.
 
@@ -118,6 +120,23 @@ def scaled_raw(x: dict, c, one) -> dict:
 def slot_rows(rows) -> list:
     """Int-keyed sparse rows re-keyed by 1-tuples, for apply_rows_at."""
     return [{(t,): v for t, v in row.items()} for row in rows]
+
+
+def echelon_add(echelon: list, v: dict, one) -> dict:
+    """Reduce the sparse vector v by an echelon of (pivot, row) pairs, in
+    order, and append what is left, if nonzero, with its least index as
+    pivot; return what is left, zero exactly when v lies in the rows'
+    span.  Each row holds no pivot of the rows before it.  Fraction-free:
+    where v has a row's pivot c, v becomes row[c] v - v[c] row, so no
+    scalar is inverted; nothing is multiplied by ``one`` (the unit rule)."""
+    for c, row in echelon:
+        if c in v:
+            f, v = v[c], scaled_raw(v, row[c], one)
+            for t, r in row.items():
+                add_into(v, t, -(f if r is one else f * r))
+    if v:
+        echelon.append((min(v), v))
+    return v
 
 
 # ---------------------------------------------------------------------------

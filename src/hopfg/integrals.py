@@ -1,10 +1,13 @@
 """Exact solving of two-sided integrals and the dual cointegral.
 
-The grade-1 integral and the functional lam are found as nullspaces of
-exact linear systems; both spaces must be one dimensional.  Integrals in
-the other grades follow from the translation law x*L_1 = eps(x)*L_alpha
-and the whole family is re-verified against both one-sided laws before
-being returned.
+The grade-1 integral and the functional lam each solve an exact linear
+system, reduced by the kernel's one elimination (``echelon_add``, which
+inverts no scalar) and solved by back substitution; both solution spaces
+must be one dimensional.  Each is normalized after solving, so the only
+scalars inverted are eps(L_1), lam(L_1) and one counit value per further
+grade.  Integrals in the other grades follow from the translation law
+x*L_1 = eps(x)*L_alpha and the whole family is re-verified against both
+one-sided laws before being returned.
 
 Translation needs a basis vector x of H_alpha with eps(x) != 0, and every
 supported grade has one: the counit law (HG4) gives
@@ -17,68 +20,44 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .algebra import (GradedVector, HopfGAlgebra, IntegralError, add_into, apply_rows_at,
-                      scaled_raw, slot_rows)
-from .cyclo import Cyclo, render_scalar
-
-
-def _nullspace(rows, ncols, conductor):
-    """Basis of the right nullspace of the matrix with the given sparse
-    rows ({column: nonzero Cyclo}), one dense list per basis vector."""
-    zero = Cyclo.zero(conductor)
-    one = Cyclo.one(conductor)
-    mat = [dict(r) for r in rows if r]
-    pivot_cols = []
-    r = 0
-    for c in range(ncols):
-        pr = next((k for k in range(r, len(mat)) if c in mat[k]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = {j: v * inv for j, v in mat[r].items()}
-        for k in range(len(mat)):
-            if k != r and c in mat[k]:
-                f = mat[k][c]
-                for j, v in mat[r].items():
-                    add_into(mat[k], j, -(f * v))
-        pivot_cols.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for ri, pc in enumerate(pivot_cols):
-            vec[pc] = -mat[ri].get(fc, zero)
-        basis.append(vec)
-    return basis
+                      echelon_add, scaled_raw, slot_rows)
+from .cyclo import Cyclo
 
 
 def _two_sided_rows(n, entries):
-    """Sparse rows of the system M v = 0 for every n x n matrix M whose
-    (row, column, value) entries entries(i, mirror) yields, for i < n and
-    mirror False and True; repeated positions add up."""
-    rows = []
+    """The sparse rows, one by one, of the system M v = 0 for every n x n
+    matrix M whose (row, column, value) entries entries(i, mirror) yields,
+    for i < n and mirror False and True; repeated positions add up."""
     for i in range(n):
         for mirror in (False, True):
             mat = {}
             for r, c, v in entries(i, mirror):
                 add_into(mat.setdefault(r, {}), c, v)
-            rows.extend(mat.values())
-    return rows
+            yield from mat.values()
 
 
-def _one_dimensional(H: HopfGAlgebra, entries, what: str) -> list:
+def _one_dimensional(H: HopfGAlgebra, entries, what: str) -> dict:
     """The solution, up to scale, of the two-sided system on H_1 that
-    entries describes (see _two_sided_rows); `what` names the space in
-    the IntegralError raised when it is not one dimensional."""
-    d1 = H.dims[H.group.identity_index]
-    space = _nullspace(_two_sided_rows(d1, entries), d1, H.conductor)
-    if len(space) != 1:
-        raise IntegralError(f"{what} has dimension {len(space)}, not 1")
-    return space[0]
+    entries describes (see _two_sided_rows), as a sparse vector; `what`
+    names the space in the IntegralError raised when it is not one
+    dimensional.  The rows go into one echelon (``echelon_add``); back
+    substitution in reverse echelon order sets each pivot's entry from the
+    entries set before it, scaling those by the pivot's coefficient
+    instead of dividing by it."""
+    d1, one = H.dims[H.group.identity_index], H.one()
+    echelon = []
+    for row in _two_sided_rows(d1, entries):
+        echelon_add(echelon, row, one)
+    if len(echelon) != d1 - 1:
+        raise IntegralError(f"{what} has dimension {d1 - len(echelon)}, not 1")
+    pivots = {c for c, _ in echelon}
+    x = {next(i for i in range(d1) if i not in pivots): one}
+    for c, row in reversed(echelon):
+        s = sum((r * x[t] for t, r in row.items() if t in x), H.zero())
+        x = scaled_raw(x, row[c], one)
+        if s:
+            x[c] = -s
+    return x
 
 
 @dataclass
@@ -142,8 +121,7 @@ def solve_integrals(H: HopfGAlgebra) -> IntegralData:
                 yield t, j, v
             yield j, j, -H.counit[e][i]
 
-    int1 = _one_dimensional(H, integral_law, "two-sided integral space in grade 1")
-    int1_raw = {i: v for i, v in enumerate(int1) if v}
+    int1_raw = _one_dimensional(H, integral_law, "two-sided integral space in grade 1")
 
     eps_val = H.counit_raw(e, int1_raw)
     if not eps_val:
@@ -158,12 +136,12 @@ def solve_integrals(H: HopfGAlgebra) -> IntegralData:
         for p, up in H.unit.items():
             yield p, i, -up
 
-    lam_vals = _one_dimensional(H, cointegral_law, "cointegral space on grade 1")
-    lam_on_l1 = sum((int1_raw[i] * lam_vals[i] for i in int1_raw), zero)
+    lam = _one_dimensional(H, cointegral_law, "cointegral space on grade 1")
+    lam_on_l1 = sum((v * lam[i] for i, v in int1_raw.items() if i in lam), zero)
     if not lam_on_l1:
         raise IntegralError("cointegral vanishes on the integral, cannot normalize")
     lam_scale = lam_on_l1.inverse()
-    lam_vals = tuple(v * lam_scale for v in lam_vals)
+    lam_vals = tuple(lam[i] * lam_scale if i in lam else zero for i in range(d1))
 
     # translate L_1 through the grades: x*L_1 = eps(x)L_alpha
     integrals = [None] * G.order
@@ -188,6 +166,12 @@ def solve_integrals(H: HopfGAlgebra) -> IntegralData:
 
 
 def _verify_family(H: HopfGAlgebra, integrals):
+    """Raise IntegralError unless x L_b = eps(x) L_ab and L_b x = eps(x) L_ba
+    for every basis vector x of every supported grade a and every
+    supported b.  They also give eps(L_a) = 1, by linearity in x: the left
+    law at (a, 1) gives L_a L_1 = eps(L_a) L_a and the right one at (1, a)
+    L_a L_1 = eps(L_1) L_a = L_a; and L_a = 0 would make eps vanish on
+    H_{a^-1} (x L_a = eps(x) L_1 there), which translation rules out."""
     G = H.group
     one = H.one()
     for a in H.support:
@@ -206,9 +190,3 @@ def _verify_family(H: HopfGAlgebra, integrals):
                     raise IntegralError(
                         f"right integral law fails at grades "
                         f"({G.names[b]},{G.names[a]}) basis {i}")
-    for a in H.support:
-        val = H.counit_raw(a, integrals[a])
-        if val != one:
-            raise IntegralError(
-                f"counit of the grade {G.names[a]} integral is "
-                f"{render_scalar(val)}, not 1")

@@ -24,6 +24,7 @@ from .algebra import (
     add_into,
     apply_rows,
     apply_rows_at,
+    echelon_add,
     embed_two_raw,
     format_raw_tensor,
     format_raw_vector,
@@ -121,19 +122,13 @@ def generators(H: HopfGAlgebra) -> dict:
     """Basis indices gens[a] per supported grade a that generate H with 1:
     in grade, then index order, each basis element outside the span of 1,
     the generators and their right products by generators becomes one.
-    The span is kept by fraction-free elimination, inverting no scalar."""
+    The span is kept by ``echelon_add``, inverting no scalar."""
     G, one = H.group, H.one()
     rows = {a: [] for a in H.support}  # grade -> echelon rows (pivot, row)
     gens, todo = {a: [] for a in H.support}, []  # todo: (b, v, c, j) for v e_j, v in H_b
 
     def grow(a, v):
-        for c, row in rows[a]:
-            if c in v:
-                f, v = v[c], scaled_raw(v, row[c], one)
-                for t, r in row.items():
-                    add_into(v, t, -(f if r is one else f * r))
-        if v:
-            rows[a].append((min(v), v))
+        if v := echelon_add(rows[a], v, one):
             todo.extend((a, v, b, j) for b in gens for j in gens[b])
         return bool(v)
 

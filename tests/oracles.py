@@ -392,6 +392,19 @@ def two_dots_chain():
     )
 
 
+def product_of_two_dots():
+    """One component running down through dot 1, then dot 0, then up
+    through dot 2: its one relation leaves the colors of dots 0 and 1 free
+    and fixes that of dot 2, so under a non-abelian group the side a move
+    conjugates or multiplies on shows."""
+    return KirbyDiagram(
+        dotted=(DottedComponent(0, ((0, 1),)), DottedComponent(1, ((0, 0),)),
+                DottedComponent(2, ((0, 2),))),
+        undotted=(UndottedComponent(0, (D(1), D(0), D(2, False))),),
+        crossings=(),
+    )
+
+
 # -- a four-dimensional Hopf algebra with no two-sided integral ---------------
 
 
@@ -419,6 +432,69 @@ def non_unimodular_h4():
     return HopfGAlgebra(
         G, (4,), 1, product, {0: one}, coproduct, counit, antipode,
         crossing, {(0, 0): one}, basis_names=[["1", "g", "x", "gx"]],
+    )
+
+
+# -- small structures on which integral solving fails ---------------------------
+# The constructor checks structure, not axioms, so each of these loads.
+
+
+def _trivially_graded(name, product, unit, coproduct, counit, antipode):
+    """An algebra over the trivial group with the given maps on H_1,
+    conductor 1, the identity crossing and R = e0 (x) e0."""
+    one = Cyclo.one(1)
+    return HopfGAlgebra(
+        cyclic_group(1), (len(counit),), 1, {(0, 0): product}, unit, [coproduct],
+        [counit], [antipode], {(0, 0): [{i: one} for i in range(len(counit))]},
+        {(0, 0): one}, name=name,
+    )
+
+
+def dual_numbers():
+    """k[x]/(x^2) with D(x) = x (x) 1 + 1 (x) x and eps(x) = 0: the
+    two-sided integrals are the multiples of x, where the counit vanishes."""
+    one, zero = Cyclo.one(1), Cyclo.zero(1)
+    return _trivially_graded(
+        "dual numbers", [[{0: one}, {1: one}], [{1: one}, {}]], {0: one},
+        [{(0, 0): one}, {(1, 0): one, (0, 1): one}], [one, zero],
+        [{0: one}, {1: Cyclo.rational(-1)}])
+
+
+def zero_product():
+    """Two basis vectors whose products and counit values are all 0 (with
+    D(e_i) = e_i (x) e_i): every vector is a two-sided integral."""
+    one, zero = Cyclo.one(1), Cyclo.zero(1)
+    return _trivially_graded(
+        "zero product", [[{}, {}], [{}, {}]], {0: one},
+        [{(0, 0): one}, {(1, 1): one}], [zero, zero], [{0: one}, {1: one}])
+
+
+def cointegral_off_the_integral():
+    """k x k with orthogonal idempotents e0, e1, unit e0 + e1, eps = (1, 0),
+    D(e0) = e0 (x) e0 and D(e1) = e0 (x) e1 + e1 (x) e0 + e1 (x) e1: the
+    integrals are the multiples of e0 and the cointegrals those of e1*,
+    which vanishes on e0."""
+    one, zero = Cyclo.one(1), Cyclo.zero(1)
+    return _trivially_graded(
+        "cointegral off the integral", [[{0: one}, {}], [{}, {1: one}]], {0: one, 1: one},
+        [{(0, 0): one}, {(0, 1): one, (1, 0): one, (1, 1): one}], [one, zero],
+        [{0: one}, {1: one}])
+
+
+def z2_group_algebra(f_times_1=True, f_squared=True):
+    """k[Z_2] graded by Z_2: 1 in grade 1 and f in grade a, every coproduct,
+    counit, antipode and crossing value 1, except that f*1 or f*f is 0
+    where its flag is false.  Solving gives L_1 = 1 and L_a = f*1; with
+    f*f = 0 the left integral law fails at (a, a), and with f*1 = 0 the
+    right one at (1, a)."""
+    one = Cyclo.one(1)
+    product = {(0, 0): [[{0: one}]], (0, 1): [[{0: one}]],
+               (1, 0): [[{0: one} if f_times_1 else {}]],
+               (1, 1): [[{0: one} if f_squared else {}]]}
+    return HopfGAlgebra(
+        cyclic_group(2), (1, 1), 1, product, {0: one}, [[{(0, 0): one}]] * 2,
+        [[one]] * 2, [[{0: one}]] * 2, {(b, a): [{0: one}] for b in range(2) for a in range(2)},
+        {(0, 0): one}, name="Z_2 line",
     )
 
 

@@ -2,6 +2,7 @@
 antipode and integral identities, and tensor helpers."""
 
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -24,8 +25,9 @@ from hopfg.algebra import (
     tensor_mul,
     tensor_swap,
 )
+from hopfg.cli import main
 from hopfg.cyclo import Cyclo, render_scalar
-from hopfg.serialize import resolve_algebra
+from hopfg.serialize import algebra_to_json, dumps_canonical, resolve_algebra
 
 SPECS = ["cyclic:k=2,l=3,d=1", "cyclic:k=1,l=4,d=3", "kac-paljutkin"]
 
@@ -210,6 +212,26 @@ def test_partial_coproduct_rejected():
         _rebuild(H, coproduct=[H.coproduct[0][:1]])
 
 
+@pytest.mark.parametrize("spec, overrides, message", [
+    ("cyclic:k=2,l=2,d=0", {"dims": (2, -1)}, "negative grade dimension"),
+    ("cyclic:k=1,l=2,d=0", {"conductor": 0}, "conductor must be positive"),
+    ("cyclic:k=2,l=2,d=0", {"dims": (0, 2)}, "dims: dim H_1 must be positive"),
+    ("cyclic:k=3,l=2,d=0", {"dims": (2, 2, 0)},
+     "dims: supported grades not closed under inverse at a"),
+    ("cyclic:k=5,l=1,d=0", {"dims": (1, 1, 0, 0, 1)},
+     r"dims: supported grades not closed under product at \(a,a\)"),
+    ("cyclic:k=1,l=2,d=0", {"coproduct": [[{(5, 0): Cyclo.one(2)}, {(1, 1): Cyclo.one(2)}]]},
+     "coproduct index out of range on grade 1"),
+    ("cyclic:k=1,l=2,d=0", {"counit": [[Cyclo.zeta(3), Cyclo.one(2)]]},
+     "counit scalar with bad conductor"),
+    ("cyclic:k=2,l=2,d=0", {"crossing": {}}, r"crossing missing for \(beta,alpha\)=\(1,1\)"),
+], ids=["negative-dim", "conductor", "empty-identity-grade", "inverse-closure",
+        "product-closure", "coproduct-index", "counit-conductor", "crossing-missing"])
+def test_structure_messages(spec, overrides, message):
+    with pytest.raises(AlgebraStructureError, match=f"^{message}$"):
+        _rebuild(builtin_algebra(spec), **overrides)
+
+
 # -- integrals -------------------------------------------------------------------
 
 
@@ -227,6 +249,27 @@ def test_zero_counit_on_a_supported_grade_names_the_grade():
     counit[1] = [zero] * H.dims[1]
     with pytest.raises(IntegralError, match="counit vanishes on grade a"):
         solve_integrals(_rebuild(H, counit=counit))
+
+
+@pytest.mark.parametrize("build, message", [
+    (oracles.dual_numbers, "integral is not normalizable: counit vanishes on it"),
+    (oracles.zero_product, "two-sided integral space in grade 1 has dimension 2, not 1"),
+    (oracles.cointegral_off_the_integral,
+     "cointegral vanishes on the integral, cannot normalize"),
+    (lambda: oracles.z2_group_algebra(f_squared=False),
+     "left integral law fails at grades (a,a) basis 0"),
+    (lambda: oracles.z2_group_algebra(f_times_1=False),
+     "right integral law fails at grades (1,a) basis 0"),
+], ids=["eps-vanishes", "dimension-2", "lam-vanishes", "left", "right"])
+def test_integral_solving_failures(build, message, capsys, tmp_path):
+    # in the library, and from a JSON file through the integrals command
+    H = build()
+    with pytest.raises(IntegralError, match=f"^{re.escape(message)}$"):
+        solve_integrals(H)
+    path = tmp_path / "algebra.json"
+    path.write_text(dumps_canonical(algebra_to_json(H)))
+    assert main(["integrals", "--algebra", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"verification failure: {message}\n")
 
 
 def test_cyclic_integrals_closed_form(bank):

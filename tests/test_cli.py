@@ -8,7 +8,8 @@ import pytest
 from hopfg import EvaluationError, builtin_algebra
 from hopfg import cli
 from hopfg.cli import main
-from hopfg.serialize import algebra_to_json, dumps_canonical
+from hopfg.groups import cyclic_group
+from hopfg.serialize import algebra_to_json, dumps_canonical, group_to_json
 
 
 def run(capsys, *argv):
@@ -282,6 +283,31 @@ def test_algebra_block_out_of_its_grade_exits_2(capsys, tmp_path, field, value, 
     path.write_text(dumps_canonical(obj))
     want = f"error: {str(path)!r}: {message}\n"
     assert run(capsys, "check", "--algebra", str(path)) == (2, "", want)
+
+
+@pytest.mark.parametrize("dims, message", [
+    ([1, -1], "negative grade dimension"),
+    ([0, 1], "dims: dim H_1 must be positive"),
+    ([1, 1, 0], "dims: supported grades not closed under inverse at a"),
+    ([1, 1, 0, 0, 1], "dims: supported grades not closed under product at (a,a)"),
+], ids=["negative-dim", "empty-identity-grade", "inverse-closure", "product-closure"])
+def test_structure_error_from_dims_exits_2(capsys, tmp_path, dims, message):
+    # a cyclic group of order len(dims), one coproduct block per basis
+    # vector and no other entries: only the dims are at fault
+    obj = {"conductor": 1, "group": group_to_json(cyclic_group(len(dims))), "dims": dims,
+           "coproduct": [[a, 0, [0, 0, "1*zeta^0"]] for a, d in enumerate(dims) if d > 0],
+           **{field: [] for field in ("unit", "product", "counit", "antipode",
+                                      "crossing", "rmatrix")}}
+    path = tmp_path / "algebra.json"
+    path.write_text(dumps_canonical(obj))
+    want = f"error: {str(path)!r}: {message}\n"
+    assert run(capsys, "check", "--algebra", str(path)) == (2, "", want)
+
+
+def test_moves_needs_a_single_connection(capsys):
+    assert run(capsys, "moves", "--algebra", "kac-paljutkin", "--diagram", "s1xs3",
+               "--connection", "all", "--script", "/dev/null") == (
+        2, "", "error: the moves command needs a single connection\n")
 
 
 @pytest.mark.parametrize("dotted, undotted, crossings, message", [

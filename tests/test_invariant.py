@@ -1,6 +1,7 @@
 """Evaluator results on the builtin diagrams, checked against independent
 closed forms, plus summed invariants and multiplicativity."""
 
+import re
 import sys
 from math import gcd
 
@@ -267,6 +268,18 @@ def test_a_dot_with_many_passages_at_a_cyclic_algebra(bank):
               for k in (12, 2, 0)]
     assert len(values[0]) == 3
     assert values[0] == values[1] == values[2]
+
+
+def test_a_site_bound_past_2_64_is_shown_as_a_power_of_two(bank):
+    # 33 alternating passages at kac-paljutkin: nnz(L_1) = 8, at most four
+    # coproduct terms and one antipode term per basis vector bound the site
+    # by 8 * 4^32 = 2^67, which is refused before any site is built
+    H, ints = bank("kac-paljutkin")
+    (cd,) = colorings(oracles.dot_with_passages(33), H.group)
+    message = ("dot 0 at grade 1 has 33 passages, so its site may hold over 2^67 "
+               "entries, more than 2097152")
+    with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
+        evaluate(H, ints, cd)
 
 
 def test_the_fold_cap_stops_a_table_before_a_site_opens(bank, monkeypatch, capsys, tmp_path):

@@ -2,6 +2,7 @@
 every mechanized move, and equality on the curated rewrite pairs."""
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -19,12 +20,13 @@ from hopfg import (
     diagram_to_json,
     dumps_canonical,
     evaluate,
+    group_from_table,
     move_candidates,
     move_names,
     renumber,
     validate,
 )
-from hopfg.diagrams import DotPassage
+from hopfg.diagrams import DotPassage, require_colored
 from hopfg.diagrams import (
     ColoredDiagram,
     Crossing,
@@ -229,6 +231,27 @@ def test_ii6_preserves_each_colorings_value(bank):
         assert evaluate(H, ints, moved).value == evaluate(H, ints, cd).value
 
 
+def _s3():
+    perms = sorted(itertools.permutations(range(3)))
+    return group_from_table([[perms.index(tuple(p[i] for i in q)) for q in perms]
+                             for p in perms])
+
+
+@pytest.mark.parametrize("dot, through", [(1, 0), (0, 1)], ids=["after", "before"])
+def test_ii6_conjugates_on_the_side_of_the_strand_order(dot, through):
+    # dot 1 passes through dot 0 after it on the strand, so its color a
+    # becomes b^-1 a b; dot 0 through dot 1 before it, so a becomes b a b^-1
+    cds = colorings(oracles.product_of_two_dots(), _s3())
+    assert len(cds) == 36
+    assert sum(cd.colors[0] * cd.colors[1] != cd.colors[1] * cd.colors[0] for cd in cds) == 18
+    for cd in cds:
+        a, b = cd.colors[dot], cd.colors[through]
+        moved = apply_move(cd, {"move": "II-6", "dot": dot, "through": through})
+        want = b.inv * a * b if dot == 1 else b * a * b.inv
+        assert moved.colors == {**cd.colors, dot: want}
+        require_colored(moved)
+
+
 # -- III-1: slide one dot over another ---------------------------------------------------
 
 
@@ -243,6 +266,19 @@ def test_iii1_slide_unslide(bank):
         back = apply_move(slid, {"move": "III-1-unslide", "dot": 0, "over": 1})
         assert back.diagram == d and back.colors == cd.colors
         assert evaluate(H, ints, slid).value == evaluate(H, ints, cd).value
+
+
+def test_iii1_multiplies_on_the_right_under_s3():
+    # sliding dot 1 (color a) over dot 0 (color b) gives it a b^-1, and
+    # unsliding the passage of dot 0 that follows it gives a b
+    for cd in colorings(oracles.product_of_two_dots(), _s3()):
+        a, b = cd.colors[1], cd.colors[0]
+        slid = apply_move(cd, {"move": "III-1-slide", "dot": 1, "over": 0})
+        unslid = apply_move(cd, {"move": "III-1-unslide", "dot": 1, "over": 0})
+        assert slid.colors == {**cd.colors, 1: a * b.inv}
+        assert unslid.colors == {**cd.colors, 1: a * b}
+        require_colored(slid)
+        require_colored(unslid)
 
 
 # -- III-4: birth or death of an isolated trivially colored dot -----------------------------
