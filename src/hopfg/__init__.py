@@ -24,8 +24,7 @@ _EXPORTS = {
                 "DottedComponent KirbyDiagram UndottedComponent builtin_diagram "
                 "builtin_diagram_names color colorings connected_sum fundamental_presentation "
                 "renumber reorient rotate_component validate",
-    "evaluate": "EvaluationError InvariantValue SummedInvariant connected_sum_check evaluate "
-                "evaluate_summed",
+    "evaluate": "EvaluationError InvariantValue SummedInvariant evaluate evaluate_summed",
     "groups": "FiniteGroup GroupElement GroupError GroupHom Presentation cyclic_group "
               "enumerate_homs group_from_table product_group",
     "integrals": "IntegralData solve_integrals",

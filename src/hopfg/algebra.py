@@ -12,9 +12,11 @@ sparse dict (an entry whose sum is zero is dropped), ``apply_rows``
 applies sparse rows to a vector, ``apply_rows_at`` applies them to
 one factor of a tensor, and ``echelon_add`` is the one exact
 elimination (span tests in ``verify.generators``, the integral systems
-in ``integrals``).  Inside the package vectors and tensors are raw
-dicts ({basis index: Cyclo} and {index tuple: Cyclo}); GradedVector and
-GradedTensor are built only where a public function returns.
+in ``integrals``).  Vectors and tensors are raw dicts ({basis index:
+Cyclo} and {index tuple: Cyclo}) throughout.  GradedVector and
+GradedTensor only record a grade with such a dict (``entries``), as the
+returns of ``IntegralData.integral``, ``verify.drinfeld_element`` and
+``HopfGAlgebra.coproduct_power`` that the benchmark in ``bench/`` reads.
 
 The unit rule: a structure constant equal to 1 is its conductor's shared
 ``Cyclo.one`` (the builtins and the JSON loader build it so), and the
@@ -22,9 +24,9 @@ kernel never multiplies by that object: where a factor ``is`` it, the
 other factor is the product.  A 1 that is another object is simply
 multiplied, so values never depend on identity, only the work does.
 The product table is nested rows, ``product[a, b][i][j]`` = e_i e_j.
-Tensor products are slotwise apply_rows_at passes of the right
-multiplication maps ``right_mul_rows`` caches; a map the table makes the
-identity (e_i -> {i: one}) is skipped under the same rule.
+Tensor products (``_tensor_mul_raw``) are slotwise apply_rows_at passes
+of the maps ``right_mul_rows`` caches; a map the table makes the identity
+(e_i -> {i: one}) is skipped under the same rule.
 """
 
 from __future__ import annotations
@@ -156,23 +158,6 @@ class GradedVector:
         self.grade = grade
         self.entries = _clean(entries)
 
-    def is_zero(self) -> bool:
-        return not self.entries
-
-    def scaled(self, c) -> "GradedVector":
-        return GradedVector(self.grade, {i: v * c for i, v in self.entries.items()})
-
-    def __add__(self, other: "GradedVector") -> "GradedVector":
-        if other.grade != self.grade:
-            raise AlgebraStructureError("adding vectors of different grades")
-        out = dict(self.entries)
-        for i, v in other.entries.items():
-            add_into(out, i, v)
-        return GradedVector(self.grade, out)
-
-    def __sub__(self, other: "GradedVector") -> "GradedVector":
-        return self + other.scaled(-1)
-
     def __eq__(self, other):
         return (
             isinstance(other, GradedVector)
@@ -195,13 +180,6 @@ class GradedTensor:
     def __init__(self, grades: tuple, entries: dict):
         self.grades = tuple(grades)
         self.entries = _clean(entries)
-
-    @property
-    def arity(self) -> int:
-        return len(self.grades)
-
-    def is_zero(self) -> bool:
-        return not self.entries
 
     def __eq__(self, other):
         return (
@@ -366,15 +344,6 @@ class HopfGAlgebra:
 
     # -- basic access --------------------------------------------------------
 
-    def basis_vector(self, grade, i: int) -> GradedVector:
-        g = grade if isinstance(grade, GroupElement) else self.group.element(grade)
-        if not 0 <= i < self.dims[g.index]:
-            raise AlgebraStructureError(f"basis index {i} out of range in grade {g.name}")
-        return GradedVector(g, {i: Cyclo.one(self.conductor)})
-
-    def unit_vec(self) -> GradedVector:
-        return GradedVector(self.group.identity, dict(self.unit))
-
     def basis_name(self, grade_idx: int, i: int) -> str:
         if self.basis_names is not None:
             return self.basis_names[grade_idx][i]
@@ -447,22 +416,7 @@ class HopfGAlgebra:
             got = self._crossing_sites[signs, words] = sorted(out.items())
         return got
 
-    # -- public vector operations ---------------------------------------------
-
-    def mul(self, x: GradedVector, y: GradedVector) -> GradedVector:
-        a, b = x.grade.index, y.grade.index
-        target = self.group.element(self.group.table[a][b])
-        return GradedVector(target, self.mul_raw(a, b, x.entries, y.entries))
-
-    def apply_antipode(self, x: GradedVector) -> GradedVector:
-        rows = self.antipode[x.grade.index]
-        return GradedVector(x.grade.inv, apply_rows(rows, x.entries, self.one()))
-
-    def apply_crossing(self, beta: GroupElement, x: GradedVector) -> GradedVector:
-        a = x.grade.index
-        target = self.group.element(self.group.conj(beta.index, a))
-        rows = self.crossing[(beta.index, a)]
-        return GradedVector(target, apply_rows(rows, x.entries, self.one()))
+    # -- the one public map that returns a record ----------------------------
 
     def coproduct_power(self, x: GradedVector, nfactors: int) -> GradedTensor:
         """Delta^{(nfactors-1)}(x) as an nfactors-fold tensor; nfactors=1 is x."""
@@ -474,10 +428,6 @@ class HopfGAlgebra:
             # split the last slot; coassociativity makes the choice irrelevant
             entries = apply_rows_at(entries, last, delta, self.one())
         return GradedTensor((x.grade,) * nfactors, entries)
-
-    def r_tensor(self) -> GradedTensor:
-        e = self.group.identity
-        return GradedTensor((e, e), dict(self.rmatrix))
 
     # -- equality (used by serialization round-trip tests) --------------------
 
@@ -504,24 +454,13 @@ class HopfGAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# tensor helpers (module level; they need the algebra for products)
-
-
-def tensor_mul(H: HopfGAlgebra, s: GradedTensor, t: GradedTensor) -> GradedTensor:
-    """Slotwise product of two tensors of equal arity."""
-    if s.arity != t.arity:
-        raise AlgebraStructureError("tensor arity mismatch")
-    ga = tuple(g.index for g in s.grades)
-    gb = tuple(g.index for g in t.grades)
-    gout, out = _tensor_mul_raw(H, ga, s.entries, gb, t.entries)
-    return GradedTensor(tuple(H.group.element(g) for g in gout), out)
+# tensor and formatting helpers (module level; they need the algebra)
 
 
 def _tensor_mul_raw(H: HopfGAlgebra, ga, sa: dict, gb, sb: dict):
     """Per entry (kb, vb) of sb, factor p of sa multiplied on the right by
     e_{kb[p]} in one apply_rows_at pass (none for an identity map), times vb."""
-    G, one = H.group, H.one()
-    gout = tuple(G.table[x][y] for x, y in zip(ga, gb))
+    one = H.one()
     maps = [H.right_mul_rows(x, y) for x, y in zip(ga, gb)]
     out: dict = {}
     for kb, vb in sb.items():
@@ -531,14 +470,7 @@ def _tensor_mul_raw(H: HopfGAlgebra, ga, sa: dict, gb, sb: dict):
                 t = apply_rows_at(t, p, m[kb[p]], one)
         for k, v in t.items():
             add_into(out, k, v if vb is one else vb if v is one else v * vb)
-    return gout, out
-
-
-def tensor_swap(t: GradedTensor) -> GradedTensor:
-    """Flip a 2-tensor."""
-    return GradedTensor(
-        (t.grades[1], t.grades[0]), {(j, i): v for (i, j), v in t.entries.items()}
-    )
+    return out
 
 
 def embed_two_raw(H: HopfGAlgebra, raw: dict, pos1: int, pos2: int, arity: int) -> dict:
@@ -565,6 +497,3 @@ def format_raw_vector(H: HopfGAlgebra, a: int, raw: dict) -> str:
     """A sparse vector of grade index a, term by term in basis order."""
     return format_raw_tensor(H, (a,), {(i,): v for i, v in raw.items()})
 
-
-def format_vector(H: HopfGAlgebra, x: GradedVector) -> str:
-    return format_raw_vector(H, x.grade.index, x.entries)

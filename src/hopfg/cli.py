@@ -14,7 +14,7 @@ import sys
 
 # What every command uses; each command imports the rest itself, so a run
 # loads (and, without bytecode, compiles) only the modules it needs.
-from .algebra import DrinfeldError, HopfGAlgebra, IntegralError, format_vector
+from .algebra import DrinfeldError, HopfGAlgebra, IntegralError, format_raw_vector
 from .cyclo import Cyclo, render_decimal, render_scalar, render_scalar_terms
 from .groups import GroupError, GroupHom
 from .serialize import (
@@ -161,7 +161,7 @@ def cmd_integrals(args) -> int:
         return 0
     _emit(f"algebra: {args.algebra}  (conductor={cond})")
     for a in H.support:
-        _emit(f"Lambda_{G.names[a]} = {format_vector(H, data.integral(a))}")
+        _emit(f"Lambda_{G.names[a]} = {format_raw_vector(H, a, data.integral(a).entries)}")
     e = G.identity_index
     parts = [
         f"lam({H.basis_name(e, i)}) = {render_scalar(v)}"

@@ -72,24 +72,6 @@ class KirbyDiagram:
     h3: int = 0
     h4: int = 1
 
-    def dotted_by_id(self, did: int) -> DottedComponent:
-        for x in self.dotted:
-            if x.id == did:
-                return x
-        raise DiagramError(f"no dotted component {did}")
-
-    def undotted_by_id(self, uid: int) -> UndottedComponent:
-        for u in self.undotted:
-            if u.id == uid:
-                return u
-        raise DiagramError(f"no undotted component {uid}")
-
-    def crossing_by_id(self, cid: int) -> Crossing:
-        for c in self.crossings:
-            if c.id == cid:
-                return c
-        raise DiagramError(f"no crossing {cid}")
-
 
 @dataclass
 class ColoredDiagram:
@@ -285,6 +267,12 @@ class Editor:
 
     # -- queries ----------------------------------------------------------
 
+    def component(self, uid: int) -> list:
+        """The node list of undotted component uid, edited in place."""
+        if uid not in self.comp_nodes:
+            raise DiagramError(f"no undotted component {uid}")
+        return self.comp_nodes[uid]
+
     def positions(self) -> dict:
         pos = {}
         for uid in self.comp_order:
@@ -338,7 +326,7 @@ def reorient(d: KirbyDiagram, uid: int) -> KirbyDiagram:
     """
     require_valid(d)
     ed = Editor(d)
-    nodes = ed.comp_nodes[d.undotted_by_id(uid).id]
+    nodes = ed.component(uid)
     nodes.reverse()
     ends = [node.ev.crossing for node in nodes if isinstance(node.ev, CrossingEnd)]
     for node in nodes:
@@ -354,7 +342,7 @@ def rotate_component(d: KirbyDiagram, uid: int, r: int) -> KirbyDiagram:
     """Shift the cyclic start point of one undotted component by r."""
     require_valid(d)
     ed = Editor(d)
-    nodes = ed.comp_nodes[d.undotted_by_id(uid).id]
+    nodes = ed.component(uid)
     if nodes:
         r %= len(nodes)
         nodes[:] = nodes[r:] + nodes[:r]

@@ -54,11 +54,10 @@ from .diagrams import (
     ColoredDiagram,
     CrossingEnd,
     KirbyDiagram,
-    connected_sum,
     require_coloring,
     require_valid,
 )
-from .groups import GroupHom, enumerate_homs
+from .groups import enumerate_homs
 from .integrals import IntegralData
 from . import diagrams
 
@@ -311,8 +310,8 @@ class _Compiled:
         self.norm = Cyclo.rational(Fraction(H.dims[H.group.identity_index]) ** self.exponent,
                                    conductor=H.conductor)
         self.dot_ids = [x.id for x in d.dotted]
-        self.signs = [tuple(d.undotted_by_id(ru).events[rp].down for ru, rp in x.passages)
-                      for x in d.dotted]
+        events = {u.id: u.events for u in d.undotted}
+        self.signs = [tuple(events[ru][rp].down for ru, rp in x.passages) for x in d.dotted]
         dots = [x for x in d.dotted if x.passages]
         comp = {u.id: k for k, u in enumerate(d.undotted)}
         runs = [{} for _ in d.undotted]  # event position -> the slot starting there
@@ -485,19 +484,3 @@ def evaluate_summed(H: HopfGAlgebra, integrals: IntegralData,
     values = tuple(compiled.bind([g.index for g in hom.images]) for hom in homs)
     return SummedInvariant(sum((iv.value for iv in values), Cyclo.zero(H.conductor)),
                            values, homs)
-
-
-def connected_sum_check(H: HopfGAlgebra, integrals: IntegralData,
-                        da: KirbyDiagram, db: KirbyDiagram,
-                        hom_a: GroupHom, hom_b: GroupHom):
-    """Compare evaluate(A # B) with evaluate(A) * evaluate(B); returns
-    (equal, sum value, product value)."""
-    cda = diagrams.color(da, hom_a)
-    cdb = diagrams.color(db, hom_b)
-    va = evaluate(H, integrals, cda)
-    vb = evaluate(H, integrals, cdb)
-    dsum = connected_sum(da, db)
-    hom_sum = GroupHom(hom_a.target, hom_a.images + hom_b.images)
-    vsum = evaluate(H, integrals, diagrams.color(dsum, hom_sum))
-    product = va.value * vb.value
-    return vsum.value == product, vsum.value, product

@@ -97,14 +97,6 @@ class IntegralData:
             site = self._sites[a, downs] = (sorted(entries.items()), tuple(grades))
         return site
 
-    def eval_lambda(self, x: GradedVector) -> Cyclo:
-        if not x.grade.is_identity():
-            raise IntegralError("lam is only defined on grade 1")
-        total = Cyclo.zero(self.algebra.conductor)
-        for i, v in x.entries.items():
-            total = total + v * self.lam_values[i]
-        return total
-
 
 def solve_integrals(H: HopfGAlgebra) -> IntegralData:
     G = H.group

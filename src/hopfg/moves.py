@@ -20,9 +20,10 @@ Each move's parameters are declared once, in _MOVES, by kind: "dot",
 "component" and "crossing" name an id the diagram has, "pos" is any
 integer, "crossings" is a list of 3 crossing ids, "bool" is true or false,
 "element" is an integer or a name, and "any" is left to the move; a kind
-ending in "?" may be left out.  apply_move checks presence, type and ids
-from that table; each rewrite checks only its own rules (sign, element
-range, position ranges, distinctness).  A rewrite edits a diagrams.Editor;
+ending in "?" may be left out.  apply_move checks from that table that
+the spec has no other key, then presence, type and ids; each rewrite
+checks only its own rules (sign, element range, position ranges,
+distinctness).  A rewrite edits a diagrams.Editor;
 _freeze renumbers and colors its result and asks require_colored of it,
 which decides flatness through diagrams.color.
 
@@ -398,7 +399,11 @@ _TYPES = {"any": (lambda v: True, "anything"),
 
 
 def _check_params(ed: Editor, name: str, params: dict, spec: dict) -> None:
-    """Presence, then types, then ids of spec's parameters, as _MOVES says."""
+    """Keys, then presence, then types, then ids of spec's parameters, as
+    _MOVES says."""
+    if unknown := [k for k in spec if k != "move" and k not in params]:
+        raise MoveError(f"{name}: unknown parameters {unknown}; "
+                        f"it takes {sorted(params) or 'none'}")
     missing = [k for k, kind in params.items()
                if k not in spec and not kind.endswith("?")]
     if missing:

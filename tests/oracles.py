@@ -12,7 +12,7 @@ import itertools
 from math import gcd
 
 from hopfg import builtin_algebra, solve_integrals
-from hopfg.algebra import GradedTensor, GradedVector, HopfGAlgebra
+from hopfg.algebra import GradedVector, HopfGAlgebra
 from hopfg.cyclo import Cyclo
 from hopfg.diagrams import (
     Crossing,
@@ -67,26 +67,29 @@ def bank(spec):
 
 def idempotent(H, a):
     """E_a = (1/l) sum_i omega^{-ia} g^{ik}, the a-th character idempotent
-    of the identity grade."""
+    of the identity grade, as a sparse vector."""
     l = H.dims[H.group.identity_index]
     inv_l = Cyclo.rational(1, l, conductor=H.conductor)
-    return GradedVector(
-        H.group.identity,
-        {i: inv_l * Cyclo.zeta(l, (-i * a) % l) for i in range(l)},
-    )
+    return {i: inv_l * Cyclo.zeta(l, (-i * a) % l) for i in range(l)}
+
+
+def lam(ints, x):
+    """The cointegral lam on a sparse grade-1 vector x, read off its values
+    on the basis (ints.lam_values)."""
+    return sum((v * ints.lam_values[i] for i, v in x.items()), Cyclo.zero(1))
 
 
 def oracle_r_tensor(H, d):
-    """R_d = sum_{i,j} omega^{d i j} E_i (x) E_j, assembled from idempotents."""
+    """R_d = sum_{i,j} omega^{d i j} E_i (x) E_j, assembled from idempotents,
+    as a sparse 2-tensor."""
     l = H.dims[H.group.identity_index]
-    e = H.group.identity
     out = {}
     for a in range(l):
-        ea = idempotent(H, a).entries
+        ea = idempotent(H, a)
         for b in range(l):
             w = Cyclo.zeta(l, (d * a * b) % l)
             for i, vi in ea.items():
-                for j, vj in idempotent(H, b).entries.items():
+                for j, vj in idempotent(H, b).items():
                     key = (i, j)
                     term = w * vi * vj
                     acc = out.get(key)
@@ -95,16 +98,16 @@ def oracle_r_tensor(H, d):
                         out[key] = term
                     elif acc is not None:
                         del out[key]
-    return GradedTensor((e, e), out)
+    return out
 
 
 def tensor_coprod_leg(H, t, pos, nfactors):
-    """Replace tensor leg pos with its iterated-coproduct expansion."""
-    grades = t.grades[:pos] + (t.grades[pos],) * nfactors + t.grades[pos + 1:]
-    one = Cyclo.one(H.conductor)
+    """Replace leg pos of a sparse tensor whose factors are all of grade 1
+    with its iterated-coproduct expansion."""
+    e, one = H.group.identity, Cyclo.one(H.conductor)
     out = {}
-    for key, cv in t.entries.items():
-        base = GradedVector(t.grades[pos], {key[pos]: one})
+    for key, cv in t.items():
+        base = GradedVector(e, {key[pos]: one})
         for sub, sv in H.coproduct_power(base, nfactors).entries.items():
             nk = key[:pos] + sub + key[pos + 1:]
             w = out.get(nk)
@@ -113,22 +116,20 @@ def tensor_coprod_leg(H, t, pos, nfactors):
                 out[nk] = w
             elif nk in out:
                 del out[nk]
-    return GradedTensor(grades, out)
+    return out
 
 
-def ref_tensor_mul(H, s, t):
-    """The slotwise product s*t of two GradedTensors of one arity, term by
-    term over pairs of entries: factor p of a pair is e_i e_j read from
-    H.product, and every scalar is multiplied, one or not."""
-    table = H.group.table
-    grades = tuple(H.group.element(table[x.index][y.index])
-                   for x, y in zip(s.grades, t.grades))
+def ref_tensor_mul(H, ga, s, gb, t):
+    """The slotwise product s*t of two sparse tensors of one arity, whose
+    factors have grade indices ga and gb, term by term over pairs of
+    entries: factor p of a pair is e_i e_j read from H.product, and every
+    scalar is multiplied, one or not."""
     out = {}
-    for ka, va in s.entries.items():
-        for kb, vb in t.entries.items():
+    for ka, va in s.items():
+        for kb, vb in t.items():
             terms = [((), va * vb)]
-            for x, y, i, j in zip(s.grades, t.grades, ka, kb):
-                vec = H.product[x.index, y.index][i][j]
+            for x, y, i, j in zip(ga, gb, ka, kb):
+                vec = H.product[x, y][i][j]
                 terms = [(key + (u,), c * w) for key, c in terms for u, w in vec.items()]
             for key, c in terms:
                 w = out.get(key)
@@ -137,7 +138,7 @@ def ref_tensor_mul(H, s, t):
                     out[key] = w
                 elif key in out:
                     del out[key]
-    return GradedTensor(grades, out)
+    return out
 
 
 # -- hand-built diagram fixtures ----------------------------------------------
@@ -754,6 +755,7 @@ def expansion_sites(H, ints, cd):
     d = cd.diagram
     G = H.group
     e = G.identity_index
+    events = {u.id: u.events for u in d.undotted}
     scalar = Cyclo.one(H.conductor)
     sites = []
     for x in d.dotted:
@@ -768,7 +770,7 @@ def expansion_sites(H, ints, cd):
         terms = _ref_coproduct_power(H, a, vec, len(x.passages))
         slots = []
         for f, (u, p) in enumerate(x.passages):
-            down = d.undotted_by_id(u).events[p].down
+            down = events[u][p].down
             if not down:
                 terms = _ref_antipode_at(H, a, terms, f)
             slots.append(((u, p), a if down else G.inverses[a]))

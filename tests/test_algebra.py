@@ -1,5 +1,5 @@
-"""Structure-constant algebra layer: graded vectors, validation, integrals,
-antipode and integral identities, and tensor helpers."""
+"""Structure-constant algebra layer: the sparse kernel, validation,
+integrals, antipode and integral identities, and tensor helpers."""
 
 import random
 import re
@@ -18,12 +18,13 @@ from hopfg import (
     solve_integrals,
 )
 from hopfg.algebra import (
+    _tensor_mul_raw,
+    add_into,
+    apply_rows,
     apply_rows_at,
     embed_two_raw,
-    format_vector,
+    format_raw_vector,
     slot_rows,
-    tensor_mul,
-    tensor_swap,
 )
 from hopfg.cli import main
 from hopfg.cyclo import Cyclo, render_scalar
@@ -32,42 +33,29 @@ from hopfg.serialize import algebra_to_json, dumps_canonical, resolve_algebra
 SPECS = ["cyclic:k=2,l=3,d=1", "cyclic:k=1,l=4,d=3", "kac-paljutkin"]
 
 
-# -- graded containers ---------------------------------------------------------
-
-
-def test_graded_vector_arithmetic(bank):
-    H, _ = bank("cyclic:k=2,l=3,d=1")
-    e = H.group.identity
-    a = H.basis_vector(e, 0) + H.basis_vector(e, 1).scaled(Cyclo.rational(2))
-    b = H.basis_vector(e, 1).scaled(Cyclo.rational(-2))
-    assert (a + b).entries == {0: Cyclo.one(1)}
-    assert (a - a).is_zero()
-    with pytest.raises(AlgebraStructureError):
-        a + H.basis_vector(H.group.element(1), 0)
-    with pytest.raises(AlgebraStructureError):
-        H.basis_vector(e, 7)
+# -- the unit and the coproduct power ------------------------------------------
 
 
 def test_unit_and_zero(bank):
     H, _ = bank("cyclic:k=2,l=3,d=1")
-    assert H.unit_vec().entries == {0: Cyclo.one(H.conductor)}
-    assert H.counit_raw(H.group.identity_index, H.unit_vec().entries) == Cyclo.one(1)
+    assert H.unit == {0: Cyclo.one(H.conductor)}
+    assert H.counit_raw(H.group.identity_index, H.unit) == Cyclo.one(1)
 
 
 def test_coproduct_power_of_unit(bank):
     for spec in SPECS:
         H, _ = bank(spec)
-        t = H.coproduct_power(H.unit_vec(), 3)
         e = H.group.identity
+        unit = GradedVector(e, H.unit)
         expected = GradedTensor((e, e, e), {(0, 0, 0): Cyclo.one(H.conductor)})
-        assert t == expected
-        assert H.coproduct_power(H.unit_vec(), 1).entries == {(0,): Cyclo.one(H.conductor)}
+        assert H.coproduct_power(unit, 3) == expected
+        assert H.coproduct_power(unit, 1).entries == {(0,): Cyclo.one(H.conductor)}
 
 
 def test_coproduct_power_needs_a_factor(bank):
     H, _ = bank("cyclic:k=1,l=3,d=1")
     with pytest.raises(ValueError, match="nfactors"):
-        H.coproduct_power(H.basis_vector(H.group.identity, 1), 0)
+        H.coproduct_power(GradedVector(H.group.identity, {1: H.one()}), 0)
 
 
 # -- structural validation errors ----------------------------------------------
@@ -288,27 +276,22 @@ def test_integral_normalization(bank):
         H, ints = bank(spec)
         e = H.group.identity
         assert H.counit_raw(e.index, ints.integral(e).entries) == Cyclo.one(1)
-        assert ints.eval_lambda(ints.integral(e)) == Cyclo.one(1)
+        assert oracles.lam(ints, ints.integral(e).entries) == Cyclo.one(1)
 
 
 def test_lambda_of_unit_is_dimension(bank):
     for spec in SPECS:
         H, ints = bank(spec)
         dim1 = H.dims[H.group.identity_index]
-        assert ints.eval_lambda(H.unit_vec()) == Cyclo.rational(dim1)
-
-
-def test_lambda_rejects_other_grades(bank):
-    H, ints = bank("cyclic:k=2,l=3,d=1")
-    with pytest.raises(IntegralError, match="grade 1"):
-        ints.eval_lambda(H.basis_vector(H.group.element(1), 0))
+        assert oracles.lam(ints, H.unit) == Cyclo.rational(dim1)
 
 
 def test_antipode_sends_integral_to_inverse_grade(bank):
     for spec in SPECS:
         H, ints = bank(spec)
         for a in H.group.elements():
-            assert H.apply_antipode(ints.integral(a)) == ints.integral(a.inv)
+            image = apply_rows(H.antipode[a.index], ints.integral(a).entries, H.one())
+            assert image == ints.integral(a.inv).entries
 
 
 def test_crossing_conjugates_integrals(bank):
@@ -316,31 +299,34 @@ def test_crossing_conjugates_integrals(bank):
         H, ints = bank(spec)
         for b in H.group.elements():
             for a in H.group.elements():
-                img = H.apply_crossing(b, ints.integral(a))
-                assert img == ints.integral(b * a * b.inv)
+                rows = H.crossing[b.index, a.index]
+                img = apply_rows(rows, ints.integral(a).entries, H.one())
+                assert img == ints.integral(b * a * b.inv).entries
 
 
 def test_lambda_invariant_under_antipode_and_crossing(bank):
     for spec in SPECS:
         H, ints = bank(spec)
-        e = H.group.identity
-        for i in range(H.dims[e.index]):
-            x = H.basis_vector(e, i)
-            assert ints.eval_lambda(H.apply_antipode(x)) == ints.eval_lambda(x)
-            for b in H.group.elements():
-                assert ints.eval_lambda(H.apply_crossing(b, x)) == ints.eval_lambda(x)
+        e, one = H.group.identity_index, H.one()
+        for i in range(H.dims[e]):
+            x = {i: one}
+            assert oracles.lam(ints, apply_rows(H.antipode[e], x, one)) == oracles.lam(ints, x)
+            for b in range(H.group.order):
+                image = apply_rows(H.crossing[b, e], x, one)
+                assert oracles.lam(ints, image) == oracles.lam(ints, x)
 
 
 def test_lambda_is_cyclic_across_inverse_grades(bank):
     for spec in SPECS:
         H, ints = bank(spec)
-        for a in H.group.elements():
-            ai = a.inv
-            for i in range(H.dims[a.index]):
-                for j in range(H.dims[ai.index]):
-                    x = H.basis_vector(a, i)
-                    y = H.basis_vector(ai, j)
-                    assert ints.eval_lambda(H.mul(x, y)) == ints.eval_lambda(H.mul(y, x))
+        one = H.one()
+        for a in range(H.group.order):
+            ai = H.group.inverses[a]
+            for i in range(H.dims[a]):
+                for j in range(H.dims[ai]):
+                    xy = H.mul_raw(a, ai, {i: one}, {j: one})
+                    yx = H.mul_raw(ai, a, {j: one}, {i: one})
+                    assert oracles.lam(ints, xy) == oracles.lam(ints, yx)
 
 
 # -- antipode and R-matrix identities --------------------------------------------
@@ -349,23 +335,26 @@ def test_lambda_is_cyclic_across_inverse_grades(bank):
 def test_antipode_is_an_involution(bank):
     for spec in SPECS:
         H, _ = bank(spec)
-        for a in H.group.elements():
-            for i in range(H.dims[a.index]):
-                x = H.basis_vector(a, i)
-                assert H.apply_antipode(H.apply_antipode(x)) == x
+        one = H.one()
+        for a in range(H.group.order):
+            S, S_inv = H.antipode[a], H.antipode[H.group.inverses[a]]
+            for i in range(H.dims[a]):
+                assert apply_rows(S_inv, apply_rows(S, {i: one}, one), one) == {i: one}
 
 
 def test_antipode_is_an_antihomomorphism(bank):
     for spec in SPECS:
         H, _ = bank(spec)
-        for a in H.group.elements():
-            for b in H.group.elements():
-                for i in range(H.dims[a.index]):
-                    for j in range(H.dims[b.index]):
-                        x = H.basis_vector(a, i)
-                        y = H.basis_vector(b, j)
-                        lhs = H.apply_antipode(H.mul(x, y))
-                        rhs = H.mul(H.apply_antipode(y), H.apply_antipode(x))
+        G, one = H.group, H.one()
+        for a in range(G.order):
+            for b in range(G.order):
+                ai, bi = G.inverses[a], G.inverses[b]
+                for i in range(H.dims[a]):
+                    for j in range(H.dims[b]):
+                        x, y = {i: one}, {j: one}
+                        lhs = apply_rows(H.antipode[G.table[a][b]], H.mul_raw(a, b, x, y), one)
+                        rhs = H.mul_raw(bi, ai, apply_rows(H.antipode[b], y, one),
+                                        apply_rows(H.antipode[a], x, one))
                         assert lhs == rhs
 
 
@@ -380,84 +369,76 @@ def test_r_matrix_fixed_by_antipode(bank):
 def test_r_matrix_counit_legs(bank):
     for spec in SPECS:
         H, _ = bank(spec)
+        e = H.group.identity_index
         for leg in (0, 1):
-            total = GradedVector(H.group.identity, {})
-            for (i, j), v in H.r_tensor().entries.items():
+            total = {}
+            for (i, j), v in H.rmatrix.items():
                 kept = j if leg == 0 else i
                 other = i if leg == 0 else j
-                eps = H.counit_raw(H.group.identity_index,
-                                   H.basis_vector(H.group.identity, other).entries)
-                total = total + H.basis_vector(H.group.identity, kept).scaled(v * eps)
-            assert total == H.unit_vec()
+                add_into(total, kept, v * H.counit[e][other])
+            assert total == H.unit
+
+
+def _tensor_mul(H, s, t):
+    """The slotwise product of two sparse tensors whose factors are all of
+    grade 1."""
+    g = (H.group.identity_index,) * len(next(iter(s)))
+    return _tensor_mul_raw(H, g, s, g, t)
 
 
 def test_r_inverse_is_two_sided(bank):
     for spec in SPECS:
         H, _ = bank(spec)
-        e = H.group.identity
-        one = GradedTensor((e, e), {(0, 0): Cyclo.one(H.conductor)})
-        rinv = GradedTensor((e, e), H.r_inverse_raw())
-        assert tensor_mul(H, H.r_tensor(), rinv) == one
-        assert tensor_mul(H, rinv, H.r_tensor()) == one
-
-
-def embed_two_tensor(H, t, pos1, pos2, arity):
-    """The 2-tensor t at slots pos1 < pos2 of an arity-fold tensor."""
-    return GradedTensor((H.group.identity,) * arity,
-                        embed_two_raw(H, t.entries, pos1, pos2, arity))
+        one = {(0, 0): Cyclo.one(H.conductor)}
+        rinv = H.r_inverse_raw()
+        assert _tensor_mul(H, H.rmatrix, rinv) == one
+        assert _tensor_mul(H, rinv, H.rmatrix) == one
 
 
 def test_cabling_identities_two_strands(bank):
     # (coproduct (x) id)(R) = R13 R23 and (id (x) coproduct)(R) = R13 R12
     for spec in SPECS:
         H, _ = bank(spec)
-        R = H.r_tensor()
+        R = H.rmatrix
         lhs = oracles.tensor_coprod_leg(H, R, 0, 2)
-        rhs = tensor_mul(H, embed_two_tensor(H, R, 0, 2, 3),
-                         embed_two_tensor(H, R, 1, 2, 3))
+        rhs = _tensor_mul(H, embed_two_raw(H, R, 0, 2, 3), embed_two_raw(H, R, 1, 2, 3))
         assert lhs == rhs
         lhs = oracles.tensor_coprod_leg(H, R, 1, 2)
-        rhs = tensor_mul(H, embed_two_tensor(H, R, 0, 2, 3),
-                         embed_two_tensor(H, R, 0, 1, 3))
+        rhs = _tensor_mul(H, embed_two_raw(H, R, 0, 2, 3), embed_two_raw(H, R, 0, 1, 3))
         assert lhs == rhs
 
 
 def test_cabling_identities_three_strands(bank):
     for spec in SPECS:
         H, _ = bank(spec)
-        R = H.r_tensor()
+        R = H.rmatrix
         lhs = oracles.tensor_coprod_leg(H, R, 0, 3)
-        rhs = tensor_mul(H, tensor_mul(H, embed_two_tensor(H, R, 0, 3, 4),
-                                       embed_two_tensor(H, R, 1, 3, 4)),
-                         embed_two_tensor(H, R, 2, 3, 4))
+        rhs = _tensor_mul(H, _tensor_mul(H, embed_two_raw(H, R, 0, 3, 4),
+                                         embed_two_raw(H, R, 1, 3, 4)),
+                          embed_two_raw(H, R, 2, 3, 4))
         assert lhs == rhs
         lhs = oracles.tensor_coprod_leg(H, R, 1, 3)
-        rhs = tensor_mul(H, tensor_mul(H, embed_two_tensor(H, R, 0, 3, 4),
-                                       embed_two_tensor(H, R, 0, 2, 4)),
-                         embed_two_tensor(H, R, 0, 1, 4))
+        rhs = _tensor_mul(H, _tensor_mul(H, embed_two_raw(H, R, 0, 3, 4),
+                                         embed_two_raw(H, R, 0, 2, 4)),
+                          embed_two_raw(H, R, 0, 1, 4))
         assert lhs == rhs
 
 
-def test_tensor_swap_and_apply(bank):
+def test_apply_rows_at_one_factor_is_apply_rows(bank):
+    # the antipode's rows applied at the one leg of a 1-tensor give the
+    # antipode of the vector
     H, _ = bank("kac-paljutkin")
-    R = H.r_tensor()
-    swapped = tensor_swap(R)
-    assert tensor_swap(swapped) == R
-    # applying the antipode rows at a leg equals the vector-level antipode
-    e = H.group.identity
-    x = H.basis_vector(e, 4)
-    t = {(i,): v for i, v in x.entries.items()}
-    out = apply_rows_at(t, 0, slot_rows(H.antipode[e.index]), H.one())
-    expected = H.apply_antipode(x)
-    assert out == {(i,): v for i, v in expected.entries.items()}
+    e, one = H.group.identity_index, H.one()
+    out = apply_rows_at({(4,): one}, 0, slot_rows(H.antipode[e]), one)
+    assert out == {(i,): v for i, v in apply_rows(H.antipode[e], {4: one}, one).items()}
 
 
 def test_formatting_helpers(bank):
     H, _ = bank("cyclic:k=1,l=3,d=1")
+    e = H.group.identity_index
     assert render_scalar(Cyclo.rational(1, 2)) == "1/2"
-    text = format_vector(H, H.unit_vec())
-    assert "g^0" in text
-    assert format_vector(H, H.basis_vector(H.group.identity, 0).scaled(Cyclo.zero(3))) == "0"
+    assert "g^0" in format_raw_vector(H, e, H.unit)
+    assert format_raw_vector(H, e, {}) == "0"
 
 
 def test_algebra_equality(bank):
@@ -513,7 +494,7 @@ def test_drinfeld_element_trivial_when_r_is_trivial(bank):
 
     for l in (1, 2, 5):
         H, _ = bank(oracles.spec_of(1, l, 0))
-        assert drinfeld_element(H) == H.unit_vec()
+        assert drinfeld_element(H) == GradedVector(H.group.identity, H.unit)
 
 
 def test_drinfeld_element_cyclic_closed_form(bank):
@@ -521,22 +502,25 @@ def test_drinfeld_element_cyclic_closed_form(bank):
     from hopfg import drinfeld_element
 
     H, _ = bank("cyclic:k=1,l=3,d=1")
-    expected = GradedVector(H.group.identity, {})
+    expected = {}
     for a in range(3):
-        expected = expected + oracles.idempotent(H, a).scaled(Cyclo.zeta(3, (-a * a) % 3))
-    assert drinfeld_element(H) == expected
+        for i, v in oracles.idempotent(H, a).items():
+            add_into(expected, i, v * Cyclo.zeta(3, (-a * a) % 3))
+    assert drinfeld_element(H) == GradedVector(H.group.identity, expected)
 
 
 def test_drinfeld_element_properties(bank, kp):
     from hopfg import drinfeld_element
 
     H, _ = kp
+    e, one = H.group.identity_index, H.one()
     u = drinfeld_element(H)
-    assert H.counit_raw(u.grade.index, u.entries) == Cyclo.one(1)
-    assert H.apply_antipode(u) == u
-    for i in range(H.dims[H.group.identity_index]):
-        x = H.basis_vector(H.group.identity, i)
-        assert H.mul(u, x) == H.mul(x, u)
+    assert u.grade.is_identity()
+    u = u.entries
+    assert H.counit_raw(e, u) == Cyclo.one(1)
+    assert apply_rows(H.antipode[e], u, one) == u
+    for i in range(H.dims[e]):
+        assert H.mul_raw(e, e, u, {i: one}) == H.mul_raw(e, e, {i: one}, u)
 
 
 # -- the unit rule: structure constants equal to 1 are the shared one -------------
@@ -641,18 +625,18 @@ def test_unit_skip_op_counts(monkeypatch):
 
 
 def _random_tensor(H, rng, grades):
-    """A seeded sparse tensor over the given grades: factors of grade 1
-    are often a basis vector of the unit, and scalars are often the
-    shared one, a 1 that is another object, or a root of unity."""
-    n = H.conductor
+    """A seeded sparse tensor over the given grade indices: factors of
+    grade 1 are often a basis vector of the unit, and scalars are often
+    the shared one, a 1 that is another object, or a root of unity."""
+    n, e = H.conductor, H.group.identity_index
     scalars = [Cyclo.one(n), Cyclo.rational(1, 1, n), Cyclo.rational(-2, 3, n), Cyclo.zeta(n)]
     units = sorted(H.unit)
     out = {}
     for _ in range(rng.randint(1, 5)):
-        key = tuple(rng.choice(units) if g.is_identity() and rng.random() < 0.5
-                    else rng.randrange(H.dims[g.index]) for g in grades)
+        key = tuple(rng.choice(units) if g == e and rng.random() < 0.5
+                    else rng.randrange(H.dims[g]) for g in grades)
         out[key] = rng.choice(scalars)
-    return GradedTensor(grades, out)
+    return out
 
 
 @pytest.mark.parametrize("spec", ["kac-paljutkin", "cyclic:k=3,l=4,d=1", "broken-product.json"])
@@ -665,10 +649,10 @@ def test_tensor_mul_matches_the_term_by_term_product(spec):
     rng = random.Random(13)
     for arity in range(1, 5):
         for _ in range(30):
-            ga, gb = ([H.group.element(rng.choice(H.support)) for _ in range(arity)]
-                      for _ in range(2))
+            ga, gb = (tuple(rng.choice(H.support) for _ in range(arity)) for _ in range(2))
             s, t = _random_tensor(H, rng, ga), _random_tensor(H, rng, gb)
-            assert tensor_mul(H, s, t) == oracles.ref_tensor_mul(H, s, t), (arity, s, t)
+            assert _tensor_mul_raw(H, ga, s, gb, t) == oracles.ref_tensor_mul(H, ga, s, gb, t), \
+                (arity, ga, gb, s, t)
 
 
 def test_tensor_kernel_op_count(monkeypatch):

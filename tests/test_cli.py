@@ -201,6 +201,30 @@ def test_moves_script_validation(capsys, tmp_path):
     assert "must be a JSON list" in err
 
 
+def test_undeclared_move_parameter_exits_2(capsys, tmp_path):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([{"move": "I-2-insert", "over": 0, "over_pos": 0,
+                                   "under": 0, "under_pos": 1, "sing": "-"}]))
+    code, out, err = run(capsys, "moves", "--algebra", "cyclic:k=1,l=2,d=1",
+                         "--diagram", "cp2", "--script", str(script))
+    assert code == 2 and out == ""
+    assert err == ("error: script step 0: I-2-insert: unknown parameters ['sing']; "
+                   "it takes ['over', 'over_pos', 'sign', 'under', 'under_pos']\n")
+
+
+def test_too_many_connections_exit_2(capsys, tmp_path):
+    # 30 bare dots have 2^30 connections into Z_2: the enumeration stops
+    # at MAX_HOM_STEPS instead of growing without bound
+    path = tmp_path / "dots.json"
+    path.write_text(json.dumps({"dotted": [{"id": i, "passages": []} for i in range(30)],
+                                "undotted": [], "crossings": [], "h3": 0, "h4": 1}))
+    code, out, err = run(capsys, "sum", "--algebra", "cyclic:k=2,l=2,d=1",
+                         "--diagram", str(path))
+    assert code == 2 and out == ""
+    assert err == ("error: too many connections to enumerate: 30 generators into a group "
+                   "of order 2 take more than 131072 steps (MAX_HOM_STEPS)\n")
+
+
 def test_non_object_script_step_exits_2(capsys, tmp_path):
     script = tmp_path / "script.json"
     script.write_text(json.dumps([5]))

@@ -241,17 +241,6 @@ def test_validate_reports_shapes_only_python_can_build():
     assert validate(d) == ["dot 0 has a malformed passage reference"]
 
 
-def test_component_lookup_errors():
-    d = builtin_diagram("s2xs2")
-    assert d.undotted_by_id(1).id == 1
-    with pytest.raises(DiagramError, match="no undotted component 9"):
-        d.undotted_by_id(9)
-    with pytest.raises(DiagramError, match="no dotted component 0"):
-        d.dotted_by_id(0)
-    with pytest.raises(DiagramError, match="no crossing 7"):
-        d.crossing_by_id(7)
-
-
 # -- reorientation ----------------------------------------------------------------
 
 

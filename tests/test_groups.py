@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from hopfg.groups import (
+    MAX_HOM_STEPS,
     FiniteGroup,
     GroupElement,
     GroupError,
@@ -151,6 +152,17 @@ def test_enumerate_homs_counts():
     S3 = group_from_table(table)
     homs = enumerate_homs(Presentation(2, ((1, 2, -1, -2),)), S3)
     assert len(homs) == 18
+
+
+def test_enumerate_homs_is_bounded_by_its_steps():
+    # m free generators into Z_2 take 2^(m+1) - 2 steps: 16 fit the cap, 17 do not
+    G = cyclic_group(2)
+    assert MAX_HOM_STEPS == 1 << 17
+    assert len(enumerate_homs(Presentation(16, ()), G)) == 1 << 16
+    with pytest.raises(GroupError, match=r"more than 131072 steps \(MAX_HOM_STEPS\)"):
+        enumerate_homs(Presentation(17, ()), G)
+    # depth is not bounded by the interpreter's recursion limit
+    assert len(enumerate_homs(Presentation(5000, ()), cyclic_group(1))) == 1
 
 
 def test_homs_satisfy_their_relations():

@@ -64,7 +64,7 @@ assert inspect.isfunction(hopfg.evaluate), hopfg.evaluate
 names = {}
 exec("from hopfg import *", names)
 del names["__builtins__"]
-assert sorted(names) == sorted(hopfg.__all__) and len(names) == 67, sorted(names)
+assert sorted(names) == sorted(hopfg.__all__) and len(names) == 66, sorted(names)
 assert inspect.isfunction(hopfg.evaluate), hopfg.evaluate
 assert hopfg.evaluate is sys.modules["hopfg.evaluate"].evaluate
 assert "__all__" in dir(hopfg) and set(hopfg.__all__) <= set(dir(hopfg))

@@ -15,21 +15,19 @@ from hopfg import (
     builtin_diagram,
     color,
     colorings,
+    connected_sum,
     cyclic_group,
     evaluate,
     evaluate_summed,
-    connected_sum_check,
     reorient,
     solve_integrals,
 )
 from hopfg.cyclo import Cyclo
-from hopfg.groups import GroupHom, enumerate_homs
 from hopfg.diagrams import (
     DiagramError,
     DotPassage,
     KirbyDiagram,
     UndottedComponent,
-    fundamental_presentation,
 )
 
 
@@ -165,15 +163,20 @@ def test_reorientation_invariance_sample(bank):
 
 
 def test_connected_sum_multiplicative_sample(bank):
+    # connection i * nb + j of A # B is connection i of A with j of B
     H, ints = bank("cyclic:k=2,l=3,d=1")
     pairs = [("cp2", "cp2"), ("s1xs3", "s1xs3"), ("s2xs2", "s1xs1xs2"),
              ("s1xs1xs2", "s4"), ("cp2bar", "s1xs3")]
     for na, nb in pairs:
         da, db = builtin_diagram(na), builtin_diagram(nb)
-        for hom_a in enumerate_homs(fundamental_presentation(da), H.group):
-            for hom_b in enumerate_homs(fundamental_presentation(db), H.group):
-                equal, vsum, vprod = connected_sum_check(H, ints, da, db, hom_a, hom_b)
-                assert equal and vsum == vprod
+        sa, sb = evaluate_summed(H, ints, da), evaluate_summed(H, ints, db)
+        ssum = evaluate_summed(H, ints, connected_sum(da, db))
+        assert ssum.hom_count == sa.hom_count * sb.hom_count
+        for i, (hom_a, va) in enumerate(zip(sa.homs, sa.values)):
+            for j, (hom_b, vb) in enumerate(zip(sb.homs, sb.values)):
+                k = i * sb.hom_count + j
+                assert ssum.homs[k].images == hom_a.images + hom_b.images
+                assert ssum.values[k].value == va.value * vb.value, (na, nb, i, j)
 
 
 def test_connected_sum_of_s1xs3_pair_value(bank):

@@ -3,6 +3,7 @@ every mechanized move, and equality on the curated rewrite pairs."""
 
 import hashlib
 import itertools
+import re
 
 import pytest
 
@@ -74,6 +75,20 @@ def test_move_spec_validation(bank):
         apply_move(cd, {"move": "IV-1"})
     with pytest.raises(MoveError, match="missing parameters"):
         apply_move(cd, {"move": "I-5"})
+
+
+def test_undeclared_parameters_are_rejected(bank):
+    # a misspelt optional key ("sing" for "sign") must not fall back to the default
+    cd = _trivial(builtin_diagram("cp2"))
+    spec = {"move": "I-2-insert", "over": 0, "over_pos": 0, "under": 0, "under_pos": 1,
+            "sing": "-", "x": 1}
+    with pytest.raises(MoveError, match=re.escape(
+            "I-2-insert: unknown parameters ['sing', 'x']; "
+            "it takes ['over', 'over_pos', 'sign', 'under', 'under_pos']")):
+        apply_move(cd, spec)
+    with pytest.raises(MoveError, match=re.escape(
+            "III-5-insert: unknown parameters ['dot']; it takes none")):
+        apply_move(cd, {"move": "III-5-insert", "dot": 0})
 
 
 def test_unhashable_move_name_is_a_move_error():
