@@ -390,13 +390,27 @@ def render_scalar(s: Cyclo) -> str:
 
 
 def render_decimal(s: Cyclo) -> str:
-    z = s.approx()
-    # clamp to avoid a stray sign on parts that round to negative zero
-    re = z.real if abs(z.real) >= 5e-13 else 0.0
+    """Each part to 12 decimals; past the float range, each nonzero part of
+    s / 10^k in scientific form, with k added to its exponent."""
+    try:
+        z, k = s.approx(), 0
+    except OverflowError:
+        z = complex("inf")
+    if not cmath.isfinite(z):  # so that s / 10^k has parts of about unit size
+        k = int((max(map(abs, s.num)).bit_length() - s.den.bit_length()) * 0.30103)
+        z = (s * Fraction(1, 10**k)).approx()
+
+    def part(x):
+        if abs(x) < 5e-13:  # clamp, so that no part rounds to negative zero
+            x = 0.0
+        if not (k and x):
+            return f"{x:.12f}"
+        mantissa, e = f"{x:.12e}".split("e")
+        return f"{mantissa}e{int(e) + k:+d}"
+
     if abs(z.imag) < 5e-13:
-        return f"{re:.12f}"
-    op = "+" if z.imag >= 0 else "-"
-    return f"{re:.12f} {op} {abs(z.imag):.12f}i"
+        return part(z.real)
+    return f"{part(z.real)} {'+' if z.imag >= 0 else '-'} {part(abs(z.imag))}i"
 
 
 # -- small Fraction-coefficient polynomial helpers (ascending lists) --------

@@ -15,9 +15,7 @@ and every move rewrite edit its node lists and freeze the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .groups import FiniteGroup, GroupElement, GroupHom, Presentation, enumerate_homs
+from .groups import FiniteGroup, GroupElement, GroupHom, Presentation, Record, enumerate_homs
 
 
 class DiagramError(ValueError):
@@ -28,55 +26,44 @@ class ColoringError(ValueError):
     """Raised when a coloring violates a component relation."""
 
 
-@dataclass(frozen=True)
-class CrossingEnd:
-    crossing: int
-    over: bool
+class CrossingEnd(Record):
+    __slots__ = ("crossing", "over")
 
     def __repr__(self):
         return f"{'O' if self.over else 'U'}(c{self.crossing})"
 
 
-@dataclass(frozen=True)
-class DotPassage:
-    dot: int
-    down: bool
+class DotPassage(Record):
+    __slots__ = ("dot", "down")
 
     def __repr__(self):
         return f"D(x{self.dot},{'down' if self.down else 'up'})"
 
 
-@dataclass(frozen=True)
-class Crossing:
-    id: int
-    positive: bool
+class Crossing(Record):
+    __slots__ = ("id", "positive")
 
 
-@dataclass(frozen=True)
-class DottedComponent:
-    id: int
-    passages: tuple  # of (undotted id, event position), left to right
+class DottedComponent(Record):
+    __slots__ = ("id", "passages")  # passages: (undotted id, event position), left to right
 
 
-@dataclass(frozen=True)
-class UndottedComponent:
-    id: int
-    events: tuple  # of CrossingEnd | DotPassage, in traversal order
+class UndottedComponent(Record):
+    __slots__ = ("id", "events")  # events: CrossingEnd | DotPassage, in traversal order
 
 
-@dataclass(frozen=True)
-class KirbyDiagram:
-    dotted: tuple
-    undotted: tuple
-    crossings: tuple
-    h3: int = 0
-    h4: int = 1
+class KirbyDiagram(Record):
+    __slots__ = ("dotted", "undotted", "crossings", "h3", "h4")
+
+    def __init__(self, dotted, undotted, crossings, h3=0, h4=1):
+        super().__init__(dotted, undotted, crossings, h3, h4)
 
 
-@dataclass
-class ColoredDiagram:
-    diagram: KirbyDiagram
-    colors: dict  # dotted id -> GroupElement
+class ColoredDiagram(Record, mutable=True):
+    __slots__ = ("diagram", "colors")  # colors: dotted id -> GroupElement
+
+    def __init__(self, diagram, colors):  # built once per coloring and per move
+        self.diagram, self.colors = diagram, colors
 
     def color_of(self, did: int) -> GroupElement:
         return self.colors[did]

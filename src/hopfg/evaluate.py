@@ -45,7 +45,6 @@ after construction, so a cached site is the one a fresh build would give.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import MAX_SITE_ENTRIES, HopfGAlgebra, add_into
@@ -57,7 +56,7 @@ from .diagrams import (
     require_coloring,
     require_valid,
 )
-from .groups import enumerate_homs
+from .groups import Record, enumerate_homs
 from .integrals import IntegralData
 from . import diagrams
 
@@ -68,27 +67,21 @@ class EvaluationError(RuntimeError):
     diagrams.DiagramError or diagrams.ColoringError instead."""
 
 
-@dataclass
-class InvariantValue:
-    value: Cyclo
-    bracket: Cyclo
-    exponent: int  # dotted count minus undotted count
+class InvariantValue(Record, mutable=True):
+    __slots__ = ("value", "bracket", "exponent")  # exponent: dotted minus undotted count
 
-    def __eq__(self, other):
-        if isinstance(other, InvariantValue):
-            return (
-                self.value == other.value
-                and self.bracket == other.bracket
-                and self.exponent == other.exponent
-            )
-        return self.value == other
+    def __init__(self, value, bracket, exponent):  # built once per connection
+        self.value, self.bracket, self.exponent = value, bracket, exponent
+
+    def __eq__(self, other):  # an InvariantValue by its fields, anything else by value
+        return super().__eq__(other) if isinstance(other, InvariantValue) else self.value == other
 
 
-@dataclass
-class SummedInvariant:
-    total: Cyclo
-    values: tuple  # per-connection InvariantValue, in enumeration order
-    homs: tuple
+class SummedInvariant(Record, mutable=True):
+    __slots__ = ("total", "values", "homs")  # values: per-connection InvariantValue, in order
+
+    def __init__(self, total, values, homs):  # built once per evaluate_summed
+        self.total, self.values, self.homs = total, values, homs
 
     @property
     def hom_count(self) -> int:

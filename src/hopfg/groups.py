@@ -4,11 +4,50 @@ enumeration from finitely presented groups (the source of diagram colorings).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 
 class GroupError(ValueError):
     pass
+
+
+class Record:
+    """A frozen record of its __slots__ fields (minus _private ones): equal only to a record
+    of its class with equal fields, hashed as their tuple.  mutable=True: settable, unhashable."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, mutable=False):
+        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        cls._values = attrgetter(*cls._fields)
+        cls._setters = tuple(cls.__dict__[n].__set__ for n in cls._fields)  # bypass __setattr__
+        if mutable:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *values):
+        for set_field, value in zip(self._setters, values, strict=True):
+            set_field(self, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild a record through __init__
+        return type(self), self._values(self)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: field {name!r} cannot change")
+
+    __delattr__ = __setattr__
 
 
 # Steps (extensions of generator images tried) one enumerate_homs call
@@ -106,10 +145,12 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    group: FiniteGroup
-    index: int
+class GroupElement(Record):
+    __slots__ = ("group", "index")
+
+    def __init__(self, group: FiniteGroup, index: int):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "index", index)
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         if other.group is not self.group:
@@ -172,42 +213,34 @@ def group_from_table(table, names=None) -> FiniteGroup:
 # presentations and homomorphisms
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """A finite presentation: generators 1..n, relation words as tuples of
     nonzero signed generator numbers (negative = inverse)."""
 
-    num_generators: int
-    relations: tuple[tuple[int, ...], ...]
+    __slots__ = ("num_generators", "relations")
 
-    def __post_init__(self):
-        for word in self.relations:
+    def __init__(self, num_generators: int, relations: tuple[tuple[int, ...], ...]):
+        for word in relations:
             for letter in word:
-                if letter == 0 or abs(letter) > self.num_generators:
+                if letter == 0 or abs(letter) > num_generators:
                     raise GroupError(f"bad letter {letter} in relation {word}")
+        object.__setattr__(self, "num_generators", num_generators)
+        object.__setattr__(self, "relations", relations)
 
 
-class GroupHom:
+class GroupHom(Record):
     """A homomorphism from a finitely presented group into a FiniteGroup,
     recorded by its generator images."""
 
+    __slots__ = ("target", "images")
+
     def __init__(self, target: FiniteGroup, images: tuple[GroupElement, ...]):
-        self.target = target
-        self.images = tuple(images)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "images", tuple(images))
 
     def word_image(self, word) -> GroupElement:
         return self.target.element(
             _word_index(self.target, word, [g.index for g in self.images]))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupHom)
-            and other.target is self.target
-            and other.images == self.images
-        )
-
-    def __hash__(self):
-        return hash((id(self.target), self.images))
 
     def __repr__(self):
         return f"GroupHom({', '.join(e.name for e in self.images)})"

@@ -17,11 +17,10 @@ a nonzero H_alpha would force every x to be zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .algebra import (GradedVector, HopfGAlgebra, IntegralError, add_into, apply_rows_at,
                       echelon_add, scaled_raw, slot_rows)
 from .cyclo import Cyclo
+from .groups import Record
 
 
 def _two_sided_rows(n, entries):
@@ -40,28 +39,31 @@ def _one_dimensional(H: HopfGAlgebra, entries, what: str) -> dict:
     """The solution, up to scale, of the two-sided system on H_1 that
     entries describes (see _two_sided_rows), as a sparse vector; `what`
     names the space in the IntegralError raised when it is not one
-    dimensional.  The rows go into one echelon (``echelon_add``); back
-    substitution in reverse echelon order sets each pivot's entry from the
-    entries set before it, scaling those by the pivot's coefficient
-    instead of dividing by it."""
-    d1, one = H.dims[H.group.identity_index], H.one()
-    echelon = []
-    for row in _two_sided_rows(d1, entries):
+    dimensional.  The rows go into one echelon (``echelon_add``) up to rank
+    d1 - 1; back substitution in reverse echelon order sets each pivot's
+    entry from those set before it, scaling them by the pivot's coefficient
+    instead of dividing by it.  The echelon then spans the annihilator of
+    the solution x, so a later row r is redundant exactly when r.x = 0."""
+    d1, one, zero = H.dims[H.group.identity_index], H.one(), H.zero()
+    rows, echelon = _two_sided_rows(d1, entries), []
+    while len(echelon) < d1 - 1:
+        row = next(rows, None)
+        if row is None:
+            raise IntegralError(f"{what} has dimension {d1 - len(echelon)}, not 1")
         echelon_add(echelon, row, one)
-    if len(echelon) != d1 - 1:
-        raise IntegralError(f"{what} has dimension {d1 - len(echelon)}, not 1")
     pivots = {c for c, _ in echelon}
     x = {next(i for i in range(d1) if i not in pivots): one}
     for c, row in reversed(echelon):
-        s = sum((r * x[t] for t, r in row.items() if t in x), H.zero())
+        s = sum((r * x[t] for t, r in row.items() if t in x), zero)
         x = scaled_raw(x, row[c], one)
         if s:
             x[c] = -s
+    if any(sum((r * x[t] for t, r in row.items() if t in x), zero) for row in rows):
+        raise IntegralError(f"{what} has dimension 0, not 1")
     return x
 
 
-@dataclass
-class IntegralData:
+class IntegralData(Record, mutable=True):
     """Normalized integrals per grade plus the cointegral on H_1.
 
     lam_values[i] is lam applied to the i-th grade-1 basis vector; the
@@ -72,10 +74,11 @@ class IntegralData:
     keeps what it computes from both.
     """
 
-    algebra: HopfGAlgebra
-    integrals: tuple
-    lam_values: tuple
-    _sites: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("algebra", "integrals", "lam_values", "_sites")
+
+    def __init__(self, algebra: HopfGAlgebra, integrals: tuple, lam_values: tuple):
+        self.algebra, self.integrals, self.lam_values = algebra, integrals, lam_values
+        self._sites = {}
 
     def integral(self, grade) -> GradedVector:
         idx = grade if isinstance(grade, int) else grade.index

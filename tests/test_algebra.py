@@ -22,6 +22,7 @@ from hopfg.algebra import (
     add_into,
     apply_rows,
     apply_rows_at,
+    echelon_add,
     embed_two_raw,
     format_raw_vector,
     slot_rows,
@@ -227,6 +228,38 @@ def test_no_two_sided_integral_raises():
     H = oracles.non_unimodular_h4()
     with pytest.raises(IntegralError, match="dimension 0, not 1"):
         solve_integrals(H)
+
+
+@pytest.mark.parametrize("count, message", [
+    (1, "test space has dimension 2, not 1"),
+    (3, None),
+    (4, "test space has dimension 0, not 1"),
+])
+def test_rows_after_rank_d1_minus_1_are_tested_against_the_solution(count, message,
+                                                                    monkeypatch):
+    # rows 0 and 1 reach rank d1 - 1 = 2, row 2 is their difference, and
+    # row 3 arrives after them and is independent; only rows 0 and 1 are
+    # reduced, the later ones take one dot product each
+    from hopfg import integrals
+    from hopfg.integrals import _one_dimensional
+    reduced = []
+    monkeypatch.setattr(integrals, "echelon_add",
+                        lambda *a: reduced.append(a[1]) or echelon_add(*a))
+    H = builtin_algebra("cyclic:k=1,l=3,d=0")
+    one = H.one()
+    rows = [{0: one, 1: -one}, {1: one, 2: -one}, {0: one, 2: -one}, {2: one}][:count]
+
+    def entries(i, mirror):
+        k = 2 * i + mirror
+        return [(0, c, v) for c, v in rows[k].items()] if k < len(rows) else []
+
+    if message:
+        with pytest.raises(IntegralError, match=f"^{message}$"):
+            _one_dimensional(H, entries, "test space")
+    else:
+        x = _one_dimensional(H, entries, "test space")
+        assert sorted(x) == [0, 1, 2] and x[0] and x[0] == x[1] == x[2]
+    assert len(reduced) == min(count, 2)
 
 
 def test_zero_counit_on_a_supported_grade_names_the_grade():

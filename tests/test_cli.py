@@ -225,6 +225,24 @@ def test_too_many_connections_exit_2(capsys, tmp_path):
                    "of order 2 take more than 131072 steps (MAX_HOM_STEPS)\n")
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_value_past_the_float_range_prints_in_scientific_form(capsys, tmp_path, fmt):
+    # 1,100 bare dots at cyclic:k=1,l=2,d=1 give 2^1100, past the float range
+    path = tmp_path / "dots.json"
+    path.write_text(json.dumps({"dotted": [{"id": i, "passages": []} for i in range(1100)],
+                                "undotted": [], "crossings": [], "h3": 0, "h4": 1}))
+    code, out, err = run(capsys, "invariant", "--algebra", "cyclic:k=1,l=2,d=1",
+                         "--diagram", str(path), "--format", fmt)
+    assert code == 0 and err == "" and "Traceback" not in out
+    approx = f"{2**1100 / 10**331:.12f}e+331"
+    if fmt == "text":
+        assert out.endswith(f"I = {2**1100}\n"
+                            f"    ~ {approx}  (12-digit approximation, not authoritative)\n")
+    else:
+        value = json.loads(out)["connections"][0]["value"]
+        assert value == {"decimal_approx": approx, "terms": [f"{2**1100}*zeta^0"]}
+
+
 def test_non_object_script_step_exits_2(capsys, tmp_path):
     script = tmp_path / "script.json"
     script.write_text(json.dumps([5]))

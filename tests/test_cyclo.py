@@ -164,6 +164,21 @@ def test_render_decimal():
     assert render_decimal(-Cyclo.zeta(4)) == "0.000000000000 - 1.000000000000i"
 
 
+def test_render_decimal_past_the_float_range():
+    big = 2**1100  # about 1.358e+331
+    m = f"{big / 10**331:.12f}"
+    assert render_decimal(Cyclo.rational(-big)) == f"-{m}e+331"
+    assert render_decimal(Cyclo.rational(big, 3**700)) == f"{big / 3**700:.12f}"
+    assert render_decimal(Cyclo.rational(1, big)) == "0.000000000000"
+    assert render_decimal(Cyclo(4, {0: big, 1: -big})) == f"{m}e+331 - {m}e+331i"
+    assert render_decimal(Cyclo(4, {1: big})) == f"0.000000000000 + {m}e+331i"
+    # each coefficient fits in a float, but the real part 3a/2 of a(1 - zeta_3) does not
+    a = 3 * 2**1022
+    real, im = render_decimal(Cyclo(3, {0: a, 1: -a})).split(" - ")
+    assert real == f"{3 * a // 2 / 10**308:.12f}e+308"
+    assert im.endswith("e+308i") and abs(float(im[:-1]) - a // 2 * 3**0.5) < 1e296
+
+
 def test_bad_conductor_rejected():
     with pytest.raises(ValueError):
         Cyclo(0, {})

@@ -1,7 +1,9 @@
 """Diagram data model: validation, presentations, colorings, and the
 orientation / rotation / renumbering / sum operations."""
 
+import copy
 import hashlib
+import pickle
 
 import pytest
 
@@ -430,3 +432,113 @@ def test_colored_diagram_equality():
     assert cd == ColoredDiagram(builtin_diagram("s1xs1xs2"), {0: G.element(1), 1: G.element(2)})
     assert cd != ColoredDiagram(d, {0: G.element(1), 1: G.element(1)})
     assert cd != d and cd != (d, cd.colors)
+
+
+# -- record semantics: equality by class and fields, hashing, immutability ----
+
+
+def _records():
+    """One instance of each frozen record, built twice by the same call."""
+    G = cyclic_group(2)
+    return [
+        lambda: CrossingEnd(0, True),
+        lambda: DotPassage(0, True),
+        lambda: Crossing(0, True),
+        lambda: DottedComponent(0, ((0, 1),)),
+        lambda: UndottedComponent(0, (DotPassage(0, True),)),
+        lambda: builtin_diagram("s1xs1xs2"),
+        lambda: G.element(1),
+    ]
+
+
+def test_records_equal_only_records_of_their_own_class():
+    assert CrossingEnd(0, True) != DotPassage(0, True)
+    assert Crossing(0, True) != CrossingEnd(0, True)
+    assert DottedComponent(0, ()) != UndottedComponent(0, ())
+    assert Crossing(0, True) != (0, True)
+    assert Crossing(0, True) != Crossing(0, False)
+    assert Crossing(0, True) == Crossing(0, True)
+
+
+@pytest.mark.parametrize("make", _records(), ids=lambda f: type(f()).__name__)
+def test_equal_records_hash_equally_and_work_as_dict_keys(make):
+    a, b = make(), make()
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+
+
+def test_frozen_records_hash_by_their_fields():
+    assert hash(Crossing(3, False)) == hash((3, False))
+    assert hash(CrossingEnd(2, True)) == hash((2, True))
+    assert hash(DotPassage(1, False)) == hash((1, False))
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: CrossingEnd(0, True), "over"),
+    (lambda: DotPassage(0, True), "dot"),
+    (lambda: Crossing(0, True), "positive"),
+    (lambda: DottedComponent(0, ()), "passages"),
+    (lambda: UndottedComponent(0, ()), "id"),
+    (lambda: builtin_diagram("cp2"), "h4"),
+], ids=["CrossingEnd", "DotPassage", "Crossing", "DottedComponent", "UndottedComponent",
+        "KirbyDiagram"])
+def test_frozen_records_refuse_assignment(make, field):
+    r = make()
+    before = getattr(r, field)
+    with pytest.raises(AttributeError):
+        setattr(r, field, 7)
+    assert getattr(r, field) == before
+
+
+def test_kirby_diagram_keywords_and_handle_defaults():
+    d = KirbyDiagram(dotted=(), undotted=(UndottedComponent(0, ()),), crossings=())
+    assert (d.h3, d.h4) == (0, 1)
+    assert d == KirbyDiagram((), (UndottedComponent(0, ()),), (), 0, 1)
+    assert KirbyDiagram((), (), (), 2, 3).h3 == 2
+
+
+def test_mutable_records_are_unhashable(bank):
+    from hopfg import evaluate_summed
+    from hopfg.evaluate import InvariantValue, SummedInvariant
+    from hopfg.integrals import IntegralData
+    G = cyclic_group(2)
+    H, I = bank("cyclic:k=2,l=2,d=1")
+    summed = evaluate_summed(H, I, builtin_diagram("cp2"))
+    records = [ColoredDiagram(builtin_diagram("cp2"), {}), summed.values[0], summed, I]
+    assert [type(r) for r in records] == [ColoredDiagram, InvariantValue, SummedInvariant,
+                                          IntegralData]
+    for r in records:
+        with pytest.raises(TypeError):
+            hash(r)
+    cd = records[0]
+    cd.colors = {0: G.element(1)}  # the unhashable records stay assignable
+    assert cd.color_of(0) == G.element(1)
+    del cd.colors
+    assert not hasattr(cd, "colors")
+
+
+def test_records_survive_copy_and_pickle():
+    for make in _records():
+        assert copy.copy(make()) == make()
+    for make in _records()[:-1]:  # a GroupElement's group is compared by identity
+        r = make()
+        assert pickle.loads(pickle.dumps(r)) == r and copy.deepcopy(r) == r
+
+
+def test_integral_data_equality_ignores_the_dot_site_cache(bank):
+    from hopfg import solve_integrals
+    H, I = bank("cyclic:k=2,l=2,d=1")
+    fresh = solve_integrals(H)
+    I.dot_site(0, (True, False))
+    assert I == fresh and fresh == I
+    assert "_sites" not in repr(fresh)
+
+
+def test_record_reprs_are_pinned():
+    assert repr(Crossing(0, True)) == "Crossing(id=0, positive=True)"
+    assert repr(DottedComponent(1, ((0, 2),))) == "DottedComponent(id=1, passages=((0, 2),))"
+    assert repr(UndottedComponent(0, (CrossingEnd(0, True), DotPassage(1, False)))) == (
+        "UndottedComponent(id=0, events=(O(c0), D(x1,up)))")
+    assert repr(KirbyDiagram((), (), ())) == (
+        "KirbyDiagram(dotted=(), undotted=(), crossings=(), h3=0, h4=1)")

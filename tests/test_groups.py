@@ -191,3 +191,33 @@ def test_group_hom_equality():
     assert h1 == h2
     assert hash(h1) == hash(h2)
     assert h1 != GroupHom(G, (G.element(0),))
+
+
+def test_presentation_is_a_frozen_checked_record():
+    with pytest.raises(GroupError, match="bad letter 2"):
+        Presentation(1, ((2,),))
+    with pytest.raises(GroupError, match="bad letter 0"):
+        Presentation(1, ((1, 0),))
+    p = Presentation(2, ((1, -2),))
+    assert p == Presentation(2, ((1, -2),)) and hash(p) == hash((2, ((1, -2),)))
+    assert p != Presentation(2, ((1, 2),)) and p != (2, ((1, -2),))
+    assert repr(p) == "Presentation(num_generators=2, relations=((1, -2),))"
+    with pytest.raises(AttributeError):
+        p.num_generators = 3
+
+
+def test_group_elements_and_homs_are_frozen_and_keyed_by_group_identity():
+    G, H = cyclic_group(3), cyclic_group(3)
+    a = G.element(1)
+    assert a == G.element(1) and {a: 1}[G.element(1)] == 1
+    assert a != H.element(1) and a != 1
+    assert repr(a) == "<a>"
+    with pytest.raises(AttributeError):
+        a.index = 2
+    assert a.index == 1
+    hom = GroupHom(G, [a])
+    assert hom.images == (a,) and {hom: 1}[GroupHom(G, (G.element(1),))] == 1
+    assert hom != GroupHom(H, (H.element(1),)) and hom != (G, (a,))
+    assert repr(hom) == "GroupHom(a)"
+    with pytest.raises(AttributeError):
+        hom.images = ()

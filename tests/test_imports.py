@@ -24,13 +24,15 @@ def run_child(code, *args):
     return proc.stdout
 
 
-# runs one command, then prints its exit code and the hopfg modules loaded
+# runs one command, then prints its exit code, whether the heavy stdlib
+# modules dataclasses and inspect were loaded, and the hopfg modules loaded
 _COMMAND = """
 import contextlib, io, sys
 from hopfg.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, *sorted(m for m in sys.modules if m.startswith("hopfg.")))
+print(code, "dataclasses" in sys.modules, "inspect" in sys.modules,
+      *sorted(m for m in sys.modules if m.startswith("hopfg.")))
 """
 
 # what every command loads: the CLI, the algebra layer and the loaders
@@ -50,8 +52,9 @@ C13 = ["--algebra", "cyclic:k=1,l=3,d=1"]
 ], ids=["export-algebra", "export-diagram", "integrals", "check", "sum", "invariant",
         "moves"])
 def test_each_command_loads_only_the_modules_it_runs(argv, extra):
-    code, *modules = run_child(_COMMAND, *argv).split()
+    code, dataclasses, inspect, *modules = run_child(_COMMAND, *argv).split()
     assert code == "0"
+    assert (dataclasses, inspect) == ("False", "False")
     assert set(modules) == {f"hopfg.{m}" for m in BASE | extra}
 
 
