@@ -16,8 +16,7 @@ import types as _types
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "algebra": "AlgebraStructureError DrinfeldError GradedTensor GradedVector HopfGAlgebra "
-               "IntegralError",
+    "algebra": "AlgebraStructureError DrinfeldError Graded HopfGAlgebra IntegralError",
     "builtins": "build_cyclic build_kac_paljutkin builtin_algebra",
     "cyclo": "Cyclo render_decimal render_scalar",
     "diagrams": "ColoredDiagram ColoringError Crossing CrossingEnd DiagramError DotPassage "

@@ -13,10 +13,11 @@ applies sparse rows to a vector, ``apply_rows_at`` applies them to
 one factor of a tensor, and ``echelon_add`` is the one exact
 elimination (span tests in ``verify.generators``, the integral systems
 in ``integrals``).  Vectors and tensors are raw dicts ({basis index:
-Cyclo} and {index tuple: Cyclo}) throughout.  GradedVector and
-GradedTensor only record a grade with such a dict (``entries``), as the
-returns of ``IntegralData.integral``, ``verify.drinfeld_element`` and
-``HopfGAlgebra.coproduct_power`` that the benchmark in ``bench/`` reads.
+Cyclo} and {index tuple: Cyclo}) throughout.  ``Graded`` pairs such a
+dict (``entries``) with the GroupElement of the vector, or of every
+factor of the tensor (``grade``); it is built only as the return of
+``IntegralData.integral``, ``verify.drinfeld_element`` and
+``HopfGAlgebra.coproduct_power``.
 
 The unit rule: a structure constant equal to 1 is its conductor's shared
 ``Cyclo.one`` (the builtins and the JSON loader build it so), and the
@@ -35,7 +36,7 @@ import itertools
 from math import prod
 
 from .cyclo import Cyclo, render_scalar
-from .groups import FiniteGroup, GroupElement
+from .groups import FiniteGroup, Record
 
 # Size limits on an algebra built from outside input, a JSON file or a
 # builtin spec, each checked before any table it bounds is built.  Costs
@@ -141,57 +142,15 @@ def echelon_add(echelon: list, v: dict, one) -> dict:
     return v
 
 
-# ---------------------------------------------------------------------------
-# graded vectors and tensors
-
-
 def _clean(raw: dict) -> dict:
     return {k: v for k, v in raw.items() if v}
 
 
-class GradedVector:
-    """A sparse element of one grade H_alpha: {basis index: Cyclo}."""
+class Graded(Record):
+    """A sparse vector of one grade, {basis index: Cyclo}, or a tensor whose
+    factors all have that grade, {index tuple: Cyclo}."""
 
     __slots__ = ("grade", "entries")
-
-    def __init__(self, grade: GroupElement, entries: dict):
-        self.grade = grade
-        self.entries = _clean(entries)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedVector)
-            and other.grade == self.grade
-            and other.entries == self.entries
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        inner = " + ".join(f"({v})*e{i}" for i, v in sorted(self.entries.items())) or "0"
-        return f"<{inner} @ {self.grade.name}>"
-
-
-class GradedTensor:
-    """A sparse element of H_{g1} x ... x H_{gk}: {index tuple: Cyclo}."""
-
-    __slots__ = ("grades", "entries")
-
-    def __init__(self, grades: tuple, entries: dict):
-        self.grades = tuple(grades)
-        self.entries = _clean(entries)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedTensor)
-            and other.grades == self.grades
-            and other.entries == self.entries
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"<GradedTensor {tuple(g.name for g in self.grades)}, {len(self.entries)} terms>"
 
 
 # ---------------------------------------------------------------------------
@@ -418,16 +377,16 @@ class HopfGAlgebra:
 
     # -- the one public map that returns a record ----------------------------
 
-    def coproduct_power(self, x: GradedVector, nfactors: int) -> GradedTensor:
-        """Delta^{(nfactors-1)}(x) as an nfactors-fold tensor; nfactors=1 is x."""
+    def coproduct_power(self, a: int, x: dict, nfactors: int) -> Graded:
+        """Delta^{(nfactors-1)}(x) for x in H_a, an nfactors-fold tensor;
+        nfactors=1 is x."""
         if nfactors < 1:
             raise ValueError("nfactors must be >= 1")
-        entries = {(i,): v for i, v in x.entries.items()}
-        delta = self.coproduct[x.grade.index]
+        entries = {(i,): v for i, v in x.items()}
         for last in range(nfactors - 1):
             # split the last slot; coassociativity makes the choice irrelevant
-            entries = apply_rows_at(entries, last, delta, self.one())
-        return GradedTensor((x.grade,) * nfactors, entries)
+            entries = apply_rows_at(entries, last, self.coproduct[a], self.one())
+        return Graded(self.group.element(a), entries)
 
     # -- equality (used by serialization round-trip tests) --------------------
 

@@ -139,12 +139,11 @@ def cmd_integrals(args) -> int:
     if args.format == "json":
         integrals = []
         for a in H.support:
-            vec = data.integral(a)
             integrals.append({
                 "grade": G.names[a],
                 "entries": [
                     [i, render_scalar_terms(v.lift(cond))]
-                    for i, v in sorted(vec.entries.items())
+                    for i, v in sorted(data.integrals[a].items())
                 ],
             })
         lam = [
@@ -161,7 +160,7 @@ def cmd_integrals(args) -> int:
         return 0
     _emit(f"algebra: {args.algebra}  (conductor={cond})")
     for a in H.support:
-        _emit(f"Lambda_{G.names[a]} = {format_raw_vector(H, a, data.integral(a).entries)}")
+        _emit(f"Lambda_{G.names[a]} = {format_raw_vector(H, a, data.integrals[a])}")
     e = G.identity_index
     parts = [
         f"lam({H.basis_name(e, i)}) = {render_scalar(v)}"
@@ -382,12 +381,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _input_errors() -> tuple:
-    """ValueError, and EvaluationError once the evaluator that raises it is loaded."""
-    module = sys.modules.get("hopfg.evaluate")
-    return (ValueError,) if module is None else (ValueError, module.EvaluationError)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -395,7 +388,7 @@ def main(argv=None) -> int:
     except (IntegralError, DrinfeldError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except _input_errors() as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -61,10 +61,11 @@ from .integrals import IntegralData
 from . import diagrams
 
 
-class EvaluationError(RuntimeError):
-    """Integrals or colors that do not belong to the algebra, or an
-    internal consistency failure; a malformed ColoredDiagram raises
-    diagrams.DiagramError or diagrams.ColoringError instead."""
+class EvaluationError(ValueError):
+    """Integrals or colors that do not belong to the algebra, a site or a
+    fold past its cap, or an internal consistency failure; a malformed
+    ColoredDiagram raises diagrams.DiagramError or diagrams.ColoringError
+    instead."""
 
 
 class InvariantValue(Record, mutable=True):
@@ -325,11 +326,11 @@ class _Compiled:
         nnz(L_a) * max_i |Delta_a(e_i)|^(k-1) * max_i |S_a(e_i)|^(up passages)."""
         H, entries, site_grades = self.H, [], []
         for x, a, signs in zip(self.dot_ids, grades, self.signs):
-            if not self.integrals.integrals[a].entries:
+            if not self.integrals.integrals[a]:
                 return None
             if not signs:
                 continue
-            bound = (len(self.integrals.integrals[a].entries)
+            bound = (len(self.integrals.integrals[a])
                      * max(map(len, H.coproduct[a]), default=0) ** max(len(signs) - 1, 0)
                      * max(map(len, H.antipode[a]), default=0) ** signs.count(False))
             if bound > MAX_SITE_ENTRIES:

@@ -17,7 +17,7 @@ a nonzero H_alpha would force every x to be zero.
 
 from __future__ import annotations
 
-from .algebra import (GradedVector, HopfGAlgebra, IntegralError, add_into, apply_rows_at,
+from .algebra import (Graded, HopfGAlgebra, IntegralError, add_into, apply_rows_at,
                       echelon_add, scaled_raw, slot_rows)
 from .cyclo import Cyclo
 from .groups import Record
@@ -66,12 +66,13 @@ def _one_dimensional(H: HopfGAlgebra, entries, what: str) -> dict:
 class IntegralData(Record, mutable=True):
     """Normalized integrals per grade plus the cointegral on H_1.
 
-    lam_values[i] is lam applied to the i-th grade-1 basis vector; the
-    normalization is lam(L_1) = 1 and eps(L_a) = 1 in every supported grade
-    (``solve_integrals`` certifies it; L_a = 0 elsewhere), so the evaluator
-    takes a dot without passages to contribute 1.  An instance, like its
-    algebra, is treated as immutable after construction: ``dot_site``
-    keeps what it computes from both.
+    integrals[a] is L_a as a sparse vector and lam_values[i] is lam applied
+    to the i-th grade-1 basis vector; the normalization is lam(L_1) = 1 and
+    eps(L_a) = 1 in every supported grade (``solve_integrals`` certifies
+    it; L_a = {} elsewhere), so the evaluator takes a dot without passages
+    to contribute 1.  An instance, like its algebra, is treated as
+    immutable after construction: ``dot_site`` keeps what it computes
+    from both.
     """
 
     __slots__ = ("algebra", "integrals", "lam_values", "_sites")
@@ -80,9 +81,9 @@ class IntegralData(Record, mutable=True):
         self.algebra, self.integrals, self.lam_values = algebra, integrals, lam_values
         self._sites = {}
 
-    def integral(self, grade) -> GradedVector:
+    def integral(self, grade) -> Graded:
         idx = grade if isinstance(grade, int) else grade.index
-        return self.integrals[idx]
+        return Graded(self.algebra.group.element(idx), self.integrals[idx])
 
     def dot_site(self, a: int, downs: tuple):
         """(sorted entries, factor grades) of (S^s1 (x) ... (x) S^sk)(Delta^(k-1)(L_a))
@@ -91,7 +92,7 @@ class IntegralData(Record, mutable=True):
         site = self._sites.get((a, downs))
         if site is None:
             H = self.algebra
-            entries = H.coproduct_power(self.integrals[a], len(downs)).entries
+            entries = H.coproduct_power(a, self.integrals[a], len(downs)).entries
             grades = [a] * len(downs)
             for f, down in enumerate(downs):
                 if not down:
@@ -139,7 +140,7 @@ def solve_integrals(H: HopfGAlgebra) -> IntegralData:
     lam_vals = tuple(lam[i] * lam_scale if i in lam else zero for i in range(d1))
 
     # translate L_1 through the grades: x*L_1 = eps(x)L_alpha
-    integrals = [None] * G.order
+    integrals = [{} for _ in range(G.order)]
     integrals[e] = int1_raw
     for a in H.support:
         if a == e:
@@ -153,11 +154,7 @@ def solve_integrals(H: HopfGAlgebra) -> IntegralData:
         integrals[a] = H.mul_raw(a, e, {i: inv}, int1_raw)
 
     _verify_family(H, integrals)
-
-    out = tuple(
-        GradedVector(G.element(a), integrals[a] or {}) for a in range(G.order)
-    )
-    return IntegralData(H, out, lam_vals)
+    return IntegralData(H, tuple(integrals), lam_vals)
 
 
 def _verify_family(H: HopfGAlgebra, integrals):

@@ -51,6 +51,10 @@ def _read_json(path: str):
         raise SerializeError(
             f"{path!r} is not valid JSON (line {exc.lineno}, column {exc.colno}): "
             f"{exc.msg}") from None
+    except RecursionError:
+        raise SerializeError(f"{path!r} nests JSON arrays or objects too deeply") from None
+    except ValueError as exc:  # invalid UTF-8, or an int past the digit limit
+        raise SerializeError(f"{path!r} is not valid JSON: {exc}") from None
 
 
 def _as_int(value, where: str) -> int:

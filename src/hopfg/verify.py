@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .algebra import (
     DrinfeldError,
-    GradedVector,
+    Graded,
     HopfGAlgebra,
     _tensor_mul_raw,
     add_into,
@@ -459,7 +459,7 @@ PROOFS = {
 # -- Drinfeld element --------------------------------------------------------
 
 
-def drinfeld_element(H: HopfGAlgebra) -> GradedVector:
+def drinfeld_element(H: HopfGAlgebra) -> Graded:
     """The grade-1 element u = sum S(b)a over R = sum a (x) b.
 
     Certifies that u is invertible (against the closed-form candidate
@@ -481,4 +481,4 @@ def drinfeld_element(H: HopfGAlgebra) -> GradedVector:
         raise DrinfeldError("antipode does not fix the drinfeld element")
     if H.counit_raw(e, u) != one:
         raise DrinfeldError("counit of the drinfeld element is not 1")
-    return GradedVector(H.group.identity, u)
+    return Graded(H.group.identity, u)

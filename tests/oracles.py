@@ -12,7 +12,7 @@ import itertools
 from math import gcd
 
 from hopfg import builtin_algebra, solve_integrals
-from hopfg.algebra import GradedVector, HopfGAlgebra
+from hopfg.algebra import HopfGAlgebra
 from hopfg.cyclo import Cyclo
 from hopfg.diagrams import (
     Crossing,
@@ -104,11 +104,10 @@ def oracle_r_tensor(H, d):
 def tensor_coprod_leg(H, t, pos, nfactors):
     """Replace leg pos of a sparse tensor whose factors are all of grade 1
     with its iterated-coproduct expansion."""
-    e, one = H.group.identity, Cyclo.one(H.conductor)
+    e, one = H.group.identity_index, Cyclo.one(H.conductor)
     out = {}
     for key, cv in t.items():
-        base = GradedVector(e, {key[pos]: one})
-        for sub, sv in H.coproduct_power(base, nfactors).entries.items():
+        for sub, sv in H.coproduct_power(e, {key[pos]: one}, nfactors).entries.items():
             nk = key[:pos] + sub + key[pos + 1:]
             w = out.get(nk)
             w = cv * sv if w is None else w + cv * sv

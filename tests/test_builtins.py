@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from hopfg import builtin_algebra, drinfeld_element, solve_integrals, verify_axioms
-from hopfg.algebra import GradedVector, apply_rows
+from hopfg.algebra import apply_rows
 from hopfg.builtins import build_crossed, build_cyclic, build_kac_paljutkin, cyclic_ring
 from hopfg.cyclo import Cyclo
 from hopfg.groups import cyclic_group
@@ -107,7 +107,7 @@ def test_kac_paljutkin_noncommutative(kp):
 
 def test_kac_paljutkin_noncocommutative(kp):
     H, _ = kp
-    t = H.coproduct_power(GradedVector(H.group.identity, {4: H.one()}), 2).entries
+    t = H.coproduct_power(H.group.identity_index, {4: H.one()}, 2).entries
     assert {(j, i): v for (i, j), v in t.items()} != t
 
 

@@ -379,6 +379,28 @@ def test_diagram_file_structure_error_names_the_file(capsys, tmp_path):
     assert run(capsys, "export", "--diagram", f"connected-sum:cp2,{path}") == (2, "", want)
 
 
+HOSTILE_JSON = {
+    "nested": b"[" * 20000,  # past the parser's recursion limit on every Python version
+    "utf16-bom": b"\xff\xfe{}",
+    "long-int": b'{"h3": ' + b"9" * 5000 + b"}",
+}
+FILE_OPTIONS = {
+    "algebra": ["export", "--algebra"],
+    "diagram": ["export", "--diagram"],
+    "script": ["moves", "--algebra", "kac-paljutkin", "--diagram", "s2xs2", "--script"],
+}
+
+
+@pytest.mark.parametrize("option", FILE_OPTIONS)
+@pytest.mark.parametrize("content", HOSTILE_JSON)
+def test_hostile_json_exits_2_and_names_the_file(capsys, tmp_path, content, option):
+    path = tmp_path / "input.json"
+    path.write_bytes(HOSTILE_JSON[content])
+    code, out, err = run(capsys, *FILE_OPTIONS[option], str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {str(path)!r}") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("exc", [RuntimeError("internal"), RecursionError("deep")])
 def test_an_internal_error_escapes_main(monkeypatch, exc):
     def fail(args):

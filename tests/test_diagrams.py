@@ -10,7 +10,9 @@ import pytest
 import oracles
 from hopfg import (
     ColoringError,
+    Cyclo,
     DiagramError,
+    Graded,
     KirbyDiagram,
     builtin_diagram,
     builtin_diagram_names,
@@ -542,3 +544,5 @@ def test_record_reprs_are_pinned():
         "UndottedComponent(id=0, events=(O(c0), D(x1,up)))")
     assert repr(KirbyDiagram((), (), ())) == (
         "KirbyDiagram(dotted=(), undotted=(), crossings=(), h3=0, h4=1)")
+    assert repr(Graded(cyclic_group(2).element(1), {(0, 1): Cyclo.rational(1, 2)})) == (
+        "Graded(grade=<a>, entries={(0, 1): Cyclo(1, {0: 1/2})})")
