@@ -10,32 +10,35 @@ Every structure map is a sparse linear map, and one kernel applies them
 all: ``add_into`` is the only place where a sum is accumulated into a
 sparse dict (an entry whose sum is zero is dropped), ``apply_rows``
 applies sparse rows to a vector, ``apply_rows_at`` applies them to
-one factor of a tensor, and ``echelon_add`` is the one exact
-elimination (span tests in ``verify.generators``, the integral systems
-in ``integrals``).  Vectors and tensors are raw dicts ({basis index:
-Cyclo} and {index tuple: Cyclo}) throughout.  ``Graded`` pairs such a
-dict (``entries``) with the GroupElement of the vector, or of every
-factor of the tensor (``grade``); it is built only as the return of
-``IntegralData.integral``, ``verify.drinfeld_element`` and
-``HopfGAlgebra.coproduct_power``.
+one factor of a tensor, ``echelon_add`` is the one exact elimination
+(span tests in ``verify.generators``, the integral systems in
+``integrals``), and ``primitive`` divides out a rational content, so
+echelon rows and cached sites have coprime int coefficients (the
+evaluator multiplies contents in once).  Vectors and tensors are raw
+dicts ({basis index: Cyclo} and {index tuple: Cyclo}) throughout.
+``Graded`` pairs such a dict (``entries``) with the GroupElement of the
+vector, or of every factor of the tensor (``grade``); it is built only
+as the return of ``IntegralData.integral``, ``verify.drinfeld_element``
+and ``HopfGAlgebra.coproduct_power``.
 
 The unit rule: a structure constant equal to 1 is its conductor's shared
-``Cyclo.one`` (the builtins and the JSON loader build it so), and the
-kernel never multiplies by that object: where a factor ``is`` it, the
-other factor is the product.  A 1 that is another object is simply
-multiplied, so values never depend on identity, only the work does.
-The product table is nested rows, ``product[a, b][i][j]`` = e_i e_j.
-Tensor products (``_tensor_mul_raw``) are slotwise apply_rows_at passes
-of the maps ``right_mul_rows`` caches; a map the table makes the identity
+``Cyclo.one`` (the builtins and the JSON loader build it so, as
+``primitive`` does a quotient equal to 1), and the kernel never
+multiplies by that object: where a factor ``is`` it, the other factor
+is the product.  A 1 that is another object is simply multiplied, so
+values never depend on identity, only the work does.  The product table
+is nested rows, ``product[a, b][i][j]`` = e_i e_j.  Tensor products
+(``_tensor_mul_raw``) are slotwise apply_rows_at passes of the maps
+``right_mul_rows`` caches; a map the table makes the identity
 (e_i -> {i: one}) is skipped under the same rule.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import prod
+from math import gcd, lcm, prod
 
-from .cyclo import Cyclo, render_scalar
+from .cyclo import Cyclo, _make, render_scalar
 from .groups import FiniteGroup, Record
 
 # Size limits on an algebra built from outside input, a JSON file or a
@@ -125,10 +128,25 @@ def slot_rows(rows) -> list:
     return [{(t,): v for t, v in row.items()} for row in rows]
 
 
+def primitive(x: dict, one) -> tuple:
+    """((p, q), y): the positive rational content p/q of the sparse vector
+    or tensor x, the gcd of its numerators over the lcm of its denominators
+    ((1, 1) for {}), and y = x / (p/q), of int coefficients with gcd 1, an
+    entry equal to 1 being ``one`` (von zur Gathen & Gerhard, MCA, 6.2)."""
+    p = gcd(*(c for v in x.values() for c in v.num)) or 1
+    q = lcm(*(v.den for v in x.values()))
+    y = {}
+    for k, v in x.items():
+        num = tuple(c // p * (q // v.den) for c in v.num)
+        y[k] = one if num == one.num and v.n == one.n else _make(v.n, num, 1)
+    return (p, q), y
+
+
 def echelon_add(echelon: list, v: dict, one) -> dict:
     """Reduce the sparse vector v by an echelon of (pivot, row) pairs, in
-    order, and append what is left, if nonzero, with its least index as
-    pivot; return what is left, zero exactly when v lies in the rows'
+    order, and append what is left, if nonzero, divided by its content
+    (``primitive``, which keeps dense rows' entries small) with its least
+    index as pivot; return that row, {} exactly when v lies in the rows'
     span.  Each row holds no pivot of the rows before it.  Fraction-free:
     where v has a row's pivot c, v becomes row[c] v - v[c] row, so no
     scalar is inverted; nothing is multiplied by ``one`` (the unit rule)."""
@@ -138,6 +156,7 @@ def echelon_add(echelon: list, v: dict, one) -> dict:
             for t, r in row.items():
                 add_into(v, t, -(f if r is one else f * r))
     if v:
+        v = primitive(v, one)[1]
         echelon.append((min(v), v))
     return v
 
@@ -352,12 +371,12 @@ class HopfGAlgebra:
         e = self.group.identity_index
         return apply_rows_at(self.rmatrix, 0, slot_rows(self.antipode[e]), self.one())
 
-    def crossing_site(self, signs: tuple, words: tuple) -> list:
-        """The sorted entries of crossings with the given signs (R for True,
-        (S_1 (x) id)(R) for False) multiplied out: factor f is the product
-        of the one or two ends words[f] lists in order, an end being
-        (crossing, 0 for its over factor or 1 for its under one).  Built
-        once per key."""
+    def crossing_site(self, signs: tuple, words: tuple) -> tuple:
+        """(content, sorted primitive entries) of crossings with the given
+        signs (R for True, (S_1 (x) id)(R) for False) multiplied out, content
+        times entries (see ``primitive``): factor f is the product of the one
+        or two ends words[f] lists in order, an end being (crossing, 0 for its
+        over factor or 1 for its under one).  Built once per key."""
         got = self._crossing_sites.get((signs, words))
         if got is None:
             one, rows = self.one(), self.product[(self.group.identity_index,) * 2]
@@ -372,7 +391,8 @@ class HopfGAlgebra:
                               for t, v in tensor.items() for i, x in vec.items()}
                 for t, v in tensor.items():
                     add_into(out, t, v)
-            got = self._crossing_sites[signs, words] = sorted(out.items())
+            content, out = primitive(out, one)
+            got = self._crossing_sites[signs, words] = (content, sorted(out.items()))
         return got
 
     # -- the one public map that returns a record ----------------------------

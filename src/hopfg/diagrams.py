@@ -43,13 +43,25 @@ class DotPassage(Record):
 class Crossing(Record):
     __slots__ = ("id", "positive")
 
+    def __init__(self, id, positive):  # these three are rebuilt by every Editor.freeze
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "positive", positive)
+
 
 class DottedComponent(Record):
     __slots__ = ("id", "passages")  # passages: (undotted id, event position), left to right
 
+    def __init__(self, id, passages):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "passages", passages)
+
 
 class UndottedComponent(Record):
     __slots__ = ("id", "events")  # events: CrossingEnd | DotPassage, in traversal order
+
+    def __init__(self, id, events):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "events", events)
 
 
 class KirbyDiagram(Record):

@@ -34,18 +34,23 @@ component's value does not depend on its start.
 
 Compiling (``_Compiled``) does, once per (algebra, integrals, diagram),
 what no coloring changes: it validates the diagram and records each
-dot's passage signs, the crossing sites and every component's slots.
-Binding a coloring reads each dot's site, takes the plan from the
-compiled diagram's memo and folds.  ``evaluate`` compiles and binds one
-coloring; ``evaluate_summed`` compiles once and binds every flat
-connection.  Dot sites are cached per (grade, signs) on the IntegralData
-and crossing sites, merged or not, on the algebra; both are immutable
-after construction, so a cached site is the one a fresh build would give.
+dot's passage signs, the crossing sites, every component's slots and,
+as an int ratio, the crossing sites' contents times lam's once per
+component.  Binding a coloring multiplies that ratio by its dot sites'
+contents, takes the plan from the compiled diagram's memo, folds, and
+scales the bracket by the ratio unless it is 1.  ``evaluate`` compiles
+and binds one coloring; ``evaluate_summed`` compiles once and binds
+every flat connection.  The value is multilinear in the sites, so each
+is cached as (content, primitive entries) (``algebra.primitive``), dot
+sites on the IntegralData and crossing sites on the algebra (both
+immutable), and the fold multiplies primitive entries and lam's
+primitive values, skipping a factor ``one`` on either side (unit rule).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .algebra import MAX_SITE_ENTRIES, HopfGAlgebra, add_into
 from .cyclo import Cyclo
@@ -227,7 +232,7 @@ class _Planner:
 
 
 def _crossing_sites(H: HopfGAlgebra, d: KirbyDiagram, runs, first: int) -> list:
-    """The entries of d's crossing sites, numbered from first in order of
+    """The (content, entries) of d's crossing sites, numbered from first in order of
     their least crossing id; slot (site, factor, arity) goes to
     runs[k][p] when it starts at event p of component k.
 
@@ -273,7 +278,8 @@ def _crossing_sites(H: HopfGAlgebra, d: KirbyDiagram, runs, first: int) -> list:
             continue
         xb = (b, at[b, True][0] == at[a, True][0])
         words = (word((a, True), xb), word((a, False), (b, not xb[1])))
-        if None not in words and len(site(words)) < len(site(lone(a))) * len(site(lone(b))):
+        if None not in words and (len(site(words)[1])
+                                  < len(site(lone(a))[1]) * len(site(lone(b))[1])):
             groups[a] = words
             taken.update((a, b))
     for c in signs.keys() - taken:
@@ -313,18 +319,22 @@ class _Compiled:
             for f, (ru, rp) in enumerate(x.passages):
                 runs[comp[ru]][rp] = (site, f, len(x.passages))
         self.crossings = _crossing_sites(H, d, runs, len(dots))
+        self.crossing_entries = [entries for _, entries in self.crossings]
+        lam_content, self.lam = integrals.primitive_lam
+        contents = [c for c, _ in self.crossings] + [lam_content] * len(d.undotted)
+        self.scale = (prod(p for p, _ in contents), prod(q for _, q in contents))
         self.skeleton = [[slot for _, slot in sorted(r.items())] for r in runs]
         self.positions = [sorted(r) for r in runs]
         self.plans = {}
 
     def sites(self, grades):
-        """(site_entries, comp_slots) for the coloring with the given grade
-        index per dot, a slot gaining its grade as a fourth entry.  None
-        when a dot's L_a is 0; a dot with no passages contributes
-        eps(L_a) = 1 (see IntegralData).  Raises EvaluationError when a
+        """(site_entries, comp_slots, scale) for the coloring with the given
+        grade index per dot, a slot gaining its grade as a fourth entry, and
+        self.scale times the dot sites' contents.  None when a dot's L_a is
+        0; a dot with no passages contributes eps(L_a) = 1.  Raises EvaluationError when a
         dot's site may exceed MAX_SITE_ENTRIES by the bound
         nnz(L_a) * max_i |Delta_a(e_i)|^(k-1) * max_i |S_a(e_i)|^(up passages)."""
-        H, entries, site_grades = self.H, [], []
+        H, entries, site_grades, (num, den) = self.H, [], [], self.scale
         for x, a, signs in zip(self.dot_ids, grades, self.signs):
             if not self.integrals.integrals[a]:
                 return None
@@ -338,14 +348,15 @@ class _Compiled:
                 raise EvaluationError(
                     f"dot {x} at grade {H.group.names[a]} has {len(signs)} passages, "
                     f"so its site may hold {shown} entries, more than {MAX_SITE_ENTRIES}")
-            site, sg = self.integrals.dot_site(a, signs)
+            (p, q), site, sg = self.integrals.dot_site(a, signs)
+            num, den = num * p, den * q
             entries.append(site)
             site_grades.append(sg)
         e = H.group.identity_index
         site_grades += [(e, e)] * len(self.crossings)
         comp_slots = [[(site, f, n, site_grades[site][f]) for site, f, n in slots]
                       for slots in self.skeleton]
-        return entries + self.crossings, comp_slots
+        return entries + self.crossing_entries, comp_slots, (num, den)
 
     def plan(self, site_entries, comp_slots):
         """(planner, (order, starts, cost)) for the sites of one coloring,
@@ -368,10 +379,10 @@ class _Compiled:
         bound = self.sites(grades)
         if bound is None:
             return InvariantValue(zero, zero, self.exponent)
-        site_entries, comp_slots = bound
+        site_entries, comp_slots, (num, den) = bound
         order, starts, _ = self.plan(site_entries, comp_slots)[1]
         H, G, unit, one = self.H, self.H.group, self.H.unit, self.one
-        e, lam = G.identity_index, self.integrals.lam_values
+        e, lam = G.identity_index, self.lam
 
         # between components the state maps pending-axis tuples to scalars;
         # registry lists the open (site, factor) pairs the axes refer to
@@ -405,7 +416,7 @@ class _Compiled:
                     for (x, axes), v in within.items():
                         for t, w0 in entries:
                             ext = axes + tuple(t[f] for f in remaining)
-                            vw = w0 if v is one else v * w0
+                            vw = w0 if v is one else v if w0 is one else v * w0
                             for y, c in rows[x][t[factor]].items():
                                 add_into(nxt, (y, ext), vw if c is one else vw * c)
                     registry.extend((site, f) for f in remaining)
@@ -415,14 +426,16 @@ class _Compiled:
                 acc_g = G.table[acc_g][sg]
             state = {}
             for (x, axes), v in within.items():
-                lv = lam[x]
-                if lv:
-                    add_into(state, axes, v * lv)
+                lv = lam.get(x)
+                if lv is not None:
+                    add_into(state, axes, v if lv is one else v * lv)
             if not state:
                 break
         if registry and state:
             raise EvaluationError("dangling tensor factors after contraction")
         bracket = state.get((), zero)
+        if bracket and num != den:
+            bracket = bracket * Cyclo.rational(num, den, H.conductor)
         return InvariantValue(self.norm * bracket, bracket, self.exponent)
 
 
@@ -437,7 +450,7 @@ def contraction_plan(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagra
     bound = compiled.sites(grades)
     if bound is None:
         return None
-    site_entries, comp_slots = bound
+    site_entries, comp_slots, _ = bound
     planner, (order, starts, cost) = compiled.plan(site_entries, comp_slots)
     positions = compiled.positions
     # the slot holding event 0: the first one, or a last one that wraps round

@@ -1,8 +1,10 @@
 """Evaluator results on the builtin diagrams, checked against independent
 closed forms, plus summed invariants and multiplicativity."""
 
+import itertools
 import re
 import sys
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -225,6 +227,37 @@ def test_cached_dot_sites_follow_the_signs_and_the_integral_data(bank):
                 expected = [oracles.expansion_invariant(H, ints, cd) for cd in colorings(d, G)]
                 assert [evaluate(H, ints, cd).value for cd in colorings(d, G)] == expected
                 assert [iv.value for iv in evaluate_summed(H, ints, d).values] == expected
+
+
+@pytest.mark.parametrize("spec", ("kac-paljutkin", "cyclic:k=2,l=4,d=1", "cyclic:k=3,l=5,d=3"))
+def test_sites_and_lam_are_their_content_times_primitive_entries(bank, spec):
+    # every cached dot site of up to 3 passages, as its content times its
+    # entries, against Delta^(k-1)(L_a) and S on the up factors computed
+    # from scratch by the oracle; the entries have int coefficients with
+    # gcd 1, and an entry equal to 1 is the shared one (the unit rule)
+    H, ints = bank(spec)
+    one = Cyclo.one(H.conductor)
+
+    def primitive(entries):
+        return (all(v.den == 1 for _, v in entries)
+                and gcd(*(c for _, v in entries for c in v.num)) == 1
+                and all(v is one for _, v in entries if v == 1))
+
+    for a in H.support:
+        for k in (1, 2, 3):
+            for downs in itertools.product((True, False), repeat=k):
+                (p, q), entries, grades = ints.dot_site(a, downs)
+                want = oracles._ref_coproduct_power(H, a, ints.integrals[a], k)
+                for f, down in enumerate(downs):
+                    if not down:
+                        want = oracles._ref_antipode_at(H, a, want, f)
+                assert [(t, v * Fraction(p, q)) for t, v in entries] == sorted(want.items())
+                assert primitive(entries), (a, downs)
+                assert grades == tuple(a if s else H.group.inverses[a] for s in downs)
+    (p, q), lam = ints.primitive_lam
+    assert {i: v * Fraction(p, q) for i, v in lam.items()} == {
+        i: v for i, v in enumerate(ints.lam_values) if v}
+    assert primitive(list(lam.items()))
 
 
 def test_inconsistent_coloring_rejected(bank):
