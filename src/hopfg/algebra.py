@@ -10,8 +10,9 @@ Every structure map is a sparse linear map, and one kernel applies them
 all: ``add_into`` is the only place where a sum is accumulated into a
 sparse dict (an entry whose sum is zero is dropped), ``apply_rows``
 applies sparse rows to a vector, ``apply_rows_at`` applies them to
-one factor of a tensor, ``echelon_add`` is the one exact elimination
-(span tests in ``verify.generators``, the integral systems in
+one factor of a tensor, ``mul_rows`` applies a product table (H's, or
+the dual algebra's in ``verify``) to two vectors, ``echelon_add`` is the
+one exact elimination (span tests in ``verify``, the integral systems in
 ``integrals``), and ``primitive`` divides out a rational content, so
 echelon rows and cached sites have coprime int coefficients (the
 evaluator multiplies contents in once).  Vectors and tensors are raw
@@ -115,6 +116,21 @@ def apply_rows_at(entries: dict, pos: int, rows, one) -> dict:
         head, tail = idxs[:pos], idxs[pos + 1:]
         for u, uv in rows[idxs[pos]].items():
             add_into(out, head + u + tail, v if uv is one else uv if v is one else v * uv)
+    return out
+
+
+def mul_rows(rows, x: dict, y: dict, one) -> dict:
+    """The bilinear map with nested sparse rows (rows[i][j] is the image of
+    the pair of basis vectors i, j) applied to the sparse vectors x and y,
+    nothing multiplied by ``one`` as in ``apply_rows``."""
+    out: dict = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            terms = rows[i][j]
+            if terms:
+                xy = yj if xi is one else xi if yj is one else xi * yj
+                for t, c in terms.items():
+                    add_into(out, t, xy if c is one else c if xy is one else xy * c)
     return out
 
 
@@ -350,16 +366,7 @@ class HopfGAlgebra:
         return got
 
     def mul_raw(self, a: int, b: int, x: dict, y: dict) -> dict:
-        rows, one = self.product[a, b], self.one()
-        out: dict = {}
-        for i, xi in x.items():
-            for j, yj in y.items():
-                terms = rows[i][j]
-                if terms:
-                    xy = yj if xi is one else xi if yj is one else xi * yj
-                    for t, c in terms.items():
-                        add_into(out, t, xy if c is one else c if xy is one else xy * c)
-        return out
+        return mul_rows(self.product[a, b], x, y, self.one())
 
     def counit_raw(self, a: int, x: dict) -> Cyclo:
         eps, one = self.counit[a], self.one()

@@ -171,20 +171,22 @@ def cmd_integrals(args) -> int:
 
 
 def cmd_invariant(args) -> int:
-    from .diagrams import color
-    from .evaluate import evaluate, evaluate_summed
-    from .integrals import solve_integrals
-
+    # each layer is imported just before its first use, so a run that
+    # exits 2 on its algebra, diagram or connection loads no later one
     H = resolve_algebra(args.algebra)
     d = resolve_diagram(args.diagram)
+    from .integrals import solve_integrals
     data = solve_integrals(H)
     cond = H.conductor
 
     if args.connection == "all":
+        from .evaluate import evaluate_summed
         summed = evaluate_summed(H, data, d)
         pairs = list(zip(summed.homs, summed.values))
     else:
         hom = _parse_connection(args.connection, H, d)
+        from .diagrams import color
+        from .evaluate import evaluate
         pairs = [(hom, evaluate(H, data, color(d, hom)))]
 
     if args.format == "json":
@@ -224,13 +226,10 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_moves(args) -> int:
-    from .diagrams import color
-    from .evaluate import evaluate
-    from .integrals import solve_integrals
-    from .moves import MoveError, apply_move
-
+    # imports just before first use, as in cmd_invariant
     H = resolve_algebra(args.algebra)
     d = resolve_diagram(args.diagram)
+    from .integrals import solve_integrals
     data = solve_integrals(H)
     cond = H.conductor
     if args.connection == "all":
@@ -241,6 +240,9 @@ def cmd_moves(args) -> int:
         raise SerializeError("move script must be a JSON list of move objects")
 
     hom = _parse_connection(args.connection, H, d)
+    from .diagrams import color
+    from .evaluate import evaluate
+    from .moves import MoveError, apply_move
     cd = color(d, hom)
     base = evaluate(H, data, cd)
     steps = []

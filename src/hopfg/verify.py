@@ -2,16 +2,22 @@
 
 Every check has a full sweep over all supported grade and basis tuples,
 in ascending order, returning the first witness's text (``_witness``)
-when it fails and None when it passes.  Six have a proof (``PROOFS``), a
+when it fails and None when it passes.  Nine have a proof (``PROOFS``), a
 smaller check that decides as the sweep would once the checks it rests
 on passed; where it fails, or they did, the sweep runs and reports.
-HG1, HG5, HG6 and CHG2 take only ``generators`` as first factor: the x
-for which the law holds against all later factors contain 1 and are
-closed under products, so they are all of H.  Yang-Baxter needs no
-check: R12R13R23 = R12 (D(x)id)(R) = (Dcop(x)id)(R) R12 = R23R13R12
-(Kassel, Quantum Groups, VIII.2), where each slot multiplies at most two
-factors other than 1.  And (m(S(x)id)(x)id)(R13R23) = (S(x)id)(R) R and
-(m(id(x)S)(x)id)(R13R23) = R (S(x)id)(R) are both 1 (x) (eps(x)id)(R).
+HG1, HG5, HG6, CHG2 and QHG3 take only ``generators`` as first factor:
+the x for which the law holds against all later factors contain 1 and
+are closed under products, so they are all of H.  QHG1 and QHG2 say that
+f -> (f(x)id)(R) is an algebra map and f -> (id(x)f)(R) an anti-algebra
+map from the dual algebra H_1* (Radford, Minimal quasitriangular Hopf
+algebras, J. Algebra 1993), so they take f over ``dual_generators`` only,
+once the leg (eps(x)id)(R) or (id(x)eps)(R) is 1.  Both generating sets
+come from one greedy loop, ``_greedy_generators``, and each is found once
+per ``verify_axioms``.  Yang-Baxter needs no check: R12R13R23 = R12
+(D(x)id)(R) = (Dcop(x)id)(R) R12 = R23R13R12 (Kassel, Quantum Groups,
+VIII.2), where each slot multiplies at most two factors other than 1.
+And (m(S(x)id)(x)id)(R13R23) = (S(x)id)(R) R and (m(id(x)S)(x)id)(R13R23)
+= R (S(x)id)(R) are both 1 (x) (eps(x)id)(R).
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .algebra import (
     embed_two_raw,
     format_raw_tensor,
     format_raw_vector,
+    mul_rows,
     scaled_raw,
     slot_rows,
 )
@@ -105,43 +112,89 @@ def _unit_unit(H):
 
 
 def verify_axioms(H: HopfGAlgebra) -> AxiomReport:
-    """Every check of ``CHECKS``, by its proof where ``PROOFS`` has one and
-    the checks it rests on passed, else by its full sweep."""
-    found, gens = {}, None
-    # checks with a proof run last; of them only HG1 is rested on, and first
-    for key in sorted(CHECKS, key=PROOFS.__contains__):
-        needs, proof = PROOFS.get(key, ((), None))
-        proved = (proof is not None and all(found[k] is None for k in needs)
-                  and proof(H, gens := gens or generators(H)) is None)
-        found[key] = None if proved else CHECKS[key][1](H)
+    """Every check of ``CHECKS``, in ``RUN_ORDER``, by its proof where
+    ``PROOFS`` has one and the checks it rests on passed, else by its full
+    sweep.  Each generating set a proof takes is found once."""
+    found, spans = {}, {None: None}
+    for key in RUN_ORDER:
+        needs, span, proof = PROOFS.get(key, ((), None, None))
+        if proof is not None and all(found[k] is None for k in needs):
+            if span not in spans:
+                spans[span] = span(H)
+            if proof(H, spans[span]) is None:
+                found[key] = None
+                continue
+        found[key] = CHECKS[key][1](H)
     return AxiomReport(H.name, [(name, found[key] is None, found[key])
                                 for key, (name, _) in CHECKS.items()])
 
 
-def generators(H: HopfGAlgebra) -> dict:
-    """Basis indices gens[a] per supported grade a that generate H with 1:
-    in grade, then index order, each basis element outside the span of 1,
-    the generators and their right products by generators becomes one.
-    The span is kept by ``echelon_add``, inverting no scalar."""
-    G, one = H.group, H.one()
-    rows = {a: [] for a in H.support}  # grade -> echelon rows (pivot, row)
-    gens, todo = {a: [] for a in H.support}, []  # todo: (b, v, c, j) for v e_j, v in H_b
+def _greedy_generators(H, full, unit, candidates, product):
+    """Per grade, the keys of the candidates (grade, key, vector) that
+    generate with the unit (grade, vector): in order, each candidate
+    outside the span of the unit, the generators and their right products
+    by generators becomes one.  product(b, v, c, w) is v w for v of grade
+    b and w of grade c, of grade ``H.group.table[b][c]``; full[a] is the
+    dimension of grade a.  Once a grade's span is full, no candidate or
+    product in it is formed or reduced, which changes no choice.  The span
+    is kept by ``echelon_add``, inverting no scalar."""
+    table, one = H.group.table, H.one()
+    rows = {a: [] for a in full}  # grade -> echelon rows (pivot, row)
+    gens, taken, todo = {a: [] for a in full}, [], []  # todo: (b, v, c, w) for v w
 
     def grow(a, v):
-        if v := echelon_add(rows[a], v, one):
-            todo.extend((a, v, b, j) for b in gens for j in gens[b])
-        return bool(v)
+        if len(rows[a]) == full[a] or not (v := echelon_add(rows[a], v, one)):
+            return False
+        todo.extend((a, v, c, w) for c, w in taken)
+        return True
 
-    grow(G.identity_index, dict(H.unit))
-    for a in H.support:
-        for i in range(H.dims[a]):
-            if grow(a, {i: one}):
-                gens[a].append(i)
-                todo.extend((b, v, a, i) for b in rows for _, v in rows[b])
-                while todo:
-                    b, v, c, j = todo.pop()
-                    grow(G.table[b][c], H.mul_raw(b, c, v, {j: one}))
+    grow(*unit)
+    for a, key, w in candidates:
+        if grow(a, w):
+            gens[a].append(key)
+            taken.append((a, w))
+            todo.extend((b, v, a, w) for b in rows for _, v in rows[b])
+            while todo:
+                b, v, c, w = todo.pop()
+                if len(rows[bc := table[b][c]]) < full[bc]:
+                    grow(bc, product(b, v, c, w))
     return gens
+
+
+def generators(H: HopfGAlgebra) -> dict:
+    """Basis indices gens[a] per supported grade a that generate H with 1,
+    taken greedily in grade, then index order (``_greedy_generators``)."""
+    one = H.one()
+    return _greedy_generators(
+        H, {a: H.dims[a] for a in H.support}, (H.group.identity_index, dict(H.unit)),
+        ((a, i, {i: one}) for a in H.support for i in range(H.dims[a])),
+        lambda b, v, c, w: H.mul_raw(b, c, v, w))
+
+
+def _dual_table(H):
+    """The product of H_1*, dual to the coproduct of H_1, as nested rows on
+    the dual basis: d_p * d_q = sum_m D(e_m)[p, q] d_m."""
+    n = H.dims[H.group.identity_index]
+    table = [[{} for _ in range(n)] for _ in range(n)]
+    for m, dm in enumerate(H.coproduct[H.group.identity_index]):
+        for (p, q), v in dm.items():
+            table[p][q][m] = v
+    return table
+
+
+def dual_generators(H: HopfGAlgebra) -> list:
+    """Vectors of H_1*, on the dual basis, that generate it with eps under
+    the product ``_dual_table``: Sum_p (p+1) d_p first, which alone
+    generates wherever the d_p are orthogonal idempotents, as at a group
+    algebra (its powers are Vandermonde rows), then the d_p themselves."""
+    e, one = H.group.identity_index, H.one()
+    n, table = H.dims[e], _dual_table(H)
+    vandermonde = {p: Cyclo.rational(p + 1, conductor=H.conductor) if p else one
+                   for p in range(n)}
+    eps = {p: v for p, v in enumerate(H.counit[e]) if v}
+    candidates = [(e, vandermonde, vandermonde)] + [(e, {p: one}, {p: one}) for p in range(n)]
+    return _greedy_generators(H, {e: n}, (e, eps), candidates,
+                              lambda b, f, c, g: mul_rows(table, f, g, one))[e]
 
 
 # -- plain Hopf axioms -------------------------------------------------------
@@ -369,10 +422,10 @@ def _check_r_split(H, slot):
                         (f"R13*R{p + 1}{q + 1} =", rhs))
 
 
-def _check_r_intertwine(H):
+def _check_r_intertwine(H, firsts=None):
     e = H.group.identity_index
     for a in H.support:
-        for i in range(H.dims[a]):
+        for i in _indices(H, firsts, a):
             dx = H.coproduct[a][i]
             dcop = {(q, p): v for (p, q), v in dx.items()}
             lhs = _tensor_mul_raw(H, (e, e), H.rmatrix, (a, a), dx)
@@ -413,11 +466,37 @@ def _check_yang_baxter(H):
         return _witness(H, "", g3, ("R12*R13*R23 =", lhs), ("R23*R13*R12 =", rhs))
 
 
-def _check_r_counit_leg(H, gens):
-    """(eps(x)id)(R) = 1, the proof that R is invertible."""
+def _check_r_counit_leg(H, slot):
+    """(eps(x)id)(R) = 1 at slot 0, (id(x)eps)(R) = 1 at slot 1."""
     eps = [{(): v} if v else {} for v in H.counit[H.group.identity_index]]
-    if apply_rows_at(H.rmatrix, 0, eps, H.one()) != {(p,): v for p, v in H.unit.items()}:
-        return "(eps(x)id)R is not 1"
+    if apply_rows_at(H.rmatrix, slot, eps, H.one()) != {(p,): v for p, v in H.unit.items()}:
+        return ("(eps(x)id)R is not 1", "(id(x)eps)R is not 1")[slot]
+
+
+def _check_r_split_on_dual(H, dual_gens, slot):
+    """(QHG1) at slot 0, through R_b: f -> (f(x)id)(R), and (QHG2) at slot
+    1, through R#: f -> (id(x)f)(R).  Pairing legs 1 and 2 of (D(x)id)R =
+    R13 R23 with f (x) g gives R_b(f*g) = R_b(f) R_b(g), and legs 2 and 3
+    of (id(x)D)R = R13 R12 give R#(f*g) = R#(g) R#(f): QHG1 says that R_b
+    is an algebra map from (H_1*, *) to H_1, and QHG2 that R# is an
+    anti-algebra map (Radford, Minimal quasitriangular Hopf algebras, J.
+    Algebra 1993).  Those f for which it holds against every g contain
+    eps, once the leg above is 1, and are closed under *, so it is enough
+    to take f over generators of H_1* and g over the dual basis."""
+    if found := _check_r_counit_leg(H, slot):
+        return found
+    e, one = H.group.identity_index, H.one()
+    legs = [{} for _ in range(H.dims[e])]  # legs[p]: the image of d_p
+    for pq, v in H.rmatrix.items():
+        legs[pq[slot]][pq[1 - slot]] = v
+    table = _dual_table(H)
+    for f in dual_gens:
+        image = apply_rows(legs, f, one)
+        for q in range(H.dims[e]):
+            lhs = apply_rows(legs, mul_rows(table, f, {q: one}, one), one)
+            pair = (image, legs[q]) if slot == 0 else (legs[q], image)
+            if lhs != H.mul_raw(e, e, *pair):
+                return f"{('R_b', 'R#')[slot]} fails on a generator of H_1* and d_{q}"
 
 
 # key -> (report name, full sweep), in report order
@@ -444,16 +523,26 @@ CHECKS = {
     "YB": ("quantum Yang-Baxter", _check_yang_baxter),
 }
 
-# key -> (the checks a proof rests on, the proof): a check given H and its
-# generators, returning None only when the full sweep would pass
+# key -> (the checks a proof rests on, the generating set it takes or None,
+# the proof): a check given H and that set, returning None only when the
+# full sweep would pass
 PROOFS = {
-    "HG1": (("HG2",), _check_associative),
-    "HG5": (("HG1", "HG2", "HG7"), _check_coproduct_mult),
-    "HG6": (("HG1", "HG2", "HG8"), _check_counit_mult),
-    "CHG2": (("HG1", "HG2", "CHG3"), _check_crossing_mult),
-    "RINV": (("HG2", "HG9", "QHG1"), _check_r_counit_leg),
-    "YB": (("HG2", "QHG1", "QHG3"), lambda H, gens: None),
+    "HG1": (("HG2",), generators, _check_associative),
+    "HG5": (("HG1", "HG2", "HG7"), generators, _check_coproduct_mult),
+    "HG6": (("HG1", "HG2", "HG8"), generators, _check_counit_mult),
+    "CHG2": (("HG1", "HG2", "CHG3"), generators, _check_crossing_mult),
+    "QHG1": (("HG1", "HG2", "HG3", "HG4"), dual_generators,
+             lambda H, gens: _check_r_split_on_dual(H, gens, 0)),
+    "QHG2": (("HG1", "HG2", "HG3", "HG4"), dual_generators,
+             lambda H, gens: _check_r_split_on_dual(H, gens, 1)),
+    "QHG3": (("HG1", "HG2", "HG5", "HG7"), generators, _check_r_intertwine),
+    "RINV": (("HG2", "HG9", "QHG1"), None, lambda H, gens: _check_r_counit_leg(H, 0)),
+    "YB": (("HG2", "QHG1", "QHG3"), None, lambda H, gens: None),
 }
+
+# checks without a proof first, in report order, then those with one: each
+# proof's preconditions are decided before it runs
+RUN_ORDER = sorted(CHECKS, key=PROOFS.__contains__)
 
 
 # -- Drinfeld element --------------------------------------------------------

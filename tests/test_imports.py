@@ -58,6 +58,29 @@ def test_each_command_loads_only_the_modules_it_runs(argv, extra):
     assert set(modules) == {f"hopfg.{m}" for m in BASE | extra}
 
 
+K2 = ["--algebra", "cyclic:k=2,l=3,d=1"]
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["sum", "--algebra", "cyclic:k=0,l=2,d=0", "--diagram", "s1xs1xs2"], set()),
+    (["invariant", *C13, "--diagram", "{broken}"], {"diagrams"}),
+    (["sum", *C13, "--diagram", "{not_json}"], {"diagrams"}),
+    (["moves", *C13, "--diagram", "{broken}", "--script", "script.json"], {"diagrams"}),
+    (["invariant", *K2, "--diagram", "s1xs1xs2", "--connection", "g"],
+     {"diagrams", "integrals"}),
+    (["moves", *K2, "--diagram", "s1xs1xs2", "--connection", "g", "--script", "script.json"],
+     {"diagrams", "integrals"}),
+], ids=["bad-algebra", "broken-diagram", "non-json-diagram", "moves-broken-diagram",
+        "bad-connection", "moves-bad-connection"])
+def test_a_command_that_exits_2_loads_only_what_it_ran(argv, extra, tmp_path):
+    files = {"broken": tmp_path / "broken.json", "not_json": tmp_path / "not-json.json"}
+    files["broken"].write_text('{"components": 3}')
+    files["not_json"].write_text("not json")
+    code, _, _, *modules = run_child(_COMMAND, *(a.format(**files) for a in argv)).split()
+    assert code == "2"
+    assert set(modules) == {f"hopfg.{m}" for m in BASE | extra}
+
+
 # checks the package surface after the import order given as argv[1]
 _SURFACE = """
 import contextlib, inspect, io, sys
