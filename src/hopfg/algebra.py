@@ -14,9 +14,9 @@ one factor of a tensor, ``mul_rows`` applies a product table (H's, or
 the dual algebra's in ``verify``) to two vectors, ``echelon_add`` is the
 one exact elimination (span tests in ``verify``, the integral systems in
 ``integrals``), and ``primitive`` divides out a rational content, so
-echelon rows and cached sites have coprime int coefficients (the
-evaluator multiplies contents in once).  Vectors and tensors are raw
-dicts ({basis index: Cyclo} and {index tuple: Cyclo}) throughout.
+echelon rows, cached sites and ``primitive_products`` rows have coprime
+int coefficients (the evaluator multiplies contents in once).  Vectors and
+tensors are raw dicts ({basis index: Cyclo} and {index tuple: Cyclo}) throughout.
 ``Graded`` pairs such a dict (``entries``) with the GroupElement of the
 vector, or of every factor of the tensor (``grade``); it is built only
 as the return of ``IntegralData.integral``, ``verify.drinfeld_element``
@@ -208,8 +208,8 @@ class HopfGAlgebra:
     Construction validates dimensional consistency, totality of all maps,
     scalar conductors, and that the supported grades form a normal subgroup.
     An instance is treated as immutable after construction:
-    ``right_mul_rows``, ``crossing_site`` and the sites an ``IntegralData``
-    caches are computed once from these maps.
+    ``right_mul_rows``, ``primitive_products``, ``crossing_site`` and the
+    sites an ``IntegralData`` caches are computed once from these maps.
     """
 
     def __init__(self, group: FiniteGroup, dims, conductor: int, product, unit,
@@ -228,6 +228,7 @@ class HopfGAlgebra:
         self.basis_names = basis_names
         self.name = name
         self._right_mul_rows = {}  # (a, b) -> right_mul_rows(a, b)
+        self._primitive_products = None  # primitive_products(), built on first use
         self._crossing_sites = {}  # (signs, words) -> crossing_site(signs, words)
         self._validate_structure()
 
@@ -364,6 +365,25 @@ class HopfGAlgebra:
                 got.append(None if identity else m)
             self._right_mul_rows[a, b] = got
         return got
+
+    def primitive_products(self) -> dict:
+        """{(a, b): (contents, rows)} over the supported grade pairs: e_i e_j
+        is its content contents[i][j] (``one`` for 1) times rows[i][j].  A
+        product with a denominator is split by ``primitive``; any other is
+        kept with content 1, and a table without denominators is its own rows."""
+        if self._primitive_products is None:
+            one, views = self.one(), {}
+            ones = [[one] * max(self.dims)] * max(self.dims)
+            for table in {id(t): t for t in self.product.values()}.values():
+                split = [[primitive(x, one) if any(v.den != 1 for v in x.values()) else ((1, 1), x)
+                          for x in row] for row in table]
+                ks = {c: one if c == (1, 1) else Cyclo.rational(*c, self.conductor)
+                      for row in split for c, _ in row}  # one Cyclo per content
+                views[id(table)] = (ones, table) if all(k is one for k in ks.values()) else (
+                    [[ks[c] for c, _ in row] for row in split], [[y for _, y in row] for row in split])
+            self._primitive_products = {ab: views[id(self.product[ab])]
+                                        for ab in itertools.product(self.support, repeat=2)}
+        return self._primitive_products
 
     def mul_raw(self, a: int, b: int, x: dict, y: dict) -> dict:
         return mul_rows(self.product[a, b], x, y, self.one())

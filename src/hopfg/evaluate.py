@@ -43,8 +43,9 @@ and binds one coloring; ``evaluate_summed`` compiles once and binds
 every flat connection.  The value is multilinear in the sites, so each
 is cached as (content, primitive entries) (``algebra.primitive``), dot
 sites on the IntegralData and crossing sites on the algebra (both
-immutable), and the fold multiplies primitive entries and lam's
-primitive values, skipping a factor ``one`` on either side (unit rule).
+immutable), and product rows too (``H.primitive_products``).  The fold
+multiplies primitive entries, each row content once per state and entry,
+and lam's primitive values, skipping ``one`` on either side (unit rule).
 """
 
 from __future__ import annotations
@@ -264,8 +265,11 @@ def _crossing_sites(H: HopfGAlgebra, d: KirbyDiagram, runs, first: int) -> list:
                                tuple(tuple((ids.index(c), 1 - over) for c, over in w)
                                      for w in words))
 
-    def lone(c):
-        return ((c, True),), ((c, False),)
+    lone_sites = {}  # sign -> site: a lone crossing's site depends on its sign only
+
+    def lone_site(c):
+        return lone_sites.get(signs[c]) or lone_sites.setdefault(
+            signs[c], site((((c, True),), ((c, False),))))
 
     groups = {c: (w,) for c in signs if (w := word((c, True), (c, False)))}
     adjacent = {tuple(sorted((ev.crossing, nxt.crossing)))
@@ -279,14 +283,14 @@ def _crossing_sites(H: HopfGAlgebra, d: KirbyDiagram, runs, first: int) -> list:
         xb = (b, at[b, True][0] == at[a, True][0])
         words = (word((a, True), xb), word((a, False), (b, not xb[1])))
         if None not in words and (len(site(words)[1])
-                                  < len(site(lone(a))[1]) * len(site(lone(b))[1])):
+                                  < len(lone_site(a)[1]) * len(lone_site(b)[1])):
             groups[a] = words
             taken.update((a, b))
     for c in signs.keys() - taken:
-        groups[c] = lone(c)
+        groups[c] = ((c, True),), ((c, False),)
     sites = []
-    for i, (_, words) in enumerate(sorted(groups.items())):
-        sites.append(site(words))
+    for i, (c, words) in enumerate(sorted(groups.items())):
+        sites.append(site(words) if c in taken else lone_site(c))
         for f, w in enumerate(words):
             k, p = at[w[0]]
             runs[k][p] = (first + i, f, len(words))
@@ -320,6 +324,7 @@ class _Compiled:
                 runs[comp[ru]][rp] = (site, f, len(x.passages))
         self.crossings = _crossing_sites(H, d, runs, len(dots))
         self.crossing_entries = [entries for _, entries in self.crossings]
+        self.views = H.primitive_products()
         lam_content, self.lam = integrals.primitive_lam
         contents = [c for c, _ in self.crossings] + [lam_content] * len(d.undotted)
         self.scale = (prod(p for p, _ in contents), prod(q for _, q in contents))
@@ -382,7 +387,7 @@ class _Compiled:
         site_entries, comp_slots, (num, den) = bound
         order, starts, _ = self.plan(site_entries, comp_slots)[1]
         H, G, unit, one = self.H, self.H.group, self.H.unit, self.one
-        e, lam = G.identity_index, self.lam
+        e, lam, views = G.identity_index, self.lam, self.views
 
         # between components the state maps pending-axis tuples to scalars;
         # registry lists the open (site, factor) pairs the axes refer to
@@ -396,30 +401,34 @@ class _Compiled:
                 for xi, xv in unit.items():
                     within[(xi, axes)] = v if xv is one else v * xv
             for site, factor, arity, sg in slots[r:] + slots[:r]:
-                rows = H.product[acc_g, sg]
+                contents, rows = views[acc_g, sg]  # e_x e_i = contents[x][i] rows[x][i]
                 nxt = {}
                 if (site, factor) in registry:
                     p = registry.index((site, factor))
                     for (x, axes), v in within.items():
                         a = axes[p]
+                        vk = v if (k := contents[x][a]) is one else k if v is one else v * k
                         naxes = axes[:p] + axes[p + 1:]
                         for y, c in rows[x][a].items():
-                            add_into(nxt, (y, naxes), v if c is one else v * c)
+                            add_into(nxt, (y, naxes), vk if c is one else vk * c)
                     registry.pop(p)
                 else:
-                    remaining = [f for f in range(arity) if f != factor]
                     entries = site_entries[site]
                     if (pairs := len(within) * len(entries)) > MAX_SITE_ENTRIES:
                         raise EvaluationError(
                             f"the fold would open a site of {len(entries)} entries over a "
                             f"table of {len(within)}: {pairs} pairs, more than {MAX_SITE_ENTRIES}")
+                    split = [(t[factor], t[:factor] + t[factor + 1:], w) for t, w in entries]
                     for (x, axes), v in within.items():
-                        for t, w0 in entries:
-                            ext = axes + tuple(t[f] for f in remaining)
-                            vw = w0 if v is one else v if w0 is one else v * w0
-                            for y, c in rows[x][t[factor]].items():
+                        crow, row = contents[x], rows[x]
+                        for i, suffix, w in split:
+                            vw = w if v is one else v if w is one else v * w
+                            if (k := crow[i]) is not one:
+                                vw = vw * k
+                            ext = axes + suffix
+                            for y, c in row[i].items():
                                 add_into(nxt, (y, ext), vw if c is one else vw * c)
-                    registry.extend((site, f) for f in remaining)
+                    registry.extend((site, f) for f in range(arity) if f != factor)
                 within = nxt
                 if not within:
                     break

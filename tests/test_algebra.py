@@ -297,6 +297,31 @@ def test_primitive_divides_out_the_content():
     assert primitive({}, one) == ((1, 1), {})
 
 
+@pytest.mark.parametrize("spec", ["kac-paljutkin", "D(S3)", "cyclic:k=3,l=4,d=1"])
+def test_the_primitive_product_view_is_exact_and_shared(bank, spec):
+    # the fold reads e_i e_j as contents[i][j] times the int entries rows[i][j]
+    H = oracles.double_s3() if spec == "D(S3)" else bank(spec)[0]
+    views, one = H.primitive_products(), H.one()
+    assert H.primitive_products() is views
+    assert set(views) == {(a, b) for a in H.support for b in H.support}
+    for (a, b), (contents, rows) in views.items():
+        table = H.product[a, b]
+        for i in range(H.dims[a]):
+            for j in range(H.dims[b]):
+                k = contents[i][j]
+                assert {t: v if k is one else k * v for t, v in rows[i][j].items()} \
+                    == table[i][j], (spec, a, b, i, j)
+                assert all(v.den == 1 for v in rows[i][j].values())
+                assert (rows[i][j] is table[i][j]) == (k is one)  # no copy of an int row
+        # a table whose contents are all 1 is its own rows: every one here
+        # but kac-paljutkin's, whose z.z is (1/2)(1 + x + y - xy)
+        assert (rows is table) == all(k is one for row in contents for k in row) \
+            == (spec != "kac-paljutkin")
+        # a table shared between grade pairs has one view
+        assert all(views[key] is views[a, b] for key in views if H.product[key] is table)
+    assert len({id(v) for v in views.values()}) == len({id(t) for t in H.product.values()})
+
+
 def test_echelon_entries_stay_small_on_dense_rows():
     # 20 seeded dense rows of 48 entries in -3..3: without dividing each
     # appended row by its content these reach 621,808-bit entries (1.5 s);

@@ -338,20 +338,32 @@ def test_merged_sites_multiply_their_ends_in_traversal_order(bank, spec):
 # the sites' and lam's rational contents enter once per bind.  With warm
 # caches one evaluate_summed made 1,413, 8,344 and 57,096 Cyclo
 # multiplications before that and 18, 6,412 and 44,936 with it (the rest at
-# kac-paljutkin are its +-1/2 product constants); each ceiling is that
-# count plus 10%.
+# kac-paljutkin were its +-1/2 product constants).  The fold now reads each
+# product with a denominator as its content times int entries and multiplies
+# the content in once per state and site entry: 3,724 and 25,928 at
+# kac-paljutkin.  There kink_on_clasp (its kink one merged site, its clasp
+# two R sites, no dots) makes 3 either way, and three_parallel_crossings,
+# whose II pair is one merged site, 36 (68 per row entry).  Each ceiling is
+# the count plus 10%.
 FOLD_WORK = (
     ("cyclic:k=3,l=5,d=3", "s1xs1xs2", 19),
-    ("kac-paljutkin", "s1xs1xs2", 7_053),
-    ("kac-paljutkin", "dots_between_two_components(3)", 49_429),
+    ("kac-paljutkin", "s1xs1xs2", 4_096),
+    ("kac-paljutkin", "dots_between_two_components(3)", 28_520),
+    ("kac-paljutkin", "kink_on_clasp(True, True)", 3),
+    ("kac-paljutkin", "three_parallel_crossings()", 39),
 )
+FOLD_DIAGRAMS = {
+    "dots_between_two_components(3)": lambda: oracles.dots_between_two_components(3),
+    "kink_on_clasp(True, True)": lambda: oracles.kink_on_clasp(True, True),
+    "three_parallel_crossings()": oracles.three_parallel_crossings,
+}
 
 
 def fold_mul_count(spec, name):
     """Cyclo multiplications of one evaluate_summed of the diagram name at
     spec, after a first call has filled the site caches."""
     H, ints = oracles.bank(spec)
-    d = oracles.dots_between_two_components(3) if name.startswith("dots") else builtin_diagram(name)
+    d = FOLD_DIAGRAMS[name]() if name in FOLD_DIAGRAMS else builtin_diagram(name)
     evaluate_summed(H, ints, d)
     calls, mul = [0], Cyclo.__mul__
 
