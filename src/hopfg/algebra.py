@@ -7,16 +7,19 @@ is exact; axiom verification (``verify``) proves each axiom, by a sweep
 over basis tuples or from a smaller check and the axioms it rests on.
 
 Every structure map is a sparse linear map, and one kernel applies them
-all: ``add_into`` is the only place where a sum is accumulated into a
-sparse dict (an entry whose sum is zero is dropped), ``apply_rows``
+all: ``add_into`` is the only place where a sum of Cyclo values is
+accumulated into a sparse dict (an entry whose sum is zero is dropped;
+``cyclo.add_nums_into`` for numerator tuples), ``apply_rows``
 applies sparse rows to a vector, ``apply_rows_at`` applies them to
 one factor of a tensor, ``mul_rows`` applies a product table (H's, or
 the dual algebra's in ``verify``) to two vectors, ``echelon_add`` is the
 one exact elimination (span tests in ``verify``, the integral systems in
 ``integrals``), and ``primitive`` divides out a rational content, so
 echelon rows, cached sites and ``primitive_products`` rows have coprime
-int coefficients (the evaluator multiplies contents in once).  Vectors and
-tensors are raw dicts ({basis index: Cyclo} and {index tuple: Cyclo}) throughout.
+int coefficients (the evaluator multiplies contents in once); it returns
+numerator tuples (``Cyclo.num``), which the evaluator's caches hold and
+``cyclos`` turns back into Cyclo values.  Vectors and tensors are raw
+dicts ({basis index: Cyclo} and {index tuple: Cyclo}) everywhere else.
 ``Graded`` pairs such a dict (``entries``) with the GroupElement of the
 vector, or of every factor of the tensor (``grade``); it is built only
 as the return of ``IntegralData.integral``, ``verify.drinfeld_element``
@@ -24,9 +27,10 @@ and ``HopfGAlgebra.coproduct_power``.
 
 The unit rule: a structure constant equal to 1 is its conductor's shared
 ``Cyclo.one`` (the builtins and the JSON loader build it so, as
-``primitive`` does a quotient equal to 1), and the kernel never
-multiplies by that object: where a factor ``is`` it, the other factor
-is the product.  A 1 that is another object is simply multiplied, so
+``primitive`` does a quotient equal to 1, as ``one.num``), and the
+kernel never multiplies by that object: where a factor ``is`` it, the
+other factor is the product, and the evaluator's fold skips ``one.num``
+in the same way.  A 1 that is another object is simply multiplied, so
 values never depend on identity, only the work does.  The product table
 is nested rows, ``product[a, b][i][j]`` = e_i e_j.  Tensor products
 (``_tensor_mul_raw``) are slotwise apply_rows_at passes of the maps
@@ -147,15 +151,22 @@ def slot_rows(rows) -> list:
 def primitive(x: dict, one) -> tuple:
     """((p, q), y): the positive rational content p/q of the sparse vector
     or tensor x, the gcd of its numerators over the lcm of its denominators
-    ((1, 1) for {}), and y = x / (p/q), of int coefficients with gcd 1, an
-    entry equal to 1 being ``one`` (von zur Gathen & Gerhard, MCA, 6.2)."""
+    ((1, 1) for {}), and y = x / (p/q) as numerators (``Cyclo.num``) at
+    one's conductor, ints with gcd 1, an entry equal to 1 being ``one.num``
+    (von zur Gathen & Gerhard, MCA, 6.2)."""
+    x = {k: v.lift(one.n) for k, v in x.items()}  # a value may have a lesser conductor
     p = gcd(*(c for v in x.values() for c in v.num)) or 1
     q = lcm(*(v.den for v in x.values()))
-    y = {}
+    unit, y = one.num, {}
     for k, v in x.items():
         num = tuple(c // p * (q // v.den) for c in v.num)
-        y[k] = one if num == one.num and v.n == one.n else _make(v.n, num, 1)
+        y[k] = unit if num == unit else num
     return (p, q), y
+
+
+def cyclos(y: dict, one) -> dict:
+    """Numerators (``Cyclo.num``) as Cyclo values over 1, ``one.num`` as ``one``."""
+    return {k: one if t is one.num else _make(one.n, t, 1) for k, t in y.items()}
 
 
 def echelon_add(echelon: list, v: dict, one) -> dict:
@@ -172,7 +183,7 @@ def echelon_add(echelon: list, v: dict, one) -> dict:
             for t, r in row.items():
                 add_into(v, t, -(f if r is one else f * r))
     if v:
-        v = primitive(v, one)[1]
+        v = cyclos(primitive(v, one)[1], one)
         echelon.append((min(v), v))
     return v
 
@@ -366,23 +377,24 @@ class HopfGAlgebra:
             self._right_mul_rows[a, b] = got
         return got
 
-    def primitive_products(self) -> dict:
-        """{(a, b): (contents, rows)} over the supported grade pairs: e_i e_j
-        is its content contents[i][j] (``one`` for 1) times rows[i][j].  A
-        product with a denominator is split by ``primitive``; any other is
-        kept with content 1, and a table without denominators is its own rows."""
+    def primitive_products(self) -> tuple:
+        """(primitive(unit), views): views[a, b] = (contents, rows) over the
+        supported grade pairs, e_i e_j being the int ratio contents[i][j] times
+        rows[i][j], of int coefficients at H's conductor.  A product with a
+        denominator or a lesser conductor is split by ``primitive``, any other
+        has content (1, 1), and a table of only those is its own rows."""
         if self._primitive_products is None:
             one, views = self.one(), {}
-            ones = [[one] * max(self.dims)] * max(self.dims)
+            ones = [[(1, 1)] * max(self.dims)] * max(self.dims)
             for table in {id(t): t for t in self.product.values()}.values():
-                split = [[primitive(x, one) if any(v.den != 1 for v in x.values()) else ((1, 1), x)
-                          for x in row] for row in table]
-                ks = {c: one if c == (1, 1) else Cyclo.rational(*c, self.conductor)
-                      for row in split for c, _ in row}  # one Cyclo per content
-                views[id(table)] = (ones, table) if all(k is one for k in ks.values()) else (
-                    [[ks[c] for c, _ in row] for row in split], [[y for _, y in row] for row in split])
-            self._primitive_products = {ab: views[id(self.product[ab])]
-                                        for ab in itertools.product(self.support, repeat=2)}
+                split = [[None if all(v.den == 1 and v.n == one.n for v in x.values())
+                          else primitive(x, one) for x in row] for row in table]
+                views[id(table)] = (ones, table) if not any(map(any, split)) else (
+                    [[s[0] if s else (1, 1) for s in row] for row in split],
+                    [[cyclos(s[1], one) if s else x for s, x in zip(row, xs)]
+                     for row, xs in zip(split, table)])
+            self._primitive_products = primitive(self.unit, one), {
+                ab: views[id(self.product[ab])] for ab in itertools.product(self.support, repeat=2)}
         return self._primitive_products
 
     def mul_raw(self, a: int, b: int, x: dict, y: dict) -> dict:

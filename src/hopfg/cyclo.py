@@ -8,7 +8,10 @@ mod the n-th cyclotomic polynomial Phi_n (rather than mod x^n - 1) and
 normalizing the denominator make the form canonical, so equality is a
 comparison of a tuple and an int and exact Gauss-sum identities can be
 tested with ==.  The read-only view ``c`` gives the same value as a
-sparse {exponent: Fraction} map of the nonzero terms.
+sparse {exponent: Fraction} map of the nonzero terms.  ``mul_nums`` is
+the one multiplication mod Phi_n, of numerator tuples: ``Cyclo.__mul__``
+calls it, and the evaluator's fold computes in Z[zeta_n] with it and
+``add_nums_into``, building no Cyclo until the bracket.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import add
 
 
 def _smallest_prime_factor(n: int) -> int:
@@ -88,6 +92,45 @@ def _fold(n: int, terms) -> list:
     return out
 
 
+def mul_nums(n: int, an: tuple, bn: tuple) -> tuple:
+    """The deg ints of (sum an[e] x^e)(sum bn[e] x^e) mod Phi_n: the one
+    multiplication of numerators, shared by ``Cyclo.__mul__`` and the
+    fold in ``evaluate``.  A rational operand (every one when deg = 1)
+    only scales the other."""
+    if not any(bn[1:]):
+        y = bn[0]
+        return tuple([x * y for x in an])
+    if not any(an[1:]):
+        x = an[0]
+        return tuple([x * y for y in bn])
+    deg = len(an)
+    raw = [0] * (2 * deg - 1)
+    for i, x in enumerate(an):
+        if x:
+            for k, y in enumerate(bn, i):
+                raw[k] += x * y
+    out = raw[:deg]
+    rows = _reduction_rows(n)[1]
+    for e in range(deg, 2 * deg - 1):
+        v = raw[e]
+        if v:
+            for j, r in rows[e % n]:
+                out[j] += v * r
+    return tuple(out)
+
+
+def add_nums_into(out: dict, key, v: tuple) -> None:
+    """out[key] += v for numerators v (``Cyclo.num``), dropping the entry
+    when the sum is zero (``algebra.add_into`` for Cyclo values)."""
+    acc = out.get(key)
+    if acc is None:
+        out[key] = v
+    elif any(w := tuple(map(add, acc, v))):
+        out[key] = w
+    else:
+        del out[key]
+
+
 def _make(n: int, num, den: int) -> "Cyclo":
     """The Cyclo num / den at conductor n, for deg ints num and den > 0;
     divides out gcd(den, *num)."""
@@ -115,6 +158,7 @@ class Cyclo:
 
     __slots__ = ("n", "num", "den")
     _ones: dict = {}  # conductor -> the shared one(conductor)
+    _zeros: dict = {}  # conductor -> the shared zero(conductor)
 
     def __init__(self, n: int, coeffs: dict | None = None):
         if n < 1:
@@ -150,7 +194,10 @@ class Cyclo:
 
     @classmethod
     def zero(cls, conductor: int = 1) -> "Cyclo":
-        return cls.rational(0, conductor=conductor)
+        """0 at the given conductor, one shared instance per conductor."""
+        if conductor not in cls._zeros:
+            cls._zeros[conductor] = cls.rational(0, conductor=conductor)
+        return cls._zeros[conductor]
 
     @classmethod
     def one(cls, conductor: int = 1) -> "Cyclo":
@@ -223,33 +270,7 @@ class Cyclo:
             a, b = self._align(other)
             if a is None:
                 return NotImplemented
-        an, bn = a.num, b.num
-        # a rational operand (every one when deg = 1) only scales the other
-        if not any(bn[1:]):
-            y, d = bn[0], b.den
-            if y == d:
-                return a
-            return _make(a.n, [x * y for x in an], a.den * d)
-        if not any(an[1:]):
-            x, d = an[0], a.den
-            if x == d:
-                return b
-            return _make(a.n, [x * y for y in bn], d * b.den)
-        deg = len(an)
-        raw = [0] * (2 * deg - 1)
-        for i, x in enumerate(an):
-            if x:
-                for k, y in enumerate(bn, i):
-                    raw[k] += x * y
-        out = raw[:deg]
-        n = a.n
-        rows = _reduction_rows(n)[1]
-        for e in range(deg, 2 * deg - 1):
-            v = raw[e]
-            if v:
-                for j, r in rows[e % n]:
-                    out[j] += v * r
-        return _make(n, out, a.den * b.den)
+        return _make(a.n, mul_nums(a.n, a.num, b.num), a.den * b.den)
 
     __rmul__ = __mul__
 

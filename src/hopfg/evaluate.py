@@ -35,26 +35,32 @@ component's value does not depend on its start.
 Compiling (``_Compiled``) does, once per (algebra, integrals, diagram),
 what no coloring changes: it validates the diagram and records each
 dot's passage signs, the crossing sites, every component's slots and,
-as an int ratio, the crossing sites' contents times lam's once per
-component.  Binding a coloring multiplies that ratio by its dot sites'
-contents, takes the plan from the compiled diagram's memo, folds, and
-scales the bracket by the ratio unless it is 1.  ``evaluate`` compiles
-and binds one coloring; ``evaluate_summed`` compiles once and binds
-every flat connection.  The value is multilinear in the sites, so each
-is cached as (content, primitive entries) (``algebra.primitive``), dot
-sites on the IntegralData and crossing sites on the algebra (both
-immutable), and product rows too (``H.primitive_products``).  The fold
-multiplies primitive entries, each row content once per state and entry,
-and lam's primitive values, skipping ``one`` on either side (unit rule).
+as an int ratio, the crossing sites' contents times lam's and the
+unit's once per component.  Binding a coloring multiplies that ratio by
+its dot sites' contents, takes the plan from the compiled diagram's memo,
+folds, and builds the bracket (and the value, dim(H_1)^exponent times
+it) as a Cyclo from the folded numerators over the ratio.  ``evaluate``
+compiles and binds one coloring; ``evaluate_summed`` compiles once and
+binds every flat connection.  The
+value is multilinear in the sites, so each is cached as (content,
+primitive numerators) (``algebra.primitive``), dot sites on the
+IntegralData and crossing sites on the algebra (both immutable), and the
+unit and product rows too (``H.primitive_products``).  The fold computes
+in Z[zeta_n]: a value is a numerator tuple (``Cyclo.num``), multiplied
+by ``cyclo.mul_nums`` and added entrywise, and ``one.num`` (a row's ``one``)
+is skipped on either side (unit rule).  A step keeps its terms apart by
+the content of the product row each passes through: a lone content goes
+into the bind's ratio, and mixed ones are scaled by ints to their common
+content, once per key (``_merged``).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import prod
+from collections import defaultdict
+from math import gcd, lcm, prod
 
-from .algebra import MAX_SITE_ENTRIES, HopfGAlgebra, add_into
-from .cyclo import Cyclo
+from .algebra import MAX_SITE_ENTRIES, HopfGAlgebra
+from .cyclo import Cyclo, _make, add_nums_into, mul_nums
 from .diagrams import (
     ColoredDiagram,
     CrossingEnd,
@@ -225,6 +231,8 @@ class _Planner:
         slots; the length-sorted order wins a tie."""
         order = self.by_length()
         cost, starts = self.run(order)
+        if len(order) < 2:  # the one order
+            return order, starts, cost
         for cand in dict.fromkeys(map(self.greedy, range(len(order)))):
             ccost, cstarts = self.run(cand)
             if ccost < cost:
@@ -309,10 +317,10 @@ class _Compiled:
             raise EvaluationError("integral data belongs to a different algebra")
         require_valid(d)
         self.H, self.integrals = H, integrals
-        self.zero, self.one = Cyclo.zero(H.conductor), Cyclo.one(H.conductor)
-        self.exponent = len(d.dotted) - len(d.undotted)
-        self.norm = Cyclo.rational(Fraction(H.dims[H.group.identity_index]) ** self.exponent,
-                                   conductor=H.conductor)
+        self.zero, self.one = Cyclo.zero(H.conductor), Cyclo.one(H.conductor).num
+        self.exponent = e = len(d.dotted) - len(d.undotted)
+        dim1 = H.dims[H.group.identity_index]
+        self.norm = (dim1 ** e, 1) if e >= 0 else (1, dim1 ** -e)  # dim(H_1)^exponent
         self.dot_ids = [x.id for x in d.dotted]
         events = {u.id: u.events for u in d.undotted}
         self.signs = [tuple(events[ru][rp].down for ru, rp in x.passages) for x in d.dotted]
@@ -324,9 +332,9 @@ class _Compiled:
                 runs[comp[ru]][rp] = (site, f, len(x.passages))
         self.crossings = _crossing_sites(H, d, runs, len(dots))
         self.crossing_entries = [entries for _, entries in self.crossings]
-        self.views = H.primitive_products()
+        (unit_content, self.unit), self.views = H.primitive_products()
         lam_content, self.lam = integrals.primitive_lam
-        contents = [c for c, _ in self.crossings] + [lam_content] * len(d.undotted)
+        contents = [c for c, _ in self.crossings] + [lam_content, unit_content] * len(d.undotted)
         self.scale = (prod(p for p, _ in contents), prod(q for _, q in contents))
         self.skeleton = [[slot for _, slot in sorted(r.items())] for r in runs]
         self.positions = [sorted(r) for r in runs]
@@ -386,10 +394,11 @@ class _Compiled:
             return InvariantValue(zero, zero, self.exponent)
         site_entries, comp_slots, (num, den) = bound
         order, starts, _ = self.plan(site_entries, comp_slots)[1]
-        H, G, unit, one = self.H, self.H.group, self.H.unit, self.one
+        n, G, unit, one, mul = self.H.conductor, self.H.group, self.unit, self.one, mul_nums
+        row_one = Cyclo.one(n)  # rows hold Cyclo values, read by their numerators
         e, lam, views = G.identity_index, self.lam, self.views
 
-        # between components the state maps pending-axis tuples to scalars;
+        # between components the state maps pending-axis tuples to numerators;
         # registry lists the open (site, factor) pairs the axes refer to
         state = {(): one}
         registry = []
@@ -399,18 +408,19 @@ class _Compiled:
             within = {}
             for axes, v in state.items():
                 for xi, xv in unit.items():
-                    within[(xi, axes)] = v if xv is one else v * xv
+                    within[(xi, axes)] = v if xv is one else mul(n, v, xv)
             for site, factor, arity, sg in slots[r:] + slots[:r]:
                 contents, rows = views[acc_g, sg]  # e_x e_i = contents[x][i] rows[x][i]
-                nxt = {}
+                parts = defaultdict(dict)  # the step's terms by the content of their row
                 if (site, factor) in registry:
                     p = registry.index((site, factor))
                     for (x, axes), v in within.items():
                         a = axes[p]
-                        vk = v if (k := contents[x][a]) is one else k if v is one else v * k
+                        part = parts[contents[x][a]]
                         naxes = axes[:p] + axes[p + 1:]
                         for y, c in rows[x][a].items():
-                            add_into(nxt, (y, naxes), vk if c is one else vk * c)
+                            add_nums_into(part, (y, naxes),
+                                          v if c is row_one else mul(n, v, c.num))
                     registry.pop(p)
                 else:
                     entries = site_entries[site]
@@ -422,14 +432,15 @@ class _Compiled:
                     for (x, axes), v in within.items():
                         crow, row = contents[x], rows[x]
                         for i, suffix, w in split:
-                            vw = w if v is one else v if w is one else v * w
-                            if (k := crow[i]) is not one:
-                                vw = vw * k
+                            vw = w if v is one else v if w is one else mul(n, v, w)
+                            part = parts[crow[i]]
                             ext = axes + suffix
                             for y, c in row[i].items():
-                                add_into(nxt, (y, ext), vw if c is one else vw * c)
+                                add_nums_into(part, (y, ext),
+                                              vw if c is row_one else mul(n, vw, c.num))
                     registry.extend((site, f) for f in range(arity) if f != factor)
-                within = nxt
+                (cp, cq), within = _merged(parts)
+                num, den = num * cp, den * cq
                 if not within:
                     break
                 acc_g = G.table[acc_g][sg]
@@ -437,15 +448,32 @@ class _Compiled:
             for (x, axes), v in within.items():
                 lv = lam.get(x)
                 if lv is not None:
-                    add_into(state, axes, v if lv is one else v * lv)
+                    add_nums_into(state, axes, v if lv is one else mul(n, v, lv))
             if not state:
                 break
         if registry and state:
             raise EvaluationError("dangling tensor factors after contraction")
-        bracket = state.get((), zero)
-        if bracket and num != den:
-            bracket = bracket * Cyclo.rational(num, den, H.conductor)
-        return InvariantValue(self.norm * bracket, bracket, self.exponent)
+        s, (p, q) = state.get((), zero.num), self.norm
+        bracket = _make(n, [x * num for x in s], den)
+        value = bracket if p == q else _make(n, [x * (num * p) for x in s], den * q)
+        return InvariantValue(value, bracket, self.exponent)
+
+
+def _merged(parts: dict) -> tuple:
+    """(c0, terms): a fold step's parts, {row content: terms}, as one table
+    over their common content c0, the gcd of the contents' numerators over
+    the lcm of their denominators; a part of content c is scaled by the int
+    c / c0 once per key, and a lone part is kept as it is."""
+    live = {c: t for c, t in parts.items() if t}
+    if len(live) < 2:
+        return live.popitem() if live else ((1, 1), live)
+    cp, cq = gcd(*(p for p, _ in live)), lcm(*(q for _, q in live))
+    out = live.pop((cp, cq), {})
+    for (p, q), terms in live.items():
+        k = p // cp * (cq // q)
+        for key, v in terms.items():
+            add_nums_into(out, key, tuple([x * k for x in v]))
+    return (cp, cq), out
 
 
 def contraction_plan(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
@@ -498,5 +526,5 @@ def evaluate_summed(H: HopfGAlgebra, integrals: IntegralData,
     homs = tuple(enumerate_homs(pres, H.group))
     # every enumerated hom is flat and into H's group
     values = tuple(compiled.bind([g.index for g in hom.images]) for hom in homs)
-    return SummedInvariant(sum((iv.value for iv in values), Cyclo.zero(H.conductor)),
+    return SummedInvariant(sum((iv.value for iv in values), compiled.zero),
                            values, homs)

@@ -538,6 +538,61 @@ def double_s3():
     )
 
 
+# -- tensor products, whose invariant is the product of the factors' ------------
+
+
+def tensor(H, K):
+    """H (x) K for Hopf G-algebras over one group table: grade a is
+    H_a (x) K_a, e_i (x) f_j its basis vector i * dim K_a + j, and product,
+    unit, coproduct, counit, antipode, crossing and R act factorwise, at the
+    lcm of the two conductors.  Its integrals are the products of the
+    factors' and its cointegral lam_H (x) lam_K, so every term of the
+    bracket factorizes, dim(H_1 (x) K_1) = dim H_1 dim K_1, and the
+    invariant is I_H(X, rho) I_K(X, rho) on every connection rho."""
+    G = H.group
+    assert G.table == K.group.table
+    n = H.conductor * K.conductor // gcd(H.conductor, K.conductor)
+    one, e, kd = Cyclo.one(n), G.identity_index, K.dims
+
+    def scalar(u, v):  # u v at conductor n, 1 the shared one
+        w = (u * v).lift(n)
+        return one if w == one else w
+
+    def vec(x, y, b):  # x (x) y for sparse vectors x of H_b and y of K_b
+        return {i * kd[b] + j: scalar(u, v) for i, u in x.items() for j, v in y.items()}
+
+    def pair(p, b):  # the basis vector p of H_b (x) K_b as (i, j)
+        return divmod(p, kd[b])
+
+    tables = {}  # a table per pair of factor tables, shared as theirs are
+    product = {}
+    for (a, b), th in H.product.items():
+        tk = K.product[a, b]
+        key = (id(th), id(tk), a, b)  # the grades fix the basis sizes
+        if key not in tables:
+            tables[key] = [[vec(th[i][k], tk[j][l], G.table[a][b])
+                            for k, l in map(lambda q: pair(q, b), range(H.dims[b] * kd[b]))]
+                           for i, j in map(lambda p: pair(p, a), range(H.dims[a] * kd[a]))]
+        product[a, b] = tables[key]
+    grades = range(G.order)
+    coproduct = [[{(i1 * kd[a] + j1, i2 * kd[a] + j2): scalar(u, v)
+                   for (i1, i2), u in H.coproduct[a][i].items()
+                   for (j1, j2), v in K.coproduct[a][j].items()}
+                  for i, j in (pair(p, a) for p in range(H.dims[a] * kd[a]))] for a in grades]
+    counit = [[scalar(H.counit[a][i], K.counit[a][j])
+               for i, j in (pair(p, a) for p in range(H.dims[a] * kd[a]))] for a in grades]
+    antipode = [[vec(H.antipode[a][i], K.antipode[a][j], G.inverses[a])
+                 for i, j in (pair(p, a) for p in range(H.dims[a] * kd[a]))] for a in grades]
+    crossing = {(b, a): [vec(phi[i], K.crossing[b, a][j], G.table[G.table[b][a]][G.inverses[b]])
+                         for i, j in (pair(p, a) for p in range(H.dims[a] * kd[a]))]
+                for (b, a), phi in H.crossing.items()}
+    rmatrix = {(i * kd[e] + j, k * kd[e] + l): scalar(r, s)
+               for (i, k), r in H.rmatrix.items() for (j, l), s in K.rmatrix.items()}
+    return HopfGAlgebra(G, [H.dims[a] * kd[a] for a in grades], n, product,
+                        vec(H.unit, K.unit, e), coproduct, counit, antipode, crossing,
+                        rmatrix, name=f"{H.name} (x) {K.name}")
+
+
 def merged_crossing_site(H, d, ids):
     """The crossings ids of d multiplied out into one site, read off the
     diagram: every term picks one entry of each crossing's R or

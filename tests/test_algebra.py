@@ -289,33 +289,39 @@ def test_primitive_divides_out_the_content():
          2: Cyclo.rational(3, 2, n) + z * 3, 3: Cyclo.rational(3, 4, n)}
     content, y = primitive(x, one)
     assert content == (3, 4)
-    assert y == {0: -one, 1: z * 2, 2: 2 + z * 4, 3: one} and y[3] is one
-    assert all(v.den == 1 for v in y.values())
+    # the entries are numerators (Cyclo.num) over the denominator 1
+    assert y == {k: v.num for k, v in {0: -one, 1: z * 2, 2: 2 + z * 4, 3: one}.items()}
+    assert y[3] is one.num
+    assert all(type(c) is int for v in y.values() for c in v)
     # content 1 still gives the shared one for a 1 that is another object
     content, y = primitive({(0, 1): Cyclo.rational(1, 1, n), (1, 0): z}, one)
-    assert content == (1, 1) and y[0, 1] is one and y[1, 0] == z
+    assert content == (1, 1) and y[0, 1] is one.num and y[1, 0] == z.num
     assert primitive({}, one) == ((1, 1), {})
 
 
 @pytest.mark.parametrize("spec", ["kac-paljutkin", "D(S3)", "cyclic:k=3,l=4,d=1"])
 def test_the_primitive_product_view_is_exact_and_shared(bank, spec):
-    # the fold reads e_i e_j as contents[i][j] times the int entries rows[i][j]
+    # the fold reads e_i e_j as the int ratio contents[i][j] times the int
+    # entries rows[i][j], and the unit as its content times numerators
     H = oracles.double_s3() if spec == "D(S3)" else bank(spec)[0]
-    views, one = H.primitive_products(), H.one()
-    assert H.primitive_products() is views
+    got, one = H.primitive_products(), H.one()
+    assert H.primitive_products() is got
+    ((p, q), unit), views = got
+    assert {i: Cyclo(H.conductor, dict(enumerate(v))) * Fraction(p, q) for i, v in unit.items()} \
+        == H.unit
     assert set(views) == {(a, b) for a in H.support for b in H.support}
     for (a, b), (contents, rows) in views.items():
         table = H.product[a, b]
         for i in range(H.dims[a]):
             for j in range(H.dims[b]):
                 k = contents[i][j]
-                assert {t: v if k is one else k * v for t, v in rows[i][j].items()} \
+                assert {t: v * Fraction(*k) for t, v in rows[i][j].items()} \
                     == table[i][j], (spec, a, b, i, j)
                 assert all(v.den == 1 for v in rows[i][j].values())
-                assert (rows[i][j] is table[i][j]) == (k is one)  # no copy of an int row
+                assert (rows[i][j] is table[i][j]) == (k == (1, 1))  # no copy of an int row
         # a table whose contents are all 1 is its own rows: every one here
         # but kac-paljutkin's, whose z.z is (1/2)(1 + x + y - xy)
-        assert (rows is table) == all(k is one for row in contents for k in row) \
+        assert (rows is table) == all(k == (1, 1) for row in contents for k in row) \
             == (spec != "kac-paljutkin")
         # a table shared between grade pairs has one view
         assert all(views[key] is views[a, b] for key in views if H.product[key] is table)

@@ -9,6 +9,7 @@ tests compare ``evaluate`` exactly with the term-by-term expansion in
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -329,7 +330,8 @@ def test_merged_sites_multiply_their_ends_in_traversal_order(bank, spec):
                 if len(want) >= len(lone[0]) * len(lone[1]):
                     want = lone[0]
             (p, q), entries = _Compiled(H, ints, dd).crossings[0]
-            assert [(t, v * Fraction(p, q)) for t, v in entries] == want, (spec, d, ids)
+            assert [(t, Cyclo(H.conductor, dict(enumerate(v))) * Fraction(p, q))
+                    for t, v in entries] == want, (spec, d, ids)
 
 
 # -- the fold's scalar work ------------------------------------------------------
@@ -338,19 +340,24 @@ def test_merged_sites_multiply_their_ends_in_traversal_order(bank, spec):
 # the sites' and lam's rational contents enter once per bind.  With warm
 # caches one evaluate_summed made 1,413, 8,344 and 57,096 Cyclo
 # multiplications before that and 18, 6,412 and 44,936 with it (the rest at
-# kac-paljutkin were its +-1/2 product constants).  The fold now reads each
-# product with a denominator as its content times int entries and multiplies
-# the content in once per state and site entry: 3,724 and 25,928 at
-# kac-paljutkin.  There kink_on_clasp (its kink one merged site, its clasp
-# two R sites, no dots) makes 3 either way, and three_parallel_crossings,
-# whose II pair is one merged site, 36 (68 per row entry).  Each ceiling is
-# the count plus 10%.
+# kac-paljutkin were its +-1/2 product constants).  Reading each product with
+# a denominator as its content times int entries, and multiplying the content
+# in once per state and site entry, took kac-paljutkin to 3,724 and 25,928.
+# The fold now multiplies numerators (Cyclo.num) in Z[zeta_n] by the kernel
+# mul_nums, and a step's row contents enter the bind's int ratio; only a step
+# that mixes contents scales a part by an int, once per key.  A ceiling
+# bounds all three counts together: no Cyclo multiplications, then 0, 2,372
+# and 16,416 kernel calls, and 0, 912 and 5,240 scaled terms.  kink_on_clasp
+# (its kink one merged site, its clasp two R sites, no dots) makes 3 Cyclo
+# multiplications before and 1 kernel call now, and three_parallel_crossings,
+# whose II pair is one merged site, 36 before and 16 + 4 now.  Each ceiling is
+# the count plus 10%, rounded down.
 FOLD_WORK = (
-    ("cyclic:k=3,l=5,d=3", "s1xs1xs2", 19),
-    ("kac-paljutkin", "s1xs1xs2", 4_096),
-    ("kac-paljutkin", "dots_between_two_components(3)", 28_520),
-    ("kac-paljutkin", "kink_on_clasp(True, True)", 3),
-    ("kac-paljutkin", "three_parallel_crossings()", 39),
+    ("cyclic:k=3,l=5,d=3", "s1xs1xs2", 0),
+    ("kac-paljutkin", "s1xs1xs2", 3_612),
+    ("kac-paljutkin", "dots_between_two_components(3)", 23_821),
+    ("kac-paljutkin", "kink_on_clasp(True, True)", 1),
+    ("kac-paljutkin", "three_parallel_crossings()", 22),
 )
 FOLD_DIAGRAMS = {
     "dots_between_two_components(3)": lambda: oracles.dots_between_two_components(3),
@@ -360,25 +367,44 @@ FOLD_DIAGRAMS = {
 
 
 def fold_mul_count(spec, name):
-    """Cyclo multiplications of one evaluate_summed of the diagram name at
-    spec, after a first call has filled the site caches."""
+    """(cyclo, kernel, scalings, binds) of one evaluate_summed of the diagram
+    name at spec, after a first call has filled the site caches: its Cyclo
+    multiplications, the fold's calls of the numerator kernel mul_nums (a
+    rational operand included), the terms its per-step content scalings
+    multiply, and its binds (one per connection)."""
     H, ints = oracles.bank(spec)
     d = FOLD_DIAGRAMS[name]() if name in FOLD_DIAGRAMS else builtin_diagram(name)
     evaluate_summed(H, ints, d)
-    calls, mul = [0], Cyclo.__mul__
+    counts, evaluate_module = [0, 0, 0], sys.modules["hopfg.evaluate"]
+    mul, kernel, merged = Cyclo.__mul__, evaluate_module.mul_nums, evaluate_module._merged
 
     def counted_mul(a, b):
-        calls[0] += 1
+        counts[0] += 1
         return mul(a, b)
 
+    def counted_kernel(n, a, b):
+        counts[1] += 1
+        return kernel(n, a, b)
+
+    def counted_merged(parts):
+        # each term of a part whose content is not the step's common one is scaled
+        content, terms = merged(parts)
+        counts[2] += sum(len(t) for c, t in parts.items() if c != content)
+        return content, terms
+
     Cyclo.__mul__ = Cyclo.__rmul__ = counted_mul
+    evaluate_module.mul_nums, evaluate_module._merged = counted_kernel, counted_merged
     try:
-        evaluate_summed(H, ints, d)
+        binds = len(evaluate_summed(H, ints, d).values)
     finally:
         Cyclo.__mul__ = Cyclo.__rmul__ = mul
-    return calls[0]
+        evaluate_module.mul_nums, evaluate_module._merged = kernel, merged
+    return (*counts, binds)
 
 
 @pytest.mark.parametrize("spec, name, ceiling", FOLD_WORK)
 def test_fold_op_counts(spec, name, ceiling):
-    assert fold_mul_count(spec, name) <= ceiling
+    cyclo, kernel, scalings, binds = fold_mul_count(spec, name)
+    assert cyclo + kernel + scalings <= ceiling
+    # the contents' denominators enter the value once per bind, at its end
+    assert cyclo <= binds

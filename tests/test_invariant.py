@@ -15,6 +15,7 @@ from hopfg import (
     ColoringError,
     EvaluationError,
     builtin_diagram,
+    builtin_diagram_names,
     color,
     colorings,
     connected_sum,
@@ -24,6 +25,7 @@ from hopfg import (
     reorient,
     solve_integrals,
 )
+from hopfg.algebra import HopfGAlgebra
 from hopfg.cyclo import Cyclo
 from hopfg.diagrams import (
     DiagramError,
@@ -236,12 +238,15 @@ def test_sites_and_lam_are_their_content_times_primitive_entries(bank, spec):
     # from scratch by the oracle; the entries have int coefficients with
     # gcd 1, and an entry equal to 1 is the shared one (the unit rule)
     H, ints = bank(spec)
-    one = Cyclo.one(H.conductor)
+    one = Cyclo.one(H.conductor).num
 
-    def primitive(entries):
-        return (all(v.den == 1 for _, v in entries)
-                and gcd(*(c for _, v in entries for c in v.num)) == 1
-                and all(v is one for _, v in entries if v == 1))
+    def primitive(entries):  # entries are numerators (Cyclo.num)
+        return (all(type(c) is int for _, v in entries for c in v)
+                and gcd(*(c for _, v in entries for c in v)) == 1
+                and all(v is one for _, v in entries if v == one))
+
+    def value(v, p, q):
+        return Cyclo(H.conductor, dict(enumerate(v))) * Fraction(p, q)
 
     for a in H.support:
         for k in (1, 2, 3):
@@ -251,11 +256,11 @@ def test_sites_and_lam_are_their_content_times_primitive_entries(bank, spec):
                 for f, down in enumerate(downs):
                     if not down:
                         want = oracles._ref_antipode_at(H, a, want, f)
-                assert [(t, v * Fraction(p, q)) for t, v in entries] == sorted(want.items())
+                assert [(t, value(v, p, q)) for t, v in entries] == sorted(want.items())
                 assert primitive(entries), (a, downs)
                 assert grades == tuple(a if s else H.group.inverses[a] for s in downs)
     (p, q), lam = ints.primitive_lam
-    assert {i: v * Fraction(p, q) for i, v in lam.items()} == {
+    assert {i: value(v, p, q) for i, v in lam.items()} == {
         i: v for i, v in enumerate(ints.lam_values) if v}
     assert primitive(list(lam.items()))
 
@@ -341,3 +346,50 @@ def test_the_fold_cap_stops_a_table_before_a_site_opens(bank, monkeypatch, capsy
     path.write_text(dumps_canonical(diagram_to_json(d)))
     assert main(["invariant", "--algebra", "kac-paljutkin", "--diagram", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# -- tensor products: I(H (x) K) = I(H) I(K) on every connection ------------------
+
+# (H, K): kac-paljutkin with a cyclic algebra at 16 and 32 dimensions per
+# grade, two cyclic algebras at 12, and kac-paljutkin with itself at 64,
+# whose product rows have contents 1, 1/2 and 1/4, so that some fold steps
+# merge three parts (DB_2 there)
+TENSOR_PAIRS = (
+    ("kac-paljutkin", "cyclic:k=2,l=2,d=1"),
+    ("kac-paljutkin", "cyclic:k=2,l=4,d=3"),
+    ("cyclic:k=2,l=3,d=1", "cyclic:k=2,l=4,d=1"),
+    ("kac-paljutkin", "kac-paljutkin"),
+)
+# s1xs1xs2 takes about 9 s at kac-paljutkin (x) kac-paljutkin and every other
+# diagram here under 0.1 s
+TENSOR_SLOW = {("kac-paljutkin", "kac-paljutkin"): {"s1xs1xs2"}}
+
+
+@pytest.mark.parametrize("a, b", TENSOR_PAIRS)
+def test_the_invariant_of_a_tensor_product_is_the_product_of_the_invariants(bank, a, b):
+    (H, ints_h), (K, ints_k) = bank(a), bank(b)
+    HK = oracles.tensor(H, K)
+    ints = solve_integrals(HK)
+    cases = [(name, builtin_diagram(name)) for name in builtin_diagram_names()]
+    for name, d in cases + [("db2", oracles.db2())]:
+        if name in TENSOR_SLOW.get((a, b), ()):
+            continue
+        pairs = zip(evaluate_summed(H, ints_h, d).values, evaluate_summed(K, ints_k, d).values,
+                    strict=True)
+        want = [x.value * y.value for x, y in pairs]
+        assert [iv.value for iv in evaluate_summed(HK, ints, d).values] == want, (a, b, name)
+
+
+@pytest.mark.parametrize("spec", ("kac-paljutkin", "cyclic:k=2,l=3,d=1"))
+def test_scalars_of_a_lesser_conductor_evaluate_as_at_their_own(bank, spec):
+    # the same structure constants declared at twice their conductor, which
+    # it divides: the cached sites, lam, unit and product rows are numerators
+    # at the declared conductor, so each value must be lifted there first
+    H, ints = bank(spec)
+    H2 = HopfGAlgebra(H.group, H.dims, 2 * H.conductor, H.product, H.unit, H.coproduct,
+                      H.counit, H.antipode, H.crossing, H.rmatrix, name=f"{spec} at 2n")
+    ints2 = solve_integrals(H2)
+    for name in builtin_diagram_names():
+        d = builtin_diagram(name)
+        assert ([iv.value for iv in evaluate_summed(H2, ints2, d).values]
+                == [iv.value for iv in evaluate_summed(H, ints, d).values]), (spec, name)
