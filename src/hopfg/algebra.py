@@ -12,13 +12,14 @@ accumulated into a sparse dict (an entry whose sum is zero is dropped;
 ``cyclo.add_nums_into`` for numerator tuples), ``apply_rows``
 applies sparse rows to a vector, ``apply_rows_at`` applies them to
 one factor of a tensor, ``mul_rows`` applies a product table (H's, or
-the dual algebra's in ``verify``) to two vectors, ``echelon_add`` is the
-one exact elimination (span tests in ``verify``, the integral systems in
-``integrals``), and ``primitive`` divides out a rational content, so
-echelon rows, cached sites and ``primitive_products`` rows have coprime
-int coefficients (the evaluator multiplies contents in once); it returns
-numerator tuples (``Cyclo.num``), which the evaluator's caches hold and
-``cyclos`` turns back into Cyclo values.  Vectors and tensors are raw
+``dual_table``, the dual algebra's) to two vectors, ``echelon_add`` is
+the one exact elimination (span tests in ``_greedy_generators``, the
+integral systems in ``integrals``), and ``primitive`` divides out a
+rational content, so echelon rows, cached sites and
+``primitive_products`` rows have coprime int coefficients (the evaluator
+multiplies contents in once); it returns numerator tuples
+(``Cyclo.num``), which the evaluator's caches hold and ``cyclos`` turns
+back into Cyclo values.  Vectors and tensors are raw
 dicts ({basis index: Cyclo} and {index tuple: Cyclo}) everywhere else.
 ``Graded`` pairs such a dict (``entries``) with the GroupElement of the
 vector, or of every factor of the tensor (``grade``); it is built only
@@ -219,8 +220,9 @@ class HopfGAlgebra:
     Construction validates dimensional consistency, totality of all maps,
     scalar conductors, and that the supported grades form a normal subgroup.
     An instance is treated as immutable after construction:
-    ``right_mul_rows``, ``primitive_products``, ``crossing_site`` and the
-    sites an ``IntegralData`` caches are computed once from these maps.
+    ``right_mul_rows``, ``primitive_products``, ``crossing_site``, the
+    generating sets and the dual table below, and the sites an
+    ``IntegralData`` caches are computed once from these maps.
     """
 
     def __init__(self, group: FiniteGroup, dims, conductor: int, product, unit,
@@ -241,6 +243,7 @@ class HopfGAlgebra:
         self._right_mul_rows = {}  # (a, b) -> right_mul_rows(a, b)
         self._primitive_products = None  # primitive_products(), built on first use
         self._crossing_sites = {}  # (signs, words) -> crossing_site(signs, words)
+        self._kept = {}  # generating set or dual table -> its value at H (see _kept)
         self._validate_structure()
 
     # -- structural validation (load errors, before any axiom checking) ----
@@ -469,6 +472,106 @@ class HopfGAlgebra:
 
     def __repr__(self):
         return f"HopfGAlgebra({self.name or 'custom'}, |G|={self.group.order}, dims={self.dims})"
+
+
+# ---------------------------------------------------------------------------
+# generating sets, which ``verify`` proves checks on and ``integrals`` solves on
+
+
+def _kept(build):
+    """build(H), computed on first use and kept on H like its other caches."""
+    def get(H):
+        if build not in H._kept:
+            H._kept[build] = build(H)
+        return H._kept[build]
+    get.__name__, get.__doc__ = build.__name__, build.__doc__
+    return get
+
+
+def _greedy_generators(H, full, unit, candidates, product):
+    """Per grade, the keys of the candidates (grade, key, vector) that
+    generate with the unit (grade, vector): in order, each candidate
+    outside the span of the unit, the generators and their right products
+    by generators becomes one.  product(b, v, c, w) is v w for v of grade
+    b and w of grade c, of grade ``H.group.table[b][c]``; full[a] is the
+    dimension of grade a.  Once a grade's span is full, no candidate or
+    product in it is formed or reduced, which changes no choice.  The span
+    is kept by ``echelon_add``, inverting no scalar."""
+    table, one = H.group.table, H.one()
+    rows = {a: [] for a in full}  # grade -> echelon rows (pivot, row)
+    gens, taken, todo = {a: [] for a in full}, [], []  # todo: (b, v, c, w) for v w
+
+    def grow(a, v):
+        if len(rows[a]) == full[a] or not (v := echelon_add(rows[a], v, one)):
+            return False
+        todo.extend((a, v, c, w) for c, w in taken)
+        return True
+
+    grow(*unit)
+    for a, key, w in candidates:
+        if grow(a, w):
+            gens[a].append(key)
+            taken.append((a, w))
+            todo.extend((b, v, a, w) for b in rows for _, v in rows[b])
+            while todo:
+                b, v, c, w = todo.pop()
+                if len(rows[bc := table[b][c]]) < full[bc]:
+                    grow(bc, product(b, v, c, w))
+    return gens
+
+
+def _basis_generators(H, grades) -> dict:
+    """``_greedy_generators`` on the basis vectors of grades, in grade, then
+    index order, from 1; the grades must be closed under products."""
+    one = H.one()
+    return _greedy_generators(
+        H, {a: H.dims[a] for a in grades}, (H.group.identity_index, dict(H.unit)),
+        ((a, i, {i: one}) for a in grades for i in range(H.dims[a])),
+        lambda b, v, c, w: H.mul_raw(b, c, v, w))
+
+
+@_kept
+def generators(H: HopfGAlgebra) -> dict:
+    """Basis indices gens[a] per supported grade a that generate H with 1,
+    taken greedily in grade, then index order (``_greedy_generators``)."""
+    return _basis_generators(H, H.support)
+
+
+@_kept
+def grade_one_generators(H: HopfGAlgebra) -> list:
+    """Basis indices of H_1 that generate H_1 as an algebra with 1, found as
+    ``generators`` are but in H_1 alone: generators(H)[1] need not be such a
+    set, since products of other grades can land in H_1."""
+    e = H.group.identity_index
+    return _basis_generators(H, (e,))[e]
+
+
+@_kept
+def dual_table(H: HopfGAlgebra) -> list:
+    """The product of H_1*, dual to the coproduct of H_1, as nested rows on
+    the dual basis: d_p * d_q = sum_m D(e_m)[p, q] d_m."""
+    n = H.dims[H.group.identity_index]
+    table = [[{} for _ in range(n)] for _ in range(n)]
+    for m, dm in enumerate(H.coproduct[H.group.identity_index]):
+        for (p, q), v in dm.items():
+            table[p][q][m] = v
+    return table
+
+
+@_kept
+def dual_generators(H: HopfGAlgebra) -> list:
+    """Vectors of H_1*, on the dual basis, that generate it with eps under
+    the product ``dual_table``: Sum_p (p+1) d_p first, which alone
+    generates wherever the d_p are orthogonal idempotents, as at a group
+    algebra (its powers are Vandermonde rows), then the d_p themselves."""
+    e, one = H.group.identity_index, H.one()
+    n, table = H.dims[e], dual_table(H)
+    vandermonde = {p: Cyclo.rational(p + 1, conductor=H.conductor) if p else one
+                   for p in range(n)}
+    eps = {p: v for p, v in enumerate(H.counit[e]) if v}
+    candidates = [(e, vandermonde, vandermonde)] + [(e, {p: one}, {p: one}) for p in range(n)]
+    return _greedy_generators(H, {e: n}, (e, eps), candidates,
+                              lambda b, f, c, g: mul_rows(table, f, g, one))[e]
 
 
 # ---------------------------------------------------------------------------

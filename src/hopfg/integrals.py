@@ -9,6 +9,15 @@ grade.  Integrals in the other grades follow from the translation law
 x*L_1 = eps(x)*L_alpha and the whole family is re-verified against both
 one-sided laws before being returned.
 
+The x with x*L = eps(x)L = L*x contain 1 and are closed under products
+(Larson & Sweedler, Amer. J. Math. 1969), so the grade-1 system takes
+rows for x over ``algebra.grade_one_generators`` only; as the axioms may
+be unchecked, the family check certifies the answer (its (1, 1) case is
+the full law), and if any step fails all is solved again with the rows of
+every basis vector, which raise every IntegralError.  The cointegral's
+system is always the full one: its rows are the coproduct's entries,
+cheaper to solve than generators of H_1* are to find.
+
 Translation needs a basis vector x of H_alpha with eps(x) != 0, and every
 supported grade has one: the counit law (HG4) gives
 x = (eps (x) id)D(x) for every x in H_alpha, so an eps that vanished on
@@ -18,26 +27,25 @@ a nonzero H_alpha would force every x to be zero.
 from __future__ import annotations
 
 from .algebra import (Graded, HopfGAlgebra, IntegralError, add_into, apply_rows_at,
-                      echelon_add, primitive, scaled_raw, slot_rows)
-from .cyclo import Cyclo
+                      echelon_add, grade_one_generators, primitive, scaled_raw, slot_rows)
 from .groups import Record
 
 
-def _two_sided_rows(n, entries):
-    """The sparse rows, one by one, of the system M v = 0 for every n x n
-    matrix M whose (row, column, value) entries entries(i, mirror) yields,
-    for i < n and mirror False and True; repeated positions add up."""
-    for i in range(n):
+def _two_sided_rows(keys, entries):
+    """The sparse rows, one by one, of the system M v = 0 for every square
+    matrix M whose (row, column, value) entries entries(k, mirror) yields,
+    for k in keys and mirror False and True; repeated positions add up."""
+    for k in keys:
         for mirror in (False, True):
             mat = {}
-            for r, c, v in entries(i, mirror):
+            for r, c, v in entries(k, mirror):
                 add_into(mat.setdefault(r, {}), c, v)
             yield from mat.values()
 
 
-def _one_dimensional(H: HopfGAlgebra, entries, what: str) -> dict:
-    """The solution, up to scale, of the two-sided system on H_1 that
-    entries describes (see _two_sided_rows), as a sparse vector; `what`
+def _one_dimensional(H: HopfGAlgebra, keys, entries, what: str) -> dict:
+    """The solution, up to scale, of the two-sided system on H_1 that keys
+    and entries describe (see _two_sided_rows), as a sparse vector; `what`
     names the space in the IntegralError raised when it is not one
     dimensional.  The rows go into one echelon (``echelon_add``) up to rank
     d1 - 1; back substitution in reverse echelon order sets each pivot's
@@ -45,7 +53,7 @@ def _one_dimensional(H: HopfGAlgebra, entries, what: str) -> dict:
     instead of dividing by it.  The echelon then spans the annihilator of
     the solution x, so a later row r is redundant exactly when r.x = 0."""
     d1, one, zero = H.dims[H.group.identity_index], H.one(), H.zero()
-    rows, echelon = _two_sided_rows(d1, entries), []
+    rows, echelon = _two_sided_rows(keys, entries), []
     while len(echelon) < d1 - 1:
         row = next(rows, None)
         if row is None:
@@ -108,21 +116,32 @@ class IntegralData(Record, mutable=True):
 
 
 def solve_integrals(H: HopfGAlgebra) -> IntegralData:
+    """The normalized integrals of every grade and the cointegral on H_1,
+    solved on generators of H_1, else in full (see the module docstring)."""
+    try:
+        return _solve(H, True)
+    except IntegralError:
+        return _solve(H, False)
+
+
+def _solve(H: HopfGAlgebra, on_generators: bool) -> IntegralData:
+    """``solve_integrals`` with the grade-1 integral's rows taken for x over
+    generators of H_1 where on_generators is true, else over the basis."""
     G = H.group
     e = G.identity_index
     d1 = H.dims[e]
-    cond = H.conductor
-    zero = Cyclo.zero(cond)
+    zero = H.zero()
     prod = H.product[e, e]
 
-    # L_1 with x*L = eps(x)L = L*x for every grade-1 basis vector x
+    # L_1 with x*L = eps(x)L = L*x for x = e_i, i over generators of H_1 or all
     def integral_law(i, mirror):
         for j in range(d1):
             for t, v in (prod[j][i] if mirror else prod[i][j]).items():
                 yield t, j, v
             yield j, j, -H.counit[e][i]
 
-    int1_raw = _one_dimensional(H, integral_law, "two-sided integral space in grade 1")
+    xs = grade_one_generators(H) if on_generators else range(d1)
+    int1_raw = _one_dimensional(H, xs, integral_law, "two-sided integral space in grade 1")
 
     eps_val = H.counit_raw(e, int1_raw)
     if not eps_val:
@@ -137,7 +156,7 @@ def solve_integrals(H: HopfGAlgebra) -> IntegralData:
         for p, up in H.unit.items():
             yield p, i, -up
 
-    lam = _one_dimensional(H, cointegral_law, "cointegral space on grade 1")
+    lam = _one_dimensional(H, range(d1), cointegral_law, "cointegral space on grade 1")
     lam_on_l1 = sum((v * lam[i] for i, v in int1_raw.items() if i in lam), zero)
     if not lam_on_l1:
         raise IntegralError("cointegral vanishes on the integral, cannot normalize")

@@ -157,11 +157,11 @@ def resolve_group(spec: str) -> FiniteGroup:
 # scalars
 
 
-def _scalar(terms: list, conductor: int, where: str, memo: dict) -> Cyclo:
+def _scalar(terms: list, conductor: int, where: tuple, memo: dict) -> Cyclo:
     """The sum of the terms, a 1 as the shared Cyclo.one; memo holds the
     term lists (as tuples) read so far in one load, each parsed once."""
     if not terms or not all(isinstance(t, str) for t in terms):
-        raise SerializeError(f"{where}: expected a nonempty list of scalar terms")
+        raise SerializeError(f"{_block(where)}: expected a nonempty list of scalar terms")
     key = tuple(terms)
     if key not in memo:
         total = Cyclo.zero(conductor)
@@ -169,7 +169,7 @@ def _scalar(terms: list, conductor: int, where: str, memo: dict) -> Cyclo:
             try:
                 total = total + parse_scalar(t, conductor)
             except ValueError as exc:
-                raise SerializeError(f"{where}: {exc}") from None
+                raise SerializeError(f"{_block(where)}: {exc}") from None
         memo[key] = Cyclo.one(conductor) if total == 1 else total
     return memo[key]
 
@@ -205,26 +205,36 @@ def _entry_name(lead: tuple, idx: tuple) -> str:
     return " ".join(f"{word} {','.join(map(str, xs))}" for word, xs in groups if xs)
 
 
+def _block(where: tuple) -> str:
+    """'<field> block <n>' for where = (field, n), built only for a message."""
+    return "%s block %d" % where
+
+
 def _read_blocks(blocks: list, field: str, conductor: int, memo: dict):
-    """Yield (where, index tuple, scalar) for each block of one field.
+    """Yield (where, index tuple, scalar) for each block n of one field,
+    where being (field, n) (see _block).
 
     The indices are checked to be integers but not to be in range; a
     second block for the same indices is rejected, whatever its value.
     """
     lead, target = _LAYOUT[field]
+    nl, nt = len(lead), len(target)
     seen = set()
     for n, block in enumerate(blocks):
-        where = f"{field} block {n}"
-        ok = isinstance(block, list) and (not lead or len(block) == len(lead) + 1)
-        inner = block[-1] if ok and lead else block
-        if not (ok and isinstance(inner, list) and len(inner) >= len(target)):
-            raise SerializeError(f"{where}: expected {_shape(field)}")
-        idx = tuple(_as_int(x, where) for x in block[:len(lead)] + inner[:len(target)])
+        ok = isinstance(block, list) and (not nl or len(block) == nl + 1)
+        inner = block[-1] if ok and nl else block
+        if not (ok and isinstance(inner, list) and len(inner) >= nt):
+            raise SerializeError(f"{field} block {n}: expected {_shape(field)}")
+        idx = (*block[:nl], *inner[:nt])
+        for x in idx:
+            if type(x) is not int:  # _as_int raises unless x is an int subclass
+                _as_int(x, _block((field, n)))
         if idx in seen:
             raise SerializeError(
-                f"{where}: duplicate entry for {_entry_name(lead, idx)}")
+                f"{field} block {n}: duplicate entry for {_entry_name(lead, idx)}")
         seen.add(idx)
-        yield where, idx, _scalar(inner[len(target):], conductor, where, memo)
+        where = (field, n)
+        yield where, idx, _scalar(inner[nt:], conductor, where, memo)
 
 
 def _entries(H: HopfGAlgebra) -> dict:
@@ -249,12 +259,16 @@ def _entries(H: HopfGAlgebra) -> dict:
 def algebra_to_json(H: HopfGAlgebra) -> dict:
     cond = H.conductor
     out = {"conductor": cond, "group": group_to_json(H.group), "dims": list(H.dims)}
+    memo = {}  # (conductor, numerators, denominator) -> terms, for this dump only
     for field, entries in _entries(H).items():
         n = len(_LAYOUT[field][0])
         blocks = out[field] = []
         for idx, v in sorted(entries):
             if v:
-                inner = [*idx[n:], *render_scalar_terms(v.lift(cond))]
+                terms = memo.get(key := (v.n, v.num, v.den))
+                if terms is None:
+                    terms = memo[key] = render_scalar_terms(v.lift(cond))
+                inner = [*idx[n:], *terms]
                 blocks.append([*idx[:n], inner] if n else inner)
     if H.name:
         out["name"] = H.name
@@ -297,13 +311,13 @@ def algebra_from_json(obj) -> HopfGAlgebra:
         """Grade a is in range and, unless any_grade, supported; each
         basis index is in range for grade a."""
         if not 0 <= a < G.order:
-            raise SerializeError(f"{where}: grade {a} out of range")
+            raise SerializeError(f"{_block(where)}: grade {a} out of range")
         if not any_grade and dims[a] == 0:
-            raise SerializeError(f"{where}: grade {a} has dimension 0")
+            raise SerializeError(f"{_block(where)}: grade {a} has dimension 0")
         for i in basis:
             if not 0 <= i < dims[a]:
                 raise SerializeError(
-                    f"{where}: basis index {i} out of range for grade {a}")
+                    f"{_block(where)}: basis index {i} out of range for grade {a}")
 
     def read(field):
         return _read_blocks(blocks[field], field, cond, memo)

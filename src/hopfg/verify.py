@@ -12,10 +12,10 @@ f -> (f(x)id)(R) is an algebra map and f -> (id(x)f)(R) an anti-algebra
 map from the dual algebra H_1* (Radford, Minimal quasitriangular Hopf
 algebras, J. Algebra 1993), so they take f over ``dual_generators`` only,
 once the leg (eps(x)id)(R) or (id(x)eps)(R) is 1.  Both generating sets
-come from one greedy loop, ``_greedy_generators``, and each is found once
-per ``verify_axioms``.  Yang-Baxter needs no check: R12R13R23 = R12
-(D(x)id)(R) = (Dcop(x)id)(R) R12 = R23R13R12 (Kassel, Quantum Groups,
-VIII.2), where each slot multiplies at most two factors other than 1.
+come from the kernel, which keeps each on the algebra once found.
+Yang-Baxter needs no check: R12R13R23 = R12 (D(x)id)(R) = (Dcop(x)id)(R)
+R12 = R23R13R12 (Kassel, Quantum Groups, VIII.2), where each slot
+multiplies at most two factors other than 1.
 And (m(S(x)id)(x)id)(R13R23) = (S(x)id)(R) R and (m(id(x)S)(x)id)(R13R23)
 = R (S(x)id)(R) are both 1 (x) (eps(x)id)(R).
 """
@@ -30,10 +30,12 @@ from .algebra import (
     add_into,
     apply_rows,
     apply_rows_at,
-    echelon_add,
+    dual_generators,
+    dual_table,
     embed_two_raw,
     format_raw_tensor,
     format_raw_vector,
+    generators,
     mul_rows,
     scaled_raw,
     slot_rows,
@@ -114,87 +116,17 @@ def _unit_unit(H):
 def verify_axioms(H: HopfGAlgebra) -> AxiomReport:
     """Every check of ``CHECKS``, in ``RUN_ORDER``, by its proof where
     ``PROOFS`` has one and the checks it rests on passed, else by its full
-    sweep.  Each generating set a proof takes is found once."""
-    found, spans = {}, {None: None}
+    sweep.  The generating sets the proofs take are kept on H."""
+    found = {}
     for key in RUN_ORDER:
         needs, span, proof = PROOFS.get(key, ((), None, None))
-        if proof is not None and all(found[k] is None for k in needs):
-            if span not in spans:
-                spans[span] = span(H)
-            if proof(H, spans[span]) is None:
-                found[key] = None
-                continue
+        if (proof is not None and all(found[k] is None for k in needs)
+                and proof(H, span and span(H)) is None):
+            found[key] = None
+            continue
         found[key] = CHECKS[key][1](H)
     return AxiomReport(H.name, [(name, found[key] is None, found[key])
                                 for key, (name, _) in CHECKS.items()])
-
-
-def _greedy_generators(H, full, unit, candidates, product):
-    """Per grade, the keys of the candidates (grade, key, vector) that
-    generate with the unit (grade, vector): in order, each candidate
-    outside the span of the unit, the generators and their right products
-    by generators becomes one.  product(b, v, c, w) is v w for v of grade
-    b and w of grade c, of grade ``H.group.table[b][c]``; full[a] is the
-    dimension of grade a.  Once a grade's span is full, no candidate or
-    product in it is formed or reduced, which changes no choice.  The span
-    is kept by ``echelon_add``, inverting no scalar."""
-    table, one = H.group.table, H.one()
-    rows = {a: [] for a in full}  # grade -> echelon rows (pivot, row)
-    gens, taken, todo = {a: [] for a in full}, [], []  # todo: (b, v, c, w) for v w
-
-    def grow(a, v):
-        if len(rows[a]) == full[a] or not (v := echelon_add(rows[a], v, one)):
-            return False
-        todo.extend((a, v, c, w) for c, w in taken)
-        return True
-
-    grow(*unit)
-    for a, key, w in candidates:
-        if grow(a, w):
-            gens[a].append(key)
-            taken.append((a, w))
-            todo.extend((b, v, a, w) for b in rows for _, v in rows[b])
-            while todo:
-                b, v, c, w = todo.pop()
-                if len(rows[bc := table[b][c]]) < full[bc]:
-                    grow(bc, product(b, v, c, w))
-    return gens
-
-
-def generators(H: HopfGAlgebra) -> dict:
-    """Basis indices gens[a] per supported grade a that generate H with 1,
-    taken greedily in grade, then index order (``_greedy_generators``)."""
-    one = H.one()
-    return _greedy_generators(
-        H, {a: H.dims[a] for a in H.support}, (H.group.identity_index, dict(H.unit)),
-        ((a, i, {i: one}) for a in H.support for i in range(H.dims[a])),
-        lambda b, v, c, w: H.mul_raw(b, c, v, w))
-
-
-def _dual_table(H):
-    """The product of H_1*, dual to the coproduct of H_1, as nested rows on
-    the dual basis: d_p * d_q = sum_m D(e_m)[p, q] d_m."""
-    n = H.dims[H.group.identity_index]
-    table = [[{} for _ in range(n)] for _ in range(n)]
-    for m, dm in enumerate(H.coproduct[H.group.identity_index]):
-        for (p, q), v in dm.items():
-            table[p][q][m] = v
-    return table
-
-
-def dual_generators(H: HopfGAlgebra) -> list:
-    """Vectors of H_1*, on the dual basis, that generate it with eps under
-    the product ``_dual_table``: Sum_p (p+1) d_p first, which alone
-    generates wherever the d_p are orthogonal idempotents, as at a group
-    algebra (its powers are Vandermonde rows), then the d_p themselves."""
-    e, one = H.group.identity_index, H.one()
-    n, table = H.dims[e], _dual_table(H)
-    vandermonde = {p: Cyclo.rational(p + 1, conductor=H.conductor) if p else one
-                   for p in range(n)}
-    eps = {p: v for p, v in enumerate(H.counit[e]) if v}
-    candidates = [(e, vandermonde, vandermonde)] + [(e, {p: one}, {p: one}) for p in range(n)]
-    return _greedy_generators(H, {e: n}, (e, eps), candidates,
-                              lambda b, f, c, g: mul_rows(table, f, g, one))[e]
 
 
 # -- plain Hopf axioms -------------------------------------------------------
@@ -489,7 +421,7 @@ def _check_r_split_on_dual(H, dual_gens, slot):
     legs = [{} for _ in range(H.dims[e])]  # legs[p]: the image of d_p
     for pq, v in H.rmatrix.items():
         legs[pq[slot]][pq[1 - slot]] = v
-    table = _dual_table(H)
+    table = dual_table(H)
     for f in dual_gens:
         image = apply_rows(legs, f, one)
         for q in range(H.dims[e]):

@@ -10,6 +10,7 @@ main suite can compare engine output against these values exactly.
 from fractions import Fraction
 import itertools
 from math import gcd
+import random
 
 from hopfg import builtin_algebra, solve_integrals
 from hopfg.algebra import HopfGAlgebra
@@ -469,6 +470,20 @@ def zero_product():
         [{(0, 0): one}, {(1, 1): one}], [zero, zero], [{0: one}, {1: one}])
 
 
+def truncated_with_bad_counit():
+    """k[x]/(x^3) on 1, x, x^2 with eps = (1, 0, 1), so eps(x x) != eps(x)^2,
+    D(1) = 1 (x) 1, D(x) = x (x) x and D(x^2) = x^2 (x) 1 + 1 (x) x^2: the
+    integral law on the generator x alone gives L = x^2, which normalizes,
+    and the cointegral is d_2, with lam(L) = 1; but x^2 L = 0 != eps(x^2) L,
+    so no nonzero L satisfies the law on every basis vector."""
+    one, zero = Cyclo.one(1), Cyclo.zero(1)
+    return _trivially_graded(
+        "truncated, bad counit", [[{i + j: one} if i + j < 3 else {} for j in range(3)]
+                                  for i in range(3)],
+        {0: one}, [{(0, 0): one}, {(1, 1): one}, {(2, 0): one, (0, 2): one}],
+        [one, zero, one], [{i: one} for i in range(3)])
+
+
 def cointegral_off_the_integral():
     """k x k with orthogonal idempotents e0, e1, unit e0 + e1, eps = (1, 0),
     D(e0) = e0 (x) e0 and D(e1) = e0 (x) e1 + e1 (x) e0 + e1 (x) e1: the
@@ -591,6 +606,81 @@ def tensor(H, K):
     return HopfGAlgebra(G, [H.dims[a] * kd[a] for a in grades], n, product,
                         vec(H.unit, K.unit, e), coproduct, counit, antipode, crossing,
                         rmatrix, name=f"{H.name} (x) {K.name}")
+
+
+# -- a change of basis, which no value may depend on ----------------------------
+
+
+def _unitriangular_inverse(m):
+    """The inverse of an upper unitriangular int matrix, by back
+    substitution: column j solves m x = e_j, x_i = -sum_{i<k<=j} m[i][k] x_k."""
+    d = len(m)
+    inv = [[int(i == j) for j in range(d)] for i in range(d)]
+    for j in range(d):
+        for i in reversed(range(j)):
+            inv[i][j] = -sum(m[i][k] * inv[k][j] for k in range(i + 1, j + 1))
+    return inv
+
+
+def in_basis(Q, x):
+    """New coordinates Q x of the sparse vector x (old coordinates), Q
+    being the inverse of the basis change of x's grade."""
+    zero = Cyclo.zero(1)
+    out = {i: sum((q[k] * v for k, v in x.items() if q[k]), zero) for i, q in enumerate(Q)}
+    return {i: v for i, v in out.items() if v}
+
+
+def rebased(H, seed):
+    """(K, P, Q): H written in the basis f_j = sum_i P[a][i][j] e_i of each
+    grade a, P[a] a seeded upper unitriangular int matrix with entries +-1
+    above the diagonal, and Q[a] its inverse, which has int entries too.
+    Every structure map of K is that of H moved through P by these loops,
+    and every constant is a fresh Cyclo (none is the shared ``Cyclo.one``).
+    What does not depend on the basis must agree on H and K: K's integrals
+    are in_basis(Q[a], L_a), and its lam(f_j) is sum_i P[e][i][j] lam(e_i)."""
+    rng = random.Random(seed)
+    G, dims, zero = H.group, H.dims, Cyclo.zero(1)
+    P = [[[1 if i == j else rng.choice((1, -1)) if i < j else 0 for j in range(d)]
+          for i in range(d)] for d in dims]
+    Q = [_unitriangular_inverse(m) for m in P]
+
+    def col(a, j):  # f_j of grade a as (old index, int coefficient) pairs
+        return [(i, P[a][i][j]) for i in range(dims[a]) if P[a][i][j]]
+
+    def image(a, rows, j):  # the map with sparse rows, at f_j of grade a
+        out = {}
+        for i, c in col(a, j):
+            for t, v in rows[i].items():
+                out[t] = out.get(t, zero) + c * v
+        return out
+
+    def pair_in_basis(a, b, t):  # a 2-tensor of grades a, b in new coordinates
+        out = {}
+        for (k, l), v in t.items():
+            for i in range(dims[a]):
+                for j in range(dims[b]):
+                    if Q[a][i][k] and Q[b][j][l]:
+                        out[i, j] = out.get((i, j), zero) + Q[a][i][k] * Q[b][j][l] * v
+        return {ij: v for ij, v in out.items() if v}
+
+    product = {}
+    for (a, b), table in H.product.items():
+        right = [[image(b, row, j) for j in range(dims[b])] for row in table]  # e_k f_j
+        product[a, b] = [[in_basis(Q[G.table[a][b]], image(a, [r[j] for r in right], i))
+                          for j in range(dims[b])] for i in range(dims[a])]
+    e = G.identity_index
+    coproduct = [[pair_in_basis(a, a, image(a, H.coproduct[a], j)) for j in range(dims[a])]
+                 for a in range(G.order)]
+    counit = [[sum((c * H.counit[a][i] for i, c in col(a, j)), zero) for j in range(dims[a])]
+              for a in range(G.order)]
+    antipode = [[in_basis(Q[G.inverses[a]], image(a, H.antipode[a], j))
+                 for j in range(dims[a])] for a in range(G.order)]
+    crossing = {(b, a): [in_basis(Q[G.conj(b, a)], image(a, rows, j)) for j in range(dims[a])]
+                for (b, a), rows in H.crossing.items()}
+    K = HopfGAlgebra(G, dims, H.conductor, product, in_basis(Q[e], H.unit), coproduct,
+                     counit, antipode, crossing, pair_in_basis(e, e, H.rmatrix),
+                     name=f"{H.name} rebased ({seed})")
+    return K, P, Q
 
 
 def merged_crossing_site(H, d, ids):

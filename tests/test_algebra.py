@@ -274,9 +274,9 @@ def test_rows_after_rank_d1_minus_1_are_tested_against_the_solution(count, messa
 
     if message:
         with pytest.raises(IntegralError, match=f"^{message}$"):
-            _one_dimensional(H, entries, "test space")
+            _one_dimensional(H, range(3), entries, "test space")
     else:
-        x = _one_dimensional(H, entries, "test space")
+        x = _one_dimensional(H, range(3), entries, "test space")
         assert sorted(x) == [0, 1, 2] and x[0] and x[0] == x[1] == x[2]
     assert len(reduced) == min(count, 2)
 
@@ -378,6 +378,124 @@ def test_integral_solving_failures(build, message, capsys, tmp_path):
     path.write_text(dumps_canonical(algebra_to_json(H)))
     assert main(["integrals", "--algebra", str(path)]) == 1
     assert capsys.readouterr() == ("", f"verification failure: {message}\n")
+
+
+@pytest.fixture
+def solve_paths(monkeypatch):
+    """The on_generators flag of every ``integrals._solve`` call: False is
+    the full systems, which ``solve_integrals`` falls back to."""
+    from hopfg import integrals
+    paths, solve = [], integrals._solve
+    monkeypatch.setattr(integrals, "_solve", lambda H, on: paths.append(on) or solve(H, on))
+    return paths
+
+
+# kac-paljutkin and every algebra the algebra-check workload's seeds draw, a
+# larger group algebra, D(S3), and the tensor products of test_invariant.py
+DIFFERENTIAL = ["kac-paljutkin", "cyclic:k=3,l=6,d=1", "cyclic:k=3,l=6,d=5",
+                *(f"cyclic:k=3,l=5,d={d}" for d in range(1, 5)), "cyclic:k=2,l=6,d=1",
+                "cyclic:k=2,l=6,d=5", "cyclic:k=3,l=4,d=1", "cyclic:k=3,l=4,d=3",
+                "cyclic:k=1,l=64,d=3", "D(S3)",
+                "kac-paljutkin (x) cyclic:k=2,l=2,d=1", "kac-paljutkin (x) cyclic:k=2,l=4,d=3",
+                "cyclic:k=2,l=3,d=1 (x) cyclic:k=2,l=4,d=1", "kac-paljutkin (x) kac-paljutkin"]
+
+
+@pytest.mark.parametrize("spec", DIFFERENTIAL)
+def test_solving_on_generators_equals_the_full_systems(spec, solve_paths):
+    from hopfg import integrals
+    if spec == "D(S3)":
+        H = oracles.double_s3()
+    elif " (x) " in spec:
+        H = oracles.tensor(*map(builtin_algebra, spec.split(" (x) ")))
+    else:
+        H = builtin_algebra(spec)
+    got, full = solve_integrals(H), integrals._solve(H, False)
+    assert solve_paths == [True, False]  # no fallback in solve_integrals
+    assert got.integrals == full.integrals
+    assert got.lam_values == full.lam_values
+
+
+def test_a_failure_on_generators_falls_back_to_the_full_systems(solve_paths):
+    # zero_product (test_integral_solving_failures' "dimension-2") fails on
+    # its generator as in full; truncated_with_bad_counit solves and
+    # normalizes on its generator x, and only _verify_family's basis sweep
+    # finds that x^2 L != eps(x^2) L: both report what the full systems find
+    from hopfg.integrals import _solve
+    with pytest.raises(IntegralError, match=r"^two-sided integral space in grade 1 has "
+                                            r"dimension 2, not 1$"):
+        solve_integrals(oracles.zero_product())
+    assert solve_paths == [True, False]
+    H = oracles.truncated_with_bad_counit()
+    with pytest.raises(IntegralError, match=r"^left integral law fails at grades \(1,1\) "
+                                            r"basis 2$"):
+        _solve(H, True)
+    with pytest.raises(IntegralError, match="^two-sided integral space in grade 1 has "
+                                            "dimension 0, not 1$"):
+        solve_integrals(H)
+    assert solve_paths == [True, False, True, True, False]
+
+
+def test_each_generating_set_is_found_once_per_algebra(monkeypatch):
+    from hopfg import algebra, verify_axioms
+    calls, greedy = [], algebra._greedy_generators
+    monkeypatch.setattr(algebra, "_greedy_generators",
+                        lambda H, *args: calls.append(args[0]) or greedy(H, *args))
+    H = builtin_algebra("kac-paljutkin")
+    assert verify_axioms(H).ok
+    first = solve_integrals(H)
+    # the generators of H and of H_1* for verify, those of H_1 for the solve
+    assert len(calls) == 3
+    second = solve_integrals(H)
+    assert len(calls) == 3
+    assert (second.integrals, second.lam_values) == (first.integrals, first.lam_values)
+
+
+# Deterministic guard of solving on generators, (spec, ceiling): one
+# solve_integrals on a fresh algebra made 861, 150 and 17,217 Cyclo
+# multiplications at these algebras with the integral rows of every basis
+# vector of H_1, and makes 661, 54 and 1,345 with those of its generators
+# only, their search included.  Each ceiling is a count plus 10%.
+INTEGRAL_WORK = (("kac-paljutkin", 727), ("cyclic:k=3,l=6,d=1", 59),
+                 ("cyclic:k=1,l=64,d=3", 1_480))
+
+
+def integral_mul_count(spec):
+    """Cyclo multiplications of one solve_integrals on a fresh algebra at spec."""
+    H = builtin_algebra(spec)
+    calls, mul, rmul = [0], Cyclo.__mul__, Cyclo.__rmul__
+
+    def counted_mul(a, b):
+        calls[0] += 1
+        return mul(a, b)
+
+    Cyclo.__mul__ = Cyclo.__rmul__ = counted_mul
+    try:
+        solve_integrals(H)
+    finally:
+        Cyclo.__mul__, Cyclo.__rmul__ = mul, rmul
+    return calls[0]
+
+
+@pytest.mark.parametrize("spec, ceiling", INTEGRAL_WORK)
+def test_integral_op_counts(spec, ceiling):
+    assert integral_mul_count(spec) <= ceiling
+
+
+@pytest.mark.parametrize("spec", ["kac-paljutkin", "cyclic:k=3,l=4,d=1"])
+def test_a_change_of_basis_keeps_the_verdict_and_moves_the_integrals(bank, spec, solve_paths):
+    # the greedy generator searches and the integral systems on a basis
+    # that is not group-like, where nothing that is basis-free may change
+    from hopfg import verify_axioms
+    H, ints = bank(spec)
+    K, P, Q = oracles.rebased(H, seed=3)
+    assert verify_axioms(K).ok
+    got = solve_integrals(K)
+    assert got.integrals == tuple(oracles.in_basis(Q[a], L) for a, L in enumerate(ints.integrals))
+    e, zero = H.group.identity_index, Cyclo.zero(1)
+    assert got.lam_values == tuple(
+        sum((P[e][i][j] * v for i, v in enumerate(ints.lam_values)), zero)
+        for j in range(H.dims[e]))
+    assert False not in solve_paths
 
 
 def test_cyclic_integrals_closed_form(bank):
