@@ -15,11 +15,10 @@ one factor of a tensor, ``mul_rows`` applies a product table (H's, or
 ``dual_table``, the dual algebra's) to two vectors, ``echelon_add`` is
 the one exact elimination (span tests in ``_greedy_generators``, the
 integral systems in ``integrals``), and ``primitive`` divides out a
-rational content, so echelon rows, cached sites and
-``primitive_products`` rows have coprime int coefficients (the evaluator
-multiplies contents in once); it returns numerator tuples
-(``Cyclo.num``), which the evaluator's caches hold and ``cyclos`` turns
-back into Cyclo values.  Vectors and tensors are raw
+rational content, so echelon rows and the evaluator's sites and product
+rows have coprime int coefficients (the evaluator multiplies contents in
+once); it returns numerator tuples (``Cyclo.num``), which those sites
+hold and ``cyclos`` turns back into Cyclo values.  Vectors and tensors are raw
 dicts ({basis index: Cyclo} and {index tuple: Cyclo}) everywhere else.
 ``Graded`` pairs such a dict (``entries``) with the GroupElement of the
 vector, or of every factor of the tensor (``grade``); it is built only
@@ -35,14 +34,13 @@ in the same way.  A 1 that is another object is simply multiplied, so
 values never depend on identity, only the work does.  The product table
 is nested rows, ``product[a, b][i][j]`` = e_i e_j.  Tensor products
 (``_tensor_mul_raw``) are slotwise apply_rows_at passes of the maps
-``right_mul_rows`` caches; a map the table makes the identity
+``right_mul_rows`` keeps; a map the table makes the identity
 (e_i -> {i: one}) is skipped under the same rule.
 """
 
 from __future__ import annotations
 
-import itertools
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .cyclo import Cyclo, _make, render_scalar
 from .groups import FiniteGroup, Record
@@ -64,12 +62,6 @@ MAX_GROUP_ORDER = 256
 # scalars of phi(l) ints each: cyclic:k=1,l=128 builds in 0.37 s and
 # 15 MB, cyclic:k=1,l=256 in 1.5 s and 100 MB.
 MAX_DIMENSION = 128
-# The entries of one dot's site, bounded before the site is built (see
-# evaluate._Compiled.sites).  At kac-paljutkin, k = 10 alternating passages
-# give 1,048,580 entries (bound 8 * 4^9 = 2^21) in 18.5 s with a 556 MB
-# peak, and k = 12 would need about 9 GB.  It also bounds the (table entry,
-# site entry) pairs of each site the fold opens (evaluate._Compiled.bind).
-MAX_SITE_ENTRIES = 1 << 21
 
 
 class AlgebraStructureError(ValueError):
@@ -193,6 +185,20 @@ def _clean(raw: dict) -> dict:
     return {k: v for k, v in raw.items() if v}
 
 
+def _kept(build):
+    """build(owner, *key), computed on first use and kept in owner._kept under
+    (build, *key): the one memo of the tables derived from an algebra or an
+    ``IntegralData``, each kept on the (immutable) object it derives from."""
+    def get(owner, *key):
+        kept, k = owner._kept, (build, *key)
+        got = kept.get(k)
+        if got is None:
+            got = kept[k] = build(owner, *key)
+        return got
+    get.__name__, get.__doc__ = build.__name__, build.__doc__
+    return get
+
+
 class Graded(Record):
     """A sparse vector of one grade, {basis index: Cyclo}, or a tensor whose
     factors all have that grade, {index tuple: Cyclo}."""
@@ -219,10 +225,9 @@ class HopfGAlgebra:
 
     Construction validates dimensional consistency, totality of all maps,
     scalar conductors, and that the supported grades form a normal subgroup.
-    An instance is treated as immutable after construction:
-    ``right_mul_rows``, ``primitive_products``, ``crossing_site``, the
-    generating sets and the dual table below, and the sites an
-    ``IntegralData`` caches are computed once from these maps.
+    An instance is treated as immutable after construction: ``_kept`` holds
+    each table derived from these maps once (``right_mul_rows``, the
+    generating sets and dual table below, the evaluator's products and sites).
     """
 
     def __init__(self, group: FiniteGroup, dims, conductor: int, product, unit,
@@ -240,10 +245,7 @@ class HopfGAlgebra:
         self.rmatrix = _clean(rmatrix)
         self.basis_names = basis_names
         self.name = name
-        self._right_mul_rows = {}  # (a, b) -> right_mul_rows(a, b)
-        self._primitive_products = None  # primitive_products(), built on first use
-        self._crossing_sites = {}  # (signs, words) -> crossing_site(signs, words)
-        self._kept = {}  # generating set or dual table -> its value at H (see _kept)
+        self._kept = {}  # (build, *key) -> a table derived from H (see _kept)
         self._validate_structure()
 
     # -- structural validation (load errors, before any axiom checking) ----
@@ -366,39 +368,17 @@ class HopfGAlgebra:
 
     # -- raw sparse kernels (dicts in, dicts out) ----------------------------
 
+    @_kept
     def right_mul_rows(self, a: int, b: int) -> list:
         """maps[j] is x -> x e_j, H_a to H_ab, as rows for apply_rows_at, or
         None where the table makes it the identity.  Built once per pair."""
-        got = self._right_mul_rows.get((a, b))
-        if got is None:
-            rows, one, got = self.product[a, b], self.one(), []
-            for j in range(self.dims[b]):
-                m = slot_rows(r[j] for r in rows)
-                identity = self.group.table[a][b] == a and all(
-                    len(r) == 1 and r.get((i,)) is one for i, r in enumerate(m))
-                got.append(None if identity else m)
-            self._right_mul_rows[a, b] = got
-        return got
-
-    def primitive_products(self) -> tuple:
-        """(primitive(unit), views): views[a, b] = (contents, rows) over the
-        supported grade pairs, e_i e_j being the int ratio contents[i][j] times
-        rows[i][j], of int coefficients at H's conductor.  A product with a
-        denominator or a lesser conductor is split by ``primitive``, any other
-        has content (1, 1), and a table of only those is its own rows."""
-        if self._primitive_products is None:
-            one, views = self.one(), {}
-            ones = [[(1, 1)] * max(self.dims)] * max(self.dims)
-            for table in {id(t): t for t in self.product.values()}.values():
-                split = [[None if all(v.den == 1 and v.n == one.n for v in x.values())
-                          else primitive(x, one) for x in row] for row in table]
-                views[id(table)] = (ones, table) if not any(map(any, split)) else (
-                    [[s[0] if s else (1, 1) for s in row] for row in split],
-                    [[cyclos(s[1], one) if s else x for s, x in zip(row, xs)]
-                     for row, xs in zip(split, table)])
-            self._primitive_products = primitive(self.unit, one), {
-                ab: views[id(self.product[ab])] for ab in itertools.product(self.support, repeat=2)}
-        return self._primitive_products
+        rows, one, maps = self.product[a, b], self.one(), []
+        for j in range(self.dims[b]):
+            m = slot_rows(r[j] for r in rows)
+            identity = self.group.table[a][b] == a and all(
+                len(r) == 1 and r.get((i,)) is one for i, r in enumerate(m))
+            maps.append(None if identity else m)
+        return maps
 
     def mul_raw(self, a: int, b: int, x: dict, y: dict) -> dict:
         return mul_rows(self.product[a, b], x, y, self.one())
@@ -412,30 +392,6 @@ class HopfGAlgebra:
         """(S_1 (x) id)(R), the two-sided inverse of R for a valid algebra."""
         e = self.group.identity_index
         return apply_rows_at(self.rmatrix, 0, slot_rows(self.antipode[e]), self.one())
-
-    def crossing_site(self, signs: tuple, words: tuple) -> tuple:
-        """(content, sorted primitive entries) of crossings with the given
-        signs (R for True, (S_1 (x) id)(R) for False) multiplied out, content
-        times entries (see ``primitive``): factor f is the product of the one
-        or two ends words[f] lists in order, an end being (crossing, 0 for its
-        over factor or 1 for its under one).  Built once per key."""
-        got = self._crossing_sites.get((signs, words))
-        if got is None:
-            one, rows = self.one(), self.product[(self.group.identity_index,) * 2]
-            rs = [(self.rmatrix if s else self.r_inverse_raw()).items() for s in signs]
-            out = {}
-            for terms in itertools.product(*rs):
-                tensor = {(): prod((w for _, w in terms[1:]), start=terms[0][1])}
-                for word in words:
-                    i, *j = (terms[k][0][f] for k, f in word)
-                    vec = rows[i][j[0]] if j else {i: one}
-                    tensor = {t + (i,): v if x is one else x if v is one else v * x
-                              for t, v in tensor.items() for i, x in vec.items()}
-                for t, v in tensor.items():
-                    add_into(out, t, v)
-            content, out = primitive(out, one)
-            got = self._crossing_sites[signs, words] = (content, sorted(out.items()))
-        return got
 
     # -- the one public map that returns a record ----------------------------
 
@@ -476,16 +432,6 @@ class HopfGAlgebra:
 
 # ---------------------------------------------------------------------------
 # generating sets, which ``verify`` proves checks on and ``integrals`` solves on
-
-
-def _kept(build):
-    """build(H), computed on first use and kept on H like its other caches."""
-    def get(H):
-        if build not in H._kept:
-            H._kept[build] = build(H)
-        return H._kept[build]
-    get.__name__, get.__doc__ = build.__name__, build.__doc__
-    return get
 
 
 def _greedy_generators(H, full, unit, candidates, product):

@@ -42,10 +42,10 @@ folds, and builds the bracket (and the value, dim(H_1)^exponent times
 it) as a Cyclo from the folded numerators over the ratio.  ``evaluate``
 compiles and binds one coloring; ``evaluate_summed`` compiles once and
 binds every flat connection.  The
-value is multilinear in the sites, so each is cached as (content,
-primitive numerators) (``algebra.primitive``), dot sites on the
-IntegralData and crossing sites on the algebra (both immutable), and the
-unit and product rows too (``H.primitive_products``).  The fold computes
+value is multilinear in the sites, so each is built once as (content,
+primitive numerators) (``algebra.primitive``) and kept by ``algebra._kept``:
+dot sites and lam on the IntegralData, crossing sites and the unit and
+product rows (``_product_view``) on the algebra.  The fold computes
 in Z[zeta_n]: a value is a numerator tuple (``Cyclo.num``), multiplied
 by ``cyclo.mul_nums`` and added entrywise, and ``one.num`` (a row's ``one``)
 is skipped on either side (unit rule).  A step keeps its terms apart by
@@ -56,10 +56,11 @@ content, once per key (``_merged``).
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from math import gcd, lcm, prod
 
-from .algebra import MAX_SITE_ENTRIES, HopfGAlgebra
+from .algebra import HopfGAlgebra, _kept, add_into, apply_rows_at, cyclos, primitive, slot_rows
 from .cyclo import Cyclo, _make, add_nums_into, mul_nums
 from .diagrams import (
     ColoredDiagram,
@@ -71,6 +72,13 @@ from .diagrams import (
 from .groups import Record, enumerate_homs
 from .integrals import IntegralData
 from . import diagrams
+
+# The entries of one dot's site, bounded before the site is built (see
+# _Compiled.sites).  At kac-paljutkin, k = 10 alternating passages give
+# 1,048,580 entries (bound 8 * 4^9 = 2^21) in 18.5 s with a 556 MB peak,
+# and k = 12 would need about 9 GB.  It also bounds the (table entry, site
+# entry) pairs of each site the fold opens (_Compiled.bind).
+MAX_SITE_ENTRIES = 1 << 21
 
 
 class EvaluationError(ValueError):
@@ -240,6 +248,73 @@ class _Planner:
         return order, starts, cost
 
 
+@_kept
+def _product_view(H: HopfGAlgebra) -> tuple:
+    """(primitive(unit), views): views[a, b] = (contents, rows) over the
+    supported grade pairs, e_i e_j being the int ratio contents[i][j] times
+    rows[i][j], of int coefficients at H's conductor.  A product with a
+    denominator or a lesser conductor is split by ``primitive``, any other
+    has content (1, 1), and a table of only those is its own rows."""
+    one, views = H.one(), {}
+    ones = [[(1, 1)] * max(H.dims)] * max(H.dims)
+    for table in {id(t): t for t in H.product.values()}.values():
+        split = [[None if all(v.den == 1 and v.n == one.n for v in x.values())
+                  else primitive(x, one) for x in row] for row in table]
+        views[id(table)] = (ones, table) if not any(map(any, split)) else (
+            [[s[0] if s else (1, 1) for s in row] for row in split],
+            [[cyclos(s[1], one) if s else x for s, x in zip(row, xs)]
+             for row, xs in zip(split, table)])
+    return primitive(H.unit, one), {
+        ab: views[id(H.product[ab])] for ab in itertools.product(H.support, repeat=2)}
+
+
+@_kept
+def _crossing_site(H: HopfGAlgebra, signs: tuple, words: tuple) -> tuple:
+    """(content, sorted primitive entries) of crossings with the given
+    signs (R for True, (S_1 (x) id)(R) for False) multiplied out, content
+    times entries: factor f is the product of the one or two ends words[f]
+    lists in order, an end being (crossing, 0 for its over factor or 1 for
+    its under one)."""
+    one, rows = H.one(), H.product[(H.group.identity_index,) * 2]
+    rs = [(H.rmatrix if s else H.r_inverse_raw()).items() for s in signs]
+    out = {}
+    for terms in itertools.product(*rs):
+        tensor = {(): prod((w for _, w in terms[1:]), start=terms[0][1])}
+        for word in words:
+            i, *j = (terms[k][0][f] for k, f in word)
+            vec = rows[i][j[0]] if j else {i: one}
+            tensor = {t + (i,): v if x is one else x if v is one else v * x
+                      for t, v in tensor.items() for i, x in vec.items()}
+        for t, v in tensor.items():
+            add_into(out, t, v)
+    content, out = primitive(out, one)
+    return content, sorted(out.items())
+
+
+@_kept
+def _dot_site(integrals: IntegralData, a: int, downs: tuple) -> tuple:
+    """(content, sorted primitive entries, factor grades) of the site
+    (S^s1 (x) ... (x) S^sk)(Delta^(k-1)(L_a)), content times entries, for
+    k >= 1 passages, s_i = 1 where downs[i] is false (an up passage); no
+    entries when it is zero."""
+    H = integrals.algebra
+    entries = H.coproduct_power(a, integrals.integrals[a], len(downs)).entries
+    grades = [a] * len(downs)
+    for f, down in enumerate(downs):
+        if not down:
+            entries = apply_rows_at(entries, f, slot_rows(H.antipode[a]), H.one())
+            grades[f] = H.group.inverses[a]
+    content, entries = primitive(entries, H.one())
+    return content, sorted(entries.items()), tuple(grades)
+
+
+@_kept
+def _lam_view(integrals: IntegralData) -> tuple:
+    """(content, {i: lam(e_i) / content}) over the nonzero values of lam."""
+    return primitive({i: v for i, v in enumerate(integrals.lam_values) if v},
+                     integrals.algebra.one())
+
+
 def _crossing_sites(H: HopfGAlgebra, d: KirbyDiagram, runs, first: int) -> list:
     """The (content, entries) of d's crossing sites, numbered from first in order of
     their least crossing id; slot (site, factor, arity) goes to
@@ -267,11 +342,11 @@ def _crossing_sites(H: HopfGAlgebra, d: KirbyDiagram, runs, first: int) -> list:
             return (a, b)
         return (b, a) if ka == kb and pa == (pb + 1) % n else None
 
-    def site(words):  # ends per factor -> H.crossing_site
+    def site(words):  # ends per factor -> _crossing_site
         ids = sorted({c for w in words for c, _ in w})
-        return H.crossing_site(tuple(signs[c] for c in ids),
-                               tuple(tuple((ids.index(c), 1 - over) for c, over in w)
-                                     for w in words))
+        return _crossing_site(H, tuple(signs[c] for c in ids),
+                              tuple(tuple((ids.index(c), 1 - over) for c, over in w)
+                                    for w in words))
 
     lone_sites = {}  # sign -> site: a lone crossing's site depends on its sign only
 
@@ -332,8 +407,8 @@ class _Compiled:
                 runs[comp[ru]][rp] = (site, f, len(x.passages))
         self.crossings = _crossing_sites(H, d, runs, len(dots))
         self.crossing_entries = [entries for _, entries in self.crossings]
-        (unit_content, self.unit), self.views = H.primitive_products()
-        lam_content, self.lam = integrals.primitive_lam
+        (unit_content, self.unit), self.views = _product_view(H)
+        lam_content, self.lam = _lam_view(integrals)
         contents = [c for c, _ in self.crossings] + [lam_content, unit_content] * len(d.undotted)
         self.scale = (prod(p for p, _ in contents), prod(q for _, q in contents))
         self.skeleton = [[slot for _, slot in sorted(r.items())] for r in runs]
@@ -361,7 +436,7 @@ class _Compiled:
                 raise EvaluationError(
                     f"dot {x} at grade {H.group.names[a]} has {len(signs)} passages, "
                     f"so its site may hold {shown} entries, more than {MAX_SITE_ENTRIES}")
-            (p, q), site, sg = self.integrals.dot_site(a, signs)
+            (p, q), site, sg = _dot_site(self.integrals, a, signs)
             num, den = num * p, den * q
             entries.append(site)
             site_grades.append(sg)

@@ -26,8 +26,8 @@ a nonzero H_alpha would force every x to be zero.
 
 from __future__ import annotations
 
-from .algebra import (Graded, HopfGAlgebra, IntegralError, add_into, apply_rows_at,
-                      echelon_add, grade_one_generators, primitive, scaled_raw, slot_rows)
+from .algebra import (Graded, HopfGAlgebra, IntegralError, add_into, echelon_add,
+                      grade_one_generators, scaled_raw)
 from .groups import Record
 
 
@@ -78,41 +78,20 @@ class IntegralData(Record, mutable=True):
     to the i-th grade-1 basis vector; the normalization is lam(L_1) = 1 and
     eps(L_a) = 1 in every supported grade (``solve_integrals`` certifies
     it; L_a = {} elsewhere), so the evaluator takes a dot without passages
-    to contribute 1.  ``primitive_lam`` is (content, {i: lam(e_i) / content}
-    over the nonzero values), computed once here (see ``primitive``).  An
-    instance, like its algebra, is treated as immutable after
-    construction: ``dot_site`` keeps what it computes from both.
+    to contribute 1.  Like its algebra, an instance is treated as immutable:
+    the evaluator's dot sites and view of lam are kept in ``_kept``
+    (``algebra._kept``), which equality and repr ignore.
     """
 
-    __slots__ = ("algebra", "integrals", "lam_values", "_sites", "_lam")
-    primitive_lam = property(lambda self: self._lam)
+    __slots__ = ("algebra", "integrals", "lam_values", "_kept")
 
     def __init__(self, algebra: HopfGAlgebra, integrals: tuple, lam_values: tuple):
         self.algebra, self.integrals, self.lam_values = algebra, integrals, lam_values
-        self._sites = {}
-        self._lam = primitive({i: v for i, v in enumerate(lam_values) if v}, algebra.one())
+        self._kept = {}
 
     def integral(self, grade) -> Graded:
         idx = grade if isinstance(grade, int) else grade.index
         return Graded(self.algebra.group.element(idx), self.integrals[idx])
-
-    def dot_site(self, a: int, downs: tuple):
-        """(content, sorted primitive entries, factor grades) of the site
-        (S^s1 (x) ... (x) S^sk)(Delta^(k-1)(L_a)), content times entries (see
-        ``primitive``), for k >= 1 passages, s_i = 1 where downs[i] is false
-        (an up passage); no entries when it is zero.  Built once per (a, downs)."""
-        site = self._sites.get((a, downs))
-        if site is None:
-            H = self.algebra
-            entries = H.coproduct_power(a, self.integrals[a], len(downs)).entries
-            grades = [a] * len(downs)
-            for f, down in enumerate(downs):
-                if not down:
-                    entries = apply_rows_at(entries, f, slot_rows(H.antipode[a]), H.one())
-                    grades[f] = H.group.inverses[a]
-            content, entries = primitive(entries, H.one())
-            site = self._sites[a, downs] = (content, sorted(entries.items()), tuple(grades))
-        return site
 
 
 def solve_integrals(H: HopfGAlgebra) -> IntegralData:

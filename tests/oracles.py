@@ -513,6 +513,14 @@ def z2_group_algebra(f_times_1=True, f_squared=True):
     )
 
 
+def with_rmatrix(H, rmatrix):
+    """A new algebra with H's maps and group but the R-matrix rmatrix,
+    {(i, j): Cyclo} on H_1 (x) H_1; it keeps nothing H has kept."""
+    return HopfGAlgebra(H.group, H.dims, H.conductor, H.product, H.unit, H.coproduct,
+                        H.counit, H.antipode, H.crossing, rmatrix,
+                        basis_names=H.basis_names, name=f"{H.name} with another R")
+
+
 # -- the Drinfeld double of S3, whose R legs do not commute ---------------------
 
 

@@ -11,6 +11,7 @@ import pytest
 import oracles
 from hopfg import (
     AlgebraStructureError,
+    DrinfeldError,
     Graded,
     HopfGAlgebra,
     IntegralError,
@@ -30,6 +31,7 @@ from hopfg.algebra import (
 )
 from hopfg.cli import main
 from hopfg.cyclo import Cyclo, render_scalar
+from hopfg.evaluate import _product_view
 from hopfg.serialize import algebra_to_json, dumps_canonical, resolve_algebra
 
 SPECS = ["cyclic:k=2,l=3,d=1", "cyclic:k=1,l=4,d=3", "kac-paljutkin"]
@@ -304,8 +306,8 @@ def test_the_primitive_product_view_is_exact_and_shared(bank, spec):
     # the fold reads e_i e_j as the int ratio contents[i][j] times the int
     # entries rows[i][j], and the unit as its content times numerators
     H = oracles.double_s3() if spec == "D(S3)" else bank(spec)[0]
-    got, one = H.primitive_products(), H.one()
-    assert H.primitive_products() is got
+    got, one = _product_view(H), H.one()
+    assert _product_view(H) is got
     ((p, q), unit), views = got
     assert {i: Cyclo(H.conductor, dict(enumerate(v))) * Fraction(p, q) for i, v in unit.items()} \
         == H.unit
@@ -759,6 +761,26 @@ def test_drinfeld_element_properties(bank, kp):
     assert apply_rows(H.antipode[e], u, one) == u
     for i in range(H.dims[e]):
         assert H.mul_raw(e, e, u, {i: one}) == H.mul_raw(e, e, {i: one}, u)
+
+
+@pytest.mark.parametrize("spec, rmatrix, message", [
+    ("kac-paljutkin", {(1, 0): 1},
+     "drinfeld element is not central in H_1: fails at basis index 4"),
+    ("cyclic:k=1,l=3,d=1", {(0, 1): 1}, "antipode does not fix the drinfeld element"),
+    ("cyclic:k=1,l=3,d=1", {(0, 0): -1}, "counit of the drinfeld element is not 1"),
+], ids=["x(x)1", "1(x)g", "-1(x)1"])
+def test_each_drinfeld_certificate_names_the_identity_that_fails(bank, spec, rmatrix, message):
+    # u = sum S(b)a over R = sum a (x) b: R = x (x) 1 gives u = x, which is
+    # not central in kac-paljutkin's H_1; R = 1 (x) g gives u = g^2, which
+    # the antipode takes to g; R = -1 (x) 1 gives u = -1.  Each u is
+    # inverted by sum b S^2(a), so the check before the named one passes.
+    from hopfg import drinfeld_element
+
+    H, _ = bank(spec)
+    K = oracles.with_rmatrix(H, {ij: Cyclo.rational(c, conductor=H.conductor)
+                                 for ij, c in rmatrix.items()})
+    with pytest.raises(DrinfeldError, match=f"^{re.escape(message)}$"):
+        drinfeld_element(K)
 
 
 # -- the unit rule: structure constants equal to 1 are the shared one -------------

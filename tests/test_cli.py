@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import oracles
 from hopfg import EvaluationError, builtin_algebra
 from hopfg import cli
 from hopfg.cli import main
@@ -311,6 +312,45 @@ def test_bad_inputs_exit_2(capsys):
     assert code == 2 and "must be positive" in err
     code, out, err = run(capsys, "export", "--algebra", "cyclic:k=1,k=2,l=2,d=1")
     assert code == 2 and out == "" and "cyclic parameter 'k' given twice" in err
+
+
+def test_a_connection_token_that_names_no_element_exits_2(capsys):
+    assert run(capsys, "invariant", "--algebra", "cyclic:k=1,l=2,d=1", "--diagram", "s1xs3",
+               "--connection", "zz") == (
+        2, "", "error: 'zz' is neither a group element name nor an index\n")
+
+
+def test_export_to_a_missing_directory_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "a.json"
+    code, out, err = run(capsys, "export", "--algebra", "cyclic:k=1,l=2,d=1",
+                         "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {str(target)!r}: ")
+    assert not target.parent.exists()
+
+
+def test_moves_reports_a_step_that_changes_the_value(capsys, tmp_path):
+    # R = e0 (x) e1 + e1 (x) e0 is not an R-matrix of cyclic:k=1,l=3,d=1, so
+    # inserting a crossing pair need not keep the value: cp2 goes from 0 to 4
+    H = builtin_algebra("cyclic:k=1,l=3,d=1")
+    one = H.one()
+    algebra = tmp_path / "algebra.json"
+    algebra.write_text(dumps_canonical(algebra_to_json(
+        oracles.with_rmatrix(H, {(0, 1): one, (1, 0): one}))))
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([{"move": "I-2-insert", "over": 0, "over_pos": 0,
+                                   "under": 0, "under_pos": 1}]))
+    code, out, err = run(capsys, "moves", "--algebra", str(algebra), "--diagram", "cp2",
+                         "--script", str(script))
+    assert code == 1 and err == ""
+    assert out == (
+        f"algebra: {algebra}\n"
+        "diagram: cp2\n"
+        "base I = 0\n"
+        'step 0 I-2-insert {"over": 0, "over_pos": 0, "under": 0, "under_pos": 1}: '
+        "I = 4  [MISMATCH]\n"
+        "result: 1 of 1 step(s) changed the value\n"
+    )
 
 
 @pytest.mark.parametrize("field, value, message", [

@@ -33,6 +33,7 @@ from hopfg.diagrams import (
     KirbyDiagram,
     UndottedComponent,
 )
+from hopfg.evaluate import _dot_site, _lam_view
 
 
 def _gauss_sum(l: int, d: int) -> Cyclo:
@@ -251,7 +252,7 @@ def test_sites_and_lam_are_their_content_times_primitive_entries(bank, spec):
     for a in H.support:
         for k in (1, 2, 3):
             for downs in itertools.product((True, False), repeat=k):
-                (p, q), entries, grades = ints.dot_site(a, downs)
+                (p, q), entries, grades = _dot_site(ints, a, downs)
                 want = oracles._ref_coproduct_power(H, a, ints.integrals[a], k)
                 for f, down in enumerate(downs):
                     if not down:
@@ -259,10 +260,73 @@ def test_sites_and_lam_are_their_content_times_primitive_entries(bank, spec):
                 assert [(t, value(v, p, q)) for t, v in entries] == sorted(want.items())
                 assert primitive(entries), (a, downs)
                 assert grades == tuple(a if s else H.group.inverses[a] for s in downs)
-    (p, q), lam = ints.primitive_lam
+    (p, q), lam = _lam_view(ints)
     assert {i: value(v, p, q) for i, v in lam.items()} == {
         i: v for i, v in enumerate(ints.lam_values) if v}
     assert primitive(list(lam.items()))
+
+
+def test_every_fold_input_is_kept_once_in_one_memo_of_its_owner(monkeypatch):
+    # The builders of the fold's inputs are recorded by owner and key while
+    # evaluate_summed runs over the builtins on one fresh kac-paljutkin.
+    # After one pass every key asked for is in the _kept memo of its owner
+    # (the product view and crossing sites in H's, the dot sites and lam in
+    # the IntegralData's); a second pass keeps no new key and reads the same
+    # objects.  A second solve has its own dot sites and lam, and reads H's.
+    from hopfg import builtin_algebra
+    from hopfg.integrals import IntegralData
+
+    module = sys.modules["hopfg.evaluate"]
+    H = builtin_algebra("kac-paljutkin")
+    ints = solve_integrals(H)
+    on_h, on_ints = {"_product_view", "_crossing_site"}, {"_dot_site", "_lam_view"}
+    asked = set()
+
+    def recorded(name, build):
+        def call(owner, *key):
+            asked.add((name, key))
+            assert owner is (H if name in on_h else ints), name
+            return build(owner, *key)
+        return call
+
+    for name in on_h | on_ints:
+        monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
+
+    def kept(owner):  # (build name, key) -> kept value, the fold's entries only
+        return {(k[0].__name__, k[1:]): v for k, v in owner._kept.items()
+                if k[0].__name__ in on_h | on_ints}
+
+    def run(integrals):
+        for name in builtin_diagram_names():
+            evaluate_summed(H, integrals, builtin_diagram(name))
+
+    def same(owner, was):  # owner keeps exactly was, the very objects
+        return owner._kept.keys() == was.keys() and all(
+            owner._kept[k] is v for k, v in was.items())
+
+    run(ints)
+    on_algebra, on_data = kept(H), kept(ints)
+    assert {name for name, _ in on_algebra} == on_h and {name for name, _ in on_data} == on_ints
+    assert on_algebra.keys() | on_data.keys() == asked
+    assert len(on_data) == len(ints._kept)  # the IntegralData keeps nothing else
+    was_h, was_ints = dict(H._kept), dict(ints._kept)
+    run(ints)
+    assert same(H, was_h) and same(ints, was_ints)
+
+    # checked from here on by what is kept, not by the recorder
+    monkeypatch.undo()
+    again = solve_integrals(H)
+    run(again)
+    assert same(H, was_h)
+    own = kept(again)
+    assert own.keys() == on_data.keys()
+    assert all(own[k] is not v and own[k] == v for k, v in on_data.items())
+
+    # the one cache attribute of each class
+    assert [n for n in vars(H) if n.startswith("_")] == ["_kept"]
+    assert [n for n in IntegralData.__slots__ if n.startswith("_")] == ["_kept"]
+    assert not any(hasattr(H, n) for n in ("primitive_products", "crossing_site"))
+    assert not any(hasattr(ints, n) for n in ("dot_site", "primitive_lam"))
 
 
 def test_inconsistent_coloring_rejected(bank):
