@@ -32,20 +32,31 @@ start.  Every plan gives the same value: component values are scalars
 that commute, and lam(xy) = lam(yx) for x and y of inverse grades, so a
 component's value does not depend on its start.
 
-Compiling (``_Compiled``) does, once per (algebra, integrals, diagram),
-what no coloring changes: it validates the diagram and records each
-dot's passage signs, the crossing sites, every component's slots and,
-as an int ratio, the crossing sites' contents times lam's and the
-unit's once per component.  Binding a coloring multiplies that ratio by
-its dot sites' contents, takes the plan from the compiled diagram's memo,
-folds, and builds the bracket (and the value, dim(H_1)^exponent times
-it) as a Cyclo from the folded numerators over the ratio.  ``evaluate``
-compiles and binds one coloring; ``evaluate_summed`` compiles once and
-binds every flat connection.  The
+Compiling (``_Compiled``) does what no coloring changes: it validates
+the diagram and records each dot's passage signs, the crossing sites,
+every component's slots and, as an int ratio, the crossing sites'
+contents times lam's and the unit's once per component.  Binding a
+coloring multiplies that ratio by its dot sites' contents, takes the
+plan from the compiled diagram's memo, folds, and builds the bracket
+(and the value, dim(H_1)^exponent times it) as a Cyclo from the folded
+numerators over the ratio.  ``evaluate``, ``evaluate_summed`` and
+``contraction_plan`` check on every call that the integrals belong to
+H, then read the compiled diagram that the integrals keep under the
+diagram (``_compile``), compiling it on first use: so a diagram is
+compiled once per IntegralData while it is kept, each plan key is
+planned once (the memo keeps (order, starts, cost)), and
+``evaluate_summed`` enumerates the flat connections once and keeps
+them.  An error is raised on every call and never kept.  What is kept
+lives as long as its IntegralData and grows with the distinct diagrams
+evaluated against it, up to MAX_COMPILED of them.  It saves work where
+one IntegralData meets a diagram again: every connection of a diagram
+through ``evaluate``, ``contraction_plan`` next to ``evaluate``, or a
+fixed set of diagrams evaluated again and again.  The
 value is multilinear in the sites, so each is built once as (content,
 primitive numerators) (``algebra.primitive``) and kept by ``algebra._kept``:
 dot sites and lam on the IntegralData, crossing sites and the unit and
-product rows (``_product_view``) on the algebra.  The fold computes
+product rows (``_product_view``) on the algebra, a crossing site only
+once a compiled diagram uses it (``_used_sites``).  The fold computes
 in Z[zeta_n]: a value is a numerator tuple (``Cyclo.num``), multiplied
 by ``cyclo.mul_nums`` and added entrywise, and ``one.num`` (a row's ``one``)
 is skipped on either side (unit rule).  A step keeps its terms apart by
@@ -79,6 +90,11 @@ from . import diagrams
 # and k = 12 would need about 9 GB.  It also bounds the (table entry, site
 # entry) pairs of each site the fold opens (_Compiled.bind).
 MAX_SITE_ENTRIES = 1 << 21
+
+# The compiled diagrams one IntegralData keeps (see _compile); compiling
+# one more drops the first, so memory stays bounded however many distinct
+# diagrams are evaluated.  A compiled builtin diagram holds about 1.4 KB.
+MAX_COMPILED = 64
 
 
 class EvaluationError(ValueError):
@@ -269,6 +285,12 @@ def _product_view(H: HopfGAlgebra) -> tuple:
 
 
 @_kept
+def _used_sites(H: HopfGAlgebra) -> dict:
+    """{(signs, words): _crossing_site(H, signs, words)} of the crossing
+    sites compiled diagrams use (see _crossing_sites)."""
+    return {}
+
+
 def _crossing_site(H: HopfGAlgebra, signs: tuple, words: tuple) -> tuple:
     """(content, sorted primitive entries) of crossings with the given
     signs (R for True, (S_1 (x) id)(R) for False) multiplied out, content
@@ -330,7 +352,9 @@ def _crossing_sites(H: HopfGAlgebra, d: KirbyDiagram, runs, first: int) -> list:
     component holds just the two ends, the kink's over end or the lesser
     crossing's end comes first, so no choice depends on the stored start
     events.  Every other crossing keeps its R site, factor 0 on the over
-    end."""
+    end.  A site is built at most once per call, and H keeps it
+    (_used_sites) only once a diagram uses it, so a merge tried and not
+    taken is not kept."""
     at = {(ev.crossing, ev.over): (k, p) for k, u in enumerate(d.undotted)
           for p, ev in enumerate(u.events) if isinstance(ev, CrossingEnd)}
     signs = {c.id: c.positive for c in d.crossings}
@@ -342,17 +366,21 @@ def _crossing_sites(H: HopfGAlgebra, d: KirbyDiagram, runs, first: int) -> list:
             return (a, b)
         return (b, a) if ka == kb and pa == (pb + 1) % n else None
 
-    def site(words):  # ends per factor -> _crossing_site
+    used, built = _used_sites(H), {}  # key -> site; a lone crossing's key is its sign
+
+    def key(words):  # ends per factor -> the arguments of _crossing_site
         ids = sorted({c for w in words for c, _ in w})
-        return _crossing_site(H, tuple(signs[c] for c in ids),
-                              tuple(tuple((ids.index(c), 1 - over) for c, over in w)
-                                    for w in words))
+        return (tuple(signs[c] for c in ids),
+                tuple(tuple((ids.index(c), 1 - over) for c, over in w) for w in words))
 
-    lone_sites = {}  # sign -> site: a lone crossing's site depends on its sign only
+    def site(words):
+        k = key(words)
+        if k not in built:
+            built[k] = used.get(k) or _crossing_site(H, *k)
+        return built[k]
 
-    def lone_site(c):
-        return lone_sites.get(signs[c]) or lone_sites.setdefault(
-            signs[c], site((((c, True),), ((c, False),))))
+    def lone(c):
+        return ((c, True),), ((c, False),)
 
     groups = {c: (w,) for c in signs if (w := word((c, True), (c, False)))}
     adjacent = {tuple(sorted((ev.crossing, nxt.crossing)))
@@ -366,14 +394,14 @@ def _crossing_sites(H: HopfGAlgebra, d: KirbyDiagram, runs, first: int) -> list:
         xb = (b, at[b, True][0] == at[a, True][0])
         words = (word((a, True), xb), word((a, False), (b, not xb[1])))
         if None not in words and (len(site(words)[1])
-                                  < len(lone_site(a)[1]) * len(lone_site(b)[1])):
+                                  < len(site(lone(a))[1]) * len(site(lone(b))[1])):
             groups[a] = words
             taken.update((a, b))
     for c in signs.keys() - taken:
-        groups[c] = ((c, True),), ((c, False),)
+        groups[c] = lone(c)
     sites = []
     for i, (c, words) in enumerate(sorted(groups.items())):
-        sites.append(site(words) if c in taken else lone_site(c))
+        sites.append(used.setdefault(key(words), site(words)))
         for f, w in enumerate(words):
             k, p = at[w[0]]
             runs[k][p] = (first + i, f, len(words))
@@ -381,54 +409,58 @@ def _crossing_sites(H: HopfGAlgebra, d: KirbyDiagram, runs, first: int) -> list:
 
 
 class _Compiled:
-    """The color-free part of evaluating a diagram d, and the binding of a
-    coloring to it.  A slot is (site, factor, arity): the dots with
-    passages are sites 0, 1, ... in dot order, the crossing sites follow
-    (see _crossing_sites).  skeleton[k] lists component k's slots in
-    traversal order and positions[k] the event each slot starts at."""
+    """The color-free part of evaluating a diagram d with some integrals, and
+    the binding of a coloring to it.  A slot is (site, factor, arity): the
+    dots with passages are sites 0, 1, ... in dot order, the crossing sites
+    follow (see _crossing_sites).  skeleton[k] lists component k's slots in
+    traversal order and positions[k] the event each slot starts at; plans
+    keeps (order, starts, cost) per plan key and homs d's flat connections
+    once enumerated.  It holds no reference to its integrals, which keep it
+    (see _compile)."""
 
-    def __init__(self, H: HopfGAlgebra, integrals: IntegralData, d: KirbyDiagram):
-        if integrals.algebra is not H:
-            raise EvaluationError("integral data belongs to a different algebra")
+    __slots__ = ("zero", "exponent", "norm", "dot_ids", "signs", "crossing_entries", "unit",
+                 "views", "lam", "scale", "skeleton", "positions", "plans", "homs")
+
+    def __init__(self, integrals: IntegralData, d: KirbyDiagram):
         require_valid(d)
-        self.H, self.integrals = H, integrals
-        self.zero, self.one = Cyclo.zero(H.conductor), Cyclo.one(H.conductor).num
+        H = integrals.algebra
+        self.zero = Cyclo.zero(H.conductor)
         self.exponent = e = len(d.dotted) - len(d.undotted)
         dim1 = H.dims[H.group.identity_index]
         self.norm = (dim1 ** e, 1) if e >= 0 else (1, dim1 ** -e)  # dim(H_1)^exponent
-        self.dot_ids = [x.id for x in d.dotted]
+        self.dot_ids = tuple(x.id for x in d.dotted)
         events = {u.id: u.events for u in d.undotted}
-        self.signs = [tuple(events[ru][rp].down for ru, rp in x.passages) for x in d.dotted]
+        self.signs = tuple(tuple(events[ru][rp].down for ru, rp in x.passages) for x in d.dotted)
         dots = [x for x in d.dotted if x.passages]
         comp = {u.id: k for k, u in enumerate(d.undotted)}
         runs = [{} for _ in d.undotted]  # event position -> the slot starting there
         for site, x in enumerate(dots):
             for f, (ru, rp) in enumerate(x.passages):
                 runs[comp[ru]][rp] = (site, f, len(x.passages))
-        self.crossings = _crossing_sites(H, d, runs, len(dots))
-        self.crossing_entries = [entries for _, entries in self.crossings]
+        crossings = _crossing_sites(H, d, runs, len(dots))
+        self.crossing_entries = tuple(entries for _, entries in crossings)
         (unit_content, self.unit), self.views = _product_view(H)
         lam_content, self.lam = _lam_view(integrals)
-        contents = [c for c, _ in self.crossings] + [lam_content, unit_content] * len(d.undotted)
+        contents = [c for c, _ in crossings] + [lam_content, unit_content] * len(d.undotted)
         self.scale = (prod(p for p, _ in contents), prod(q for _, q in contents))
-        self.skeleton = [[slot for _, slot in sorted(r.items())] for r in runs]
-        self.positions = [sorted(r) for r in runs]
-        self.plans = {}
+        self.skeleton = tuple(tuple(slot for _, slot in sorted(r.items())) for r in runs)
+        self.positions = tuple(tuple(sorted(r)) for r in runs)
+        self.plans, self.homs = {}, None
 
-    def sites(self, grades):
+    def sites(self, integrals: IntegralData, grades):
         """(site_entries, comp_slots, scale) for the coloring with the given
         grade index per dot, a slot gaining its grade as a fourth entry, and
         self.scale times the dot sites' contents.  None when a dot's L_a is
         0; a dot with no passages contributes eps(L_a) = 1.  Raises EvaluationError when a
         dot's site may exceed MAX_SITE_ENTRIES by the bound
         nnz(L_a) * max_i |Delta_a(e_i)|^(k-1) * max_i |S_a(e_i)|^(up passages)."""
-        H, entries, site_grades, (num, den) = self.H, [], [], self.scale
+        H, entries, site_grades, (num, den) = integrals.algebra, [], [], self.scale
         for x, a, signs in zip(self.dot_ids, grades, self.signs):
-            if not self.integrals.integrals[a]:
+            if not integrals.integrals[a]:
                 return None
             if not signs:
                 continue
-            bound = (len(self.integrals.integrals[a])
+            bound = (len(integrals.integrals[a])
                      * max(map(len, H.coproduct[a]), default=0) ** max(len(signs) - 1, 0)
                      * max(map(len, H.antipode[a]), default=0) ** signs.count(False))
             if bound > MAX_SITE_ENTRIES:
@@ -436,41 +468,40 @@ class _Compiled:
                 raise EvaluationError(
                     f"dot {x} at grade {H.group.names[a]} has {len(signs)} passages, "
                     f"so its site may hold {shown} entries, more than {MAX_SITE_ENTRIES}")
-            (p, q), site, sg = _dot_site(self.integrals, a, signs)
+            (p, q), site, sg = _dot_site(integrals, a, signs)
             num, den = num * p, den * q
             entries.append(site)
             site_grades.append(sg)
         e = H.group.identity_index
-        site_grades += [(e, e)] * len(self.crossings)
+        site_grades += [(e, e)] * len(self.crossing_entries)
         comp_slots = [[(site, f, n, site_grades[site][f]) for site, f, n in slots]
                       for slots in self.skeleton]
-        return entries + self.crossing_entries, comp_slots, (num, den)
+        return [*entries, *self.crossing_entries], comp_slots, (num, den)
 
-    def plan(self, site_entries, comp_slots):
-        """(planner, (order, starts, cost)) for the sites of one coloring,
-        kept under what the planner reads: the site entry counts and the
-        dims of the slot grades (a tie between starts is broken by the
-        slot's (site, factor), which no two slots share)."""
-        dims = self.H.dims
-        sizes = [len(x) for x in site_entries]
-        key = (tuple(sizes), tuple(dims[s[3]] for slots in comp_slots for s in slots))
+    def plan(self, dims, sizes, comp_slots, planner=None):
+        """(order, starts, cost) for the sites of one coloring, kept under
+        what the planner reads: the site entry counts and the dims of the
+        slot grades (a tie between starts is broken by the slot's (site,
+        factor), which no two slots share).  A miss plans with planner,
+        the caller's _Planner of these sites, or a new one."""
+        key = (*sizes, *(dims[s[3]] for slots in comp_slots for s in slots))
         got = self.plans.get(key)
         if got is None:
-            planner = _Planner(dims, sizes, comp_slots)
-            got = self.plans[key] = (planner, planner.plan())
+            got = self.plans[key] = (planner or _Planner(dims, sizes, comp_slots)).plan()
         return got
 
-    def bind(self, grades) -> InvariantValue:
+    def bind(self, integrals: IntegralData, grades) -> InvariantValue:
         """The invariant of the coloring with the given grade index per
         dot: the planned fold of its sites (see _Planner for the plan)."""
-        zero = self.zero
-        bound = self.sites(grades)
+        H, zero = integrals.algebra, self.zero
+        n, G = H.conductor, H.group
+        bound = self.sites(integrals, grades)
         if bound is None:
             return InvariantValue(zero, zero, self.exponent)
         site_entries, comp_slots, (num, den) = bound
-        order, starts, _ = self.plan(site_entries, comp_slots)[1]
-        n, G, unit, one, mul = self.H.conductor, self.H.group, self.unit, self.one, mul_nums
+        order, starts, _ = self.plan(H.dims, list(map(len, site_entries)), comp_slots)
         row_one = Cyclo.one(n)  # rows hold Cyclo values, read by their numerators
+        unit, one, mul = self.unit, row_one.num, mul_nums
         e, lam, views = G.identity_index, self.lam, self.views
 
         # between components the state maps pending-axis tuples to numerators;
@@ -559,11 +590,13 @@ def contraction_plan(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagra
     (from the merged slot holding it).  None when a dot alone makes the
     value zero and nothing is folded."""
     compiled, grades = _compile_colored(H, integrals, cd)
-    bound = compiled.sites(grades)
+    bound = compiled.sites(integrals, grades)
     if bound is None:
         return None
     site_entries, comp_slots, _ = bound
-    planner, (order, starts, cost) = compiled.plan(site_entries, comp_slots)
+    sizes = list(map(len, site_entries))
+    planner = _Planner(H.dims, sizes, comp_slots)
+    order, starts, cost = compiled.plan(H.dims, sizes, comp_slots, planner)
     positions = compiled.positions
     # the slot holding event 0: the first one, or a last one that wraps round
     stored = [0 if not ps or ps[0] == 0 else len(ps) - 1 for ps in positions]
@@ -573,9 +606,32 @@ def contraction_plan(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagra
     return order, events, cost, stored_cost
 
 
+@_kept
+def _compiled(integrals: IntegralData) -> dict:
+    """{diagram: _Compiled} for integrals, in the order compiled."""
+    return {}
+
+
+def _compile(H: HopfGAlgebra, integrals: IntegralData, d: KirbyDiagram) -> _Compiled:
+    """d compiled for integrals of H, kept by them under d (an equal
+    diagram reads the same entry) among their last MAX_COMPILED compiled;
+    an error is raised on every call and never kept."""
+    if integrals.algebra is not H:
+        raise EvaluationError("integral data belongs to a different algebra")
+    kept = _compiled(integrals)
+    compiled = kept.get(d)
+    if compiled is None:
+        compiled = _Compiled(integrals, d)
+        if len(kept) == MAX_COMPILED:
+            del kept[next(iter(kept))]  # the first compiled
+        kept[d] = compiled
+    return compiled
+
+
 def _compile_colored(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram):
-    """(compiled diagram, grade index per dot); validates cd's diagram once."""
-    compiled = _Compiled(H, integrals, cd.diagram)
+    """(compiled diagram, grade index per dot); cd's diagram is validated
+    when it is compiled."""
+    compiled = _compile(H, integrals, cd.diagram)
     # colors are read as grade indices of H, so their group must have H's
     # group table (element names may differ)
     for x in cd.colors.values():
@@ -589,17 +645,18 @@ def _compile_colored(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagra
 
 def evaluate(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram) -> InvariantValue:
     compiled, grades = _compile_colored(H, integrals, cd)
-    return compiled.bind(grades)
+    return compiled.bind(integrals, grades)
 
 
 def evaluate_summed(H: HopfGAlgebra, integrals: IntegralData,
                     d: KirbyDiagram) -> SummedInvariant:
     """Sum of the invariant over all flat connections, i.e. over all
     homomorphisms from the diagram's fundamental group into H's group."""
-    compiled = _Compiled(H, integrals, d)
-    pres = diagrams.fundamental_presentation(d)
-    homs = tuple(enumerate_homs(pres, H.group))
+    compiled = _compile(H, integrals, d)
+    if compiled.homs is None:  # kept only once enumerated within MAX_HOM_STEPS
+        compiled.homs = tuple(enumerate_homs(diagrams.fundamental_presentation(d), H.group))
+    homs = compiled.homs
     # every enumerated hom is flat and into H's group
-    values = tuple(compiled.bind([g.index for g in hom.images]) for hom in homs)
+    values = tuple(compiled.bind(integrals, [g.index for g in hom.images]) for hom in homs)
     return SummedInvariant(sum((iv.value for iv in values), compiled.zero),
                            values, homs)

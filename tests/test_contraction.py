@@ -32,7 +32,7 @@ from hopfg import (
     verify_axioms,
 )
 from hopfg.cyclo import Cyclo
-from hopfg.evaluate import _Compiled, contraction_plan
+from hopfg.evaluate import _compile, _crossing_sites, contraction_plan
 
 PLAN_SPECS = ("kac-paljutkin", "cyclic:k=2,l=3,d=1", "cyclic:k=1,l=4,d=1")
 
@@ -278,19 +278,19 @@ def test_kinks_and_parallel_pairs_are_merged(bank, spec):
     H, ints = bank(spec)
     dense = spec != "kac-paljutkin"
     for name, d in MERGE_CASES:
-        compiled = _Compiled(H, ints, d)
+        compiled = _compile(H, ints, d)
         widths = sorted(len(slots) for slots in compiled.skeleton)
         if name.startswith("kink"):
             assert widths == ([1, 2] if dense else [2, 3]), name
             # a merged slot starts at the event of its first end
-            assert compiled.positions[0][:2] == [0, 2], name
+            assert compiled.positions[0][:2] == (0, 2), name
         elif name.startswith("clasp"):
             assert widths == ([2, 3] if dense else [3, 4]), name
         elif name.startswith("II"):
             assert widths == [2, 3], name
     # of the pairs (0, 1) and (1, 2), the lesser ids merge: component 1
     # reads crossing 2 alone (site 2) and then the merged pair (site 1)
-    compiled = _Compiled(H, ints, oracles.three_parallel_crossings())
+    compiled = _compile(H, ints, oracles.three_parallel_crossings())
     assert [slot[:2] for slot in compiled.skeleton[1]] == [(2, 1), (1, 1)]
 
 
@@ -329,7 +329,7 @@ def test_merged_sites_multiply_their_ends_in_traversal_order(bank, spec):
                 lone = [oracles.merged_crossing_site(H, dd, (c,)) for c in ids]
                 if len(want) >= len(lone[0]) * len(lone[1]):
                     want = lone[0]
-            (p, q), entries = _Compiled(H, ints, dd).crossings[0]
+            (p, q), entries = _crossing_sites(H, dd, [{} for _ in dd.undotted], 0)[0]
             assert [(t, Cyclo(H.conductor, dict(enumerate(v))) * Fraction(p, q))
                     for t, v in entries] == want, (spec, d, ids)
 

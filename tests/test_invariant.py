@@ -1,6 +1,7 @@
 """Evaluator results on the builtin diagrams, checked against independent
 closed forms, plus summed invariants and multiplicativity."""
 
+import gc
 import itertools
 import re
 import sys
@@ -267,20 +268,24 @@ def test_sites_and_lam_are_their_content_times_primitive_entries(bank, spec):
 
 
 def test_every_fold_input_is_kept_once_in_one_memo_of_its_owner(monkeypatch):
-    # The builders of the fold's inputs are recorded by owner and key while
-    # evaluate_summed runs over the builtins on one fresh kac-paljutkin.
-    # After one pass every key asked for is in the _kept memo of its owner
-    # (the product view and crossing sites in H's, the dot sites and lam in
-    # the IntegralData's); a second pass keeps no new key and reads the same
-    # objects.  A second solve has its own dot sites and lam, and reads H's.
+    # The builders of the compiled diagrams and of the fold's inputs are
+    # recorded by owner and key while evaluate_summed runs over the builtins
+    # on one fresh kac-paljutkin.  After one pass every key asked for, and
+    # no other, is in the _kept memo of its owner (the product view and the
+    # used crossing sites in H's, the compiled diagrams, dot sites and lam
+    # in the IntegralData's).  H keeps exactly the crossing sites the
+    # compiled diagrams use, so s2xs2's clasp, tried and not merged, is not
+    # kept.  A second pass builds nothing, keeps no new key and reads the
+    # same objects.  A second solve has its own compiled diagrams, dot
+    # sites and lam, and reads H's.
     from hopfg import builtin_algebra
     from hopfg.integrals import IntegralData
 
     module = sys.modules["hopfg.evaluate"]
     H = builtin_algebra("kac-paljutkin")
     ints = solve_integrals(H)
-    on_h, on_ints = {"_product_view", "_crossing_site"}, {"_dot_site", "_lam_view"}
-    asked = set()
+    on_h, on_ints = {"_product_view", "_used_sites"}, {"_compiled", "_dot_site", "_lam_view"}
+    asked, built = set(), set()
 
     def recorded(name, build):
         def call(owner, *key):
@@ -291,8 +296,15 @@ def test_every_fold_input_is_kept_once_in_one_memo_of_its_owner(monkeypatch):
 
     for name in on_h | on_ints:
         monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
+    crossing_site = module._crossing_site
 
-    def kept(owner):  # (build name, key) -> kept value, the fold's entries only
+    def recorded_site(H, *key):  # the crossing sites built, kept or not
+        built.add(key)
+        return crossing_site(H, *key)
+
+    monkeypatch.setattr(module, "_crossing_site", recorded_site)
+
+    def kept(owner):  # (build name, key) -> kept value, the evaluator's entries only
         return {(k[0].__name__, k[1:]): v for k, v in owner._kept.items()
                 if k[0].__name__ in on_h | on_ints}
 
@@ -309,9 +321,20 @@ def test_every_fold_input_is_kept_once_in_one_memo_of_its_owner(monkeypatch):
     assert {name for name, _ in on_algebra} == on_h and {name for name, _ in on_data} == on_ints
     assert on_algebra.keys() | on_data.keys() == asked
     assert len(on_data) == len(ints._kept)  # the IntegralData keeps nothing else
+    by_diagram = on_data["_compiled", ()]  # the one entry of the compiled diagrams
+    assert list(by_diagram) == list(map(builtin_diagram, builtin_diagram_names()))
+    compiled = list(by_diagram.values())
+    sites = on_algebra["_used_sites", ()]
+    assert ({id(entries) for _, entries in sites.values()}
+            == {id(entries) for c in compiled for entries in c.crossing_entries})
+    assert sites.keys() < built  # a merge tried and not taken is not kept
     was_h, was_ints = dict(H._kept), dict(ints._kept)
+    was_compiled, was_sites = dict(by_diagram), dict(sites)
+    built.clear()
     run(ints)
-    assert same(H, was_h) and same(ints, was_ints)
+    assert not built and same(H, was_h) and same(ints, was_ints)
+    for memo, was in ((by_diagram, was_compiled), (sites, was_sites)):
+        assert memo.keys() == was.keys() and all(memo[k] is v for k, v in was.items())
 
     # checked from here on by what is kept, not by the recorder
     monkeypatch.undo()
@@ -320,13 +343,155 @@ def test_every_fold_input_is_kept_once_in_one_memo_of_its_owner(monkeypatch):
     assert same(H, was_h)
     own = kept(again)
     assert own.keys() == on_data.keys()
-    assert all(own[k] is not v and own[k] == v for k, v in on_data.items())
+    assert all(own[k] is not v and (k[0] == "_compiled" or own[k] == v)
+               for k, v in on_data.items())
+    assert own["_compiled", ()].keys() == by_diagram.keys()
 
-    # the one cache attribute of each class
+    # the one cache attribute of each class; a compiled diagram has slots
+    # only, and none refers back to its integrals or to a memo
     assert [n for n in vars(H) if n.startswith("_")] == ["_kept"]
     assert [n for n in IntegralData.__slots__ if n.startswith("_")] == ["_kept"]
     assert not any(hasattr(H, n) for n in ("primitive_products", "crossing_site"))
     assert not any(hasattr(ints, n) for n in ("dot_site", "primitive_lam"))
+    for c in compiled:
+        assert not hasattr(c, "__dict__")
+        assert not any(x is ints or x is H or x is ints._kept or x is H._kept
+                       for x in gc.get_referents(c))
+
+
+def test_the_compiled_diagrams_kept_are_bounded():
+    # evaluating more distinct diagrams than MAX_COMPILED against one
+    # IntegralData keeps the last MAX_COMPILED compiled; a dropped diagram
+    # compiles again, and each value is the same as from a fresh solve
+    from hopfg import builtin_algebra
+    from hopfg.evaluate import MAX_COMPILED, _compiled
+
+    H = builtin_algebra("kac-paljutkin")
+    ints = solve_integrals(H)
+    ds = [KirbyDiagram(dotted=(), undotted=(UndottedComponent(0, ()),), crossings=(), h3=k)
+          for k in range(MAX_COMPILED + 8)]  # all distinct
+    sums = [evaluate_summed(H, ints, d) for d in ds]
+    kept = _compiled(ints)
+    assert list(kept) == ds[-MAX_COMPILED:]
+    assert evaluate_summed(H, ints, ds[0]) == sums[0]
+    assert list(kept) == ds[1 - MAX_COMPILED:] + ds[:1]
+    fresh = solve_integrals(H)
+    assert [evaluate_summed(H, fresh, d) for d in ds] == sums
+
+
+def memo_loop():
+    """(counts, run): evaluate on every connection of
+    oracles.dots_between_two_components(3) at a fresh kac-paljutkin, then
+    evaluate_summed, then contraction_plan on every connection.  counts is
+    [compiles, plans], the calls of _Compiled.__init__ and _Planner.plan in
+    the loop, and run is (H, ints, d, its colorings, the values, the summed
+    invariant, the plans)."""
+    from hopfg import builtin_algebra
+    from hopfg.evaluate import contraction_plan
+
+    module, counts = sys.modules["hopfg.evaluate"], [0, 0]
+    init, plan = module._Compiled.__init__, module._Planner.plan
+
+    def counted_init(self, *args):
+        counts[0] += 1
+        init(self, *args)
+
+    def counted_plan(self):
+        counts[1] += 1
+        return plan(self)
+
+    H = builtin_algebra("kac-paljutkin")
+    ints = solve_integrals(H)
+    d = oracles.dots_between_two_components(3)
+    cds = colorings(d, H.group)
+    module._Compiled.__init__, module._Planner.plan = counted_init, counted_plan
+    try:
+        values = [evaluate(H, ints, cd) for cd in cds]
+        summed = evaluate_summed(H, ints, d)
+        plans = [contraction_plan(H, ints, cd) for cd in cds]
+    finally:
+        module._Compiled.__init__, module._Planner.plan = init, plan
+    return counts, (H, ints, d, cds, values, summed, plans)
+
+
+def test_a_diagram_is_compiled_once_per_integrals_and_planned_once_per_key():
+    # the memo loop reads one compiled diagram, kept by the integrals under
+    # the diagram, and plans once per plan key; an equal diagram that is
+    # another object reads the same entry, and the values equal those of a
+    # fresh solve
+    from hopfg.evaluate import _compile, contraction_plan
+
+    counts, (H, ints, d, cds, values, summed, plans) = memo_loop()
+    compiled = _compile(H, ints, d)
+    assert counts == [1, len(compiled.plans)] and len(cds) > len(compiled.plans)
+    assert summed.homs is compiled.homs and list(summed.values) == values
+
+    twin = oracles.dots_between_two_components(3)
+    assert twin is not d and twin == d
+    assert evaluate_summed(H, ints, twin) == summed
+    assert _compile(H, ints, twin) is compiled
+
+    fresh = solve_integrals(H)
+    assert [evaluate(H, fresh, cd) for cd in cds] == values
+    assert evaluate_summed(H, fresh, d) == summed
+    assert [contraction_plan(H, fresh, cd) for cd in cds] == plans
+    assert _compile(H, fresh, d) is not compiled
+
+
+def test_errors_raise_on_every_call_and_are_never_kept(bank, monkeypatch):
+    # an invalid diagram, integrals of another algebra, a hom enumeration
+    # past MAX_HOM_STEPS and a site past MAX_SITE_ENTRIES raise on every
+    # call; the first two leave no compiled diagram and no other entry, the
+    # last two no connections and no plan
+    from hopfg import builtin_algebra, groups
+    from hopfg.evaluate import _compile, _compiled
+
+    H = builtin_algebra("kac-paljutkin")
+    ints = solve_integrals(H)
+    other, other_ints = bank("cyclic:k=2,l=2,d=1")
+    invalid = KirbyDiagram(dotted=(), undotted=(UndottedComponent(0, (DotPassage(3, True),)),),
+                           crossings=())
+    d = oracles.dots_between_two_components(3)
+    cd = colorings(d, H.group)[0]
+    was = [(dict(_compiled(o)), dict(o._kept)) for o in (ints, other_ints)]
+    for _ in range(2):
+        with pytest.raises(DiagramError, match="unknown dot 3"):
+            evaluate_summed(H, ints, invalid)
+        with pytest.raises(EvaluationError, match="different algebra"):
+            evaluate_summed(other, ints, d)
+    assert [(_compiled(o), o._kept) for o in (ints, other_ints)] == was
+
+    monkeypatch.setattr(groups, "MAX_HOM_STEPS", 2)
+    for _ in range(2):
+        with pytest.raises(groups.GroupError, match="MAX_HOM_STEPS"):
+            evaluate_summed(H, ints, d)
+    assert _compile(H, ints, d).homs is None
+    monkeypatch.setattr(sys.modules["hopfg.evaluate"], "MAX_SITE_ENTRIES", 1)
+    for _ in range(2):
+        with pytest.raises(EvaluationError, match="more than 1"):
+            evaluate(H, ints, cd)
+    assert _compile(H, ints, d).plans == {}
+    monkeypatch.undo()
+    assert evaluate_summed(H, ints, d).hom_count == len(colorings(d, H.group))
+
+
+@pytest.mark.parametrize("spec", ("kac-paljutkin", "cyclic:k=3,l=4,d=1", "cyclic:k=2,l=4,d=3"))
+def test_a_change_of_basis_keeps_every_summed_value(bank, spec):
+    # evaluate_summed of every builtin and DB_2 in the basis of
+    # oracles.rebased(H, 3), where every constant is a fresh Cyclo, sites
+    # are dense and merges differ, equals H's connection by connection;
+    # each diagram object serves both, and each IntegralData keeps its own
+    # compiled diagram
+    from hopfg.evaluate import _compile
+
+    H, ints = bank(spec)
+    K = oracles.rebased(H, seed=3)[0]
+    kints = solve_integrals(K)
+    for d in [*map(builtin_diagram, builtin_diagram_names()), oracles.db2()]:
+        at_h, at_k = evaluate_summed(H, ints, d), evaluate_summed(K, kints, d)
+        assert [hom.images for hom in at_k.homs] == [hom.images for hom in at_h.homs]
+        assert [iv.value for iv in at_k.values] == [iv.value for iv in at_h.values], d
+        assert _compile(K, kints, d) is not _compile(H, ints, d)
 
 
 def test_inconsistent_coloring_rejected(bank):
