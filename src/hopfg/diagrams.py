@@ -65,10 +65,17 @@ class UndottedComponent(Record):
 
 
 class KirbyDiagram(Record):
-    __slots__ = ("dotted", "undotted", "crossings", "h3", "h4")
+    __slots__ = ("dotted", "undotted", "crossings", "h3", "h4", "_hash")
 
     def __init__(self, dotted, undotted, crossings, h3=0, h4=1):
         super().__init__(dotted, undotted, crossings, h3, h4)
+
+    def __hash__(self):  # taken once: the evaluator's memo reads a diagram on every call
+        try:
+            return self._hash
+        except AttributeError:
+            object.__setattr__(self, "_hash", super().__hash__())
+            return self._hash
 
 
 class ColoredDiagram(Record, mutable=True):

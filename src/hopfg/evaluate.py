@@ -32,6 +32,15 @@ start.  Every plan gives the same value: component values are scalars
 that commute, and lam(xy) = lam(yx) for x and y of inverse grades, so a
 component's value does not depend on its start.
 
+A plan keeps every schedule (order and starts) of the least predicted
+cost, the length-sorted one first, which ``evaluate`` and
+``contraction_plan`` use.  The prediction cannot see cancellation in R,
+so tied schedules can differ twofold in time: ``evaluate_summed`` folds
+the first connections of a plan key by each tied schedule in turn and
+the rest by the first that counted the least work (the (table entry,
+site entry) pairs of each step that opens a site plus the table size of
+each step that closes an axis), in a record that lives for the one call.
+
 Compiling (``_Compiled``) does what no coloring changes: it validates
 the diagram and records each dot's passage signs, the crossing sites,
 every component's slots and, as an int ratio, the crossing sites'
@@ -44,7 +53,7 @@ numerators over the ratio.  ``evaluate``, ``evaluate_summed`` and
 H, then read the compiled diagram that the integrals keep under the
 diagram (``_compile``), compiling it on first use: so a diagram is
 compiled once per IntegralData while it is kept, each plan key is
-planned once (the memo keeps (order, starts, cost)), and
+planned once (the memo keeps (schedules, cost)), and
 ``evaluate_summed`` enumerates the flat connections once and keeps
 them.  An error is raised on every call and never kept.  What is kept
 lives as long as its IntegralData and grows with the distinct diagrams
@@ -250,18 +259,19 @@ class _Planner:
         return tuple(sorted(range(len(self.steps)), key=lambda c: len(self.steps[c])))
 
     def plan(self):
-        """(order, starts, cost): the cheapest of the length-sorted order
-        and one greedy order per first component, each at its best start
-        slots; the length-sorted order wins a tie."""
+        """(schedules, cost): the (order, starts) of each candidate of the
+        least predicted cost, the length-sorted order first and then one
+        greedy order per first component, each at its best start slots."""
         order = self.by_length()
         cost, starts = self.run(order)
-        if len(order) < 2:  # the one order
-            return order, starts, cost
-        for cand in dict.fromkeys(map(self.greedy, range(len(order)))):
+        schedules = {(order, starts): None}
+        for cand in map(self.greedy, range(len(order))):
             ccost, cstarts = self.run(cand)
             if ccost < cost:
-                order, starts, cost = cand, cstarts, ccost
-        return order, starts, cost
+                cost, schedules = ccost, {}
+            if ccost == cost:
+                schedules[cand, cstarts] = None
+        return tuple(schedules), cost
 
 
 @_kept
@@ -348,13 +358,14 @@ def _crossing_sites(H: HopfGAlgebra, d: KirbyDiagram, runs, first: int) -> list:
     clasp or a Reidemeister-II pair) are one site, factor 0 the product
     of the two ends on X (the component of the lesser crossing's over
     end) and factor 1 of those on Y, when it has fewer entries than the
-    two R sites together; pairs are taken in crossing-id order.  Where a
-    component holds just the two ends, the kink's over end or the lesser
-    crossing's end comes first, so no choice depends on the stored start
-    events.  Every other crossing keeps its R site, factor 0 on the over
-    end.  A site is built at most once per call, and H keeps it
-    (_used_sites) only once a diagram uses it, so a merge tried and not
-    taken is not kept."""
+    two R sites have pairs of entries (counted from R and (S_1 (x) id)(R),
+    so no lone site is built to decide); pairs are taken in crossing-id
+    order.  Where a component holds just the two ends, the kink's over
+    end or the lesser crossing's end comes first, so no choice depends on
+    the stored start events.  Every other crossing keeps its R site,
+    factor 0 on the over end.  A site is built at most once per call, and
+    H keeps it (_used_sites) only once a diagram uses it, so a merge tried
+    and not taken is not kept."""
     at = {(ev.crossing, ev.over): (k, p) for k, u in enumerate(d.undotted)
           for p, ev in enumerate(u.events) if isinstance(ev, CrossingEnd)}
     signs = {c.id: c.positive for c in d.crossings}
@@ -379,8 +390,8 @@ def _crossing_sites(H: HopfGAlgebra, d: KirbyDiagram, runs, first: int) -> list:
             built[k] = used.get(k) or _crossing_site(H, *k)
         return built[k]
 
-    def lone(c):
-        return ((c, True),), ((c, False),)
+    def size(c):  # entries of c's lone site, without building it
+        return len(H.rmatrix if signs[c] else H.r_inverse_raw())
 
     groups = {c: (w,) for c in signs if (w := word((c, True), (c, False)))}
     adjacent = {tuple(sorted((ev.crossing, nxt.crossing)))
@@ -393,12 +404,11 @@ def _crossing_sites(H: HopfGAlgebra, d: KirbyDiagram, runs, first: int) -> list:
             continue
         xb = (b, at[b, True][0] == at[a, True][0])
         words = (word((a, True), xb), word((a, False), (b, not xb[1])))
-        if None not in words and (len(site(words)[1])
-                                  < len(site(lone(a))[1]) * len(site(lone(b))[1])):
+        if None not in words and len(site(words)[1]) < size(a) * size(b):
             groups[a] = words
             taken.update((a, b))
     for c in signs.keys() - taken:
-        groups[c] = lone(c)
+        groups[c] = ((c, True),), ((c, False),)
     sites = []
     for i, (c, words) in enumerate(sorted(groups.items())):
         sites.append(used.setdefault(key(words), site(words)))
@@ -414,7 +424,7 @@ class _Compiled:
     dots with passages are sites 0, 1, ... in dot order, the crossing sites
     follow (see _crossing_sites).  skeleton[k] lists component k's slots in
     traversal order and positions[k] the event each slot starts at; plans
-    keeps (order, starts, cost) per plan key and homs d's flat connections
+    keeps (schedules, cost) per plan key and homs d's flat connections
     once enumerated.  It holds no reference to its integrals, which keep it
     (see _compile)."""
 
@@ -479,27 +489,36 @@ class _Compiled:
         return [*entries, *self.crossing_entries], comp_slots, (num, den)
 
     def plan(self, dims, sizes, comp_slots, planner=None):
-        """(order, starts, cost) for the sites of one coloring, kept under
-        what the planner reads: the site entry counts and the dims of the
-        slot grades (a tie between starts is broken by the slot's (site,
-        factor), which no two slots share).  A miss plans with planner,
-        the caller's _Planner of these sites, or a new one."""
+        """(key, schedules, cost) for the sites of one coloring, (schedules,
+        cost) kept under the plan key, what the planner reads: the site
+        entry counts and the dims of the slot grades (a tie between starts
+        is broken by the slot's (site, factor), which no two slots share).
+        A miss plans with planner, the caller's _Planner of these sites, or
+        a new one."""
         key = (*sizes, *(dims[s[3]] for slots in comp_slots for s in slots))
         got = self.plans.get(key)
         if got is None:
             got = self.plans[key] = (planner or _Planner(dims, sizes, comp_slots)).plan()
-        return got
+        return key, *got
 
-    def bind(self, integrals: IntegralData, grades) -> InvariantValue:
+    def bind(self, integrals: IntegralData, grades, trials=None) -> InvariantValue:
         """The invariant of the coloring with the given grade index per
-        dot: the planned fold of its sites (see _Planner for the plan)."""
+        dot: the planned fold of its sites (see _Planner for the plan) by
+        its first schedule or, given a trial record {plan key: counted
+        work per schedule tried}, by the next untried or least-work one."""
         H, zero = integrals.algebra, self.zero
         n, G = H.conductor, H.group
         bound = self.sites(integrals, grades)
         if bound is None:
             return InvariantValue(zero, zero, self.exponent)
         site_entries, comp_slots, (num, den) = bound
-        order, starts, _ = self.plan(H.dims, list(map(len, site_entries)), comp_slots)
+        key, schedules, _ = self.plan(H.dims, list(map(len, site_entries)), comp_slots)
+        pick, works = 0, None
+        if trials is not None and len(schedules) > 1:
+            works = trials.setdefault(key, [])
+            pick = len(works) if len(works) < len(schedules) else works.index(min(works))
+        order, starts = schedules[pick]
+        work = 0  # (table entry, site entry) pairs of each open step, table size of each close
         row_one = Cyclo.one(n)  # rows hold Cyclo values, read by their numerators
         unit, one, mul = self.unit, row_one.num, mul_nums
         e, lam, views = G.identity_index, self.lam, self.views
@@ -519,6 +538,7 @@ class _Compiled:
                 contents, rows = views[acc_g, sg]  # e_x e_i = contents[x][i] rows[x][i]
                 parts = defaultdict(dict)  # the step's terms by the content of their row
                 if (site, factor) in registry:
+                    work += len(within)
                     p = registry.index((site, factor))
                     for (x, axes), v in within.items():
                         a = axes[p]
@@ -534,6 +554,7 @@ class _Compiled:
                         raise EvaluationError(
                             f"the fold would open a site of {len(entries)} entries over a "
                             f"table of {len(within)}: {pairs} pairs, more than {MAX_SITE_ENTRIES}")
+                    work += pairs
                     split = [(t[factor], t[:factor] + t[factor + 1:], w) for t, w in entries]
                     for (x, axes), v in within.items():
                         crow, row = contents[x], rows[x]
@@ -559,6 +580,8 @@ class _Compiled:
                 break
         if registry and state:
             raise EvaluationError("dangling tensor factors after contraction")
+        if works is not None and pick == len(works):  # a trial
+            works.append(work)
         s, (p, q) = state.get((), zero.num), self.norm
         bracket = _make(n, [x * num for x in s], den)
         value = bracket if p == q else _make(n, [x * (num * p) for x in s], den * q)
@@ -596,7 +619,7 @@ def contraction_plan(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagra
     site_entries, comp_slots, _ = bound
     sizes = list(map(len, site_entries))
     planner = _Planner(H.dims, sizes, comp_slots)
-    order, starts, cost = compiled.plan(H.dims, sizes, comp_slots, planner)
+    _, ((order, starts), *_), cost = compiled.plan(H.dims, sizes, comp_slots, planner)
     positions = compiled.positions
     # the slot holding event 0: the first one, or a last one that wraps round
     stored = [0 if not ps or ps[0] == 0 else len(ps) - 1 for ps in positions]
@@ -655,8 +678,9 @@ def evaluate_summed(H: HopfGAlgebra, integrals: IntegralData,
     compiled = _compile(H, integrals, d)
     if compiled.homs is None:  # kept only once enumerated within MAX_HOM_STEPS
         compiled.homs = tuple(enumerate_homs(diagrams.fundamental_presentation(d), H.group))
-    homs = compiled.homs
+    homs, trials = compiled.homs, {}
     # every enumerated hom is flat and into H's group
-    values = tuple(compiled.bind(integrals, [g.index for g in hom.images]) for hom in homs)
+    values = tuple(compiled.bind(integrals, [g.index for g in hom.images], trials)
+                   for hom in homs)
     return SummedInvariant(sum((iv.value for iv in values), compiled.zero),
                            values, homs)

@@ -6,6 +6,8 @@ the diagram happens to be stored, and that it is never predicted to cost
 more than the length-sorted fold from the stored events.  The oracle
 tests compare ``evaluate`` exactly with the term-by-term expansion in
 ``oracles.expansion_invariant``, which shares no fold or plan code with it.
+The tie tests pin that ``evaluate_summed``'s trials of tied schedules
+change no value and no plan of ``evaluate`` or ``contraction_plan``.
 """
 
 import random
@@ -350,11 +352,16 @@ def test_merged_sites_multiply_their_ends_in_traversal_order(bank, spec):
 # and 16,416 kernel calls, and 0, 912 and 5,240 scaled terms.  kink_on_clasp
 # (its kink one merged site, its clasp two R sites, no dots) makes 3 Cyclo
 # multiplications before and 1 kernel call now, and three_parallel_crossings,
-# whose II pair is one merged site, 36 before and 16 + 4 now.  Each ceiling is
-# the count plus 10%, rounded down.
+# whose II pair is one merged site, 36 before and 16 + 4 now.  s1xs1xs2 has
+# two fold schedules of equal predicted cost at both algebras, and
+# evaluate_summed folds by the one of least counted work: at cyclic:k=3,l=5,d=3
+# that one makes 16 kernel calls per bind (128 over the 8 binds that fold by
+# it), where the length-sorted schedule made none, and at kac-paljutkin the
+# call makes 1,799 + 702 where that schedule made 2,372 + 912.  Each ceiling
+# is the count plus 10%, rounded down.
 FOLD_WORK = (
-    ("cyclic:k=3,l=5,d=3", "s1xs1xs2", 0),
-    ("kac-paljutkin", "s1xs1xs2", 3_612),
+    ("cyclic:k=3,l=5,d=3", "s1xs1xs2", 140),
+    ("kac-paljutkin", "s1xs1xs2", 2_751),
     ("kac-paljutkin", "dots_between_two_components(3)", 23_821),
     ("kac-paljutkin", "kink_on_clasp(True, True)", 1),
     ("kac-paljutkin", "three_parallel_crossings()", 22),
@@ -366,6 +373,10 @@ FOLD_DIAGRAMS = {
 }
 
 
+def fold_diagram(name):
+    return FOLD_DIAGRAMS[name]() if name in FOLD_DIAGRAMS else builtin_diagram(name)
+
+
 def fold_mul_count(spec, name):
     """(cyclo, kernel, scalings, binds) of one evaluate_summed of the diagram
     name at spec, after a first call has filled the site caches: its Cyclo
@@ -373,7 +384,7 @@ def fold_mul_count(spec, name):
     rational operand included), the terms its per-step content scalings
     multiply, and its binds (one per connection)."""
     H, ints = oracles.bank(spec)
-    d = FOLD_DIAGRAMS[name]() if name in FOLD_DIAGRAMS else builtin_diagram(name)
+    d = fold_diagram(name)
     evaluate_summed(H, ints, d)
     counts, evaluate_module = [0, 0, 0], sys.modules["hopfg.evaluate"]
     mul, kernel, merged = Cyclo.__mul__, evaluate_module.mul_nums, evaluate_module._merged
@@ -408,3 +419,61 @@ def test_fold_op_counts(spec, name, ceiling):
     assert cyclo + kernel + scalings <= ceiling
     # the contents' denominators enter the value once per bind, at its end
     assert cyclo <= binds
+
+
+# -- ties between fold schedules -----------------------------------------------
+
+
+def summed_trials(spec, name):
+    """(summed, trials) of one evaluate_summed of the diagram name at spec:
+    its SummedInvariant and its trial record, {plan key: counted work of
+    each tied schedule tried}, the schedule kept being the first of least
+    work."""
+    H, ints = oracles.bank(spec)
+    d = fold_diagram(name)
+    module, records = sys.modules["hopfg.evaluate"], []
+    bind = module._Compiled.bind
+
+    def recorded(self, integrals, grades, trials=None):
+        if trials is not None and not any(r is trials for r in records):
+            records.append(trials)
+        return bind(self, integrals, grades, trials)
+
+    module._Compiled.bind = recorded
+    try:
+        summed = evaluate_summed(H, ints, d)
+    finally:
+        module._Compiled.bind = bind
+    assert len(records) <= 1  # one record per call
+    return summed, records[0] if records else {}
+
+
+@pytest.mark.parametrize("spec", ("cyclic:k=3,l=5,d=3", "kac-paljutkin"))
+def test_evaluate_summed_tries_each_tied_schedule_once_and_keeps_the_least_work(bank, spec):
+    # s1xs1xs2 has one plan key with two schedules of equal predicted cost at
+    # both algebras: the first two connections try one each, and the rest fold
+    # by the one of least counted work; values, the static plan of evaluate
+    # and contraction_plan, and the next call's trials are all unchanged
+    H, ints = bank(spec)
+    d = builtin_diagram("s1xs1xs2")
+    cds = colorings(d, H.group)
+    plans = [contraction_plan(H, ints, cd) for cd in cds]
+    summed, trials = summed_trials(spec, "s1xs1xs2")
+    assert list(summed.values) == [evaluate(H, ints, cd) for cd in cds]
+    again, same = summed_trials(spec, "s1xs1xs2")
+    assert again == summed and same == trials
+    assert [contraction_plan(H, ints, cd) for cd in cds] == plans
+    compiled = _compile(H, ints, d)
+    assert trials.keys() == {k for k, (schedules, _) in compiled.plans.items()
+                             if len(schedules) > 1} and trials
+    for key, works in trials.items():
+        assert len(works) == len(compiled.plans[key][0]) == 2
+    if spec == "cyclic:k=3,l=5,d=3":  # the length-sorted schedule is not the one kept
+        [(first, second)] = trials.values()
+        assert second < first
+
+
+@pytest.mark.parametrize("spec", ("cyclic:k=3,l=5,d=3", "kac-paljutkin"))
+def test_a_diagram_without_a_tie_does_no_trial_bookkeeping(spec):
+    summed, trials = summed_trials(spec, "cp2")
+    assert trials == {} and summed.values

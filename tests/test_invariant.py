@@ -358,6 +358,15 @@ def test_every_fold_input_is_kept_once_in_one_memo_of_its_owner(monkeypatch):
         assert not any(x is ints or x is H or x is ints._kept or x is H._kept
                        for x in gc.get_referents(c))
 
+    # at a dense grid algebra s2xs2's clasp merges (16 entries against 16 * 16
+    # pairs of R entries), decided from R's entry count: no lone site is built
+    monkeypatch.setattr(module, "_crossing_site", recorded_site)
+    built.clear()
+    dense = builtin_algebra("cyclic:k=1,l=4,d=1")
+    evaluate_summed(dense, solve_integrals(dense), builtin_diagram("s2xs2"))
+    [(signs, words)] = built  # the merged site, each factor two ends, and no lone one
+    assert signs == (True, True) and [len(w) for w in words] == [2, 2]
+
 
 def test_the_compiled_diagrams_kept_are_bounded():
     # evaluating more distinct diagrams than MAX_COMPILED against one
