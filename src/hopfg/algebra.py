@@ -226,8 +226,9 @@ class HopfGAlgebra:
     Construction validates dimensional consistency, totality of all maps,
     scalar conductors, and that the supported grades form a normal subgroup.
     An instance is treated as immutable after construction: ``_kept`` holds
-    each table derived from these maps once (``right_mul_rows``, the
-    generating sets and dual table below, the evaluator's products and sites).
+    each table derived from these maps once (``right_mul_rows``,
+    ``r_inverse_raw``, the generating sets and dual table below, the
+    evaluator's products and sites).
     """
 
     def __init__(self, group: FiniteGroup, dims, conductor: int, product, unit,
@@ -388,6 +389,7 @@ class HopfGAlgebra:
         return sum((xi if eps[i] is one else eps[i] if xi is one else xi * eps[i]
                     for i, xi in x.items()), Cyclo.zero(self.conductor))
 
+    @_kept
     def r_inverse_raw(self) -> dict:
         """(S_1 (x) id)(R), the two-sided inverse of R for a valid algebra."""
         e = self.group.identity_index

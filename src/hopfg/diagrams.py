@@ -65,7 +65,7 @@ class UndottedComponent(Record):
 
 
 class KirbyDiagram(Record):
-    __slots__ = ("dotted", "undotted", "crossings", "h3", "h4", "_hash")
+    __slots__ = ("dotted", "undotted", "crossings", "h3", "h4", "_hash", "_presentation")
 
     def __init__(self, dotted, undotted, crossings, h3=0, h4=1):
         super().__init__(dotted, undotted, crossings, h3, h4)
@@ -160,7 +160,12 @@ def require_valid(d: KirbyDiagram):
 def fundamental_presentation(d: KirbyDiagram) -> Presentation:
     """One generator per dotted component (in list order), one relation
     word per undotted component: +g for a downward passage, -g for an
-    upward one, in traversal order."""
+    upward one, in traversal order.  Built once per diagram and kept on it:
+    every evaluate checks its coloring against it."""
+    try:
+        return d._presentation
+    except AttributeError:
+        pass
     gen_index = {x.id: i + 1 for i, x in enumerate(d.dotted)}
     relations = []
     for u in d.undotted:
@@ -170,7 +175,8 @@ def fundamental_presentation(d: KirbyDiagram) -> Presentation:
                 g = gen_index[ev.dot]
                 word.append(g if ev.down else -g)
         relations.append(tuple(word))
-    return Presentation(len(d.dotted), tuple(relations))
+    object.__setattr__(d, "_presentation", Presentation(len(d.dotted), tuple(relations)))
+    return d._presentation
 
 
 def color(d: KirbyDiagram, hom: GroupHom) -> ColoredDiagram:

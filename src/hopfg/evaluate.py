@@ -53,25 +53,25 @@ numerators over the ratio.  ``evaluate``, ``evaluate_summed`` and
 H, then read the compiled diagram that the integrals keep under the
 diagram (``_compile``), compiling it on first use: so a diagram is
 compiled once per IntegralData while it is kept, each plan key is
-planned once (the memo keeps (schedules, cost)), and
+planned once (the memo keeps (schedules, cost, stored_cost)), and
 ``evaluate_summed`` enumerates the flat connections once and keeps
 them.  An error is raised on every call and never kept.  What is kept
 lives as long as its IntegralData and grows with the distinct diagrams
 evaluated against it, up to MAX_COMPILED of them.  It saves work where
 one IntegralData meets a diagram again: every connection of a diagram
 through ``evaluate``, ``contraction_plan`` next to ``evaluate``, or a
-fixed set of diagrams evaluated again and again.  The
-value is multilinear in the sites, so each is built once as (content,
-primitive numerators) (``algebra.primitive``) and kept by ``algebra._kept``:
-dot sites and lam on the IntegralData, crossing sites and the unit and
-product rows (``_product_view``) on the algebra, a crossing site only
-once a compiled diagram uses it (``_used_sites``).  The fold computes
-in Z[zeta_n]: a value is a numerator tuple (``Cyclo.num``), multiplied
-by ``cyclo.mul_nums`` and added entrywise, and ``one.num`` (a row's ``one``)
-is skipped on either side (unit rule).  A step keeps its terms apart by
-the content of the product row each passes through: a lone content goes
-into the bind's ratio, and mixed ones are scaled by ints to their common
-content, once per key (``_merged``).
+fixed set of diagrams evaluated again and again.  The value is
+multilinear in the sites, so each is built once as (content, primitive
+numerators) (``algebra.primitive``) and kept by ``algebra._kept``: dot
+sites and lam on the IntegralData, crossing sites (a merge tried and not
+taken too) and the unit and product rows (``_product_view``) on the
+algebra.  The fold computes in Z[zeta_n]: a value is a numerator tuple
+(``Cyclo.num``), multiplied by ``cyclo.mul_nums`` and added entrywise,
+and ``one.num`` (a row's ``one``) is skipped on either side (unit rule).
+A step keeps its terms apart by the content of the product row each
+passes through: a lone content goes into the bind's ratio, and mixed
+ones are scaled by ints to their common content, once per key
+(``_merged``).
 """
 
 from __future__ import annotations
@@ -295,12 +295,6 @@ def _product_view(H: HopfGAlgebra) -> tuple:
 
 
 @_kept
-def _used_sites(H: HopfGAlgebra) -> dict:
-    """{(signs, words): _crossing_site(H, signs, words)} of the crossing
-    sites compiled diagrams use (see _crossing_sites)."""
-    return {}
-
-
 def _crossing_site(H: HopfGAlgebra, signs: tuple, words: tuple) -> tuple:
     """(content, sorted primitive entries) of crossings with the given
     signs (R for True, (S_1 (x) id)(R) for False) multiplied out, content
@@ -363,9 +357,8 @@ def _crossing_sites(H: HopfGAlgebra, d: KirbyDiagram, runs, first: int) -> list:
     order.  Where a component holds just the two ends, the kink's over
     end or the lesser crossing's end comes first, so no choice depends on
     the stored start events.  Every other crossing keeps its R site,
-    factor 0 on the over end.  A site is built at most once per call, and
-    H keeps it (_used_sites) only once a diagram uses it, so a merge tried
-    and not taken is not kept."""
+    factor 0 on the over end.  H keeps each site it builds, a merge tried
+    and not taken too, so no compile builds a site twice."""
     at = {(ev.crossing, ev.over): (k, p) for k, u in enumerate(d.undotted)
           for p, ev in enumerate(u.events) if isinstance(ev, CrossingEnd)}
     signs = {c.id: c.positive for c in d.crossings}
@@ -377,18 +370,10 @@ def _crossing_sites(H: HopfGAlgebra, d: KirbyDiagram, runs, first: int) -> list:
             return (a, b)
         return (b, a) if ka == kb and pa == (pb + 1) % n else None
 
-    used, built = _used_sites(H), {}  # key -> site; a lone crossing's key is its sign
-
-    def key(words):  # ends per factor -> the arguments of _crossing_site
+    def site(words):  # ends per factor -> H's site of them
         ids = sorted({c for w in words for c, _ in w})
-        return (tuple(signs[c] for c in ids),
-                tuple(tuple((ids.index(c), 1 - over) for c, over in w) for w in words))
-
-    def site(words):
-        k = key(words)
-        if k not in built:
-            built[k] = used.get(k) or _crossing_site(H, *k)
-        return built[k]
+        return _crossing_site(H, tuple(signs[c] for c in ids), tuple(
+            tuple((ids.index(c), 1 - over) for c, over in w) for w in words))
 
     def size(c):  # entries of c's lone site, without building it
         return len(H.rmatrix if signs[c] else H.r_inverse_raw())
@@ -411,7 +396,7 @@ def _crossing_sites(H: HopfGAlgebra, d: KirbyDiagram, runs, first: int) -> list:
         groups[c] = ((c, True),), ((c, False),)
     sites = []
     for i, (c, words) in enumerate(sorted(groups.items())):
-        sites.append(used.setdefault(key(words), site(words)))
+        sites.append(site(words))
         for f, w in enumerate(words):
             k, p = at[w[0]]
             runs[k][p] = (first + i, f, len(words))
@@ -424,9 +409,9 @@ class _Compiled:
     dots with passages are sites 0, 1, ... in dot order, the crossing sites
     follow (see _crossing_sites).  skeleton[k] lists component k's slots in
     traversal order and positions[k] the event each slot starts at; plans
-    keeps (schedules, cost) per plan key and homs d's flat connections
-    once enumerated.  It holds no reference to its integrals, which keep it
-    (see _compile)."""
+    keeps (schedules, cost, stored_cost) per plan key (see plan) and homs
+    d's flat connections once enumerated.  It holds no reference to its
+    integrals, which keep it (see _compile)."""
 
     __slots__ = ("zero", "exponent", "norm", "dot_ids", "signs", "crossing_entries", "unit",
                  "views", "lam", "scale", "skeleton", "positions", "plans", "homs")
@@ -458,8 +443,8 @@ class _Compiled:
         self.plans, self.homs = {}, None
 
     def sites(self, integrals: IntegralData, grades):
-        """(site_entries, comp_slots, scale) for the coloring with the given
-        grade index per dot, a slot gaining its grade as a fourth entry, and
+        """(site_entries, site_grades, scale) for the coloring with the given
+        grade index per dot: each site's entries and factor grades, and
         self.scale times the dot sites' contents.  None when a dot's L_a is
         0; a dot with no passages contributes eps(L_a) = 1.  Raises EvaluationError when a
         dot's site may exceed MAX_SITE_ENTRIES by the bound
@@ -484,37 +469,41 @@ class _Compiled:
             site_grades.append(sg)
         e = H.group.identity_index
         site_grades += [(e, e)] * len(self.crossing_entries)
-        comp_slots = [[(site, f, n, site_grades[site][f]) for site, f, n in slots]
-                      for slots in self.skeleton]
-        return [*entries, *self.crossing_entries], comp_slots, (num, den)
+        return [*entries, *self.crossing_entries], site_grades, (num, den)
 
-    def plan(self, dims, sizes, comp_slots, planner=None):
-        """(key, schedules, cost) for the sites of one coloring, (schedules,
-        cost) kept under the plan key, what the planner reads: the site
+    def plan(self, dims, sizes, site_grades):
+        """(key, schedules, cost, stored_cost) for the sites of one coloring,
+        all but the key kept under it, what the planner reads: the site
         entry counts and the dims of the slot grades (a tie between starts
-        is broken by the slot's (site, factor), which no two slots share).
-        A miss plans with planner, the caller's _Planner of these sites, or
-        a new one."""
-        key = (*sizes, *(dims[s[3]] for slots in comp_slots for s in slots))
+        is broken by the slot's (site, factor), which no two slots share);
+        stored_cost is contraction_plan's.  Only a miss builds a _Planner."""
+        key = (*sizes, *(dims[site_grades[s][f]] for slots in self.skeleton for s, f, _ in slots))
         got = self.plans.get(key)
         if got is None:
-            got = self.plans[key] = (planner or _Planner(dims, sizes, comp_slots)).plan()
+            planner = _Planner(dims, sizes, [[(s, f, n, site_grades[s][f]) for s, f, n in slots]
+                                             for slots in self.skeleton])
+            # the slot holding event 0: the first one, or a last one that wraps round
+            stored = [0 if not ps or ps[0] == 0 else len(ps) - 1 for ps in self.positions]
+            by_length = planner.by_length()
+            got = self.plans[key] = (
+                *planner.plan(), planner.run(by_length, [stored[c] for c in by_length])[0])
         return key, *got
 
-    def bind(self, integrals: IntegralData, grades, trials=None) -> InvariantValue:
+    def bind(self, integrals: IntegralData, grades, trials: dict) -> InvariantValue:
         """The invariant of the coloring with the given grade index per
         dot: the planned fold of its sites (see _Planner for the plan) by
-        its first schedule or, given a trial record {plan key: counted
-        work per schedule tried}, by the next untried or least-work one."""
+        the next untried or the least-work schedule of its plan key in the
+        trial record trials, {plan key: counted work per schedule tried},
+        which is one bind's or one evaluate_summed's."""
         H, zero = integrals.algebra, self.zero
         n, G = H.conductor, H.group
         bound = self.sites(integrals, grades)
         if bound is None:
             return InvariantValue(zero, zero, self.exponent)
-        site_entries, comp_slots, (num, den) = bound
-        key, schedules, _ = self.plan(H.dims, list(map(len, site_entries)), comp_slots)
+        site_entries, site_grades, (num, den) = bound
+        key, schedules, *_ = self.plan(H.dims, list(map(len, site_entries)), site_grades)
         pick, works = 0, None
-        if trials is not None and len(schedules) > 1:
+        if len(schedules) > 1:
             works = trials.setdefault(key, [])
             pick = len(works) if len(works) < len(schedules) else works.index(min(works))
         order, starts = schedules[pick]
@@ -528,13 +517,14 @@ class _Compiled:
         state = {(): one}
         registry = []
         for comp, r in zip(order, starts):
-            slots = comp_slots[comp]
+            slots = self.skeleton[comp]
             acc_g = e
             within = {}
             for axes, v in state.items():
                 for xi, xv in unit.items():
                     within[(xi, axes)] = v if xv is one else mul(n, v, xv)
-            for site, factor, arity, sg in slots[r:] + slots[:r]:
+            for site, factor, arity in slots[r:] + slots[:r]:
+                sg = site_grades[site][factor]
                 contents, rows = views[acc_g, sg]  # e_x e_i = contents[x][i] rows[x][i]
                 parts = defaultdict(dict)  # the step's terms by the content of their row
                 if (site, factor) in registry:
@@ -616,15 +606,10 @@ def contraction_plan(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagra
     bound = compiled.sites(integrals, grades)
     if bound is None:
         return None
-    site_entries, comp_slots, _ = bound
-    sizes = list(map(len, site_entries))
-    planner = _Planner(H.dims, sizes, comp_slots)
-    _, ((order, starts), *_), cost = compiled.plan(H.dims, sizes, comp_slots, planner)
+    site_entries, site_grades, _ = bound
+    _, ((order, starts), *_), cost, stored_cost = compiled.plan(
+        H.dims, list(map(len, site_entries)), site_grades)
     positions = compiled.positions
-    # the slot holding event 0: the first one, or a last one that wraps round
-    stored = [0 if not ps or ps[0] == 0 else len(ps) - 1 for ps in positions]
-    by_length = planner.by_length()
-    stored_cost, _ = planner.run(by_length, [stored[c] for c in by_length])
     events = tuple(positions[c][r] if positions[c] else 0 for c, r in zip(order, starts))
     return order, events, cost, stored_cost
 
@@ -668,7 +653,7 @@ def _compile_colored(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagra
 
 def evaluate(H: HopfGAlgebra, integrals: IntegralData, cd: ColoredDiagram) -> InvariantValue:
     compiled, grades = _compile_colored(H, integrals, cd)
-    return compiled.bind(integrals, grades)
+    return compiled.bind(integrals, grades, {})
 
 
 def evaluate_summed(H: HopfGAlgebra, integrals: IntegralData,

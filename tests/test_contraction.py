@@ -434,8 +434,8 @@ def summed_trials(spec, name):
     module, records = sys.modules["hopfg.evaluate"], []
     bind = module._Compiled.bind
 
-    def recorded(self, integrals, grades, trials=None):
-        if trials is not None and not any(r is trials for r in records):
+    def recorded(self, integrals, grades, trials):
+        if not any(r is trials for r in records):
             records.append(trials)
         return bind(self, integrals, grades, trials)
 
@@ -464,7 +464,7 @@ def test_evaluate_summed_tries_each_tied_schedule_once_and_keeps_the_least_work(
     assert again == summed and same == trials
     assert [contraction_plan(H, ints, cd) for cd in cds] == plans
     compiled = _compile(H, ints, d)
-    assert trials.keys() == {k for k, (schedules, _) in compiled.plans.items()
+    assert trials.keys() == {k for k, (schedules, _, _) in compiled.plans.items()
                              if len(schedules) > 1} and trials
     for key, works in trials.items():
         assert len(works) == len(compiled.plans[key][0]) == 2

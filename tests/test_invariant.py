@@ -267,25 +267,40 @@ def test_sites_and_lam_are_their_content_times_primitive_entries(bank, spec):
     assert primitive(list(lam.items()))
 
 
+def built_into(*owners) -> list:
+    """The (build name, key) of each table built into the _kept memo of one
+    of owners from now on, in order: each memo becomes a dict that records
+    what is stored in it."""
+    built = []
+
+    class Recording(dict):
+        def __setitem__(self, key, value):
+            built.append((key[0].__name__, key[1:]))
+            super().__setitem__(key, value)
+
+    for owner in owners:
+        owner._kept = Recording(owner._kept)
+    return built
+
+
 def test_every_fold_input_is_kept_once_in_one_memo_of_its_owner(monkeypatch):
     # The builders of the compiled diagrams and of the fold's inputs are
     # recorded by owner and key while evaluate_summed runs over the builtins
     # on one fresh kac-paljutkin.  After one pass every key asked for, and
     # no other, is in the _kept memo of its owner (the product view and the
-    # used crossing sites in H's, the compiled diagrams, dot sites and lam
-    # in the IntegralData's).  H keeps exactly the crossing sites the
-    # compiled diagrams use, so s2xs2's clasp, tried and not merged, is not
-    # kept.  A second pass builds nothing, keeps no new key and reads the
-    # same objects.  A second solve has its own compiled diagrams, dot
-    # sites and lam, and reads H's.
+    # crossing sites in H's, the compiled diagrams, dot sites and lam in
+    # the IntegralData's).  H has built each crossing site it keeps once,
+    # and no other, the compiled diagrams' among them.  A second pass builds
+    # nothing, keeps no new key and reads the same objects.  A second solve
+    # has its own compiled diagrams, dot sites and lam, and reads H's.
     from hopfg import builtin_algebra
     from hopfg.integrals import IntegralData
 
     module = sys.modules["hopfg.evaluate"]
     H = builtin_algebra("kac-paljutkin")
     ints = solve_integrals(H)
-    on_h, on_ints = {"_product_view", "_used_sites"}, {"_compiled", "_dot_site", "_lam_view"}
-    asked, built = set(), set()
+    on_h, on_ints = {"_product_view", "_crossing_site"}, {"_compiled", "_dot_site", "_lam_view"}
+    asked = set()
 
     def recorded(name, build):
         def call(owner, *key):
@@ -296,13 +311,7 @@ def test_every_fold_input_is_kept_once_in_one_memo_of_its_owner(monkeypatch):
 
     for name in on_h | on_ints:
         monkeypatch.setattr(module, name, recorded(name, getattr(module, name)))
-    crossing_site = module._crossing_site
-
-    def recorded_site(H, *key):  # the crossing sites built, kept or not
-        built.add(key)
-        return crossing_site(H, *key)
-
-    monkeypatch.setattr(module, "_crossing_site", recorded_site)
+    built = built_into(H, ints)
 
     def kept(owner):  # (build name, key) -> kept value, the evaluator's entries only
         return {(k[0].__name__, k[1:]): v for k, v in owner._kept.items()
@@ -324,17 +333,17 @@ def test_every_fold_input_is_kept_once_in_one_memo_of_its_owner(monkeypatch):
     by_diagram = on_data["_compiled", ()]  # the one entry of the compiled diagrams
     assert list(by_diagram) == list(map(builtin_diagram, builtin_diagram_names()))
     compiled = list(by_diagram.values())
-    sites = on_algebra["_used_sites", ()]
-    assert ({id(entries) for _, entries in sites.values()}
-            == {id(entries) for c in compiled for entries in c.crossing_entries})
-    assert sites.keys() < built  # a merge tried and not taken is not kept
-    was_h, was_ints = dict(H._kept), dict(ints._kept)
-    was_compiled, was_sites = dict(by_diagram), dict(sites)
+    sites = {key: site for (name, key), site in on_algebra.items() if name == "_crossing_site"}
+    built_sites = [key for name, key in built if name == "_crossing_site"]
+    assert len(built_sites) == len(sites) and set(built_sites) == sites.keys()
+    assert ({id(entries) for c in compiled for entries in c.crossing_entries}
+            <= {id(entries) for _, entries in sites.values()})
+    was_h, was_ints, was_compiled = dict(H._kept), dict(ints._kept), dict(by_diagram)
     built.clear()
     run(ints)
     assert not built and same(H, was_h) and same(ints, was_ints)
-    for memo, was in ((by_diagram, was_compiled), (sites, was_sites)):
-        assert memo.keys() == was.keys() and all(memo[k] is v for k, v in was.items())
+    assert by_diagram.keys() == was_compiled.keys() and all(
+        by_diagram[k] is v for k, v in was_compiled.items())
 
     # checked from here on by what is kept, not by the recorder
     monkeypatch.undo()
@@ -360,11 +369,11 @@ def test_every_fold_input_is_kept_once_in_one_memo_of_its_owner(monkeypatch):
 
     # at a dense grid algebra s2xs2's clasp merges (16 entries against 16 * 16
     # pairs of R entries), decided from R's entry count: no lone site is built
-    monkeypatch.setattr(module, "_crossing_site", recorded_site)
-    built.clear()
     dense = builtin_algebra("cyclic:k=1,l=4,d=1")
+    built = built_into(dense)
     evaluate_summed(dense, solve_integrals(dense), builtin_diagram("s2xs2"))
-    [(signs, words)] = built  # the merged site, each factor two ends, and no lone one
+    # the merged site, each factor two ends, and no lone one
+    [(signs, words)] = [key for name, key in built if name == "_crossing_site"]
     assert signs == (True, True) and [len(w) for w in words] == [2, 2]
 
 
@@ -392,47 +401,50 @@ def memo_loop():
     """(counts, run): evaluate on every connection of
     oracles.dots_between_two_components(3) at a fresh kac-paljutkin, then
     evaluate_summed, then contraction_plan on every connection.  counts is
-    [compiles, plans], the calls of _Compiled.__init__ and _Planner.plan in
-    the loop, and run is (H, ints, d, its colorings, the values, the summed
-    invariant, the plans)."""
+    [compiles, plans, planners], the calls of _Compiled.__init__,
+    _Planner.plan and _Planner.__init__ in the loop, and run is (H, ints, d,
+    its colorings, the values, the summed invariant, the plans)."""
     from hopfg import builtin_algebra
     from hopfg.evaluate import contraction_plan
 
-    module, counts = sys.modules["hopfg.evaluate"], [0, 0]
-    init, plan = module._Compiled.__init__, module._Planner.plan
+    module, counts = sys.modules["hopfg.evaluate"], [0, 0, 0]
+    methods = [(module._Compiled, "__init__"), (module._Planner, "plan"),
+               (module._Planner, "__init__")]
+    was = [getattr(cls, name) for cls, name in methods]
 
-    def counted_init(self, *args):
-        counts[0] += 1
-        init(self, *args)
-
-    def counted_plan(self):
-        counts[1] += 1
-        return plan(self)
+    def counted(i, method):
+        def call(*args):
+            counts[i] += 1
+            return method(*args)
+        return call
 
     H = builtin_algebra("kac-paljutkin")
     ints = solve_integrals(H)
     d = oracles.dots_between_two_components(3)
     cds = colorings(d, H.group)
-    module._Compiled.__init__, module._Planner.plan = counted_init, counted_plan
+    for i, (cls, name) in enumerate(methods):
+        setattr(cls, name, counted(i, was[i]))
     try:
         values = [evaluate(H, ints, cd) for cd in cds]
         summed = evaluate_summed(H, ints, d)
         plans = [contraction_plan(H, ints, cd) for cd in cds]
     finally:
-        module._Compiled.__init__, module._Planner.plan = init, plan
+        for (cls, name), method in zip(methods, was):
+            setattr(cls, name, method)
     return counts, (H, ints, d, cds, values, summed, plans)
 
 
 def test_a_diagram_is_compiled_once_per_integrals_and_planned_once_per_key():
     # the memo loop reads one compiled diagram, kept by the integrals under
-    # the diagram, and plans once per plan key; an equal diagram that is
-    # another object reads the same entry, and the values equal those of a
-    # fresh solve
+    # the diagram, and plans once per plan key with one planner each, so
+    # contraction_plan builds none; an equal diagram that is another object
+    # reads the same entry, and the values equal those of a fresh solve
     from hopfg.evaluate import _compile, contraction_plan
 
     counts, (H, ints, d, cds, values, summed, plans) = memo_loop()
     compiled = _compile(H, ints, d)
-    assert counts == [1, len(compiled.plans)] and len(cds) > len(compiled.plans)
+    assert counts == [1, len(compiled.plans), len(compiled.plans)]
+    assert len(cds) > len(compiled.plans)
     assert summed.homs is compiled.homs and list(summed.values) == values
 
     twin = oracles.dots_between_two_components(3)
@@ -445,6 +457,61 @@ def test_a_diagram_is_compiled_once_per_integrals_and_planned_once_per_key():
     assert evaluate_summed(H, fresh, d) == summed
     assert [contraction_plan(H, fresh, cd) for cd in cds] == plans
     assert _compile(H, fresh, d) is not compiled
+
+
+def test_a_trial_merge_is_built_once_per_algebra(monkeypatch):
+    # at kac-paljutkin s2xs2's clasp is tried as one merged site and not
+    # taken; H keeps the trial too, so compiling s2xs2 against a second
+    # IntegralData of H builds no crossing site, and every crossing site the
+    # second compile reads is the very object the first one read
+    from hopfg import builtin_algebra
+    from hopfg.evaluate import _compile
+
+    module = sys.modules["hopfg.evaluate"]
+    H = builtin_algebra("kac-paljutkin")
+    d = builtin_diagram("s2xs2")
+    crossing_site, read, builds = module._crossing_site, [], []
+
+    def recorded(H, *key):  # the crossing sites each compile reads
+        read[-1][key] = site = crossing_site(H, *key)
+        return site
+
+    monkeypatch.setattr(module, "_crossing_site", recorded)
+    built = built_into(H)
+    for ints in (solve_integrals(H), solve_integrals(H)):
+        read.append({})
+        del built[:]
+        compiled = _compile(H, ints, d)
+        builds.append([key for name, key in built if name == "_crossing_site"])
+    first, second = read
+    [trial] = [key for key in first if len(key[0]) == 2]  # the clasp's two crossings
+    assert all(first[trial][1] is not entries for entries in compiled.crossing_entries)
+    assert second[trial] is first[trial]
+    assert second.keys() == first.keys() and all(second[k] is v for k, v in first.items())
+    assert trial in builds[0] and builds[1] == []
+
+
+def test_a_diagram_keeps_its_presentation(monkeypatch):
+    # fundamental_presentation builds a diagram's presentation once and keeps
+    # it on the diagram, outside its fields: equality, repr and copies do not
+    # see it, and evaluating one coloring twice builds one presentation
+    import copy
+
+    from hopfg import builtin_algebra, diagrams
+
+    H = builtin_algebra("kac-paljutkin")
+    ints = solve_integrals(H)
+    d = copy.deepcopy(builtin_diagram("s1xs1xs2"))  # a diagram no call has read
+    cd = ColoredDiagram(d, colorings(builtin_diagram("s1xs1xs2"), H.group)[1].colors)
+    presentation, built = diagrams.Presentation, []
+    monkeypatch.setattr(diagrams, "Presentation",
+                        lambda *fields: built.append(fields) or presentation(*fields))
+    value = evaluate(H, ints, cd)
+    assert evaluate(H, ints, cd) == value and len(built) == 1
+    p = diagrams.fundamental_presentation(d)
+    assert diagrams.fundamental_presentation(d) is p and len(built) == 1
+    assert d == builtin_diagram("s1xs1xs2") and "_presentation" not in repr(d)
+    assert copy.deepcopy(d) == d and len(built) == 1
 
 
 def test_errors_raise_on_every_call_and_are_never_kept(bank, monkeypatch):
